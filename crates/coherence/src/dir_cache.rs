@@ -12,7 +12,8 @@
 //! (the default, matching the calibrated Table II latencies).
 
 use crate::types::LineAddr;
-use std::collections::{BTreeMap, HashMap};
+use dve_sim::hash::IntMap;
+use std::collections::BTreeMap;
 
 /// LRU residency tracker for on-chip directory entries.
 ///
@@ -31,7 +32,7 @@ use std::collections::{BTreeMap, HashMap};
 #[derive(Debug, Clone)]
 pub struct DirCache {
     capacity: usize,
-    entries: HashMap<LineAddr, u64>,
+    entries: IntMap<LineAddr, u64>,
     lru: BTreeMap<u64, LineAddr>,
     tick: u64,
     hits: u64,
@@ -48,7 +49,7 @@ impl DirCache {
         assert!(capacity > 0, "capacity must be non-zero");
         DirCache {
             capacity,
-            entries: HashMap::new(),
+            entries: IntMap::default(),
             lru: BTreeMap::new(),
             tick: 0,
             hits: 0,

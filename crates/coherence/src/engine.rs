@@ -776,25 +776,12 @@ impl ProtocolEngine {
                     self.l1s[base + i].invalidate(ev.addr);
                 }
             }
+            // A clean eviction is silent: directory sharer info may go
+            // stale (a conservative superset), which is safe, and allow
+            // replica-dir S entries may stay — they refer to replica
+            // readability, not LLC residency.
             if ev.state.dirty() {
                 self.writeback(socket, ev.addr, now, fabric);
-            } else {
-                // Silent clean eviction; directory sharer info may go
-                // stale (conservatively superset), which is safe.
-                let home = self.home_of(ev.addr);
-                if matches!(
-                    self.mode,
-                    Mode::Dve {
-                        policy: ReplicaPolicy::Allow,
-                        ..
-                    }
-                ) && socket != home
-                {
-                    // Keep the allow replica-dir's M entries in sync if
-                    // the socket lost a line it owned (cannot happen for
-                    // clean lines; S entries may stay — they refer to
-                    // replica readability, not LLC residency).
-                }
             }
         }
     }
@@ -961,7 +948,7 @@ impl ProtocolEngine {
                 // that another core keeps a copy, or its next store
                 // would complete silently against our stale S.
                 self.downgrade_dirty_l1s(socket, line, Some(core));
-                self.fill_l1(core, socket, line, CacheState::S, t, fabric);
+                self.fill_l1(core, line, CacheState::S);
                 self.add_l1_sharer(socket, line, core);
                 return AccessOutcome::from_stamp(t, ServiceLevel::Llc);
             }
@@ -971,7 +958,7 @@ impl ProtocolEngine {
                 if !self.has_bug(SeededBug::SkipSiblingL1Invalidate) {
                     self.invalidate_local_l1s(socket, line, Some(core));
                 }
-                self.fill_l1(core, socket, line, CacheState::M, t, fabric);
+                self.fill_l1(core, line, CacheState::M);
                 self.add_l1_sharer(socket, line, core);
                 return AccessOutcome::from_stamp(t, ServiceLevel::Llc);
             }
@@ -991,27 +978,12 @@ impl ProtocolEngine {
         }
     }
 
-    fn fill_l1(
-        &mut self,
-        core: usize,
-        socket: usize,
-        line: LineAddr,
-        state: CacheState,
-        _now: Stamp,
-        _fabric: &mut impl Fabric,
-    ) {
-        let _ = socket;
-        // L1 evictions write dirty data into the (inclusive) LLC; no
-        // off-socket traffic.
-        if let Some(ev) = self.l1s[core].insert(line, state) {
-            if ev.state.dirty() {
-                let s = self.socket_of(core);
-                if self.llcs[s].state_of(ev.addr).is_some() {
-                    // Data merges into the LLC copy; state already dirty
-                    // at socket level (the LLC took M when the L1 did).
-                }
-            }
-        }
+    /// Installs `line` in `core`'s L1. The victim, if any, needs no
+    /// action: the LLC is inclusive, and a dirty victim's data merges
+    /// into the LLC copy, which took M when the L1 did — no off-socket
+    /// traffic.
+    fn fill_l1(&mut self, core: usize, line: LineAddr, state: CacheState) {
+        self.l1s[core].insert(line, state);
     }
 
     /// A transaction that goes to the home directory (baseline always;
@@ -1098,7 +1070,7 @@ impl ProtocolEngine {
                     }
                 }
                 self.llc_insert(socket, line, CacheState::S, t, fabric);
-                self.fill_l1(core, socket, line, CacheState::S, t, fabric);
+                self.fill_l1(core, line, CacheState::S);
                 self.add_l1_sharer(socket, line, core);
             }
             ReqType::Write => {
@@ -1237,7 +1209,7 @@ impl ProtocolEngine {
                 e.replica_shared = false;
                 self.invalidate_local_l1s(socket, line, Some(core));
                 self.llc_insert(socket, line, CacheState::M, t, fabric);
-                self.fill_l1(core, socket, line, CacheState::M, t, fabric);
+                self.fill_l1(core, line, CacheState::M);
                 self.add_l1_sharer(socket, line, core);
                 // An allow-mode write from the replica side installs an M
                 // entry in its replica directory (Fig. 5 top) — but only
@@ -1326,7 +1298,7 @@ impl ProtocolEngine {
             e.sharers |= 1 << socket;
             e.replica_shared = true;
             self.llc_insert(socket, line, CacheState::S, t, fabric);
-            self.fill_l1(core, socket, line, CacheState::S, t, fabric);
+            self.fill_l1(core, line, CacheState::S);
             self.add_l1_sharer(socket, line, core);
             return AccessOutcome::from_stamp(t, ServiceLevel::LocalDram);
         }
@@ -1436,7 +1408,7 @@ impl ProtocolEngine {
             }
         }
         self.llc_insert(socket, line, CacheState::S, t_done, fabric);
-        self.fill_l1(core, socket, line, CacheState::S, t_done, fabric);
+        self.fill_l1(core, line, CacheState::S);
         self.add_l1_sharer(socket, line, core);
         AccessOutcome::from_stamp(t_done, service)
     }

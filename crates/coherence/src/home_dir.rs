@@ -7,7 +7,7 @@
 //! the paper uses in Fig. 7 to explain which protocol wins per workload.
 
 use crate::types::{CacheState, LineAddr, ReqType, RequestClass};
-use std::collections::HashMap;
+use dve_sim::hash::IntMap;
 
 /// One home-directory entry: socket-granularity sharer tracking.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,7 +55,7 @@ impl Default for HomeEntry {
 #[derive(Debug, Clone, Default)]
 pub struct HomeDirectory {
     socket: usize,
-    entries: HashMap<LineAddr, HomeEntry>,
+    entries: IntMap<LineAddr, HomeEntry>,
     class_counts: [u64; 4],
 }
 
@@ -64,7 +64,7 @@ impl HomeDirectory {
     pub fn new(socket: usize) -> HomeDirectory {
         HomeDirectory {
             socket,
-            entries: HashMap::new(),
+            entries: IntMap::default(),
             class_counts: [0; 4],
         }
     }

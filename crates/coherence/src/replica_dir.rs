@@ -20,7 +20,8 @@
 //! directory").
 
 use crate::types::LineAddr;
-use std::collections::{BTreeMap, HashMap};
+use dve_sim::hash::IntMap;
+use std::collections::BTreeMap;
 
 /// Which protocol family this replica directory implements.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -88,8 +89,12 @@ pub struct ReplicaDirectory {
     capacity: Option<usize>,
     /// Lines per tracked region (1 = cache-line granularity).
     region_lines: u64,
-    entries: HashMap<LineAddr, (ReplicaState, u64)>,
+    entries: IntMap<LineAddr, (ReplicaState, u64)>,
     lru_index: BTreeMap<u64, LineAddr>,
+    /// Live entries in [`ReplicaState::Rm`]. The capacity victim scan
+    /// can only pick something other than the LRU entry when `Rm`
+    /// entries share the table with `S`/`M` ones.
+    rm_entries: usize,
     tick: u64,
     stats: ReplicaDirStats,
 }
@@ -111,8 +116,9 @@ impl ReplicaDirectory {
             policy,
             capacity,
             region_lines,
-            entries: HashMap::new(),
+            entries: IntMap::default(),
             lru_index: BTreeMap::new(),
+            rm_entries: 0,
             tick: 0,
             stats: ReplicaDirStats::default(),
         }
@@ -139,26 +145,23 @@ impl ReplicaDirectory {
         self.region_lines
     }
 
-    fn touch(&mut self, region: LineAddr) {
-        if let Some((_, old)) = self.entries.get(&region).copied() {
-            self.lru_index.remove(&old);
-            self.tick += 1;
-            let t = self.tick;
-            self.lru_index.insert(t, region);
-            if let Some(e) = self.entries.get_mut(&region) {
-                e.1 = t;
-            }
-        }
+    /// Moves `region`'s entry to the MRU position and returns its
+    /// state, or `None` when no entry covers it.
+    fn touch(&mut self, region: LineAddr) -> Option<&mut ReplicaState> {
+        let (state, tick) = self.entries.get_mut(&region)?;
+        self.lru_index.remove(tick);
+        self.tick += 1;
+        *tick = self.tick;
+        self.lru_index.insert(self.tick, region);
+        Some(state)
     }
 
     /// Looks up the entry covering `line`, updating LRU and hit/miss
     /// statistics.
     pub fn lookup(&mut self, line: LineAddr) -> Option<ReplicaState> {
-        let region = self.region_of(line);
-        let state = self.entries.get(&region).map(|(s, _)| *s);
+        let state = self.touch(self.region_of(line)).copied();
         if state.is_some() {
             self.stats.hits += 1;
-            self.touch(region);
         } else {
             self.stats.misses += 1;
         }
@@ -186,47 +189,48 @@ impl ReplicaDirectory {
     /// evicted by capacity pressure, which the caller must resolve.
     pub fn install(&mut self, line: LineAddr, state: ReplicaState) -> Option<ReplicaEviction> {
         let region = self.region_of(line);
-        if self.entries.contains_key(&region) {
-            self.touch(region);
-            if let Some(e) = self.entries.get_mut(&region) {
-                e.0 = state;
-            }
+        if let Some(old) = self.touch(region).map(|s| std::mem::replace(s, state)) {
+            self.rm_entries -= usize::from(old == ReplicaState::Rm);
+            self.rm_entries += usize::from(state == ReplicaState::Rm);
             return None;
         }
         let mut evicted = None;
-        if let Some(cap) = self.capacity {
-            if self.entries.len() >= cap {
-                // Evict LRU, but prefer a victim whose eviction is free:
-                // S entries (allow: absence is conservative) and M
-                // entries (the home directory independently tracks the
-                // owner) can be dropped silently, while evicting an RM
-                // entry forces a downgrade of the remote writer. Scan a
-                // bounded window of the LRU order for a cheap victim
-                // before falling back to the true LRU.
-                const VICTIM_SCAN: usize = 32;
-                let victim_tick = self
-                    .lru_index
+        if self.capacity.is_some_and(|cap| self.entries.len() >= cap) {
+            let lru_tick = *self.lru_index.keys().next().expect("non-empty at capacity");
+            // Evict LRU, but prefer a victim whose eviction is free: S
+            // entries (allow: absence is conservative) and M entries
+            // (the home directory independently tracks the owner) can
+            // be dropped silently, while evicting an RM entry forces a
+            // downgrade of the remote writer. Scan a bounded window of
+            // the LRU order for a cheap victim before falling back to
+            // the true LRU. When every entry is RM, or none is (deny
+            // mode installs only RM entries, allow mode only S/M), the
+            // scan can only return the LRU entry, so skip it.
+            const VICTIM_SCAN: usize = 32;
+            let victim_tick = if self.rm_entries == 0 || self.rm_entries == self.entries.len() {
+                lru_tick
+            } else {
+                self.lru_index
                     .iter()
                     .take(VICTIM_SCAN)
                     .find(|(_, region)| {
                         !matches!(self.entries.get(region), Some((ReplicaState::Rm, _)))
                     })
-                    .map(|(&t, _)| t)
-                    .unwrap_or_else(|| {
-                        *self.lru_index.keys().next().expect("non-empty at capacity")
-                    });
-                let victim = self.lru_index.remove(&victim_tick).expect("indexed tick");
-                let (vstate, _) = self.entries.remove(&victim).expect("indexed entry");
-                self.stats.evictions += 1;
-                evicted = Some(ReplicaEviction {
-                    region: victim,
-                    state: vstate,
-                });
-            }
+                    .map_or(lru_tick, |(&t, _)| t)
+            };
+            let victim = self.lru_index.remove(&victim_tick).expect("indexed tick");
+            let (vstate, _) = self.entries.remove(&victim).expect("indexed entry");
+            self.rm_entries -= usize::from(vstate == ReplicaState::Rm);
+            self.stats.evictions += 1;
+            evicted = Some(ReplicaEviction {
+                region: victim,
+                state: vstate,
+            });
         }
         self.tick += 1;
         self.entries.insert(region, (state, self.tick));
         self.lru_index.insert(self.tick, region);
+        self.rm_entries += usize::from(state == ReplicaState::Rm);
         self.stats.installs += 1;
         evicted
     }
@@ -234,12 +238,10 @@ impl ReplicaDirectory {
     /// Removes the entry covering `line`, returning its state.
     pub fn remove(&mut self, line: LineAddr) -> Option<ReplicaState> {
         let region = self.region_of(line);
-        if let Some((state, tick)) = self.entries.remove(&region) {
-            self.lru_index.remove(&tick);
-            Some(state)
-        } else {
-            None
-        }
+        let (state, tick) = self.entries.remove(&region)?;
+        self.lru_index.remove(&tick);
+        self.rm_entries -= usize::from(state == ReplicaState::Rm);
+        Some(state)
     }
 
     /// Clears every entry — the *drain phase* used when the sampling
@@ -248,6 +250,7 @@ impl ReplicaDirectory {
         let n = self.entries.len();
         self.entries.clear();
         self.lru_index.clear();
+        self.rm_entries = 0;
         n
     }
 
@@ -370,10 +373,17 @@ mod tests {
         assert_eq!(ev.state, ReplicaState::M);
     }
 
-    /// Asserts the two internal indices agree: every entry's LRU tick
-    /// maps back to it, and the index holds nothing else.
+    /// Asserts the internal indices agree: every entry's LRU tick maps
+    /// back to it, the index holds nothing else, and the `Rm` count
+    /// matches the table.
     fn assert_index_consistent(rd: &ReplicaDirectory) {
         assert_eq!(rd.entries.len(), rd.lru_index.len(), "index size drift");
+        let rm = rd
+            .entries
+            .values()
+            .filter(|(s, _)| *s == ReplicaState::Rm)
+            .count();
+        assert_eq!(rd.rm_entries, rm, "Rm count drift");
         for (&region, &(_, tick)) in &rd.entries {
             assert_eq!(
                 rd.lru_index.get(&tick),

@@ -4,7 +4,7 @@
 use dve_coherence::cache::SetAssocCache;
 use dve_coherence::engine::{EngineConfig, Mode, ProtocolEngine};
 use dve_coherence::fabric::TestFabric;
-use dve_coherence::replica_dir::{ReplicaDirectory, ReplicaPolicy, ReplicaState};
+use dve_coherence::replica_dir::{ReplicaDirectory, ReplicaEviction, ReplicaPolicy, ReplicaState};
 use dve_coherence::types::{CacheState, ReqType};
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -66,6 +66,66 @@ proptest! {
         // Absence semantics: a never-touched line far outside the range.
         let fresh = 1 << 40;
         prop_assert_eq!(rd.replica_readable(fresh), !allow);
+    }
+
+    // Eviction sequences match a reference directory that always runs
+    // the 32-deep cheap-victim scan, whatever the mix of S/M/Rm
+    // entries: all S/M (allow-style), all Rm (deny-style) or mixed,
+    // with installs, state updates, removes and LRU-touching lookups,
+    // at capacities on both sides of the scan window.
+    #[test]
+    fn replica_dir_evictions_match_full_scan_reference(
+        ops in proptest::collection::vec((0u8..6, 0u64..96, 0u8..6), 1..500),
+        mix in 0u8..3,
+        capacity in 1usize..48,
+        coarse in any::<bool>(),
+    ) {
+        let region_lines = if coarse { 4 } else { 1 };
+        let mut rd = ReplicaDirectory::new(ReplicaPolicy::Deny, Some(capacity), region_lines);
+        // LRU order, least recent first.
+        let mut reference: Vec<(u64, ReplicaState)> = Vec::new();
+        let state_of = |pick: u8| match (mix, pick % 3) {
+            (0, p) | (2, p @ 0..=1) => [ReplicaState::S, ReplicaState::M][p as usize % 2],
+            _ => ReplicaState::Rm,
+        };
+        for (op, line, pick) in ops {
+            let region = line - line % region_lines;
+            let pos = reference.iter().position(|&(r, _)| r == region);
+            match op {
+                0..=2 => {
+                    let state = state_of(pick);
+                    let want = if let Some(i) = pos {
+                        reference.remove(i);
+                        None
+                    } else if reference.len() >= capacity {
+                        let i = reference
+                            .iter()
+                            .take(32)
+                            .position(|&(_, s)| s != ReplicaState::Rm)
+                            .unwrap_or(0);
+                        let (region, state) = reference.remove(i);
+                        Some(ReplicaEviction { region, state })
+                    } else {
+                        None
+                    };
+                    reference.push((region, state));
+                    prop_assert_eq!(rd.install(line, state), want);
+                }
+                3 => {
+                    let want = pos.map(|i| reference.remove(i).1);
+                    prop_assert_eq!(rd.remove(line), want);
+                }
+                _ => {
+                    let want = pos.map(|i| {
+                        let e = reference.remove(i);
+                        reference.push(e);
+                        e.1
+                    });
+                    prop_assert_eq!(rd.lookup(line), want);
+                }
+            }
+            prop_assert_eq!(rd.len(), reference.len());
+        }
     }
 
     // SWMR under random traffic, all three Dvé-relevant modes: at most

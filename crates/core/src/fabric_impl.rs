@@ -532,6 +532,13 @@ impl SystemFabric {
         self.ledger
     }
 
+    /// The ledger's per-op exposure counters, `(detected_reads,
+    /// machine_checks)`: the runner takes their deltas across each
+    /// client op.
+    pub(crate) fn op_exposure(&self) -> (u64, u64) {
+        (self.ledger.detected_reads, self.ledger.machine_checks)
+    }
+
     /// If `now` falls inside a link outage window, the window's end.
     pub fn link_outage_until(&self, now: u64) -> Option<u64> {
         self.link.outage_until(Cycles(now)).map(|c| c.raw())

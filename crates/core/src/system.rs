@@ -31,7 +31,7 @@ use dve_sim::time::Cycles;
 use dve_workloads::op::{MemReq, Op};
 use dve_workloads::WorkloadProfile;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 /// Results of one run.
 #[derive(Debug, Clone)]
@@ -154,6 +154,17 @@ struct RegionStart {
     cycles: u64,
     ops: u64,
     mem_ops: u64,
+}
+
+/// The scheduler's ready set: `(Reverse(local clock), core)` for each
+/// of `cores`, so the top is the earliest clock and ties go to the
+/// highest core index. The runners update the top in place
+/// ([`PeekMut`]) after each op, and pop it when the core retires.
+fn core_heap(
+    core_time: &[u64],
+    cores: impl Iterator<Item = usize>,
+) -> BinaryHeap<(Reverse<u64>, usize)> {
+    cores.map(|c| (Reverse(core_time[c]), c)).collect()
 }
 
 /// The assembled system: engine + fabric + trace streams.
@@ -403,15 +414,12 @@ impl System {
         }
         let cores = self.core_time.len();
         let start_max = *self.core_time.iter().max().expect("cores");
-        let mut heap: BinaryHeap<(Reverse<u64>, usize)> = (0..cores)
-            .map(|c| (Reverse(self.core_time[c]), c))
-            .collect();
+        let mut heap = core_heap(&self.core_time, 0..cores);
         let mut remaining: Vec<u64> = vec![mem_ops_per_core; cores];
-        let mut live = cores;
         let mut total_ops = 0u64;
         let mut total_mem = 0u64;
-        while live > 0 {
-            let (Reverse(now), core) = heap.pop().expect("live cores remain");
+        while let Some(mut top) = heap.peek_mut() {
+            let (Reverse(now), core) = *top;
             self.advance_chaos(now);
             let op = self.supply.next_op(core);
             total_ops += 1;
@@ -452,9 +460,9 @@ impl System {
             };
             self.core_time[core] = next;
             if remaining[core] == 0 {
-                live -= 1;
+                PeekMut::pop(top);
             } else {
-                heap.push((Reverse(next), core));
+                top.0 = Reverse(next);
             }
         }
         // Region barrier: the region only ends once every core's
@@ -541,12 +549,13 @@ impl System {
             queues[op.core].push(i);
         }
         let mut cursor = vec![0usize; cores];
-        let mut heap: BinaryHeap<(Reverse<u64>, usize)> = (0..cores)
-            .filter(|&c| !queues[c].is_empty())
-            .map(|c| (Reverse(self.core_time[c]), c))
-            .collect();
+        let mut heap = core_heap(
+            &self.core_time,
+            (0..cores).filter(|&c| !queues[c].is_empty()),
+        );
         let mut completions: Vec<Option<OpCompletion>> = vec![None; ops.len()];
-        while let Some((Reverse(now), core)) = heap.pop() {
+        while let Some(mut top) = heap.peek_mut() {
+            let (Reverse(now), core) = *top;
             self.advance_chaos(now);
             let idx = queues[core][cursor[core]];
             cursor[core] += 1;
@@ -559,17 +568,17 @@ impl System {
             // before this access: the delta across the access is this
             // op's own recovery exposure (scrub activity between ops
             // stays unattributed by construction).
-            let before = self.fabric.ledger();
+            let (detected0, mces0) = self.fabric.op_exposure();
             let outcome = self.engine.access(core, op.line, r, now, &mut self.fabric);
-            let after = self.fabric.ledger();
+            let (detected1, mces1) = self.fabric.op_exposure();
             self.lat_hists.record(&outcome.breakdown);
             let done = outcome.complete_at;
             completions[idx] = Some(OpCompletion {
                 issued_at: now,
                 complete_at: done,
                 breakdown: outcome.breakdown,
-                detected_reads: after.detected_reads - before.detected_reads,
-                machine_checks: after.machine_checks - before.machine_checks,
+                detected_reads: detected1 - detected0,
+                machine_checks: mces1 - mces0,
             });
             // Same MSHR semantics as the trace runner: the miss holds a
             // way from issue to completion and the core never runs past
@@ -579,7 +588,9 @@ impl System {
             let next = (now + 1).max(self.mshrs[core].earliest_available());
             self.core_time[core] = next;
             if cursor[core] < queues[core].len() {
-                heap.push((Reverse(next), core));
+                top.0 = Reverse(next);
+            } else {
+                PeekMut::pop(top);
             }
         }
         // Epoch barrier: drain outstanding misses so epochs never leak

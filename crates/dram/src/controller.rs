@@ -238,7 +238,7 @@ impl MemoryController {
         self.catch_up_refresh(now);
         let coord = self.mapper.decode(addr);
         let flat = self.mapper.flat_bank(coord);
-        let cfg = self.mapper.config().clone();
+        let cfg = self.mapper.config();
         let (row, grant) = self.banks[flat].access(
             coord.row,
             now,

@@ -8,8 +8,16 @@
 //! worst-case (victim-adjacent) activation count, the quantity row-hammer
 //! thresholds are defined over. The `ablation` harness uses it to
 //! measure the exposure reduction Dvé's replication provides.
+//!
+//! The correlated row-hammer fault source asks [`RowHammerMonitor::rows_over`]
+//! for the rows past its trip point on every poll. Within a window a
+//! row's count only grows, one activation at a time, so it passes any
+//! threshold exactly once: the monitor keeps the rows that passed the
+//! lowest threshold queried so far in a list it appends to as they
+//! cross, and a query filters that list instead of scanning every row.
 
-use std::collections::HashMap;
+use dve_sim::hash::IntMap;
+use std::cell::RefCell;
 
 /// Tracks per-row activation counts within refresh windows.
 ///
@@ -28,9 +36,21 @@ use std::collections::HashMap;
 pub struct RowHammerMonitor {
     window_cycles: u64,
     window_start: u64,
-    counts: HashMap<(usize, u64), u64>,
+    counts: IntMap<(usize, u64), u64>,
     max_seen: u64,
     windows: u64,
+    /// Index of the current window's rows over the lowest threshold
+    /// queried so far. Queries take `&self`, and the first query (or
+    /// one below the indexed floor) rebuilds it, hence the cell.
+    over: RefCell<OverIndex>,
+}
+
+/// Rows of the current window whose count exceeds `floor`, in the
+/// order they crossed it. `floor` is `None` until the first query.
+#[derive(Debug, Clone, Default)]
+struct OverIndex {
+    floor: Option<u64>,
+    rows: Vec<(usize, u64)>,
 }
 
 impl RowHammerMonitor {
@@ -46,9 +66,10 @@ impl RowHammerMonitor {
         RowHammerMonitor {
             window_cycles,
             window_start: 0,
-            counts: HashMap::new(),
+            counts: IntMap::default(),
             max_seen: 0,
             windows: 0,
+            over: RefCell::default(),
         }
     }
 
@@ -63,8 +84,10 @@ impl RowHammerMonitor {
     /// *new* window: refresh restored the victim rows at that instant,
     /// so its count starts the fresh window at 1.
     pub fn record_activation(&mut self, bank: usize, row: u64, now: u64) {
+        let over = self.over.get_mut();
         if now >= self.window_start + self.window_cycles {
             self.counts.clear();
+            over.rows.clear();
             // Snap the window origin forward, counting every elapsed
             // window (possibly several empty ones) as completed.
             let skipped = (now - self.window_start) / self.window_cycles;
@@ -74,6 +97,10 @@ impl RowHammerMonitor {
         let c = self.counts.entry((bank, row)).or_insert(0);
         *c += 1;
         self.max_seen = self.max_seen.max(*c);
+        // Counts step by one, so reaching `floor + 1` is the crossing.
+        if over.floor == Some(*c - 1) {
+            over.rows.push((bank, row));
+        }
     }
 
     /// The largest activation count any row accumulated within a single
@@ -83,13 +110,27 @@ impl RowHammerMonitor {
     }
 
     /// Rows whose current-window count exceeds `threshold` (candidates
-    /// for targeted refresh / request throttling).
+    /// for targeted refresh / request throttling), sorted.
+    ///
+    /// Scans every row of the window only on the first query and when
+    /// `threshold` is below every threshold queried before; otherwise
+    /// it filters the rows already known to be over the lowest one.
     pub fn rows_over(&self, threshold: u64) -> Vec<(usize, u64)> {
-        let mut v: Vec<(usize, u64)> = self
-            .counts
+        let mut over = self.over.borrow_mut();
+        if over.floor.is_none_or(|f| threshold < f) {
+            over.floor = Some(threshold);
+            over.rows = self
+                .counts
+                .iter()
+                .filter(|(_, &c)| c > threshold)
+                .map(|(&k, _)| k)
+                .collect();
+        }
+        let mut v: Vec<(usize, u64)> = over
+            .rows
             .iter()
-            .filter(|(_, &c)| c > threshold)
-            .map(|(&k, _)| k)
+            .copied()
+            .filter(|k| self.counts[k] > threshold)
             .collect();
         v.sort_unstable();
         v

@@ -4,8 +4,10 @@ use dve_dram::address::AddressMapper;
 use dve_dram::config::DramConfig;
 use dve_dram::controller::{AccessKind, MemoryController};
 use dve_dram::fault::{FaultDomain, FaultState};
+use dve_dram::rowhammer::RowHammerMonitor;
 use dve_sim::time::Cycles;
 use proptest::prelude::*;
+use std::collections::HashMap;
 
 proptest! {
     // Address mapping is a bijection at line granularity.
@@ -152,5 +154,55 @@ proptest! {
         let (ja, jb) = (a.dynamic_joules(), b.dynamic_joules());
         a.merge(&b);
         prop_assert!((a.dynamic_joules() - (ja + jb)).abs() < 1e-15);
+    }
+
+    // The incremental `rows_over` index answers exactly like a scan of
+    // every row's in-window count: over random activations, thresholds
+    // queried in any order (a lower one after a higher one forces a
+    // rebuild) and window rollovers, including multi-window gaps.
+    #[test]
+    fn rows_over_matches_brute_force_scan(
+        ops in proptest::collection::vec(
+            (0u8..8, (0usize..3, 0u64..6), 0u64..12, 0u64..8),
+            1..400,
+        ),
+    ) {
+        const WINDOW: u64 = 500;
+        let mut m = RowHammerMonitor::new(WINDOW);
+        let mut counts: HashMap<(usize, u64), u64> = HashMap::new();
+        let mut window_start = 0u64;
+        let mut now = 0u64;
+        for (kind, (bank, row), dt, threshold) in ops {
+            if kind < 6 {
+                // Mostly short steps (several activations per row per
+                // window); now and then a gap of several windows.
+                now += if kind == 5 { dt * 250 } else { dt };
+                m.record_activation(bank, row, now);
+                if now >= window_start + WINDOW {
+                    counts.clear();
+                    window_start += (now - window_start) / WINDOW * WINDOW;
+                }
+                *counts.entry((bank, row)).or_insert(0) += 1;
+            } else {
+                let mut want: Vec<(usize, u64)> = counts
+                    .iter()
+                    .filter(|(_, &c)| c > threshold)
+                    .map(|(&k, _)| k)
+                    .collect();
+                want.sort_unstable();
+                prop_assert_eq!(m.rows_over(threshold), want);
+            }
+        }
+        // A final sweep over every threshold, high to low and back.
+        for threshold in (0u64..12).rev().chain(0..12) {
+            let mut want: Vec<(usize, u64)> = counts
+                .iter()
+                .filter(|(_, &c)| c > threshold)
+                .map(|(&k, _)| k)
+                .collect();
+            want.sort_unstable();
+            prop_assert_eq!(m.rows_over(threshold), want);
+        }
+        prop_assert!(m.rows_over(u64::MAX).is_empty());
     }
 }

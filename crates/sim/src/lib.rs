@@ -11,6 +11,8 @@
 //! * [`stats`] — counters, histograms and summary statistics used by the
 //!   evaluation harnesses (including the geometric-mean aggregation the
 //!   paper reports).
+//! * [`hash`] — [`hash::IntHasher`], the deterministic integer hasher
+//!   behind the directory and row-hammer maps ([`hash::IntMap`]).
 //! * [`rng`] — a tiny, dependency-free, seedable [`rng::SplitMix64`]
 //!   generator for components that need cheap deterministic randomness
 //!   without pulling `rand` into the simulation core.
@@ -41,6 +43,7 @@
 //! ```
 
 pub mod event;
+pub mod hash;
 pub mod latency;
 pub mod pdes;
 pub mod resource;
