@@ -14,10 +14,8 @@
 //! * `BENCH_system.json` — the full-system simulator on a pinned
 //!   backprop trace: simulated cycles at `mshrs ∈ {1, 4}` (simulation
 //!   output, machine-independent), simulator wall-clock throughput in
-//!   memory-ops/second, the per-layer latency attribution of the
-//!   deny run, and the `pdes_workers ∈ {1, 2, 4, 8}` section: system
-//!   throughput under the sharded trace supply plus the conservative
-//!   PDES toolkit's synthetic-memory scaling curve.
+//!   memory-ops/second, the per-layer latency attribution and tail
+//!   latency of the deny run, and the topology sweep.
 //!
 //! All files record the git revision they were measured at, so the
 //! numbers can be tracked across PRs (CI uploads them as artifacts).
@@ -28,7 +26,7 @@
 //!   per microbench, a small campaign and a short system trace; the
 //!   JSON files are still written (tagged `"mode": "smoke"`).
 //!
-//! Exit code: non-zero if a built-in relative gate fails. Three gates,
+//! Exit code: non-zero if a built-in relative gate fails. Four gates,
 //! all *relative* by design (absolute thresholds would flake across CI
 //! hardware, while these ratios are machine-independent):
 //!
@@ -37,19 +35,14 @@
 //! 2. campaign throughput at 2 workers must be at least 1.5× the
 //!    1-worker rate — skipped with a printed notice on single-core
 //!    hosts, where the ratio measures time-slicing rather than
-//!    scaling, and
+//!    scaling,
 //! 3. widening the cores from 1 to 4 MSHRs must not increase simulated
 //!    cycles on the pinned trace (memory-level parallelism can only
 //!    hide latency; simulated cycles are deterministic, so this cannot
-//!    flake with runner speed),
-//! 4. the parallel trace supply must be bit-identical to the
-//!    sequential runner on the pinned trace (deterministic; always
-//!    enforced), and
-//! 5. the PDES toolkit's synthetic-memory model must scale: at the
-//!    largest benchmarked worker count the host can actually run in
-//!    parallel, threaded throughput must beat 1-worker throughput by
-//!    the per-count threshold (1.4× @ 2, 2.0× @ 4, 3.0× @ 8) — skipped
-//!    with a printed notice on single-core hosts.
+//!    flake with runner speed), and
+//! 4. the explicit `mirror2` topology must be bit-identical to the
+//!    implicit mirror-pair config on the pinned trace (deterministic;
+//!    always enforced).
 
 use criterion::{black_box, Criterion};
 use dve::builder::SystemBuilder;
@@ -78,17 +71,6 @@ const GATE_CLEAN_SPEEDUP: f64 = 2.0;
 /// throughput. Relative, so it holds on any multi-core runner; skipped
 /// (with a printed notice) when the host has a single hardware thread.
 const GATE_SCALING_2W: f64 = 1.5;
-
-/// PDES toolkit scaling gate: `(workers, minimum speedup over 1
-/// worker)`, applied at the largest benchmarked worker count that does
-/// not exceed the host's parallelism (skipped below 2 cores). The 8-way
-/// 3.0× floor is deliberately below linear: the window barrier costs
-/// real synchronization, and the gate guards scaling regressions, not
-/// a lucky machine.
-const GATE_PDES_SCALING: &[(usize, f64)] = &[(2, 1.4), (4, 2.0), (8, 3.0)];
-
-/// Worker counts benchmarked by the PDES sections.
-const PDES_WORKERS: &[usize] = &[1, 2, 4, 8];
 
 struct Entry {
     name: &'static str,
@@ -270,94 +252,6 @@ fn bench_ecc(c: &mut Criterion) -> Vec<Entry> {
     });
     push(c, "tsd_check_2err", 1.0);
 
-    // --- Batched multi-codeword kernels: scalar loop vs the bitsliced
-    // syndrome screen over 64 codewords (one cache-resident scratch).
-    // Reported per codeword so the scalar/batch rows compare directly.
-    const BATCH: usize = 64;
-    let n = chipkill.codeword_len();
-    let mut batch = vec![0u8; BATCH * n];
-    for w in 0..BATCH {
-        batch[w * n..(w + 1) * n].copy_from_slice(&clean);
-    }
-    let mut sparse = batch.clone();
-    sparse[3 * n + 5] ^= 0xA5; // one correctable error in word 3
-    sparse[41 * n + 2] ^= 0x3C; // and one in word 41
-    let mut work_batch = batch.clone();
-    let mut outcomes = Vec::with_capacity(BATCH);
-
-    c.bench_function("rs_decode_scalar64_clean", |b| {
-        b.iter(|| {
-            work_batch.copy_from_slice(&batch);
-            let mut acc = 0usize;
-            for w in 0..BATCH {
-                let cw = &mut work_batch[w * n..(w + 1) * n];
-                acc += matches!(
-                    chipkill.decode_in_place(cw, &mut scratch),
-                    dve_ecc::code::CheckOutcome::NoError
-                ) as usize;
-            }
-            black_box(acc)
-        })
-    });
-    push(c, "rs_decode_scalar64_clean", BATCH as f64);
-
-    c.bench_function("rs_decode_batch64_clean", |b| {
-        b.iter(|| {
-            work_batch.copy_from_slice(&batch);
-            black_box(chipkill.decode_batch_in_place(
-                black_box(&mut work_batch),
-                &mut outcomes,
-                &mut scratch,
-            ))
-        })
-    });
-    push(c, "rs_decode_batch64_clean", BATCH as f64);
-
-    c.bench_function("rs_decode_batch64_sparse", |b| {
-        b.iter(|| {
-            work_batch.copy_from_slice(&sparse);
-            black_box(chipkill.decode_batch_in_place(
-                black_box(&mut work_batch),
-                &mut outcomes,
-                &mut scratch,
-            ))
-        })
-    });
-    push(c, "rs_decode_batch64_sparse", BATCH as f64);
-
-    let mut dirty = Vec::new();
-    c.bench_function("rs_dirty_mask_bitsliced_64", |b| {
-        b.iter(|| {
-            chipkill.dirty_mask_bitsliced(black_box(&batch), &mut dirty);
-            black_box(dirty[0])
-        })
-    });
-    push(c, "rs_dirty_mask_bitsliced_64", BATCH as f64);
-
-    let tn = tsd.codeword_len();
-    let mut tsd_batch = vec![0u8; BATCH * tn];
-    for w in 0..BATCH {
-        tsd_batch[w * tn..(w + 1) * tn].copy_from_slice(&tsd_clean);
-    }
-    c.bench_function("tsd_check_scalar64_clean", |b| {
-        b.iter(|| {
-            let mut acc = 0usize;
-            for w in 0..BATCH {
-                acc += matches!(
-                    tsd.check(&tsd_batch[w * tn..(w + 1) * tn]),
-                    dve_ecc::code::CheckOutcome::NoError
-                ) as usize;
-            }
-            black_box(acc)
-        })
-    });
-    push(c, "tsd_check_scalar64_clean", BATCH as f64);
-
-    c.bench_function("tsd_check_batch64_clean", |b| {
-        b.iter(|| black_box(tsd.check_batch(black_box(&tsd_batch), &mut outcomes)))
-    });
-    push(c, "tsd_check_batch64_clean", BATCH as f64);
-
     entries
 }
 
@@ -516,82 +410,6 @@ fn bench_topology(ops: u64, deny_mirror_cycles: u64) -> (Vec<(String, f64)>, boo
     (out, identical)
 }
 
-/// What [`bench_pdes`] hands back to `main`: the JSON fields, the
-/// toolkit's `(workers, speedup over 1 worker)` points for the scaling
-/// gate, and whether system bit-identity held.
-struct PdesBench {
-    fields: Vec<(String, f64)>,
-    speedups: Vec<(usize, f64)>,
-    identical: bool,
-}
-
-/// Benchmarks the parallel simulation core at each worker count:
-/// the full system under the sharded trace supply (bit-identity
-/// enforced), and the PDES toolkit's synthetic-memory model (the
-/// genuinely domain-parallel executive).
-fn bench_pdes(ops: u64, toolkit_ops: u64) -> PdesBench {
-    let p = dve_workloads::catalog()
-        .into_iter()
-        .find(|p| p.name == "backprop")
-        .expect("backprop profile");
-    let mut out = Vec::new();
-    let mut identical = true;
-    let mut ref_cycles = 0u64;
-    for &w in PDES_WORKERS {
-        let start = Instant::now();
-        let r = SystemBuilder::new(Scheme::DveDeny)
-            .ops_per_thread(ops)
-            .pdes_workers(w)
-            .run(&p, 42);
-        let secs = start.elapsed().as_secs_f64();
-        if w == 1 {
-            ref_cycles = r.cycles;
-        } else if r.cycles != ref_cycles {
-            identical = false;
-        }
-        let tput = r.mem_ops as f64 / secs;
-        println!(
-            "  system  pdes_workers={w} {:>12.0} sim mem-ops/s (cycles {})",
-            tput, r.cycles
-        );
-        out.push((format!("pdes_system_mem_ops_per_sec_workers_{w}"), tput));
-    }
-    out.push((
-        "pdes_system_identity".to_string(),
-        if identical { 1.0 } else { 0.0 },
-    ));
-
-    // The toolkit curve: 8 synthetic memory domains, 64 closed-loop
-    // streams each, 20% remote traffic over a 150-cycle (50 ns @ 3 GHz)
-    // lookahead channel — per-window work dominates barrier cost, which
-    // is exactly the regime the domain-sharded executive targets.
-    let mut speedups = Vec::new();
-    let mut tput_1 = f64::NAN;
-    for &w in PDES_WORKERS {
-        let mut exec = dve_sim::pdes::synthetic_executive(8, 64, toolkit_ops, 0.2, 150, 42);
-        let start = Instant::now();
-        let stats = exec.run_threaded(w);
-        let secs = start.elapsed().as_secs_f64();
-        let tput = stats.events as f64 / secs;
-        if w == 1 {
-            tput_1 = tput;
-        }
-        let speedup = tput / tput_1;
-        speedups.push((w, speedup));
-        println!(
-            "  toolkit pdes_workers={w} {:>12.0} events/s ({speedup:.2}x vs 1 worker)",
-            tput
-        );
-        out.push((format!("pdes_toolkit_events_per_sec_workers_{w}"), tput));
-        out.push((format!("pdes_toolkit_speedup_workers_{w}"), speedup));
-    }
-    PdesBench {
-        fields: out,
-        speedups,
-        identical,
-    }
-}
-
 fn main() -> ExitCode {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let mode = if smoke { "smoke" } else { "full" };
@@ -636,11 +454,6 @@ fn main() -> ExitCode {
     println!("-- topology sweep --");
     let (topo_fields, topo_identity) = bench_topology(sys_ops, deny_m1);
     system_fields.extend(topo_fields);
-
-    println!("-- parallel simulation core --");
-    let toolkit_ops = if smoke { 300 } else { 3000 };
-    let pdes = bench_pdes(sys_ops, toolkit_ops);
-    system_fields.extend(pdes.fields);
     std::fs::write(
         "BENCH_system.json",
         render_json(&rev, mode, "mixed_cycles_and_fractions", &system_fields),
@@ -726,50 +539,6 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    // --- PDES identity gate: the sharded trace supply must reproduce
-    // the sequential runner bit-for-bit. Deterministic — always on.
-    println!(
-        "gate: pdes system identity {}",
-        if pdes.identical { "held" } else { "BROKEN" }
-    );
-    if !pdes.identical {
-        eprintln!("FAIL: parallel trace supply diverged from the sequential runner");
-        return ExitCode::FAILURE;
-    }
-
-    // --- PDES toolkit scaling gate: relative (threaded vs 1-worker on
-    // the same run), applied at the largest benchmarked worker count
-    // the host can actually run in parallel. On a single-core runner
-    // every count time-slices one CPU, so the gate is skipped with a
-    // notice, like the campaign scaling gate.
-    let gate_point = GATE_PDES_SCALING.iter().rfind(|&&(w, _)| w <= cores);
-    match gate_point {
-        Some(&(w, need)) => {
-            let got = pdes
-                .speedups
-                .iter()
-                .find(|&&(sw, _)| sw == w)
-                .map(|&(_, s)| s)
-                .expect("speedup measured for gate point");
-            println!(
-                "gate: pdes toolkit scaling workers={w} {got:.2}x vs 1 worker \
-                 (need >= {need:.1}x on this {cores}-core host)"
-            );
-            if got < need {
-                eprintln!(
-                    "FAIL: pdes toolkit speedup at {w} workers is {got:.2}x, \
-                     below the {need:.1}x gate"
-                );
-                return ExitCode::FAILURE;
-            }
-        }
-        None => {
-            println!(
-                "gate: pdes toolkit scaling SKIPPED (host has {cores} hardware thread(s); \
-                 threaded speedup is meaningless without a second core)"
-            );
-        }
-    }
     println!("gate: ok");
     ExitCode::SUCCESS
 }

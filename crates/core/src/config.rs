@@ -203,12 +203,11 @@ pub struct SystemConfig {
     /// (the pinned-golden regime); larger values let cores overlap
     /// misses and expose memory-level parallelism. Must be ≥ 1.
     pub mshrs: usize,
-    /// Trace-supply worker threads (the parallel discrete-event core's
-    /// system-runner integration, see `dve::pdes`). The default of 1
+    /// Trace-supply worker threads (see `dve::pdes`). The default of 1
     /// keeps everything on the coordinator thread; larger values shard
     /// trace synthesis across that many workers over bounded per-core
     /// channels. Results are bit-identical at every setting — the
-    /// replay gate in the `pdes` bench binary pins this.
+    /// worker-count golden test in `tests/goldens.rs` pins this.
     pub pdes_workers: usize,
     /// §V-E degraded state: run the Dvé scheme with the replica copies
     /// out of service (single functional copy). Performance should match

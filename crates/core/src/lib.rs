@@ -29,9 +29,10 @@
 //!   (row-hammer pressure, Arrhenius-scaled thermal arrivals, aging
 //!   ramps) the runner polls in-band alongside the static schedule.
 //! * [`metrics`] — the paper's aggregates (geomean over top-10/15/all).
-//! * [`pdes`] — the parallel trace supply: worker threads pre-generate
+//! * [`pdes`] — the sharded trace supply: worker threads pre-generate
 //!   per-core operation streams through bounded channels, bit-identical
-//!   to the inline generator (enable via `SystemConfig::pdes_workers`).
+//!   to the inline generator (enable via `SystemConfig::pdes_workers`;
+//!   measured slower than inline, see `DESIGN.md` §14).
 //!
 //! # Quickstart
 //!

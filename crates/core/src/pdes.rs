@@ -20,12 +20,9 @@
 //! The timing-critical simulation itself (coherence engine, DRAM,
 //! link) still executes on the coordinator: the engine mutates
 //! remote-socket state instantaneously, so its commit order is a
-//! sequential dependency. The fully-sharded *timed* executive — where
-//! whole domains advance in parallel under a conservative lookahead —
-//! lives in [`dve_sim::pdes`]; this module is the system-runner
-//! integration that parallelizes the portion of the real pipeline that
-//! is provably order-free. See `DESIGN.md` §14 for the Amdahl
-//! accounting behind that split.
+//! sequential dependency. Trace synthesis is about 8% of runtime, and
+//! the measured supply is slower at 2 workers than inline; see
+//! `DESIGN.md` §14 for the Amdahl accounting and the numbers.
 
 use dve_workloads::{CoreTraceStream, Op, TraceGenerator, WorkloadProfile};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};

@@ -53,6 +53,31 @@ fn pinned_golden_cycles_mshrs_1() {
     }
 }
 
+/// The sharded trace supply changes only who synthesizes the operation
+/// streams: [`GOLDENS`] must hold verbatim at every `pdes_workers` count.
+#[test]
+fn pinned_goldens_hold_at_every_worker_count() {
+    let p = catalog()
+        .into_iter()
+        .find(|p| p.name == "backprop")
+        .unwrap();
+    for &(seed, scheme, cycles) in GOLDENS {
+        for workers in [1, 2, 4, 8] {
+            let mut cfg = SystemConfig::table_ii(scheme);
+            cfg.ops_per_thread = 500;
+            cfg.warmup_per_thread = 50;
+            cfg.pdes_workers = workers;
+            let r = System::new(cfg, &p, seed).run();
+            assert_eq!(r.mem_ops, 8000, "seed={seed:#x} {scheme:?} w={workers}");
+            assert_eq!(
+                r.cycles, cycles,
+                "seed={seed:#x} {scheme:?} workers={workers}: got {}, golden {cycles}",
+                r.cycles
+            );
+        }
+    }
+}
+
 /// (topology, seed, scheme, cycles) — same trace/ops regime as
 /// [`GOLDENS`], on the non-mirror topologies.
 const TOPOLOGY_GOLDENS: &[(TopologySpec, u64, Scheme, u64)] = &[

@@ -78,40 +78,6 @@ fn random_grid_parallel_matches_sequential() {
 }
 
 #[test]
-fn pinned_goldens_hold_at_every_worker_count() {
-    // The pinned golden cycle counts (crates/core/tests/goldens.rs
-    // regime: backprop, 500 ops/thread, mshrs=1) must hold verbatim
-    // under the parallel supply at every worker count.
-    const GOLDENS: &[(u64, Scheme, u64)] = &[
-        (42, Scheme::BaselineNuma, 92_408),
-        (42, Scheme::DveAllow, 77_905),
-        (42, Scheme::DveDeny, 54_962),
-        (0x2026_0806, Scheme::BaselineNuma, 91_014),
-        (0x2026_0806, Scheme::DveAllow, 79_614),
-        (0x2026_0806, Scheme::DveDeny, 54_436),
-    ];
-    let p = catalog()
-        .into_iter()
-        .find(|p| p.name == "backprop")
-        .unwrap();
-    for &(seed, scheme, cycles) in GOLDENS {
-        for workers in [2, 8] {
-            let mut cfg = SystemConfig::table_ii(scheme);
-            cfg.ops_per_thread = 500;
-            cfg.warmup_per_thread = 50;
-            cfg.pdes_workers = workers;
-            let r = System::new(cfg, &p, seed).run();
-            assert_eq!(r.mem_ops, 8000, "seed={seed:#x} {scheme:?} w={workers}");
-            assert_eq!(
-                r.cycles, cycles,
-                "seed={seed:#x} {scheme:?} workers={workers}: got {}, golden {cycles}",
-                r.cycles
-            );
-        }
-    }
-}
-
-#[test]
 fn correlated_chaos_is_bit_identical_at_every_worker_count() {
     // Active correlated fault sources (hammer + thermal + aging, all
     // live) on top of a random schedule must not break the worker-count

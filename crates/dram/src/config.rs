@@ -120,15 +120,6 @@ impl DramConfig {
         self.t_rp + self.t_rcd + self.t_cl + self.t_burst
     }
 
-    /// The minimum cycles any DRAM access occupies its bank — the
-    /// row-hit service time. A domain-sharded parallel simulation
-    /// (`dve_sim::pdes`) may fold this floor into its cross-domain
-    /// channel latencies: a remote access can never complete in fewer
-    /// cycles than link propagation plus this service minimum.
-    pub fn min_service_cycles(&self) -> Cycles {
-        self.hit_latency()
-    }
-
     /// Total banks on the channel.
     pub fn total_banks(&self) -> usize {
         self.banks_per_rank * self.ranks_per_channel

@@ -495,227 +495,6 @@ pub mod reference {
         assert!(a != 0, "inverse of zero in GF(2^16)");
         gf16_pow(a, 65534)
     }
-
-    /// Reference batch kernel for GF(2^8): multiplies every lane of
-    /// `lanes` by the constant `c` via [`gf256_mul`]. The bitsliced
-    /// [`super::bitslice::mul_const8`] must agree lane-for-lane.
-    pub fn gf256_mul_lanes(lanes: &[u8], c: u8) -> Vec<u8> {
-        lanes.iter().map(|&a| gf256_mul(a, c)).collect()
-    }
-
-    /// Reference batch kernel for GF(2^16): multiplies every lane of
-    /// `lanes` by the constant `c` via [`gf16_mul`]. The bitsliced
-    /// [`super::bitslice::mul_const16`] must agree lane-for-lane.
-    pub fn gf16_mul_lanes(lanes: &[u16], c: u16) -> Vec<u16> {
-        lanes.iter().map(|&a| gf16_mul(a, c)).collect()
-    }
-}
-
-/// Bitsliced GF kernels: 64 codeword lanes held as bit-planes.
-///
-/// A [`Planes8`] holds 64 GF(2^8) symbols transposed so that `planes[b]`
-/// bit `l` is bit `b` of lane `l`'s symbol; [`Planes16`] is the same for
-/// GF(2^16). In this orientation a multiply-by-α across all 64 lanes is
-/// a plane rotation plus a handful of XORs (the reduction polynomial's
-/// taps), with no table traffic and no per-lane branches — which is what
-/// makes the batched syndrome screens in [`crate::rs`] and
-/// [`crate::rs16`] cheap: the screen touches every lane of a 64-codeword
-/// block for about the cost of two scalar decodes.
-///
-/// Packing is done with a word-level 8×8 bit transpose (three
-/// shift-mask-xor rounds per 8 lanes) rather than a bit-at-a-time loop,
-/// so the layout conversion does not eat the arithmetic win.
-///
-/// Everything here is validated lane-for-lane against the bit-serial
-/// [`reference`] oracle by the property tests in
-/// `crates/ecc/tests/proptests.rs`.
-pub mod bitslice {
-    use super::{GF16_POLY, GF256_POLY};
-
-    /// Number of lanes (codewords) per bitsliced block.
-    pub const LANES: usize = 64;
-
-    /// 64 lanes of GF(2^8) symbols, one `u64` per bit position.
-    pub type Planes8 = [u64; 8];
-
-    /// 64 lanes of GF(2^16) symbols, one `u64` per bit position.
-    pub type Planes16 = [u64; 16];
-
-    /// 8×8 bit-matrix transpose of a `u64` viewed as 8 rows of 8 bits
-    /// (row `i` = byte `i`, bit `j` of row `i` = bit `8i + j`).
-    #[inline]
-    fn transpose8x8(mut x: u64) -> u64 {
-        // Three rounds of delta swaps: 1×1 blocks at distance 7 bits
-        // off-diagonal within 2×2 tiles, then 2×2 within 4×4, then 4×4.
-        let mut t = (x ^ (x >> 7)) & 0x00AA_00AA_00AA_00AA;
-        x ^= t ^ (t << 7);
-        t = (x ^ (x >> 14)) & 0x0000_CCCC_0000_CCCC;
-        x ^= t ^ (t << 14);
-        t = (x ^ (x >> 28)) & 0x0000_0000_F0F0_F0F0;
-        x ^= t ^ (t << 28);
-        x
-    }
-
-    /// Packs up to [`LANES`] GF(2^8) symbols into bit-planes; missing
-    /// lanes are zero.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `symbols.len() > LANES`.
-    pub fn pack8(symbols: &[u8]) -> Planes8 {
-        assert!(symbols.len() <= LANES, "pack8: more than {LANES} lanes");
-        let mut planes = [0u64; 8];
-        for (g, chunk) in symbols.chunks(8).enumerate() {
-            let mut w = [0u8; 8];
-            w[..chunk.len()].copy_from_slice(chunk);
-            let t = transpose8x8(u64::from_le_bytes(w));
-            // Byte `b` of `t` now holds bit `b` of each of the 8 lanes.
-            for (b, plane) in planes.iter_mut().enumerate() {
-                *plane |= ((t >> (8 * b)) & 0xFF) << (8 * g);
-            }
-        }
-        planes
-    }
-
-    /// Inverse of [`pack8`]: writes lane symbols back out.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len() > LANES`.
-    pub fn unpack8(planes: &Planes8, out: &mut [u8]) {
-        assert!(out.len() <= LANES, "unpack8: more than {LANES} lanes");
-        for (g, chunk) in out.chunks_mut(8).enumerate() {
-            let mut t = 0u64;
-            for (b, plane) in planes.iter().enumerate() {
-                t |= ((plane >> (8 * g)) & 0xFF) << (8 * b);
-            }
-            let w = transpose8x8(t).to_le_bytes();
-            chunk.copy_from_slice(&w[..chunk.len()]);
-        }
-    }
-
-    /// Packs up to [`LANES`] GF(2^16) symbols into bit-planes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `symbols.len() > LANES`.
-    pub fn pack16(symbols: &[u16]) -> Planes16 {
-        assert!(symbols.len() <= LANES, "pack16: more than {LANES} lanes");
-        let mut lo = [0u8; LANES];
-        let mut hi = [0u8; LANES];
-        for (l, &s) in symbols.iter().enumerate() {
-            lo[l] = s as u8;
-            hi[l] = (s >> 8) as u8;
-        }
-        let lo_planes = pack8(&lo[..symbols.len()]);
-        let hi_planes = pack8(&hi[..symbols.len()]);
-        let mut planes = [0u64; 16];
-        planes[..8].copy_from_slice(&lo_planes);
-        planes[8..].copy_from_slice(&hi_planes);
-        planes
-    }
-
-    /// Inverse of [`pack16`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len() > LANES`.
-    pub fn unpack16(planes: &Planes16, out: &mut [u16]) {
-        assert!(out.len() <= LANES, "unpack16: more than {LANES} lanes");
-        let mut lo_planes = [0u64; 8];
-        let mut hi_planes = [0u64; 8];
-        lo_planes.copy_from_slice(&planes[..8]);
-        hi_planes.copy_from_slice(&planes[8..]);
-        let mut lo = [0u8; LANES];
-        let mut hi = [0u8; LANES];
-        unpack8(&lo_planes, &mut lo[..out.len()]);
-        unpack8(&hi_planes, &mut hi[..out.len()]);
-        for (l, o) in out.iter_mut().enumerate() {
-            *o = lo[l] as u16 | ((hi[l] as u16) << 8);
-        }
-    }
-
-    /// Lane-wise XOR (GF addition) of `src` into `acc`.
-    #[inline]
-    pub fn xor8(acc: &mut Planes8, src: &Planes8) {
-        for (a, s) in acc.iter_mut().zip(src) {
-            *a ^= s;
-        }
-    }
-
-    /// Lane-wise XOR (GF addition) of `src` into `acc`.
-    #[inline]
-    pub fn xor16(acc: &mut Planes16, src: &Planes16) {
-        for (a, s) in acc.iter_mut().zip(src) {
-            *a ^= s;
-        }
-    }
-
-    /// Multiplies all 64 GF(2^8) lanes by α in place: shift every bit
-    /// plane up one position and fold the overflow plane back into the
-    /// taps of the reduction polynomial 0x11D (bits 0, 2, 3, 4).
-    #[inline]
-    pub fn mul_alpha8(p: &mut Planes8) {
-        debug_assert_eq!(GF256_POLY, 0x11D);
-        let carry = p[7];
-        p.copy_within(0..7, 1);
-        p[0] = carry;
-        p[2] ^= carry;
-        p[3] ^= carry;
-        p[4] ^= carry;
-    }
-
-    /// Multiplies all 64 GF(2^16) lanes by α in place (reduction
-    /// polynomial 0x1100B, taps at bits 0, 1, 3, 12).
-    #[inline]
-    pub fn mul_alpha16(p: &mut Planes16) {
-        debug_assert_eq!(GF16_POLY, 0x1100B);
-        let carry = p[15];
-        p.copy_within(0..15, 1);
-        p[0] = carry;
-        p[1] ^= carry;
-        p[3] ^= carry;
-        p[12] ^= carry;
-    }
-
-    /// Multiplies all 64 GF(2^8) lanes by the constant `c`: shift-and-add
-    /// over the bit planes (`c = Σ α^i` over its set bits).
-    pub fn mul_const8(p: &Planes8, c: u8) -> Planes8 {
-        let mut acc = [0u64; 8];
-        let mut shifted = *p;
-        for i in 0..8 {
-            if (c >> i) & 1 != 0 {
-                xor8(&mut acc, &shifted);
-            }
-            mul_alpha8(&mut shifted);
-        }
-        acc
-    }
-
-    /// Multiplies all 64 GF(2^16) lanes by the constant `c`.
-    pub fn mul_const16(p: &Planes16, c: u16) -> Planes16 {
-        let mut acc = [0u64; 16];
-        let mut shifted = *p;
-        for i in 0..16 {
-            if (c >> i) & 1 != 0 {
-                xor16(&mut acc, &shifted);
-            }
-            mul_alpha16(&mut shifted);
-        }
-        acc
-    }
-
-    /// Bitmask of lanes holding a non-zero symbol (OR of all planes).
-    #[inline]
-    pub fn nonzero8(p: &Planes8) -> u64 {
-        p.iter().fold(0, |m, &plane| m | plane)
-    }
-
-    /// Bitmask of lanes holding a non-zero symbol.
-    #[inline]
-    pub fn nonzero16(p: &Planes16) -> u64 {
-        p.iter().fold(0, |m, &plane| m | plane)
-    }
 }
 
 #[cfg(test)]
@@ -927,96 +706,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    fn lanes8(seed: u64) -> Vec<u8> {
-        (0..64u64)
-            .map(|i| (seed.wrapping_mul(i.wrapping_add(17)) >> 13) as u8)
-            .collect()
-    }
-
-    fn lanes16(seed: u64) -> Vec<u16> {
-        (0..64u64)
-            .map(|i| (seed.wrapping_mul(i.wrapping_add(29)) >> 9) as u16)
-            .collect()
-    }
-
-    #[test]
-    fn bitslice_pack_unpack_roundtrip() {
-        for seed in [1u64, 0xDEADBEEF, 0x1234_5678_9ABC_DEF0] {
-            let l8 = lanes8(seed);
-            for len in [0usize, 1, 7, 8, 9, 33, 63, 64] {
-                let planes = bitslice::pack8(&l8[..len]);
-                let mut out = vec![0u8; len];
-                bitslice::unpack8(&planes, &mut out);
-                assert_eq!(out, l8[..len], "u8 len={len} seed={seed:#x}");
-            }
-            let l16 = lanes16(seed);
-            for len in [0usize, 1, 15, 16, 17, 63, 64] {
-                let planes = bitslice::pack16(&l16[..len]);
-                let mut out = vec![0u16; len];
-                bitslice::unpack16(&planes, &mut out);
-                assert_eq!(out, l16[..len], "u16 len={len} seed={seed:#x}");
-            }
-        }
-    }
-
-    #[test]
-    fn bitslice_mul_alpha_matches_scalar_all_lanes() {
-        let l8 = lanes8(0xABCD_EF01);
-        let mut p8 = bitslice::pack8(&l8);
-        bitslice::mul_alpha8(&mut p8);
-        let mut out8 = [0u8; 64];
-        bitslice::unpack8(&p8, &mut out8);
-        for (l, (&o, &a)) in out8.iter().zip(&l8).enumerate() {
-            assert_eq!(o, Gf256::mul_alpha(a), "lane {l}");
-        }
-
-        let l16 = lanes16(0xABCD_EF01);
-        let mut p16 = bitslice::pack16(&l16);
-        bitslice::mul_alpha16(&mut p16);
-        let mut out16 = [0u16; 64];
-        bitslice::unpack16(&p16, &mut out16);
-        for (l, (&o, &a)) in out16.iter().zip(&l16).enumerate() {
-            assert_eq!(o, Gf16::mul_alpha(a), "lane {l}");
-        }
-    }
-
-    #[test]
-    fn bitslice_mul_const_matches_reference_lanes() {
-        let l8 = lanes8(0x5555_AAAA_0F0F_F0F0);
-        let p8 = bitslice::pack8(&l8);
-        for c in [0u8, 1, 2, 0x1D, 0x80, 0xFF, 0x57] {
-            let prod = bitslice::mul_const8(&p8, c);
-            let mut out = [0u8; 64];
-            bitslice::unpack8(&prod, &mut out);
-            assert_eq!(out.to_vec(), reference::gf256_mul_lanes(&l8, c), "c={c:#x}");
-        }
-
-        let l16 = lanes16(0x5555_AAAA_0F0F_F0F0);
-        let p16 = bitslice::pack16(&l16);
-        for c in [0u16, 1, 2, 0x100B, 0x8000, 0xFFFF, 0x1234] {
-            let prod = bitslice::mul_const16(&p16, c);
-            let mut out = [0u16; 64];
-            bitslice::unpack16(&prod, &mut out);
-            assert_eq!(out.to_vec(), reference::gf16_mul_lanes(&l16, c), "c={c:#x}");
-        }
-    }
-
-    #[test]
-    fn bitslice_nonzero_masks() {
-        let mut l8 = [0u8; 64];
-        l8[3] = 1;
-        l8[63] = 0x80;
-        let p8 = bitslice::pack8(&l8);
-        assert_eq!(bitslice::nonzero8(&p8), (1u64 << 3) | (1u64 << 63));
-
-        let mut l16 = [0u16; 64];
-        l16[0] = 0x8000;
-        l16[40] = 7;
-        let p16 = bitslice::pack16(&l16);
-        assert_eq!(bitslice::nonzero16(&p16), 1 | (1u64 << 40));
-        assert_eq!(bitslice::nonzero16(&bitslice::pack16(&[0u16; 64])), 0);
     }
 
     #[test]

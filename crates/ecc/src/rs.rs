@@ -37,7 +37,7 @@
 //!   `encode`/`check`/`check_and_repair` APIs remain as thin wrappers.
 
 use crate::code::{CheckOutcome, CorrectionCode, DetectionCode};
-use crate::gf::{bitslice, Gf256};
+use crate::gf::Gf256;
 
 /// How a Reed–Solomon code reacts to a non-zero syndrome.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -65,8 +65,6 @@ pub struct RsScratch {
     coefs: Vec<u8>,
     positions: Vec<usize>,
     magnitudes: Vec<u8>,
-    /// Per-block dirty-lane masks for [`Rs::decode_batch_in_place`].
-    dirty: Vec<u64>,
 }
 
 /// A systematic Reed–Solomon code over GF(2^8).
@@ -180,7 +178,6 @@ impl Rs {
             coefs: Vec::with_capacity(nsym + 1),
             positions: Vec::with_capacity(nsym),
             magnitudes: Vec::with_capacity(nsym),
-            dirty: Vec::new(),
         }
     }
 
@@ -500,120 +497,6 @@ impl Rs {
         CheckOutcome::Corrected {
             symbols_fixed: s.positions.len(),
         }
-    }
-
-    /// Encodes `count` datawords packed back-to-back in `datas`
-    /// (`count * k` bytes) into `codewords` (`count * n` bytes), reusing
-    /// the register-resident LFSR fast path per word. Allocation-free.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `datas.len()` is not a multiple of `k` or `codewords`
-    /// does not hold exactly the same number of codewords.
-    pub fn encode_batch_into(&self, datas: &[u8], codewords: &mut [u8]) {
-        assert_eq!(datas.len() % self.k, 0, "datas not a multiple of k");
-        let count = datas.len() / self.k;
-        assert_eq!(
-            codewords.len(),
-            count * self.n,
-            "codeword buffer/count mismatch"
-        );
-        for (data, cw) in datas
-            .chunks_exact(self.k)
-            .zip(codewords.chunks_exact_mut(self.n))
-        {
-            self.encode_into(data, cw);
-        }
-    }
-
-    /// Bitsliced syndrome screen over a batch of codewords packed
-    /// back-to-back: pushes one bitmask per 64-codeword block into
-    /// `dirty` (cleared first), bit `l` set iff lane `l` of that block
-    /// has a non-zero syndrome. The final block's unused high bits are
-    /// zero.
-    ///
-    /// The codewords are transposed into [`bitslice`] planes one symbol
-    /// column at a time; both RS(18,16) syndromes then cost a plane XOR
-    /// and a plane-rotate-XOR per column for all 64 lanes at once.
-    /// Restricted to `n - k == 2` codes, where a zero `(S_0, S_1)` pair
-    /// is exactly the fault-free condition.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n - k != 2` or `codewords.len()` is not a multiple of
-    /// `n`.
-    pub fn dirty_mask_bitsliced(&self, codewords: &[u8], dirty: &mut Vec<u64>) {
-        assert_eq!(
-            self.parity_len(),
-            2,
-            "bitsliced screen requires nsym == 2 (exact for RS(18,16))"
-        );
-        assert_eq!(codewords.len() % self.n, 0, "codewords not a multiple of n");
-        dirty.clear();
-        for block in codewords.chunks(bitslice::LANES * self.n) {
-            let lanes = block.len() / self.n;
-            let mut s0: bitslice::Planes8 = [0; 8];
-            let mut s1: bitslice::Planes8 = [0; 8];
-            let mut col = [0u8; bitslice::LANES];
-            for j in 0..self.n {
-                for l in 0..lanes {
-                    col[l] = block[l * self.n + j];
-                }
-                let planes = bitslice::pack8(&col[..lanes]);
-                bitslice::xor8(&mut s0, &planes);
-                bitslice::mul_alpha8(&mut s1);
-                bitslice::xor8(&mut s1, &planes);
-            }
-            dirty.push(bitslice::nonzero8(&s0) | bitslice::nonzero8(&s1));
-        }
-    }
-
-    /// Decodes `count` codewords packed back-to-back in `codewords` in
-    /// place with one shared scratch, pushing one [`CheckOutcome`] per
-    /// codeword into `outcomes` (cleared first).
-    ///
-    /// Behaviourally identical to calling [`Rs::decode_in_place`] on each
-    /// codeword in order (the batch-vs-scalar property tests pin this),
-    /// but for `n - k == 2` codes the fault-free majority is screened out
-    /// by the bitsliced syndrome kernel
-    /// ([`Rs::dirty_mask_bitsliced`]) — only lanes whose block mask bit
-    /// is set take the scalar BM/Chien/Forney pipeline.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `codewords.len()` is not a multiple of `n`.
-    pub fn decode_batch_in_place(
-        &self,
-        codewords: &mut [u8],
-        outcomes: &mut Vec<CheckOutcome>,
-        s: &mut RsScratch,
-    ) -> usize {
-        assert_eq!(codewords.len() % self.n, 0, "codewords not a multiple of n");
-        let count = codewords.len() / self.n;
-        outcomes.clear();
-        outcomes.reserve(count);
-        if self.parity_len() != 2 {
-            // No exact two-syndrome screen exists for wider codes; the
-            // batch API still amortizes scratch reuse per word.
-            for cw in codewords.chunks_exact_mut(self.n) {
-                outcomes.push(self.decode_in_place(cw, s));
-            }
-            return count;
-        }
-        let mut dirty = std::mem::take(&mut s.dirty);
-        self.dirty_mask_bitsliced(codewords, &mut dirty);
-        for (b, block) in codewords.chunks_mut(bitslice::LANES * self.n).enumerate() {
-            let mask = dirty[b];
-            for (l, cw) in block.chunks_exact_mut(self.n).enumerate() {
-                if mask & (1 << l) == 0 {
-                    outcomes.push(CheckOutcome::NoError);
-                } else {
-                    outcomes.push(self.decode_in_place(cw, s));
-                }
-            }
-        }
-        s.dirty = dirty;
-        count
     }
 }
 

@@ -29,7 +29,7 @@
 //!   TSD has 3).
 
 use crate::code::{CheckOutcome, DetectionCode};
-use crate::gf::{bitslice, Gf16};
+use crate::gf::Gf16;
 
 /// Check-symbol count up to which encode/check run entirely on
 /// fixed-size stack registers (no heap in any path). The paper's TSD
@@ -243,125 +243,6 @@ impl Rs16Detect {
             let mut syn = vec![0u16; self.check_symbols];
             self.syndromes_into(codeword, &mut syn)
         }
-    }
-
-    /// Encodes `count` datawords packed back-to-back in `datas` into
-    /// `codewords` (`count * codeword_len()` bytes), reusing the
-    /// three-tap LFSR fast path per word. Allocation-free.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `datas.len()` is not a multiple of `data_len()` or the
-    /// codeword buffer does not hold exactly the same number of words.
-    pub fn encode_batch_into(&self, datas: &[u8], codewords: &mut [u8]) {
-        assert_eq!(
-            datas.len() % self.data_bytes,
-            0,
-            "datas not a multiple of data_len"
-        );
-        let count = datas.len() / self.data_bytes;
-        let cw_len = self.codeword_len();
-        assert_eq!(
-            codewords.len(),
-            count * cw_len,
-            "codeword buffer/count mismatch"
-        );
-        for (data, cw) in datas
-            .chunks_exact(self.data_bytes)
-            .zip(codewords.chunks_exact_mut(cw_len))
-        {
-            self.encode_into(data, cw);
-        }
-    }
-
-    /// Bitsliced TSD syndrome screen over a batch of codewords packed
-    /// back-to-back: pushes one bitmask per 64-codeword block into
-    /// `dirty` (cleared first), bit `l` set iff lane `l` has a non-zero
-    /// syndrome. Exact — all three TSD syndromes are computed, as
-    /// GF(2^16) bit-planes ([`bitslice::Planes16`]): per symbol column
-    /// the whole 64-lane block costs three plane XORs and three α-plane
-    /// rotations instead of 64 scalar Horner steps.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `check_symbols != 3` or `codewords.len()` is not a
-    /// multiple of `codeword_len()`.
-    pub fn dirty_mask_bitsliced(&self, codewords: &[u8], dirty: &mut Vec<u64>) {
-        assert_eq!(self.check_symbols, 3, "bitsliced screen is the TSD path");
-        let cw_len = self.codeword_len();
-        assert_eq!(
-            codewords.len() % cw_len,
-            0,
-            "codewords not a multiple of codeword_len"
-        );
-        let nsyms = cw_len / 2;
-        dirty.clear();
-        for block in codewords.chunks(bitslice::LANES * cw_len) {
-            let lanes = block.len() / cw_len;
-            let mut s0: bitslice::Planes16 = [0; 16];
-            let mut s1: bitslice::Planes16 = [0; 16];
-            let mut s2: bitslice::Planes16 = [0; 16];
-            let mut col = [0u16; bitslice::LANES];
-            for j in 0..nsyms {
-                for (l, c) in col[..lanes].iter_mut().enumerate() {
-                    let base = l * cw_len + 2 * j;
-                    *c = u16::from_be_bytes([block[base], block[base + 1]]);
-                }
-                let planes = bitslice::pack16(&col[..lanes]);
-                bitslice::xor16(&mut s0, &planes);
-                bitslice::mul_alpha16(&mut s1);
-                bitslice::xor16(&mut s1, &planes);
-                bitslice::mul_alpha16(&mut s2);
-                bitslice::mul_alpha16(&mut s2);
-                bitslice::xor16(&mut s2, &planes);
-            }
-            dirty.push(
-                bitslice::nonzero16(&s0) | bitslice::nonzero16(&s1) | bitslice::nonzero16(&s2),
-            );
-        }
-    }
-
-    /// Checks `count` codewords packed back-to-back, pushing one
-    /// [`CheckOutcome`] per codeword into `outcomes` (cleared first).
-    /// Behaviourally identical to calling [`DetectionCode::check`] per
-    /// word; for the TSD configuration the fault-free majority is
-    /// screened out by [`Rs16Detect::dirty_mask_bitsliced`] and only
-    /// flagged lanes take the scalar syndrome pass (for the exact
-    /// syndrome weight).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `codewords.len()` is not a multiple of
-    /// `codeword_len()`.
-    pub fn check_batch(&self, codewords: &[u8], outcomes: &mut Vec<CheckOutcome>) -> usize {
-        let cw_len = self.codeword_len();
-        assert_eq!(
-            codewords.len() % cw_len,
-            0,
-            "codewords not a multiple of codeword_len"
-        );
-        let count = codewords.len() / cw_len;
-        outcomes.clear();
-        outcomes.reserve(count);
-        if self.check_symbols != 3 {
-            for cw in codewords.chunks_exact(cw_len) {
-                outcomes.push(self.check(cw));
-            }
-            return count;
-        }
-        let mut dirty = Vec::new();
-        self.dirty_mask_bitsliced(codewords, &mut dirty);
-        for (b, block) in codewords.chunks(bitslice::LANES * cw_len).enumerate() {
-            let mask = dirty[b];
-            for (l, cw) in block.chunks_exact(cw_len).enumerate() {
-                if mask & (1 << l) == 0 {
-                    outcomes.push(CheckOutcome::NoError);
-                } else {
-                    outcomes.push(self.check(cw));
-                }
-            }
-        }
-        count
     }
 }
 

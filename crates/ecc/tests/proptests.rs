@@ -203,158 +203,6 @@ proptest! {
         }
     }
 
-    // ---- Bitsliced kernels vs the shift-and-add oracle ----------------
-    //
-    // The batched decode path transposes 64 codewords into bit-planes
-    // (gf::bitslice); every plane kernel must agree lane-for-lane with
-    // the schoolbook reference across random lane counts and constants.
-
-    #[test]
-    fn bitslice_gf256_kernels_match_reference(
-        lanes in proptest::collection::vec(any::<u8>(), 1..=64),
-        c in 0u8..,
-    ) {
-        use dve_ecc::gf::bitslice;
-        let planes = bitslice::pack8(&lanes);
-        // Pack/unpack round-trip.
-        let mut out = vec![0u8; lanes.len()];
-        bitslice::unpack8(&planes, &mut out);
-        prop_assert_eq!(&out, &lanes);
-        // Constant multiply across all lanes at once.
-        let prod = bitslice::mul_const8(&planes, c);
-        bitslice::unpack8(&prod, &mut out);
-        let expect = reference::gf256_mul_lanes(&lanes, c);
-        prop_assert_eq!(&out, &expect);
-        // mul_alpha == mul_const(2).
-        let mut by_alpha = planes;
-        bitslice::mul_alpha8(&mut by_alpha);
-        prop_assert_eq!(by_alpha, bitslice::mul_const8(&planes, 2));
-        // Non-zero lane mask.
-        let expect_mask = lanes.iter().enumerate().fold(0u64, |m, (l, &v)| {
-            m | (u64::from(v != 0) << l)
-        });
-        prop_assert_eq!(bitslice::nonzero8(&planes), expect_mask);
-    }
-
-    #[test]
-    fn bitslice_gf16_kernels_match_reference(
-        lanes in proptest::collection::vec(any::<u16>(), 1..=64),
-        c in 0u16..,
-    ) {
-        use dve_ecc::gf::bitslice;
-        let planes = bitslice::pack16(&lanes);
-        let mut out = vec![0u16; lanes.len()];
-        bitslice::unpack16(&planes, &mut out);
-        prop_assert_eq!(&out, &lanes);
-        let prod = bitslice::mul_const16(&planes, c);
-        bitslice::unpack16(&prod, &mut out);
-        let expect = reference::gf16_mul_lanes(&lanes, c);
-        prop_assert_eq!(&out, &expect);
-        let mut by_alpha = planes;
-        bitslice::mul_alpha16(&mut by_alpha);
-        prop_assert_eq!(by_alpha, bitslice::mul_const16(&planes, 2));
-        let expect_mask = lanes.iter().enumerate().fold(0u64, |m, (l, &v)| {
-            m | (u64::from(v != 0) << l)
-        });
-        prop_assert_eq!(bitslice::nonzero16(&planes), expect_mask);
-    }
-
-    // ---- Batched multi-codeword APIs vs N scalar calls ----------------
-    //
-    // decode_batch_in_place screens blocks of 64 lanes with the
-    // bitsliced syndrome kernel and only sends flagged lanes to the
-    // scalar pipeline; it must be indistinguishable from N scalar
-    // decode_in_place calls — same outcomes, same final bytes — across
-    // batch sizes straddling the 64-lane block boundary, random error
-    // weights per word, and all code configurations the campaign
-    // schemes use (correcting Chipkill, detect-only DSD, a wider
-    // generic nsym=4 code, and the GF(2^16) TSD).
-
-    #[test]
-    fn rs_encode_batch_matches_scalar(
-        datas in proptest::collection::vec(any::<u8>(), 16 * 5),
-    ) {
-        for rs in [Rs::chipkill(), Rs::dsd(), Rs::new(20, 16, DecodePolicy::Correct)] {
-            let n = rs.codeword_len();
-            let mut batch = vec![0u8; 5 * n];
-            rs.encode_batch_into(&datas, &mut batch);
-            for (w, data) in datas.chunks_exact(16).enumerate() {
-                let scalar = rs.encode(data);
-                prop_assert_eq!(&batch[w * n..(w + 1) * n], scalar.as_slice());
-            }
-        }
-    }
-
-    #[test]
-    fn rs_decode_batch_matches_scalar(
-        seed in any::<u64>(),
-        count in 1usize..=130,
-        errors in proptest::collection::vec(
-            (0usize..130, 0usize..18, 0u8..), 0..24
-        ),
-    ) {
-        for rs in [Rs::chipkill(), Rs::dsd(), Rs::new(20, 16, DecodePolicy::Correct)] {
-            let n = rs.codeword_len();
-            let mut batch = vec![0u8; count * n];
-            for (w, cw) in batch.chunks_exact_mut(n).enumerate() {
-                let data: Vec<u8> = (0..16)
-                    .map(|i| (seed.rotate_left((w * 16 + i) as u32 % 64) & 0xFF) as u8)
-                    .collect();
-                rs.encode_into(&data, cw);
-            }
-            // Sprinkle 0..24 random symbol corruptions (weight 0 hits the
-            // clean screen path; stacked errors hit miscorrect/detect).
-            for &(w, pos, e) in &errors {
-                batch[(w % count) * n + pos] ^= e;
-            }
-            let mut scalar = batch.clone();
-            let mut scalar_outcomes = Vec::new();
-            let mut s = rs.make_scratch();
-            for cw in scalar.chunks_exact_mut(n) {
-                scalar_outcomes.push(rs.decode_in_place(cw, &mut s));
-            }
-            let mut batch_outcomes = Vec::new();
-            let decoded = rs.decode_batch_in_place(&mut batch, &mut batch_outcomes, &mut s);
-            prop_assert_eq!(decoded, count);
-            prop_assert_eq!(&batch_outcomes, &scalar_outcomes);
-            prop_assert_eq!(&batch, &scalar);
-        }
-    }
-
-    #[test]
-    fn tsd_check_batch_matches_scalar(
-        seed in any::<u64>(),
-        count in 1usize..=70,
-        errors in proptest::collection::vec(
-            (0usize..70, 0usize..35, 0u16..), 0..16
-        ),
-    ) {
-        for code in [Rs16Detect::tsd(64), Rs16Detect::new(64, 2)] {
-            let cw_len = code.codeword_len();
-            let mut batch = vec![0u8; count * cw_len];
-            let mut datas = vec![0u8; count * 64];
-            for (i, b) in datas.iter_mut().enumerate() {
-                *b = (seed.rotate_left(i as u32 % 64) & 0xFF) as u8;
-            }
-            code.encode_batch_into(&datas, &mut batch);
-            for (w, data) in datas.chunks_exact(64).enumerate() {
-                let scalar = code.encode(data);
-                prop_assert_eq!(&batch[w * cw_len..(w + 1) * cw_len], scalar.as_slice());
-            }
-            for &(w, pos, e) in &errors {
-                let base = (w % count) * cw_len + 2 * (pos % (cw_len / 2));
-                let sym = u16::from_be_bytes([batch[base], batch[base + 1]]) ^ e;
-                batch[base..base + 2].copy_from_slice(&sym.to_be_bytes());
-            }
-            let scalar: Vec<CheckOutcome> =
-                batch.chunks_exact(cw_len).map(|cw| code.check(cw)).collect();
-            let mut batched = Vec::new();
-            let checked = code.check_batch(&batch, &mut batched);
-            prop_assert_eq!(checked, count);
-            prop_assert_eq!(&batched, &scalar);
-        }
-    }
-
     // ---- Reed–Solomon -------------------------------------------------
 
     #[test]

@@ -109,15 +109,6 @@ impl InterSocketLink {
         self.latency
     }
 
-    /// The conservative-lookahead horizon this link induces for a
-    /// domain-sharded parallel simulation (`dve_sim::pdes`): no
-    /// cross-socket effect can become visible in less than the one-way
-    /// propagation latency, so per-socket domains may safely advance
-    /// this many cycles between synchronization barriers.
-    pub fn lookahead(&self) -> Cycles {
-        self.latency
-    }
-
     fn dir(from: usize, to: usize) -> usize {
         assert!(
             from < 2 && to < 2 && from != to,
@@ -415,11 +406,6 @@ impl LinkTable {
     /// One-way propagation latency of the edge `from → to`.
     pub fn latency(&self, from: usize, to: usize) -> Cycles {
         self.latency[self.idx(from, to)]
-    }
-
-    /// The conservative PDES lookahead: minimum edge latency.
-    pub fn lookahead(&self) -> Cycles {
-        *self.latency.iter().min().expect("table has edges")
     }
 
     fn service(&self, edge: usize, bytes: u64) -> u64 {
@@ -867,7 +853,6 @@ mod tests {
         assert_eq!(t.transfer(0, 1, Cycles(0), 64), Cycles(154));
         assert_eq!(t.transfer(0, 2, Cycles(0), 64), Cycles(278));
         assert_eq!(t.latency(0, 2), Cycles(270));
-        assert_eq!(t.lookahead(), Cycles(150), "lookahead is the fastest edge");
     }
 
     #[test]

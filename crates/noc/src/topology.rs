@@ -24,7 +24,7 @@
 //! mirror policy exists so the golden anchor is explicit, not an
 //! accident of modular arithmetic.)
 
-use dve_sim::time::{Cycles, Frequency, Nanos};
+use dve_sim::time::Nanos;
 
 /// A node identifier: index into the topology's node table. Sockets
 /// come first (`0..sockets`), far-memory nodes after.
@@ -212,17 +212,6 @@ impl Topology {
             }
         }
         out
-    }
-
-    /// The conservative-lookahead horizon for a domain-sharded parallel
-    /// simulation: the minimum one-way edge latency (no cross-node
-    /// effect can become visible sooner).
-    pub fn lookahead(&self, clock: Frequency) -> Cycles {
-        self.edges()
-            .into_iter()
-            .map(|(f, t)| clock.cycles_for(self.edge(f, t).latency))
-            .min()
-            .expect("a topology always has at least one edge")
     }
 }
 
@@ -439,15 +428,6 @@ mod tests {
         // Re-override replaces in place.
         t.set_edge(0, 2, EdgeParams::qpi());
         assert_eq!(t.edge(0, 2), EdgeParams::qpi());
-    }
-
-    #[test]
-    fn lookahead_is_the_minimum_edge_latency() {
-        let clock = Frequency::ghz(3.0);
-        let t = Topology::two_tier(EdgeParams::qpi(), EdgeParams::far_tier());
-        // Socket-socket edges are 50 ns = 150 cycles; far edges are
-        // slower, so the lookahead is the socket edge.
-        assert_eq!(t.lookahead(clock), clock.cycles_for(Nanos(50)));
     }
 
     #[test]

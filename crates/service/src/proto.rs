@@ -9,7 +9,9 @@
 //! ```
 //!
 //! One request, one response; a client pipelines by sending larger
-//! OPS batches, not by overlapping frames. The same listener also
+//! OPS batches, not by overlapping frames. An OPS frame may carry at
+//! most [`MAX_OPS`] ops, the most whose BATCH reply fits in
+//! [`MAX_FRAME`]. The same listener also
 //! answers plain `GET /metrics` and `GET /health`: the connection
 //! handler sniffs the first 4 bytes, and `"GET "` read as a
 //! little-endian u32 is 0x2054_4547 — far above [`MAX_FRAME`] — so an
@@ -25,9 +27,21 @@ use crate::batcher::SubmittedOp;
 use crate::service::Completion;
 
 /// Upper bound on a frame body; protects both sides from a corrupt
-/// length prefix. Generous: the largest legal OPS frame (u32 count)
-/// at this bound still carries ~980k ops.
+/// length prefix.
 pub const MAX_FRAME: u32 = 1 << 24;
+
+/// Tag byte plus the u32 count that open every OPS and BATCH body.
+const HEADER_BYTES: usize = 5;
+/// Wire size of one op in an OPS body.
+const OP_BYTES: usize = 17;
+/// Wire size of one completion in a BATCH body.
+const COMPLETION_BYTES: usize = 73;
+
+/// The largest op count an OPS frame may carry. A completion costs
+/// 73 B against an op's 17 B, so the reply, not the request, is the
+/// binding limit: this is the most ops whose BATCH still fits in
+/// [`MAX_FRAME`] (229,824).
+pub const MAX_OPS: usize = (MAX_FRAME as usize - HEADER_BYTES) / COMPLETION_BYTES;
 
 pub const TAG_HELLO: u8 = 0x01;
 pub const TAG_OPS: u8 = 0x02;
@@ -71,6 +85,20 @@ fn take_u64(buf: &[u8], at: &mut usize) -> io::Result<u64> {
     Ok(u64::from_le_bytes(take::<8>(buf, at)?))
 }
 
+/// Reads a u32 item count and rejects any count the rest of `body`
+/// cannot hold at `item_bytes` per item, so a client-chosen count never
+/// sizes an allocation the frame does not back.
+fn take_count(body: &[u8], at: &mut usize, item_bytes: usize) -> io::Result<usize> {
+    let count = u32::from_le_bytes(take::<4>(body, at)?) as usize;
+    if count > (body.len() - *at) / item_bytes {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("count {count} exceeds the {}-byte body", body.len()),
+        ));
+    }
+    Ok(count)
+}
+
 /// Encodes a HELLO request.
 pub fn encode_hello(client: u64) -> Vec<u8> {
     let mut b = vec![TAG_HELLO];
@@ -90,7 +118,7 @@ pub fn encode_hello_ok(client: u64, cores: u32) -> Vec<u8> {
 /// stamps ops with the session's registered id, so a session cannot
 /// submit on another session's behalf.
 pub fn encode_ops(ops: &[(u64, u64, MemReq)]) -> Vec<u8> {
-    let mut b = Vec::with_capacity(1 + 4 + ops.len() * 17);
+    let mut b = Vec::with_capacity(HEADER_BYTES + ops.len() * OP_BYTES);
     b.push(TAG_OPS);
     b.extend_from_slice(&(ops.len() as u32).to_le_bytes());
     for &(seq, line, req) in ops {
@@ -105,11 +133,18 @@ pub fn encode_ops(ops: &[(u64, u64, MemReq)]) -> Vec<u8> {
 }
 
 /// Decodes an OPS request body (after the tag byte has been checked),
-/// stamping each op with the session's `client` id.
+/// stamping each op with the session's `client` id. Rejects more than
+/// [`MAX_OPS`] ops, whose reply could not be framed.
 pub fn decode_ops(body: &[u8], client: u64) -> io::Result<Vec<SubmittedOp>> {
     let mut at = 1;
-    let count = u32::from_le_bytes(take::<4>(body, &mut at)?);
-    let mut ops = Vec::with_capacity(count as usize);
+    let count = take_count(body, &mut at, OP_BYTES)?;
+    if count > MAX_OPS {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("{count} ops exceed the {MAX_OPS}-op frame limit"),
+        ));
+    }
+    let mut ops = Vec::with_capacity(count);
     for _ in 0..count {
         let seq = take_u64(body, &mut at)?;
         let line = take_u64(body, &mut at)?;
@@ -138,7 +173,7 @@ pub fn decode_ops(body: &[u8], client: u64) -> io::Result<Vec<SubmittedOp>> {
 
 /// Encodes a BATCH response.
 pub fn encode_batch(completions: &[Completion]) -> Vec<u8> {
-    let mut b = Vec::with_capacity(1 + 4 + completions.len() * 73);
+    let mut b = Vec::with_capacity(HEADER_BYTES + completions.len() * COMPLETION_BYTES);
     b.push(TAG_BATCH);
     b.extend_from_slice(&(completions.len() as u32).to_le_bytes());
     for c in completions {
@@ -156,8 +191,8 @@ pub fn encode_batch(completions: &[Completion]) -> Vec<u8> {
 /// Decodes a BATCH response body (tag already checked).
 pub fn decode_batch(body: &[u8], client: u64) -> io::Result<Vec<Completion>> {
     let mut at = 1;
-    let count = u32::from_le_bytes(take::<4>(body, &mut at)?);
-    let mut out = Vec::with_capacity(count as usize);
+    let count = take_count(body, &mut at, COMPLETION_BYTES)?;
+    let mut out = Vec::with_capacity(count);
     for _ in 0..count {
         let seq = take_u64(body, &mut at)?;
         let shed = take::<1>(body, &mut at)?[0] != 0;
@@ -288,5 +323,43 @@ mod tests {
         let ops = vec![(1u64, 2u64, MemReq::Write)];
         let body = encode_ops(&ops);
         assert!(decode_ops(&body[..body.len() - 1], 1).is_err());
+    }
+
+    #[test]
+    fn counts_the_body_cannot_hold_are_refused_before_allocating() {
+        // A 5-byte body claiming u32::MAX items would otherwise reserve
+        // ~137 GB of `SubmittedOp`s.
+        let err = decode_ops(&[TAG_OPS, 0xff, 0xff, 0xff, 0xff], 1).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let err = decode_batch(&[TAG_BATCH, 0xff, 0xff, 0xff, 0xff], 1).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn max_ops_is_the_largest_count_whose_reply_fits_a_frame() {
+        assert_eq!(
+            encode_ops(&[(0, 0, MemReq::Read)]).len(),
+            HEADER_BYTES + OP_BYTES
+        );
+        let one = Completion {
+            client: 0,
+            seq: 0,
+            shed: false,
+            issued_at: 0,
+            complete_at: 0,
+            breakdown: LatencyBreakdown::default(),
+        };
+        assert_eq!(encode_batch(&[one]).len(), HEADER_BYTES + COMPLETION_BYTES);
+        let reply = |ops: usize| HEADER_BYTES + ops * COMPLETION_BYTES;
+        assert!(reply(MAX_OPS) <= MAX_FRAME as usize);
+        assert!(reply(MAX_OPS + 1) > MAX_FRAME as usize);
+
+        // One op over the limit is a legal-length frame but is refused.
+        let over = encode_ops(&vec![(0, 0, MemReq::Read); MAX_OPS + 1]);
+        assert!(over.len() <= MAX_FRAME as usize);
+        let err = decode_ops(&over, 1).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let at_limit = encode_ops(&vec![(0, 0, MemReq::Read); MAX_OPS]);
+        assert_eq!(decode_ops(&at_limit, 1).unwrap().len(), MAX_OPS);
     }
 }

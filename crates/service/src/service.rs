@@ -935,6 +935,40 @@ mod tests {
     }
 
     #[test]
+    fn oversized_ops_frames_drop_only_their_connection() {
+        let service = Service::start(&small_cfg()).unwrap();
+        let addr = service.addr();
+        let health = || {
+            let mut s = TcpStream::connect(addr).unwrap();
+            s.write_all(b"GET /health HTTP/1.0\r\n\r\n").unwrap();
+            let mut rsp = String::new();
+            s.read_to_string(&mut rsp).unwrap();
+            rsp
+        };
+        // A count the 5-byte body cannot back, and a legal-length frame
+        // one op past the largest count whose BATCH reply can be framed.
+        let bogus_count = vec![proto::TAG_OPS, 0xff, 0xff, 0xff, 0xff];
+        let too_many = proto::encode_ops(&vec![(0, 0, MemReq::Read); proto::MAX_OPS + 1]);
+        for (client, body) in [(11u64, bogus_count), (12, too_many)] {
+            let mut s = TcpStream::connect(addr).unwrap();
+            proto::write_frame(&mut s, &proto::encode_hello(client)).unwrap();
+            assert_eq!(proto::read_frame(&mut s).unwrap()[0], proto::TAG_HELLO_OK);
+            proto::write_frame(&mut s, &body).unwrap();
+            assert!(
+                proto::read_frame(&mut s).is_err(),
+                "client {client}: server must drop the connection"
+            );
+            assert!(health().starts_with("HTTP/1.0 200 OK"), "client {client}");
+        }
+
+        // The service still serves a well-formed session afterwards.
+        let mut client = proto::TcpClient::connect(addr, 13).unwrap();
+        assert_eq!(client.submit(&gen_ops(0x51, 50)).unwrap().len(), 50);
+        let report = service.shutdown();
+        assert!(report.conserves(), "{report:?}");
+    }
+
+    #[test]
     fn overload_sheds_exactly_and_answers_every_op() {
         let cfg: ServiceConfig = "epoch_ops=32 epoch_wait_ms=50 queue_cap=32"
             .parse()

@@ -3,9 +3,13 @@
 //!
 //! 1. epoch contents are a function of the admitted *set* of ops, not
 //!    the arrival interleaving, and
-//! 2. every submitted op is either admitted or shed, exactly.
+//! 2. every submitted op is either admitted or shed, exactly —
+//!
+//! and for the wire decoders in front of it, which must turn any byte
+//! sequence a client sends into a value or an error, never a panic.
 
 use dve_service::batcher::{EpochBatcher, SubmittedOp};
+use dve_service::proto::{decode_batch, decode_ops, TAG_BATCH, TAG_OPS};
 use dve_sim::rng::SplitMix64;
 use dve_workloads::op::MemReq;
 use proptest::prelude::*;
@@ -219,5 +223,29 @@ proptest! {
         answered.sort_unstable();
         submitted_keys.sort_unstable();
         prop_assert_eq!(answered, submitted_keys);
+    }
+
+    // Arbitrary client bytes, raw and behind a well-formed tag + count
+    // header, must decode or error without panicking; a decode that
+    // succeeds returns exactly the count the header claimed.
+    #[test]
+    fn wire_decoders_never_panic_on_arbitrary_bytes(
+        raw in proptest::collection::vec(any::<u8>(), 0..160),
+        huge in any::<u32>(),
+        small in 0u32..12,
+    ) {
+        let _ = decode_ops(&raw, 1);
+        let _ = decode_batch(&raw, 1);
+        for (tag, count) in [TAG_OPS, TAG_BATCH].into_iter().flat_map(|t| [(t, huge), (t, small)]) {
+            let mut body = vec![tag];
+            body.extend_from_slice(&count.to_le_bytes());
+            body.extend_from_slice(&raw);
+            if let Ok(ops) = decode_ops(&body, 1) {
+                prop_assert_eq!(ops.len() as u64, u64::from(count));
+            }
+            if let Ok(comps) = decode_batch(&body, 1) {
+                prop_assert_eq!(comps.len() as u64, u64::from(count));
+            }
+        }
     }
 }

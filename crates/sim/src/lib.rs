@@ -22,10 +22,6 @@
 //! * [`latency`] — structured latency attribution: the
 //!   [`latency::LatencyBreakdown`] component totals and the
 //!   [`latency::Stamp`] clock that conserves them by construction.
-//! * [`pdes`] — the conservative-lookahead parallel executive:
-//!   [`pdes::Domain`] shards own private event queues and exchange
-//!   cross-domain messages only at lookahead-window barriers, with
-//!   threaded execution bit-identical to the sequential reference.
 //!
 //! # Example
 //!
@@ -45,7 +41,6 @@
 pub mod event;
 pub mod hash;
 pub mod latency;
-pub mod pdes;
 pub mod resource;
 pub mod rng;
 pub mod stats;
@@ -53,7 +48,6 @@ pub mod time;
 
 pub use event::EventQueue;
 pub use latency::{Component, LatencyBreakdown, Stamp};
-pub use pdes::{Ctx, Domain, ExecStats, Executive};
 pub use resource::{Grant, Resource, ResourceStats};
 pub use rng::SplitMix64;
 pub use stats::{geomean, Counter, Histogram, Summary};
