@@ -6,7 +6,8 @@
 //! * `BENCH_ecc.json` — median ns/op for the GF kernels (table-driven
 //!   vs the shift-and-add reference oracle), RS(18,16) encode and
 //!   decode (clean / 1-error / 2-error), the DSD detect path, and the
-//!   TSD (GF(2^16)) encode/detect path;
+//!   TSD (GF(2^16)) encode/detect path (encode on fixed and on random
+//!   lines: random data reaches the cold parts of the GF(2^16) tables);
 //! * `BENCH_campaign.json` — end-to-end campaign throughput in
 //!   trials/second at 1, 2, 4 and 8 workers (plus N = available
 //!   parallelism if distinct), with the parallel efficiency
@@ -30,8 +31,9 @@
 //! all *relative* by design (absolute thresholds would flake across CI
 //! hardware, while these ratios are machine-independent):
 //!
-//! 1. the clean RS(18,16) decode (syndrome-zero early exit) must be at
-//!    least 2× faster than a full 1-error correction,
+//! 1. a 1-error RS(18,16) correction must cost at most 2× a clean
+//!    decode (the closed-form single-error path; routing RS(18,16)
+//!    back through Berlekamp–Massey/Chien/Forney costs 5–10×),
 //! 2. campaign throughput at 2 workers must be at least 1.5× the
 //!    1-worker rate — skipped with a printed notice on single-core
 //!    hosts, where the ratio measures time-slicing rather than
@@ -62,9 +64,8 @@ use std::time::{Duration, Instant};
 /// iteration; reported numbers are divided by this.
 const GF_BATCH: f64 = 255.0;
 
-/// The gate: clean decode must be at least this many times faster than
-/// a full 1-error decode.
-const GATE_CLEAN_SPEEDUP: f64 = 2.0;
+/// The gate: a 1-error decode may cost at most this many clean decodes.
+const GATE_CORRECTION_COST: f64 = 2.0;
 
 /// Campaign scaling gate: with a second hardware thread available,
 /// 2-worker throughput must be at least this multiple of 1-worker
@@ -241,6 +242,21 @@ fn bench_ecc(c: &mut Criterion) -> Vec<Entry> {
         })
     });
     push(c, "tsd_encode_into", 1.0);
+
+    // The fixed line above keeps its few table lines cached; campaign
+    // trials encode fresh random lines.
+    let mut rng = dve_sim::rng::SplitMix64::new(0x75D);
+    let random_lines: Vec<Vec<u8>> = (0..1024)
+        .map(|_| (0..64).map(|_| rng.next_u64() as u8).collect())
+        .collect();
+    let mut next = 0;
+    c.bench_function("tsd_encode_into_random", |b| {
+        b.iter(|| {
+            next = (next + 1) % random_lines.len();
+            tsd.encode_into(black_box(&random_lines[next]), black_box(&mut tsd_buf));
+        })
+    });
+    push(c, "tsd_encode_into_random", 1.0);
 
     c.bench_function("tsd_check_clean", |b| {
         b.iter(|| black_box(tsd.check(black_box(&tsd_clean))))
@@ -461,7 +477,7 @@ fn main() -> ExitCode {
     .expect("write BENCH_system.json");
     println!("wrote BENCH_ecc.json, BENCH_campaign.json and BENCH_system.json");
 
-    // --- Relative gate: the syndrome-zero early exit must pay off. ---
+    // --- Relative gate: single-symbol correction stays closed-form. ---
     let get = |name: &str| {
         ecc.iter()
             .find(|e| e.name == name)
@@ -469,14 +485,17 @@ fn main() -> ExitCode {
             .expect("gate metric missing")
     };
     let clean = get("rs_decode_clean");
-    let full = get("rs_decode_1err");
-    let speedup = full / clean;
+    let one = get("rs_decode_1err");
+    let cost = one / clean;
     println!(
-        "gate: clean decode {clean:.2} ns vs 1-err decode {full:.2} ns \
-         ({speedup:.2}x, need >= {GATE_CLEAN_SPEEDUP:.1}x)"
+        "gate: 1-err decode {one:.2} ns vs clean decode {clean:.2} ns \
+         ({cost:.2}x, need <= {GATE_CORRECTION_COST:.1}x)"
     );
-    if speedup < GATE_CLEAN_SPEEDUP {
-        eprintln!("FAIL: clean-decode early exit regressed below the {GATE_CLEAN_SPEEDUP}x gate");
+    if cost > GATE_CORRECTION_COST {
+        eprintln!(
+            "FAIL: a 1-error RS(18,16) correction costs more than \
+             {GATE_CORRECTION_COST}x a clean decode"
+        );
         return ExitCode::FAILURE;
     }
 

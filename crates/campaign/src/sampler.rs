@@ -85,11 +85,19 @@ impl FaultSample {
     /// whose partner `pair(i)` also failed on the replica. Under Dvé's
     /// layout a symbol is unrecoverable from either copy exactly when
     /// its pair overlaps, so this count drives DUE classification.
+    ///
+    /// Chip indices at or above 64 never pair (the samplers draw at most
+    /// 32 chips per side).
     pub fn pair_overlap(&self, pair: impl Fn(usize) -> usize) -> usize {
-        let replica = self.chips(Side::Replica);
-        self.chips(Side::Primary)
+        let bit = |chip: usize| if chip < 64 { 1u64 << chip } else { 0 };
+        let replica = self
+            .faults
             .iter()
-            .filter(|&&i| replica.contains(&pair(i)))
+            .filter(|f| f.side == Side::Replica)
+            .fold(0, |mask, f| mask | bit(f.chip));
+        self.faults
+            .iter()
+            .filter(|f| f.side == Side::Primary && replica & bit(pair(f.chip)) != 0)
             .count()
     }
 
@@ -167,18 +175,27 @@ impl FaultSampler {
 
     /// Samples one window over a replicated DIMM pair.
     pub fn sample_pair(&self, rng: &mut SplitMix64) -> FaultSample {
-        let mut faults = Vec::new();
-        for side in [Side::Primary, Side::Replica] {
-            self.sample_side(side, rng, &mut faults);
-        }
-        FaultSample { faults }
+        let mut out = FaultSample::default();
+        self.sample_into(true, rng, &mut out);
+        out
     }
 
     /// Samples one window over a single (non-replicated) DIMM.
     pub fn sample_single(&self, rng: &mut SplitMix64) -> FaultSample {
-        let mut faults = Vec::new();
-        self.sample_side(Side::Primary, rng, &mut faults);
-        FaultSample { faults }
+        let mut out = FaultSample::default();
+        self.sample_into(false, rng, &mut out);
+        out
+    }
+
+    /// [`sample_pair`](Self::sample_pair) (`replicated`) or
+    /// [`sample_single`](Self::sample_single) into a reused `out`:
+    /// allocation-free once `out` has held a full window.
+    pub fn sample_into(&self, replicated: bool, rng: &mut SplitMix64, out: &mut FaultSample) {
+        out.faults.clear();
+        self.sample_side(Side::Primary, rng, &mut out.faults);
+        if replicated {
+            self.sample_side(Side::Replica, rng, &mut out.faults);
+        }
     }
 
     /// Draws one side's faults: an exact binomial count via inverse CDF,
@@ -215,14 +232,28 @@ impl FaultSampler {
         spec: &StratumSpec,
         rng: &mut SplitMix64,
     ) -> FaultSample {
+        let mut out = FaultSample::default();
+        self.sample_stratum_into(plan, spec, rng, &mut out);
+        out
+    }
+
+    /// [`sample_stratum`](Self::sample_stratum) into a reused `out`:
+    /// allocation-free once `out` has held a full window.
+    pub fn sample_stratum_into(
+        &self,
+        plan: &StrataPlan,
+        spec: &StratumSpec,
+        rng: &mut SplitMix64,
+        out: &mut FaultSample,
+    ) {
+        out.faults.clear();
         let k = if spec.stratum.tail {
             spec.stratum.count as usize + draw_index(&spec.tail_cum, rng)
         } else {
             spec.stratum.count as usize
         };
-        let mut faults = Vec::new();
         if k == 0 {
-            return FaultSample { faults };
+            return;
         }
         let (slots, k) = sorted_subset(plan.slots, k, rng);
         let mut grans = [Granularity::Chip; MAX_SLOTS];
@@ -252,14 +283,13 @@ impl FaultSampler {
                 (Side::Replica, slot - n)
             };
             let transient = rng.chance(self.params.transient_frac);
-            faults.push(ChipFault {
+            out.faults.push(ChipFault {
                 side,
                 chip,
                 granularity: grans[i],
                 transient,
             });
         }
-        FaultSample { faults }
     }
 }
 

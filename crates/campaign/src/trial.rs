@@ -27,13 +27,16 @@
 //! # Zero-allocation trials
 //!
 //! Campaign throughput is decode-pipeline-bound, so the executor threads
-//! a per-worker [`TrialScratch`] (golden data, codeword and work buffers,
-//! the RS decoder scratch, the replay address list and the recovery-event
-//! buffer) through every trial: the adjudication path of a fault-free
-//! trial — the overwhelming majority — touches the heap zero times after
-//! the scratch is built. Results remain **bit-identical** for any worker
-//! count and to the pre-scratch implementation: the RNG draw order is
-//! unchanged and every buffer is fully overwritten per trial.
+//! a per-worker [`TrialScratch`] (the fault sample, golden data, codeword
+//! and work buffers, the RS decoder scratch, the replay address list and
+//! the recovery-event buffer) through every trial. With the system
+//! replay off (`replay_ops == 0`, as in stratified campaigns), a trial —
+//! faulty or not — touches the heap zero times once the scratch has
+//! seen a full window; `tests/alloc_free.rs` counts. The replay builds a
+//! fresh memory model per faulty trial and allocates. Results remain
+//! **bit-identical** for any worker count and to the pre-scratch
+//! implementation: the RNG draw order is unchanged and every buffer is
+//! fully overwritten per trial.
 
 use crate::sampler::{ChipFault, FaultSample, FaultSampler, Granularity, Side, StrataPlan};
 use dve::recovery::{RecoverableMemory, RecoveryEvent};
@@ -159,10 +162,12 @@ pub struct TrialResult {
 /// Build one per worker thread with [`TrialExecutor::make_scratch`]; its
 /// buffers are fully overwritten each trial, so reuse cannot leak state
 /// between trials and the campaign stays bit-identical for any worker
-/// count. Fault-free trials (the common case) complete without any heap
+/// count. Without the system replay, trials complete without any heap
 /// allocation.
 #[derive(Debug, Clone, Default)]
 pub struct TrialScratch {
+    /// The trial's sampled fault window.
+    sample: FaultSample,
     /// Golden dataword drawn per trial.
     golden: Vec<u8>,
     /// The clean encoded codeword.
@@ -221,7 +226,11 @@ impl TrialExecutor {
     pub fn make_scratch(&self) -> TrialScratch {
         let max_cw = self.chipkill.codeword_len().max(self.tsd.codeword_len());
         let max_data = self.chipkill.data_len().max(self.tsd.data_len());
+        let slots = 2 * self.sampler.params().chips_per_dimm;
         TrialScratch {
+            sample: FaultSample {
+                faults: Vec::with_capacity(slots),
+            },
             golden: Vec::with_capacity(max_data),
             clean_cw: Vec::with_capacity(max_cw),
             primary: Vec::with_capacity(max_cw),
@@ -254,12 +263,9 @@ impl TrialExecutor {
         scratch.events.clear();
         let seed = derive_seed(master_seed, self.scheme.stream(), trial);
         let mut rng = SplitMix64::new(seed);
-        let sample = if self.scheme.is_replicated() {
-            self.sampler.sample_pair(&mut rng)
-        } else {
-            self.sampler.sample_single(&mut rng)
-        };
-        self.finish_trial(trial, &sample, &mut rng, scratch)
+        self.sampler
+            .sample_into(self.scheme.is_replicated(), &mut rng, &mut scratch.sample);
+        self.finish_trial(trial, &mut rng, scratch)
     }
 
     /// Builds the stratified sampling plan matching this executor's
@@ -289,36 +295,42 @@ impl TrialExecutor {
         let seed = derive_seed(master_seed, self.scheme.stream(), trial);
         let mut rng = SplitMix64::new(seed);
         let spec = &plan.strata[plan.stratum_of(trial)];
-        let sample = self.sampler.sample_stratum(plan, spec, &mut rng);
-        self.finish_trial(trial, &sample, &mut rng, scratch)
+        self.sampler
+            .sample_stratum_into(plan, spec, &mut rng, &mut scratch.sample);
+        self.finish_trial(trial, &mut rng, scratch)
     }
 
-    /// Shared trial tail: adjudicate the sampled window and replay it
-    /// through the system model. Fault-free windows — the common case —
-    /// short-circuit to `Clean`: every adjudicator maps an uncorrupted
-    /// codeword to `Clean` and the replay is a no-op without faults, so
-    /// skipping both is outcome-identical and saves the encode/decode.
+    /// Shared trial tail: adjudicate the window in `scratch.sample` and
+    /// replay it through the system model. Fault-free windows — the
+    /// common case — short-circuit to `Clean`: every adjudicator maps an
+    /// uncorrupted codeword to `Clean` and the replay is a no-op without
+    /// faults, so skipping both is outcome-identical and saves the
+    /// encode/decode.
     fn finish_trial(
         &self,
         trial: u64,
-        sample: &FaultSample,
         rng: &mut SplitMix64,
         scratch: &mut TrialScratch,
     ) -> TrialResult {
+        // Moved out (and back) so the adjudicators can borrow the rest of
+        // the scratch mutably; `take` leaves an unallocated placeholder.
+        let sample = std::mem::take(&mut scratch.sample);
         let overlap = sample.pair_overlap(|i| i);
         let outcome = if sample.any() {
-            self.adjudicate(sample, overlap, rng, scratch)
+            self.adjudicate(&sample, overlap, rng, scratch)
         } else {
             TrialOutcome::Clean
         };
         if self.replay_ops > 0 && sample.any() {
-            self.replay(sample, rng, scratch);
+            self.replay(&sample, rng, scratch);
         }
+        let fault_count = sample.faults.len();
+        scratch.sample = sample;
         TrialResult {
             trial,
             outcome,
             overlap,
-            fault_count: sample.faults.len(),
+            fault_count,
             // Copy out so the accumulation buffer (and its capacity) is
             // reused by the next trial; empty for fault-free trials.
             events: scratch.events.clone(),
@@ -676,7 +688,7 @@ fn corrupt8<'a>(cw: &mut [u8], faults: impl Iterator<Item = &'a ChipFault>, rng:
                 cw[pos] ^= mask << shift;
             }
             Granularity::Chip => {
-                injector.inject_symbols_at(cw, &[pos]);
+                cw[pos] ^= injector.nonzero_byte();
             }
         }
     }
@@ -696,10 +708,7 @@ fn corrupt16<'a>(cw: &mut [u8], faults: impl Iterator<Item = &'a ChipFault>, rng
                 let m = (1u32 << width) - 1;
                 (m << rng.next_below(17 - width)) as u16
             }
-            Granularity::Chip => {
-                injector.inject_symbols16_at(cw, &[sym]);
-                continue;
-            }
+            Granularity::Chip => injector.nonzero_u16(),
         };
         cw[sym * 2] ^= (mask >> 8) as u8;
         cw[sym * 2 + 1] ^= mask as u8;

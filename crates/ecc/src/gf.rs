@@ -202,23 +202,6 @@ impl Gf256 {
         tables().log[a as usize]
     }
 
-    /// Product of the two non-zero elements whose discrete logs are `la`
-    /// and `lb` — a single antilog load once the logs are in hand.
-    ///
-    /// This is the primitive behind the precomputed-log LFSR encoders:
-    /// the generator coefficients' logs are fixed at construction, so
-    /// each feedback step costs one [`Gf256::log`] of the coefficient
-    /// plus one `exp_sum` per register.
-    ///
-    /// # Panics
-    ///
-    /// Debug-asserts `la < 255 && lb < 255` (valid element logs).
-    #[inline]
-    pub fn exp_sum(la: u16, lb: u16) -> u8 {
-        debug_assert!(la < 255 && lb < 255, "exp_sum args must be element logs");
-        tables().exp[la as usize + lb as usize]
-    }
-
     /// Multiplies every symbol of `dst` by the constant `c` in place.
     ///
     /// The log of `c` is hoisted out of the loop, so each element costs
@@ -362,22 +345,6 @@ impl Gf16 {
     pub fn log(a: u16) -> u16 {
         assert!(a != 0, "log of zero in GF(2^16)");
         tables16().log[a as usize]
-    }
-
-    /// Product of the two non-zero elements whose discrete logs are `la`
-    /// and `lb` — one antilog load. See [`Gf256::exp_sum`] for the LFSR
-    /// use case.
-    ///
-    /// # Panics
-    ///
-    /// Debug-asserts `la < 65535 && lb < 65535` (valid element logs).
-    #[inline]
-    pub fn exp_sum(la: u16, lb: u16) -> u16 {
-        debug_assert!(
-            la < 65535 && lb < 65535,
-            "exp_sum args must be element logs"
-        );
-        tables16().exp[la as usize + lb as usize]
     }
 
     /// Multiplies every symbol of `dst` by the constant `c` in place,
@@ -682,28 +649,6 @@ mod tests {
             Gf16::fma_slice(&mut acc, &src, c);
             for i in 0..src.len() {
                 assert_eq!(acc[i], acc0[i] ^ Gf16::mul(src[i], c), "fma i={i} c={c:#x}");
-            }
-        }
-    }
-
-    #[test]
-    fn exp_sum_matches_mul_in_both_fields() {
-        for a in 1..=255u8 {
-            for b in [1u8, 2, 0x1D, 0x80, 0xFF] {
-                assert_eq!(
-                    Gf256::exp_sum(Gf256::log(a), Gf256::log(b)),
-                    Gf256::mul(a, b),
-                    "a={a} b={b}"
-                );
-            }
-        }
-        for a in [1u16, 2, 0x100B, 0x8000, 0xFFFF, 0x1234] {
-            for b in [1u16, 3, 0x9999, 0xFFFF] {
-                assert_eq!(
-                    Gf16::exp_sum(Gf16::log(a), Gf16::log(b)),
-                    Gf16::mul(a, b),
-                    "a={a:#x} b={b:#x}"
-                );
             }
         }
     }

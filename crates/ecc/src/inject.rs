@@ -197,14 +197,19 @@ impl FaultInjector {
         touched
     }
 
-    fn nonzero_byte(&mut self) -> u8 {
-        // Any non-zero GF(2^8) element; generated via a random exponent so
-        // the distribution is uniform over the 255 non-zero values.
+    /// A uniform non-zero 8-bit error value — the draw
+    /// [`inject_symbols_at`](Self::inject_symbols_at) XORs into each
+    /// position, without its touched-index list.
+    pub fn nonzero_byte(&mut self) -> u8 {
+        // A random exponent keeps the distribution uniform over the 255
+        // non-zero GF(2^8) elements.
         Gf256::alpha_pow(self.rng.next_below(255) as u32)
     }
 
-    fn nonzero_u16(&mut self) -> u16 {
-        // Uniform non-zero GF(2^16) element via rejection sampling.
+    /// A uniform non-zero 16-bit error value, as
+    /// [`inject_symbols16_at`](Self::inject_symbols16_at) draws it.
+    pub fn nonzero_u16(&mut self) -> u16 {
+        // Rejection sampling.
         loop {
             let v = self.rng.next_u64() as u16;
             if v != 0 {

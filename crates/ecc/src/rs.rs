@@ -6,10 +6,11 @@
 //! manifests as a single-symbol error. [`Rs`] implements a general
 //! systematic RS(n, k) codec:
 //!
-//! * encoding by polynomial long division (parity = remainder),
+//! * encoding by polynomial long division (parity = remainder), or for
+//!   two check symbols by solving for the parity from the data syndromes,
 //! * syndrome computation,
-//! * full decoding via Berlekamp–Massey, Chien search and Forney's
-//!   algorithm.
+//! * decoding in closed form for two check symbols, and via
+//!   Berlekamp–Massey, Chien search and Forney's algorithm otherwise.
 //!
 //! The [`DecodePolicy`] selects how the code is *used*: `Correct` behaves
 //! like Chipkill (repair up to ⌊(n−k)/2⌋ symbols), `DetectOnly` behaves
@@ -19,18 +20,25 @@
 //! # Hot-path design
 //!
 //! Millions of campaign trials and scrub reads funnel through this codec,
-//! so the decode pipeline is organised around three invariants:
+//! so the decode pipeline is organised around four invariants:
 //!
 //! * **Everything position-dependent is precomputed once** in the
 //!   constructor: syndrome roots `α^i`, per-position location values
-//!   `X_j = α^{n-1-j}` and their inverses, and the `α^i` step factors the
-//!   Chien search advances by. No `pow` is ever called per decode;
-//!   Chien/Forney use incremental running products and Horner evaluation.
+//!   `X_j = α^{n-1-j}` and their inverses, the `α^i` step factors the
+//!   Chien search advances by, and the parity-solve matrix. No `pow` is
+//!   ever called per decode; Chien/Forney use incremental running
+//!   products and Horner evaluation.
 //! * **Fault-free words exit early**: [`Rs::decode_in_place`] computes the
 //!   syndromes in a single fused pass (the `i = 0` syndrome is a plain
 //!   XOR fold; `i = 1` is a Horner loop of table-free α-multiplies) and
-//!   returns before Berlekamp–Massey ever runs when they are all zero —
-//!   the overwhelming majority of scrub and campaign reads.
+//!   returns before any correction runs when they are all zero — the
+//!   overwhelming majority of scrub and campaign reads.
+//! * **Two check symbols never run the general decoder.** A single error
+//!   of magnitude `e` at location `X` gives `S_0 = e` and `S_1 = e·X`, so
+//!   RS(18,16) correction is two log lookups: `X = S_1/S_0`.
+//!   This is exactly what Berlekamp–Massey/Chien/Forney return for
+//!   `n − k = 2` (property-tested against [`Rs::decode_general_in_place`]),
+//!   at a fraction of the cost.
 //! * **The caller owns the scratch**: [`RsScratch`] carries every buffer
 //!   the decoder needs, so [`Rs::encode_into`] and [`Rs::decode_in_place`]
 //!   are allocation-free after construction. The legacy allocating
@@ -98,11 +106,9 @@ pub struct Rs {
     x_inv: Vec<u8>,
     /// Chien step factors: `alpha_pows[i] = α^i` for `i <= n - k`.
     alpha_pows: Vec<u8>,
-    /// Discrete logs of `generator[1..]` when `n - k == 2` and both
-    /// coefficients are non-zero (always true for RS generator
-    /// polynomials of this size): enables the fully register-resident
-    /// two-tap LFSR encode fast path.
-    gen_log2: Option<(u16, u16)>,
+    /// For `n - k == 2`: parity `p_t = solve2[t][0]·S_0 + solve2[t][1]·S_1`
+    /// from the data-only syndromes (see [`Rs::encode_into`]).
+    solve2: Option<[[u8; 2]; 2]>,
 }
 
 impl Rs {
@@ -128,11 +134,19 @@ impl Rs {
         let x_inv: Vec<u8> = x.iter().map(|&v| Gf256::inv(v)).collect();
         let alpha_pows: Vec<u8> = (0..=nsym).map(|i| Gf256::alpha_pow(i as u32)).collect();
         let generator = Self::generator_poly(nsym);
-        let gen_log2 = if nsym == 2 && generator[1] != 0 && generator[2] != 0 {
-            Some((Gf256::log(generator[1]), Gf256::log(generator[2])))
-        } else {
-            None
-        };
+        // Parity symbols p_0, p_1 sit at locations X_0 = α, X_1 = 1 and
+        // must satisfy p_0·X_0^i + p_1·X_1^i = α^{2i}·S_i (S_i over the
+        // data alone, shifted past the parity). Row t of the inverse
+        // Vandermonde matrix is the Lagrange basis (x + X_other)/(X_t +
+        // X_other); the α^{2i} shift is folded into column i.
+        let solve2 = (nsym == 2).then(|| {
+            let (a, a2) = (Gf256::alpha_pow(1), Gf256::alpha_pow(2));
+            let d = Gf256::inv(a ^ 1);
+            [
+                [d, Gf256::mul(d, a2)],
+                [Gf256::mul(d, a), Gf256::mul(d, a2)],
+            ]
+        });
         Rs {
             n,
             k,
@@ -142,7 +156,7 @@ impl Rs {
             x,
             x_inv,
             alpha_pows,
-            gen_log2,
+            solve2,
         }
     }
 
@@ -198,32 +212,35 @@ impl Rs {
         g
     }
 
+    /// `(S_0, S_1)` of `symbols` read as a polynomial, highest degree
+    /// first, in one fused pass: `S_0` is a plain XOR fold (root
+    /// α^0 = 1), `S_1` a Horner walk with the generator α itself —
+    /// shift/reduce, no tables.
+    fn syndromes01(symbols: &[u8]) -> (u8, u8) {
+        let mut s0 = 0u8;
+        let mut s1 = 0u8;
+        for &c in symbols {
+            s0 ^= c;
+            s1 = Gf256::mul_alpha(s1) ^ c;
+        }
+        (s0, s1)
+    }
+
     /// Syndromes S_i = C(α^i) for i in 0..nsym, written into `syn`
     /// (cleared first). Returns `true` if any syndrome is non-zero.
     ///
-    /// Single fused pass over the codeword with per-root Horner steps;
-    /// the `i = 0` root is 1 (pure XOR fold) and `i = 1` is an α-multiply
-    /// that needs no table access, which makes the all-zero fast path of
-    /// the ubiquitous RS(18,16) nearly free.
+    /// RS(18,16) has no syndromes beyond [`Rs::syndromes01`], so its
+    /// clean path is a single traversal; higher ones are table Horner
+    /// walks with root α^i.
     fn syndromes_into(&self, codeword: &[u8], syn: &mut Vec<u8>) -> bool {
         let nsym = self.parity_len();
         syn.clear();
         syn.resize(nsym, 0);
-        // S_0 and S_1 fused in one pass: S_0 is a plain XOR fold (root
-        // α^0 = 1), S_1 a Horner walk with the generator α itself —
-        // shift/reduce, no tables. RS(18,16) has no syndromes beyond
-        // these two, so its clean path is a single traversal.
-        let mut s0 = 0u8;
-        let mut s1 = 0u8;
-        for &c in codeword {
-            s0 ^= c;
-            s1 = Gf256::mul_alpha(s1) ^ c;
-        }
+        let (s0, s1) = Self::syndromes01(codeword);
         syn[0] = s0;
         if nsym >= 2 {
             syn[1] = s1;
         }
-        // Remaining syndromes (absent for RS(18,16)): Horner with α^i.
         for (i, s) in syn.iter_mut().enumerate().skip(2) {
             let root = self.roots[i];
             let mut acc = 0u8;
@@ -380,6 +397,11 @@ impl Rs {
     /// buffer (`data` copied to the front, parity written behind it).
     /// Allocation-free.
     ///
+    /// With two check symbols (RS(18,16)) the parity is solved from the
+    /// data's two syndromes — one table-free pass plus four multiplies by
+    /// constructor constants — instead of a per-symbol LFSR; other codes
+    /// run the generic LFSR.
+    ///
     /// # Panics
     ///
     /// Panics if `data.len() != k` or `codeword.len() != n`.
@@ -388,26 +410,11 @@ impl Rs {
         assert_eq!(codeword.len(), self.n, "codeword length mismatch");
         let (out_data, remainder) = codeword.split_at_mut(self.k);
         out_data.copy_from_slice(data);
-        // Two-tap fast path (RS(18,16) and every other nsym == 2 code):
-        // the LFSR registers live in locals and the generator
-        // coefficients' logs are precomputed, so each data byte costs one
-        // log load plus two antilog loads — no rotate, no slice writes.
-        if let Some((lg1, lg2)) = self.gen_log2 {
-            let mut r0 = 0u8;
-            let mut r1 = 0u8;
-            for &d in data {
-                let coef = d ^ r0;
-                if coef != 0 {
-                    let lc = Gf256::log(coef);
-                    r0 = r1 ^ Gf256::exp_sum(lc, lg1);
-                    r1 = Gf256::exp_sum(lc, lg2);
-                } else {
-                    r0 = r1;
-                    r1 = 0;
-                }
+        if let Some(m) = &self.solve2 {
+            let (s0, s1) = Self::syndromes01(data);
+            for (p, row) in remainder.iter_mut().zip(m) {
+                *p = Gf256::mul(row[0], s0) ^ Gf256::mul(row[1], s1);
             }
-            remainder[0] = r0;
-            remainder[1] = r1;
             return;
         }
         remainder.fill(0);
@@ -425,16 +432,29 @@ impl Rs {
 
     /// Checks and (under [`DecodePolicy::Correct`]) repairs `codeword` in
     /// place using caller-owned scratch. Allocation-free; the fast path
-    /// for fault-free codewords never runs the full decoder.
+    /// for fault-free codewords never runs a corrector, and two-check
+    /// codes correct in closed form.
     ///
     /// Behaviourally identical to [`CorrectionCode::check_and_repair`]
-    /// (which wraps this with a throwaway scratch).
+    /// (which wraps this with a thread-local scratch).
     ///
     /// # Panics
     ///
     /// Panics if `codeword.len() != n`.
     pub fn decode_in_place(&self, codeword: &mut [u8], s: &mut RsScratch) -> CheckOutcome {
-        self.decode_scratch(codeword, true, s)
+        self.decode_with(codeword, s, self.parity_len() == 2)
+    }
+
+    /// [`Rs::decode_in_place`] through Berlekamp–Massey, Chien and Forney
+    /// for every code, including the two-check codes `decode_in_place`
+    /// corrects in closed form — the oracle that closed form is tested
+    /// against. Allocation-free.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `codeword.len() != n`.
+    pub fn decode_general_in_place(&self, codeword: &mut [u8], s: &mut RsScratch) -> CheckOutcome {
+        self.decode_with(codeword, s, false)
     }
 
     /// Detect-only check via caller-owned scratch: never mutates the
@@ -453,50 +473,75 @@ impl Rs {
         }
     }
 
-    fn decode_scratch(&self, codeword: &mut [u8], repair: bool, s: &mut RsScratch) -> CheckOutcome {
+    fn decode_with(
+        &self,
+        codeword: &mut [u8],
+        s: &mut RsScratch,
+        closed_form: bool,
+    ) -> CheckOutcome {
         assert_eq!(codeword.len(), self.n, "codeword length mismatch");
-        // Syndrome-zero early exit: fault-free words never reach BM.
+        // Syndrome-zero early exit: fault-free words never reach a
+        // corrector.
         if !self.syndromes_into(codeword, &mut s.syn) {
             return CheckOutcome::NoError;
         }
-        let weight = s.syn.iter().filter(|&&v| v != 0).count();
-        if !repair || self.policy == DecodePolicy::DetectOnly {
-            return CheckOutcome::DetectedUncorrectable {
-                syndrome_weight: weight,
-            };
+        let due = CheckOutcome::DetectedUncorrectable {
+            syndrome_weight: s.syn.iter().filter(|&&v| v != 0).count(),
+        };
+        if self.policy == DecodePolicy::DetectOnly {
+            return due;
         }
+        let fixed = if closed_form {
+            self.correct_single(codeword, s.syn[0], s.syn[1])
+        } else {
+            self.correct_general(codeword, s)
+        };
+        fixed.map_or(due, |symbols_fixed| CheckOutcome::Corrected {
+            symbols_fixed,
+        })
+    }
+
+    /// Closed-form correction for two check symbols: the error sits at
+    /// location `X = S_1/S_0` with magnitude `S_0`. A zero syndrome (the
+    /// other being non-zero) or a location outside the codeword means
+    /// more than one symbol is wrong.
+    fn correct_single(&self, codeword: &mut [u8], s0: u8, s1: u8) -> Option<usize> {
+        if s0 == 0 || s1 == 0 {
+            return None;
+        }
+        let l = (Gf256::log(s1) + 255 - Gf256::log(s0)) as usize % 255;
+        if l >= self.n {
+            return None;
+        }
+        codeword[self.n - 1 - l] ^= s0;
+        Some(1)
+    }
+
+    /// Berlekamp–Massey, Chien and Forney over the syndromes in `s.syn`;
+    /// the number of symbols repaired, or `None` if uncorrectable.
+    fn correct_general(&self, codeword: &mut [u8], s: &mut RsScratch) -> Option<usize> {
         Self::berlekamp_massey_into(s);
         let num_errors = s.sigma.len() - 1;
         if num_errors == 0 || num_errors > self.parity_len() / 2 {
-            return CheckOutcome::DetectedUncorrectable {
-                syndrome_weight: weight,
-            };
+            return None;
         }
         self.chien_search_into(s);
         if s.positions.len() != num_errors {
             // Locator degree and root count disagree: uncorrectable.
-            return CheckOutcome::DetectedUncorrectable {
-                syndrome_weight: weight,
-            };
+            return None;
         }
         self.forney_into(s);
         if s.magnitudes.contains(&0) {
-            return CheckOutcome::DetectedUncorrectable {
-                syndrome_weight: weight,
-            };
+            return None;
         }
         for (&pos, &mag) in s.positions.iter().zip(&s.magnitudes) {
             codeword[pos] ^= mag;
         }
         // Verify the repair really zeroed the syndromes.
         if self.syndromes_into(codeword, &mut s.syn) {
-            return CheckOutcome::DetectedUncorrectable {
-                syndrome_weight: weight,
-            };
+            return None;
         }
-        CheckOutcome::Corrected {
-            symbols_fixed: s.positions.len(),
-        }
+        Some(s.positions.len())
     }
 }
 
@@ -526,12 +571,7 @@ impl DetectionCode for Rs {
         let mut syn = [0u8; 255];
         let nsym = self.parity_len();
         let syn = &mut syn[..nsym];
-        let mut s0 = 0u8;
-        let mut s1 = 0u8;
-        for &c in codeword {
-            s0 ^= c;
-            s1 = Gf256::mul_alpha(s1) ^ c;
-        }
+        let (s0, s1) = Self::syndromes01(codeword);
         syn[0] = s0;
         if nsym >= 2 {
             syn[1] = s1;
@@ -565,7 +605,7 @@ impl CorrectionCode for Rs {
             static SCRATCH: std::cell::RefCell<RsScratch> =
                 std::cell::RefCell::new(RsScratch::default());
         }
-        SCRATCH.with(|s| self.decode_scratch(codeword, true, &mut s.borrow_mut()))
+        SCRATCH.with(|s| self.decode_in_place(codeword, &mut s.borrow_mut()))
     }
 
     fn correctable_symbols(&self) -> usize {

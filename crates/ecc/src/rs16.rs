@@ -24,9 +24,13 @@
 //!   fold, `i = 1` a table-free α-multiply Horner loop, and the rest
 //!   table-driven [`Gf16::mul`] Horner steps;
 //! * [`Rs16Detect::encode_into`] writes parity straight into the caller's
-//!   buffer, allocation-free, using a fixed-size LFSR register when the
-//!   code has ≤ [`MAX_INLINE_CHECK_SYMBOLS`] check symbols (the paper's
-//!   TSD has 3).
+//!   buffer, allocation-free. The paper's 3-check TSD solves its parity
+//!   from the data's three syndromes (the same table-free pass as
+//!   `check`) times a constant 3×3 matrix: nine table multiplies per
+//!   line instead of four table loads per data symbol, which on random
+//!   data miss the 384 KiB GF(2^16) tables. Other check counts run an
+//!   LFSR on fixed-size stack registers up to
+//!   [`MAX_INLINE_CHECK_SYMBOLS`].
 
 use crate::code::{CheckOutcome, DetectionCode};
 use crate::gf::Gf16;
@@ -63,10 +67,9 @@ pub struct Rs16Detect {
     generator: Vec<u16>,
     /// Syndrome roots `α^i` for i in 0..check_symbols.
     roots: Vec<u16>,
-    /// Discrete logs of `generator[1..]` when `check_symbols == 3` (the
-    /// paper's TSD) and all three coefficients are non-zero: enables the
-    /// register-resident three-tap LFSR encode fast path.
-    gen_log3: Option<(u16, u16, u16)>,
+    /// For `check_symbols == 3` (the paper's TSD): parity
+    /// `p_t = Σ_i solve3[t][i]·S_i` from the data-only syndromes.
+    solve3: Option<[[u16; 3]; 3]>,
 }
 
 impl Rs16Detect {
@@ -89,25 +92,29 @@ impl Rs16Detect {
             data_bytes / 2 + check_symbols <= 65535,
             "codeword exceeds GF(2^16) length bound"
         );
-        let generator = Self::generator_poly(check_symbols);
-        let gen_log3 =
-            if check_symbols == 3 && generator[1] != 0 && generator[2] != 0 && generator[3] != 0 {
-                Some((
-                    Gf16::log(generator[1]),
-                    Gf16::log(generator[2]),
-                    Gf16::log(generator[3]),
-                ))
-            } else {
-                None
-            };
+        // Parity p_t sits at location X_t = α^{2-t} and the three must
+        // satisfy Σ_t p_t·X_t^i = α^{3i}·S_i (S_i over the data alone,
+        // shifted past the parity). Row t of the inverse Vandermonde
+        // matrix is the Lagrange basis Π_{m≠t} (x + X_m)/(X_t + X_m);
+        // the α^{3i} shift is folded into column i.
+        let solve3 = (check_symbols == 3).then(|| {
+            let x = [Gf16::alpha_pow(2), Gf16::alpha_pow(1), 1];
+            let shift = [1, Gf16::alpha_pow(3), Gf16::alpha_pow(6)];
+            std::array::from_fn(|t| {
+                let (a, b) = (x[(t + 1) % 3], x[(t + 2) % 3]);
+                let den = Gf16::inv(Gf16::mul(x[t] ^ a, x[t] ^ b));
+                let basis = [Gf16::mul(a, b), a ^ b, 1];
+                std::array::from_fn(|i| Gf16::mul(Gf16::mul(basis[i], den), shift[i]))
+            })
+        });
         Rs16Detect {
             data_bytes,
             check_symbols,
-            generator,
+            generator: Self::generator_poly(check_symbols),
             roots: (0..check_symbols)
                 .map(|i| Gf16::alpha_pow(i as u32))
                 .collect(),
-            gen_log3,
+            solve3,
         }
     }
 
@@ -142,33 +149,15 @@ impl Rs16Detect {
         g
     }
 
-    /// Runs the systematic LFSR over the data symbols, leaving the parity
-    /// in `rem` (`rem.len() == check_symbols`, zeroed by the caller).
+    /// Writes the parity of `data` into `rem` (`rem.len() ==
+    /// check_symbols`, zeroed by the caller): solved from the data
+    /// syndromes for the 3-check TSD, the systematic LFSR otherwise.
     fn parity_into(&self, data: &[u8], rem: &mut [u16]) {
-        // Three-tap fast path (the paper's TSD): registers in locals,
-        // generator logs precomputed, one log load + three antilog loads
-        // per data symbol — no rotate, no slice writes.
-        if let Some((lg1, lg2, lg3)) = self.gen_log3 {
-            let mut r0 = 0u16;
-            let mut r1 = 0u16;
-            let mut r2 = 0u16;
-            for pair in data.chunks_exact(2) {
-                let d = u16::from_be_bytes([pair[0], pair[1]]);
-                let coef = d ^ r0;
-                if coef != 0 {
-                    let lc = Gf16::log(coef);
-                    r0 = r1 ^ Gf16::exp_sum(lc, lg1);
-                    r1 = r2 ^ Gf16::exp_sum(lc, lg2);
-                    r2 = Gf16::exp_sum(lc, lg3);
-                } else {
-                    r0 = r1;
-                    r1 = r2;
-                    r2 = 0;
-                }
+        if let Some(m) = &self.solve3 {
+            let s = Self::syndromes012(data);
+            for (p, row) in rem.iter_mut().zip(m) {
+                *p = Gf16::mul(row[0], s[0]) ^ Gf16::mul(row[1], s[1]) ^ Gf16::mul(row[2], s[2]);
             }
-            rem[0] = r0;
-            rem[1] = r1;
-            rem[2] = r2;
             return;
         }
         let nsym = self.check_symbols;
@@ -184,30 +173,30 @@ impl Rs16Detect {
         }
     }
 
+    /// `[S_0, S_1, S_2]` of big-endian 16-bit `symbols` in one fused,
+    /// table-free pass: S_0 is a XOR fold; S_1 and S_2 are Horner walks
+    /// with roots α and α² — one and two shift-reduce α-multiplies per
+    /// symbol, all in registers.
+    fn syndromes012(symbols: &[u8]) -> [u16; 3] {
+        let mut s = [0u16; 3];
+        for pair in symbols.chunks_exact(2) {
+            let c = u16::from_be_bytes([pair[0], pair[1]]);
+            s[0] ^= c;
+            s[1] = Gf16::mul_alpha(s[1]) ^ c;
+            s[2] = Gf16::mul_alpha(Gf16::mul_alpha(s[2])) ^ c;
+        }
+        s
+    }
+
     /// Syndrome pass: fills `syn[..check_symbols]` with S_i = C(α^i) in a
     /// single fused walk over the codeword bytes. Returns the number of
     /// non-zero syndromes.
     fn syndromes_into(&self, codeword: &[u8], syn: &mut [u16]) -> usize {
         syn.fill(0);
         let nsym = self.check_symbols;
-        // TSD fast path: all three syndromes in one fused, table-free
-        // pass. S_0 is a XOR fold; S_1 and S_2 are Horner walks with
-        // roots α and α² — one and two shift-reduce α-multiplies per
-        // symbol respectively, all in registers.
         if nsym == 3 {
-            let mut s0 = 0u16;
-            let mut s1 = 0u16;
-            let mut s2 = 0u16;
-            for pair in codeword.chunks_exact(2) {
-                let c = u16::from_be_bytes([pair[0], pair[1]]);
-                s0 ^= c;
-                s1 = Gf16::mul_alpha(s1) ^ c;
-                s2 = Gf16::mul_alpha(Gf16::mul_alpha(s2)) ^ c;
-            }
-            syn[0] = s0;
-            syn[1] = s1;
-            syn[2] = s2;
-            return syn[..3].iter().filter(|&&s| s != 0).count();
+            syn.copy_from_slice(&Self::syndromes012(codeword));
+            return syn.iter().filter(|&&s| s != 0).count();
         }
         // General fused Horner pass: S_0 is a plain XOR fold, S_1
         // multiplies by α without touching the tables, the rest use

@@ -7,6 +7,7 @@ use dve_ecc::hamming::SecDed;
 use dve_ecc::inject::{FaultInjector, FaultKind};
 use dve_ecc::rs::{DecodePolicy, Rs};
 use dve_ecc::rs16::Rs16Detect;
+use dve_sim::rng::SplitMix64;
 use proptest::prelude::*;
 
 proptest! {
@@ -70,14 +71,6 @@ proptest! {
     }
 
     #[test]
-    fn gf_exp_sum_matches_mul(a in 1u8.., b in 1u8.., x in 1u16.., y in 1u16..) {
-        // exp_sum fuses log(a)+log(b) lookups on the shared-log hot path
-        // of the LFSR encoders; it must agree with plain table mul.
-        prop_assert_eq!(Gf256::exp_sum(Gf256::log(a), Gf256::log(b)), Gf256::mul(a, b));
-        prop_assert_eq!(Gf16::exp_sum(Gf16::log(x), Gf16::log(y)), Gf16::mul(x, y));
-    }
-
-    #[test]
     fn gf256_slice_kernels_match_scalar(
         acc in proptest::collection::vec(any::<u8>(), 1..80),
         src_seed in any::<u64>(),
@@ -120,8 +113,8 @@ proptest! {
     fn rs_encode_into_matches_encode(
         data in proptest::collection::vec(any::<u8>(), 16),
     ) {
-        // chipkill (nsym = 2) takes the precomputed-log two-tap LFSR
-        // fast path; the 4-check-symbol code exercises the generic loop.
+        // chipkill (nsym = 2) takes the syndrome-solve fast path; the
+        // 4-check-symbol code exercises the generic LFSR.
         for rs in [Rs::chipkill(), Rs::dsd(), Rs::new(20, 16, DecodePolicy::Correct)] {
             let mut fast = vec![0u8; rs.codeword_len()];
             rs.encode_into(&data, &mut fast);
@@ -185,8 +178,8 @@ proptest! {
         pos in 0usize..35,
         err in 0u16..,
     ) {
-        // tsd() (3 check symbols) takes the three-tap precomputed-log
-        // parity path and the fully fused table-free syndrome pass; the
+        // tsd() (3 check symbols) takes the syndrome-solve parity path
+        // and the fully fused table-free syndrome pass; the
         // 2-check-symbol variant exercises the generic loops.
         for code in [Rs16Detect::tsd(64), Rs16Detect::new(64, 2)] {
             let mut fast = vec![0u8; code.codeword_len()];
@@ -201,6 +194,53 @@ proptest! {
             // whether anything actually changed.
             prop_assert_eq!(code.check(&bad).is_good(), err == 0);
         }
+    }
+
+    // ---- Fast paths vs the general algorithms -------------------------
+
+    #[test]
+    fn syndrome_solve_encoders_match_the_lfsr(
+        seed in any::<u64>(),
+        k in 1usize..254,
+        words in 1usize..40,
+    ) {
+        // Any nsym = 2 code over GF(2^8) and any 3-check code over
+        // GF(2^16) solve their parity from the data syndromes; the
+        // textbook LFSR division must give the same bytes.
+        let mut rng = SplitMix64::new(seed);
+        let mut bytes = |len: usize| -> Vec<u8> { (0..len).map(|_| rng.next_u64() as u8).collect() };
+        for rs in [Rs::new(k + 2, k, DecodePolicy::Correct), Rs::chipkill()] {
+            let data = bytes(rs.data_len());
+            prop_assert_eq!(&rs.encode(&data)[data.len()..], &lfsr_parity8(&data, 2)[..]);
+        }
+        for tsd in [Rs16Detect::new(2 * words, 3), Rs16Detect::tsd(64)] {
+            let data = bytes(tsd.data_len());
+            let parity: Vec<u8> = lfsr_parity16(&data, 3)
+                .iter()
+                .flat_map(|p| p.to_be_bytes())
+                .collect();
+            prop_assert_eq!(&tsd.encode(&data)[data.len()..], &parity[..]);
+        }
+    }
+
+    #[test]
+    fn rs_closed_form_matches_general_decode_on_heavy_errors(
+        seed in any::<u64>(),
+        n in 3usize..=255,
+        errors in 3usize..=18,
+    ) {
+        // Three or more wrong symbols: DUE or a miscorrection, and the
+        // closed form must pick the same one (same outcome, same
+        // syndrome weight, same repaired bytes) as BM/Chien/Forney.
+        let mut rng = SplitMix64::new(seed);
+        let rs = Rs::new(n, n - 2, DecodePolicy::Correct);
+        let data: Vec<u8> = (0..n - 2).map(|_| rng.next_u64() as u8).collect();
+        let mut cw = rs.encode(&data);
+        for _ in 0..errors.min(n) {
+            let pos = rng.next_below(n as u64) as usize;
+            cw[pos] ^= 1 + rng.next_below(255) as u8;
+        }
+        assert_closed_form_matches_general(&rs, &cw);
     }
 
     // ---- Reed–Solomon -------------------------------------------------
@@ -413,5 +453,103 @@ proptest! {
         prop_assert!(!Crc8Atm::verify(&bad, c8));
         prop_assert!(!Crc16Ccitt::verify(&bad, c16));
         prop_assert!(!Crc32::verify(&bad, c32));
+    }
+}
+
+/// Systematic parity by LFSR long division over GF(2^8) with the
+/// generator Π_{i<nsym} (x + α^i): the textbook encoder, built on the
+/// shift-and-add multiplier so it shares no table with the codec.
+fn lfsr_parity8(data: &[u8], nsym: usize) -> Vec<u8> {
+    let mut g = vec![1u8];
+    for i in 0..nsym {
+        let root = Gf256::alpha_pow(i as u32);
+        let mut next = vec![0u8; g.len() + 1];
+        for (j, &c) in g.iter().enumerate() {
+            next[j] ^= c;
+            next[j + 1] ^= reference::gf256_mul(c, root);
+        }
+        g = next;
+    }
+    let mut rem = vec![0u8; nsym];
+    for &d in data {
+        let coef = d ^ rem[0];
+        rem.rotate_left(1);
+        rem[nsym - 1] = 0;
+        for (r, &gc) in rem.iter_mut().zip(&g[1..]) {
+            *r ^= reference::gf256_mul(gc, coef);
+        }
+    }
+    rem
+}
+
+/// [`lfsr_parity8`] over GF(2^16), on big-endian 16-bit data symbols.
+fn lfsr_parity16(data: &[u8], nsym: usize) -> Vec<u16> {
+    let mut g = vec![1u16];
+    for i in 0..nsym {
+        let root = Gf16::alpha_pow(i as u32);
+        let mut next = vec![0u16; g.len() + 1];
+        for (j, &c) in g.iter().enumerate() {
+            next[j] ^= c;
+            next[j + 1] ^= reference::gf16_mul(c, root);
+        }
+        g = next;
+    }
+    let mut rem = vec![0u16; nsym];
+    for pair in data.chunks_exact(2) {
+        let coef = u16::from_be_bytes([pair[0], pair[1]]) ^ rem[0];
+        rem.rotate_left(1);
+        rem[nsym - 1] = 0;
+        for (r, &gc) in rem.iter_mut().zip(&g[1..]) {
+            *r ^= reference::gf16_mul(gc, coef);
+        }
+    }
+    rem
+}
+
+/// Decodes `cw` with the closed form (`decode_in_place`) and with
+/// Berlekamp–Massey/Chien/Forney (`decode_general_in_place`) and
+/// asserts the same outcome and the same bytes afterwards.
+fn assert_closed_form_matches_general(rs: &Rs, cw: &[u8]) {
+    let (mut fast, mut general) = (cw.to_vec(), cw.to_vec());
+    let got = rs.decode_in_place(&mut fast, &mut rs.make_scratch());
+    let want = rs.decode_general_in_place(&mut general, &mut rs.make_scratch());
+    assert_eq!(got, want, "outcome for {cw:02x?}");
+    assert_eq!(fast, general, "repaired bytes for {cw:02x?}");
+}
+
+#[test]
+fn rs_closed_form_matches_general_decode_on_every_single_error() {
+    let rs = Rs::chipkill();
+    let mut rng = SplitMix64::new(0x51);
+    for _ in 0..4 {
+        let data: Vec<u8> = (0..16).map(|_| rng.next_u64() as u8).collect();
+        let clean = rs.encode(&data);
+        for pos in 0..18 {
+            for mag in 1..=255u8 {
+                let mut cw = clean.clone();
+                cw[pos] ^= mag;
+                assert_closed_form_matches_general(&rs, &cw);
+                rs.decode_in_place(&mut cw, &mut rs.make_scratch());
+                assert_eq!(cw, clean, "pos {pos} magnitude {mag:#04x}");
+            }
+        }
+    }
+}
+
+#[test]
+fn rs_closed_form_matches_general_decode_on_every_double_error() {
+    let rs = Rs::chipkill();
+    let mut rng = SplitMix64::new(0x52);
+    let data: Vec<u8> = (0..16).map(|_| rng.next_u64() as u8).collect();
+    let clean = rs.encode(&data);
+    for p1 in 0..18 {
+        for p2 in p1 + 1..18 {
+            for _ in 0..64 {
+                let mut cw = clean.clone();
+                cw[p1] ^= 1 + rng.next_below(255) as u8;
+                cw[p2] ^= 1 + rng.next_below(255) as u8;
+                assert_closed_form_matches_general(&rs, &cw);
+            }
+        }
     }
 }

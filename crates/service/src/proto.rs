@@ -52,16 +52,74 @@ pub const TAG_BATCH: u8 = 0x82;
 pub fn read_frame(stream: &mut impl Read) -> io::Result<Vec<u8>> {
     let mut len = [0u8; 4];
     stream.read_exact(&mut len)?;
-    let len = u32::from_le_bytes(len);
+    let mut body = vec![0u8; frame_len(len)?];
+    stream.read_exact(&mut body)?;
+    Ok(body)
+}
+
+/// Validates a frame's length prefix before anything is sized by it.
+fn frame_len(prefix: [u8; 4]) -> io::Result<usize> {
+    let len = u32::from_le_bytes(prefix);
     if len == 0 || len > MAX_FRAME {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
             format!("frame length {len} out of range"),
         ));
     }
-    let mut body = vec![0u8; len as usize];
-    stream.read_exact(&mut body)?;
-    Ok(body)
+    Ok(len as usize)
+}
+
+/// Reads one frame from a stream whose read timeout is an idle timeout.
+///
+/// A timeout before the frame's first byte is idleness: `Ok(None)`.
+/// Once a byte has arrived, timeouts are retried until the frame is
+/// complete, so a sender that pauses mid-frame cannot desynchronise the
+/// stream; `abandon` is polled on each retry and, when it returns true,
+/// the timeout is returned as the error. On a prompt sender this makes
+/// the same `read` calls as [`read_frame`].
+pub fn read_frame_after_idle(
+    stream: &mut impl Read,
+    abandon: impl Fn() -> bool,
+) -> io::Result<Option<Vec<u8>>> {
+    let mut len = [0u8; 4];
+    let first = loop {
+        match stream.read(&mut len) {
+            Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
+            Ok(n) => break n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) if is_timeout(&e) => return Ok(None),
+            Err(e) => return Err(e),
+        }
+    };
+    fill_retrying(stream, &mut len[first..], &abandon)?;
+    let mut body = vec![0u8; frame_len(len)?];
+    fill_retrying(stream, &mut body, &abandon)?;
+    Ok(Some(body))
+}
+
+fn is_timeout(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+    )
+}
+
+/// `read_exact` that retries timeouts until `abandon()` says stop.
+fn fill_retrying(
+    stream: &mut impl Read,
+    mut buf: &mut [u8],
+    abandon: &impl Fn() -> bool,
+) -> io::Result<()> {
+    while !buf.is_empty() {
+        match stream.read(buf) {
+            Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
+            Ok(n) => buf = &mut buf[n..],
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) if is_timeout(&e) && !abandon() => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 /// Writes one length-prefixed frame.

@@ -775,21 +775,14 @@ fn serve_session(
     rx: &Receiver<Vec<Completion>>,
     shutdown: &AtomicBool,
 ) -> io::Result<()> {
+    let stopping = || shutdown.load(Ordering::Acquire);
     loop {
-        let body = match proto::read_frame(stream) {
-            Ok(b) => b,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                if shutdown.load(Ordering::Acquire) {
-                    return Ok(());
-                }
-                continue;
-            }
-            // Peer closed between requests: normal end of session.
+        let body = match proto::read_frame_after_idle(stream, stopping) {
+            Ok(Some(b)) => b,
+            // Idle between frames: the read timeout lets shutdown in.
+            Ok(None) if stopping() => return Ok(()),
+            Ok(None) => continue,
+            // Peer closed: normal end of session.
             Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(()),
             Err(e) => return Err(e),
         };
@@ -965,6 +958,36 @@ mod tests {
         let mut client = proto::TcpClient::connect(addr, 13).unwrap();
         assert_eq!(client.submit(&gen_ops(0x51, 50)).unwrap().len(), 50);
         let report = service.shutdown();
+        assert!(report.conserves(), "{report:?}");
+    }
+
+    #[test]
+    fn ops_frame_split_across_the_idle_timeout_is_served() {
+        // The session's read timeout is 200 ms; a sender that stalls
+        // longer than that inside a frame must still be answered, and
+        // the stream must stay in sync for the next frame.
+        let service = Service::start(&small_cfg()).unwrap();
+        let mut s = TcpStream::connect(service.addr()).unwrap();
+        proto::write_frame(&mut s, &proto::encode_hello(21)).unwrap();
+        assert_eq!(proto::read_frame(&mut s).unwrap()[0], proto::TAG_HELLO_OK);
+        let ops = gen_ops(0x5EA, 40);
+        let body = proto::encode_ops(&ops);
+        let mut frame = (body.len() as u32).to_le_bytes().to_vec();
+        frame.extend_from_slice(&body);
+        for split in [2, 4 + body.len() / 2] {
+            s.write_all(&frame[..split]).unwrap();
+            std::thread::sleep(Duration::from_millis(300));
+            s.write_all(&frame[split..]).unwrap();
+            let rsp = proto::read_frame(&mut s).unwrap();
+            assert_eq!(rsp[0], proto::TAG_BATCH, "split at {split}");
+            let comps = proto::decode_batch(&rsp, 21).unwrap();
+            let mut seqs: Vec<u64> = comps.iter().map(|c| c.seq).collect();
+            seqs.sort_unstable();
+            assert_eq!(seqs, (0..40).collect::<Vec<u64>>(), "split at {split}");
+        }
+        drop(s);
+        let report = service.shutdown();
+        assert_eq!(report.submitted, 80);
         assert!(report.conserves(), "{report:?}");
     }
 
