@@ -30,8 +30,11 @@
 //! disagrees with the analytical expectation — this binary doubles as
 //! the cross-validation gate. Stratified runs additionally require
 //! every positive-mass cell to receive trials and the detect-only DSD
-//! escape estimate to carry a nonzero, finite confidence interval.
+//! escape estimate to carry a nonzero, finite confidence interval. A
+//! malformed knob or an output file that cannot be written also fails
+//! the run.
 
+use dve_bench::gate::{env_flag, env_u64, write_report, Gate, HarnessError};
 use dve_campaign::{
     run_all, write_events_binary, write_events_csv, CampaignConfig, CampaignReport, CampaignScheme,
     SamplingMode,
@@ -41,58 +44,36 @@ use std::io::Write as _;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-fn env_u64(key: &str, default: u64) -> u64 {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| {
-            let v = v.trim();
-            v.strip_prefix("0x")
-                .map(|h| u64::from_str_radix(h, 16).ok())
-                .unwrap_or_else(|| v.parse().ok())
-        })
-        .unwrap_or(default)
-}
-
-fn env_flag(key: &str) -> bool {
-    std::env::var(key)
-        .map(|v| matches!(v.trim(), "1" | "true" | "yes" | "on"))
-        .unwrap_or(false)
-}
-
 /// Stratified-specific acceptance: the whole point of stratification is
 /// that rare cells stop being empty, so (a) every positive-mass cell
 /// must have received trials, and (b) the detect-only DSD escape (SDC)
 /// estimate must come with a nonzero, finite Wilson interval.
-fn stratified_gate(report: &CampaignReport) -> bool {
-    let mut ok = true;
-    for row in &report.rows {
-        for cell in &row.strata {
-            if cell.weight > 0.0 && cell.trials == 0 {
-                eprintln!(
-                    "stratified gate: {} cell `{}` has mass {:.3e} but zero trials",
-                    row.scheme.label(),
-                    cell.stratum.label(),
-                    cell.weight
-                );
-                ok = false;
-            }
-        }
-    }
+fn stratified_gate(gate: &mut Gate, report: &CampaignReport) {
+    let empty: Vec<String> = report
+        .rows
+        .iter()
+        .flat_map(|row| {
+            row.strata
+                .iter()
+                .filter(|cell| cell.weight > 0.0 && cell.trials == 0)
+                .map(move |cell| format!("{} {}", row.scheme.label(), cell.stratum.label()))
+        })
+        .collect();
+    gate.check(
+        empty.is_empty(),
+        format!("every positive-mass stratum received trials (empty: {empty:?})"),
+    );
     if let Some(dsd) = report
         .rows
         .iter()
         .find(|r| r.scheme == CampaignScheme::DveDsd)
     {
         let (lo, hi) = dsd.sdc_ci;
-        if !(lo.is_finite() && hi.is_finite() && hi > 0.0) {
-            eprintln!(
-                "stratified gate: Dve+DSD escape CI [{lo:.3e}, {hi:.3e}] is not a \
-                 nonzero finite interval"
-            );
-            ok = false;
-        }
+        gate.check(
+            lo.is_finite() && hi.is_finite() && hi > 0.0,
+            format!("Dve+DSD escape CI [{lo:.3e}, {hi:.3e}] is a nonzero finite interval"),
+        );
     }
-    ok
 }
 
 fn write_strata_csv(w: &mut impl std::io::Write, report: &CampaignReport) -> std::io::Result<()> {
@@ -121,66 +102,56 @@ fn write_strata_csv(w: &mut impl std::io::Write, report: &CampaignReport) -> std
     Ok(())
 }
 
-fn main() -> ExitCode {
+fn main() -> Result<ExitCode, HarnessError> {
     let mut cfg = CampaignConfig::paper_default();
-    cfg.master_seed = env_u64("DVE_CAMPAIGN_SEED", dve_bench::SEED);
-    cfg.trials = env_u64("DVE_CAMPAIGN_TRIALS", 10_000);
-    cfg.workers = env_u64("DVE_CAMPAIGN_WORKERS", cfg.workers as u64).max(1) as usize;
-    cfg.replay_ops = env_u64("DVE_CAMPAIGN_REPLAY", 16);
-    let stratified = env_flag("DVE_CAMPAIGN_STRATIFIED");
+    cfg.master_seed = env_u64("DVE_CAMPAIGN_SEED", dve_bench::SEED)?;
+    cfg.trials = env_u64("DVE_CAMPAIGN_TRIALS", 10_000)?;
+    cfg.workers = env_u64("DVE_CAMPAIGN_WORKERS", cfg.workers as u64)?.max(1) as usize;
+    cfg.replay_ops = env_u64("DVE_CAMPAIGN_REPLAY", 16)?;
+    let stratified = env_flag("DVE_CAMPAIGN_STRATIFIED")?;
     if stratified {
         cfg.sampling = SamplingMode::stratified_default();
     }
 
     let results = run_all(&cfg);
     let report = CampaignReport::build(&cfg, &results);
-    print!("{}", report.render(&cfg));
+    let rendered = report.render(&cfg);
+    print!("{rendered}");
 
     let out_dir =
         PathBuf::from(std::env::var("DVE_CAMPAIGN_OUT").unwrap_or_else(|_| "results".to_string()));
-    if let Err(e) = fs::create_dir_all(&out_dir) {
-        eprintln!("warning: cannot create {}: {e}", out_dir.display());
-    } else {
-        let csv_path = out_dir.join("campaign_events.csv");
-        let bin_path = out_dir.join("campaign_events.bin");
-        let txt_path = out_dir.join("campaign.txt");
-        let written = (|| -> std::io::Result<usize> {
-            fs::write(&txt_path, report.render(&cfg))?;
-            let mut csv = fs::File::create(&csv_path)?;
-            write_events_csv(&mut csv, &results)?;
-            csv.flush()?;
-            let mut bin = fs::File::create(&bin_path)?;
-            write_events_binary(&mut bin, &results)?;
-            bin.flush()?;
-            if stratified {
-                let strata_path = out_dir.join("campaign_strata.csv");
-                let mut sc = fs::File::create(&strata_path)?;
-                write_strata_csv(&mut sc, &report)?;
-                sc.flush()?;
-            }
-            Ok(results.iter().map(|r| r.events.len()).sum())
-        })();
-        match written {
-            Ok(n) => println!(
-                "\nevent log: {n} recovery events -> {} + {}",
-                csv_path.display(),
-                bin_path.display()
-            ),
-            Err(e) => eprintln!("warning: event log not written: {e}"),
+    write_report(out_dir.join("campaign.txt"), &rendered)?;
+    let csv_path = out_dir.join("campaign_events.csv");
+    let bin_path = out_dir.join("campaign_events.bin");
+    let logs = (|| -> std::io::Result<()> {
+        let mut csv = fs::File::create(&csv_path)?;
+        write_events_csv(&mut csv, &results)?;
+        csv.flush()?;
+        let mut bin = fs::File::create(&bin_path)?;
+        write_events_binary(&mut bin, &results)?;
+        bin.flush()?;
+        if stratified {
+            let mut sc = fs::File::create(out_dir.join("campaign_strata.csv"))?;
+            write_strata_csv(&mut sc, &report)?;
+            sc.flush()?;
         }
-    }
+        Ok(())
+    })();
+    logs.map_err(|e| HarnessError::new(format!("event log not written: {e}")))?;
+    println!(
+        "\nevent log: {} recovery events -> {} + {}",
+        results.iter().map(|r| r.events.len()).sum::<usize>(),
+        csv_path.display(),
+        bin_path.display()
+    );
 
-    let mut ok = report.all_agree();
-    if !ok {
-        eprintln!("cross-validation FAILED: empirical rates disagree with the analytical model");
+    let mut gate = Gate::new();
+    gate.check(
+        report.all_agree(),
+        "empirical DUE/SDC rates agree with the analytical model",
+    );
+    if stratified {
+        stratified_gate(&mut gate, &report);
     }
-    if stratified && !stratified_gate(&report) {
-        eprintln!("cross-validation FAILED: stratified coverage gate");
-        ok = false;
-    }
-    if ok {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    Ok(gate.finish("campaign"))
 }

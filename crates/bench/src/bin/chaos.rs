@@ -6,33 +6,30 @@
 //! cargo run -p dve-bench --bin chaos --release -- smoke   # CI gate
 //! ```
 //!
-//! Five phases, all gating the exit code:
+//! Four phases, all gating the exit code (that an armed but inert
+//! chaos layer reproduces the pinned goldens is pinned by
+//! `crates/core/tests/goldens.rs`, not here):
 //!
-//! 1. **Golden gate** — an *armed but inert* chaos layer (empty
-//!    schedule, no outages, no scrub, every correlated source armed
-//!    at its inert setting) must reproduce the pinned cycle-exact
-//!    goldens bit-identically at two seeds × three schemes. Detection
-//!    is timing-neutral by construction; this proves it.
-//! 2. **Directed transitions** — seeded schedules drive the full
+//! 1. **Directed transitions** — seeded schedules drive the full
 //!    `Clean → CorrectedTransient → CorrectedDegraded → MachineCheck`
 //!    ladder in-run: a transient fault is repaired in place, a hard
 //!    fault degrades the copy and flips the engine into §V-E degraded
 //!    state (lifted again by the scheduled heal), and a dual-copy
 //!    fault machine-checks without wedging the run.
-//! 3. **Randomized matrix** — seed-derived schedules plus a link
+//! 2. **Randomized matrix** — seed-derived schedules plus a link
 //!    outage window and paced patrol scrub, across schemes × MSHR
 //!    depths × seeds. Every run checks: all scheduled work completes,
 //!    the [`RecoveryLedger`](dve::chaos::RecoveryLedger) partition
 //!    invariants hold, the latency breakdown conserves end-to-end
 //!    (zero warm-up runs pin it to the engine's per-class sums), and
 //!    the run reproduces bit-for-bit when repeated.
-//! 4. **Hammer severity ladder** — the workload-coupled row-hammer
+//! 3. **Hammer severity ladder** — the workload-coupled row-hammer
 //!    source alone, at escalating aggression, must walk
 //!    `Clean → Corrected → Degraded → MachineCheck` monotonically:
 //!    inert never plants, a transient source repairs in place, a hard
 //!    source degrades the hammered copy, and a dual-copy source
 //!    machine-checks — all without wedging the run.
-//! 5. **Per-tenant SLO** — the standard gold/silver/bronze mix under
+//! 4. **Per-tenant SLO** — the standard gold/silver/bronze mix under
 //!    deliberate admission overload and a degraded (faulty) system:
 //!    priority shedding must land on bronze while gold sheds nothing
 //!    and holds its p99 inside the contracted budget, with per-tenant
@@ -49,6 +46,8 @@ use dve::chaos::{
 };
 use dve::config::{Scheme, SystemConfig};
 use dve::system::{ClientOp, RunResult, System};
+use dve_bench::gate::{smoke, write_report, Gate, HarnessError};
+use dve_bench::profile;
 use dve_dram::controller::EccProfile;
 use dve_service::{EpochBatcher, SubmitOutcome, SubmittedOp};
 use dve_sim::latency::Component;
@@ -56,82 +55,9 @@ use dve_sim::rng::SplitMix64;
 use dve_sim::stats::LogHistogram;
 use dve_workloads::op::MemReq;
 use dve_workloads::tenant::TenantMix;
-use dve_workloads::{catalog, TraceGenerator, WorkloadProfile};
+use dve_workloads::{TraceGenerator, WorkloadProfile};
 use std::fmt::Write as _;
 use std::process::ExitCode;
-
-/// Pinned goldens (backprop, 500 measured ops/thread, warm-up 50) —
-/// must match `crates/core/tests/goldens.rs`.
-const GOLDENS: &[(u64, Scheme, u64)] = &[
-    (42, Scheme::BaselineNuma, 92_408),
-    (42, Scheme::DveAllow, 77_905),
-    (42, Scheme::DveDeny, 54_962),
-    (0x2026_0806, Scheme::BaselineNuma, 91_014),
-    (0x2026_0806, Scheme::DveAllow, 79_614),
-    (0x2026_0806, Scheme::DveDeny, 54_436),
-];
-
-fn backprop() -> WorkloadProfile {
-    catalog()
-        .into_iter()
-        .find(|p| p.name == "backprop")
-        .expect("backprop in catalog")
-}
-
-struct Gate {
-    failures: Vec<String>,
-}
-
-impl Gate {
-    fn check(&mut self, ok: bool, what: impl Into<String>) {
-        let what = what.into();
-        if ok {
-            println!("  ok   {what}");
-        } else {
-            println!("  FAIL {what}");
-            self.failures.push(what);
-        }
-    }
-}
-
-/// Phase 1: inert chaos reproduces the pinned goldens bit-identically.
-fn golden_gate(gate: &mut Gate, p: &WorkloadProfile) {
-    println!("-- golden gate: inert chaos vs pinned cycle counts --");
-    for &(seed, scheme, golden) in GOLDENS {
-        let mut cfg = SystemConfig::table_ii(scheme);
-        cfg.ops_per_thread = 500;
-        cfg.warmup_per_thread = 50;
-        let plain = System::new(cfg.clone(), p, seed).run();
-        cfg.chaos = Some(ChaosConfig {
-            correlated: Some(CorrelatedConfig::inert(seed ^ 0xD0E)),
-            ..ChaosConfig::inert()
-        });
-        let armed = System::new(cfg, p, seed).run();
-        gate.check(
-            plain.cycles == golden,
-            format!(
-                "{:<15} seed={seed:#x} plain run matches golden ({} vs {golden})",
-                scheme.label(),
-                plain.cycles
-            ),
-        );
-        gate.check(
-            armed.cycles == golden && armed.latency == plain.latency,
-            format!(
-                "{:<15} seed={seed:#x} inert-chaos run is bit-identical ({} vs {golden})",
-                scheme.label(),
-                armed.cycles
-            ),
-        );
-        gate.check(
-            !armed.recovery.any_activity() && armed.latency.recovery == 0,
-            format!(
-                "{:<15} seed={seed:#x} inert chaos records no recovery activity",
-                scheme.label()
-            ),
-        );
-    }
-}
 
 fn directed_run(p: &WorkloadProfile, events: Vec<FaultEvent>) -> RunResult {
     let mut cfg = SystemConfig::table_ii(Scheme::DveDeny);
@@ -149,7 +75,7 @@ fn conserves(r: &RunResult) -> bool {
     r.latency.total() == r.engine.latency_sum.iter().sum::<u64>()
 }
 
-/// Phase 2: seeded schedules drive every recovery transition in-run.
+/// Phase 1: seeded schedules drive every recovery transition in-run.
 fn directed_transitions(gate: &mut Gate, p: &WorkloadProfile) {
     println!("-- directed transitions (dve-deny + TSD detect-only ECC) --");
 
@@ -316,7 +242,7 @@ fn chaos_cell(p: &WorkloadProfile, scheme: Scheme, mshrs: usize, seed: u64, ops:
     System::new(cfg, p, seed).run()
 }
 
-/// Phase 3: the randomized matrix, with the per-run invariant gate.
+/// Phase 2: the randomized matrix, with the per-run invariant gate.
 fn randomized_matrix(gate: &mut Gate, p: &WorkloadProfile, smoke: bool) -> String {
     println!("-- randomized matrix: schedules + outage + paced scrub --");
     let schemes: &[Scheme] = if smoke {
@@ -391,7 +317,7 @@ fn severity(l: &RecoveryLedger) -> usize {
     }
 }
 
-/// Phase 4: the row-hammer source alone, at escalating aggression,
+/// Phase 3: the row-hammer source alone, at escalating aggression,
 /// walks the severity ladder monotonically.
 fn hammer_ladder(gate: &mut Gate, p: &WorkloadProfile) -> String {
     println!("-- hammer severity ladder (dve-deny + TSD detect-only ECC) --");
@@ -487,7 +413,7 @@ fn hammer_ladder(gate: &mut Gate, p: &WorkloadProfile) -> String {
     table
 }
 
-/// Phase 5: the standard tenant mix under admission overload on a
+/// Phase 4: the standard tenant mix under admission overload on a
 /// degraded (hammered + scheduled-fault) system. Drives the real
 /// [`EpochBatcher`] and [`System::run_batch`] epoch loop inline —
 /// threadless, so the whole scenario is deterministic and replayable.
@@ -717,14 +643,11 @@ fn tenant_slo_report(gate: &mut Gate, p: &WorkloadProfile) -> String {
     table
 }
 
-fn main() -> ExitCode {
-    let smoke = std::env::args().any(|a| a == "smoke");
-    let p = backprop();
-    let mut gate = Gate {
-        failures: Vec::new(),
-    };
+fn main() -> Result<ExitCode, HarnessError> {
+    let smoke = smoke()?;
+    let p = profile("backprop");
+    let mut gate = Gate::new();
 
-    golden_gate(&mut gate, &p);
     directed_transitions(&mut gate, &p);
     let matrix = randomized_matrix(&mut gate, &p, smoke);
     let ladder = hammer_ladder(&mut gate, &p);
@@ -737,18 +660,6 @@ fn main() -> ExitCode {
     );
     println!("-- measured tables --");
     print!("{report}");
-    std::fs::create_dir_all("results").expect("create results/");
-    std::fs::write("results/chaos_report.txt", &report).expect("write results/chaos_report.txt");
-    println!("wrote results/chaos_report.txt");
-
-    if gate.failures.is_empty() {
-        println!("chaos: all invariants held");
-        ExitCode::SUCCESS
-    } else {
-        println!("chaos: {} invariant(s) VIOLATED:", gate.failures.len());
-        for f in &gate.failures {
-            println!("  - {f}");
-        }
-        ExitCode::FAILURE
-    }
+    write_report("results/chaos_report.txt", &report)?;
+    Ok(gate.finish("chaos"))
 }

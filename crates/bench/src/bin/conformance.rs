@@ -24,96 +24,65 @@
 //! exact form used by `crates/conformance/tests/regressions.rs`, ready
 //! to commit as a regression test.
 
+use dve_bench::gate::{env_u64, Gate, HarnessError};
 use dve_conformance::{builtin_configs, fuzz_config, mutation_check, shrink};
 use std::process::ExitCode;
 
-fn env_u64(key: &str, default: u64) -> u64 {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| {
-            let v = v.trim();
-            v.strip_prefix("0x")
-                .map(|h| u64::from_str_radix(h, 16).ok())
-                .unwrap_or_else(|| v.parse().ok())
-        })
-        .unwrap_or(default)
-}
-
-fn run_fuzz(seed: u64, ops: u64) -> ExitCode {
+fn run_fuzz(gate: &mut Gate, seed: u64, ops: u64) {
     println!("conformance fuzz: {ops} ops/config, seed {seed:#x}");
-    let mut failed = false;
     for cfg in builtin_configs() {
         let out = fuzz_config(&cfg, seed, ops, None);
-        match out.failure {
-            None => println!("  {:<22} {:>8} ops  ok", cfg.name, out.ops_run),
-            Some(f) => {
-                failed = true;
-                println!(
-                    "  {:<22} {:>8} ops  VIOLATION {}",
-                    cfg.name, out.ops_run, f.violation
-                );
-                let (small, v) = shrink(&cfg, &f.trace, None, &f.violation);
-                println!("    minimized to {} ops ({}):", small.len(), v.kind);
-                println!("{}", dve_conformance::fuzz::format_trace(&small));
-            }
+        let verdict = match &out.failure {
+            None => "clean".to_string(),
+            Some(f) => format!("VIOLATION {}", f.violation),
+        };
+        gate.check(
+            out.failure.is_none(),
+            format!("{:<22} {:>8} ops  {verdict}", cfg.name, out.ops_run),
+        );
+        if let Some(f) = out.failure {
+            let (small, v) = shrink(&cfg, &f.trace, None, &f.violation);
+            println!("    minimized to {} ops ({}):", small.len(), v.kind);
+            println!("{}", dve_conformance::fuzz::format_trace(&small));
         }
-    }
-    if failed {
-        println!("conformance fuzz: FAILED");
-        ExitCode::FAILURE
-    } else {
-        println!("conformance fuzz: all configurations clean");
-        ExitCode::SUCCESS
     }
 }
 
-fn run_mutation(seed: u64, ops: u64) -> ExitCode {
+fn run_mutation(gate: &mut Gate, seed: u64, ops: u64) {
     println!("mutation check: up to {ops} ops/config/bug, seed {seed:#x}");
-    let reports = mutation_check(seed, ops);
-    let mut failed = false;
-    for r in &reports {
+    for r in &mutation_check(seed, ops) {
+        let bug = format!("{:?}", r.bug);
         if !r.caught {
-            failed = true;
-            println!("  {:<28} ESCAPED", format!("{:?}", r.bug));
+            gate.check(false, format!("{bug:<28} ESCAPED"));
             continue;
         }
-        let ok = r.shrunk.len() <= 30;
-        if !ok {
-            failed = true;
-        }
-        println!(
-            "  {:<28} caught by {:<22} in {:>6} ops, class {:<12} shrunk to {:>2} ops{}",
-            format!("{:?}", r.bug),
-            r.config,
-            r.ops_to_catch,
-            r.class,
-            r.shrunk.len(),
-            if ok { "" } else { "  TOO LONG" }
+        gate.check(
+            r.shrunk.len() <= 30,
+            format!(
+                "{bug:<28} caught by {:<22} in {:>6} ops, class {:<12} shrunk to {:>2} ops (<= 30)",
+                r.config,
+                r.ops_to_catch,
+                r.class,
+                r.shrunk.len(),
+            ),
         );
-    }
-    if failed {
-        println!("mutation check: FAILED (harness cannot be trusted)");
-        ExitCode::FAILURE
-    } else {
-        println!(
-            "mutation check: all {} seeded bugs caught and minimized",
-            reports.len()
-        );
-        ExitCode::SUCCESS
     }
 }
 
-fn main() -> ExitCode {
+fn main() -> Result<ExitCode, HarnessError> {
     let mode = std::env::args().nth(1).unwrap_or_else(|| "fuzz".into());
-    let seed = env_u64("DVE_CONFORMANCE_SEED", dve_bench::SEED);
-    let ops = env_u64("DVE_CONFORMANCE_OPS", 100_000);
+    let seed = env_u64("DVE_CONFORMANCE_SEED", dve_bench::SEED)?;
+    let ops = env_u64("DVE_CONFORMANCE_OPS", 100_000)?;
+    let mut gate = Gate::new();
     match mode.as_str() {
-        "fuzz" => run_fuzz(seed, ops),
-        "smoke" => run_fuzz(seed, ops / 10),
-        "mutation" => run_mutation(seed, (ops / 10).max(2_000)),
+        "fuzz" => run_fuzz(&mut gate, seed, ops),
+        "smoke" => run_fuzz(&mut gate, seed, ops / 10),
+        "mutation" => run_mutation(&mut gate, seed, (ops / 10).max(2_000)),
         other => {
-            eprintln!("unknown mode {other:?}; use fuzz | smoke | mutation");
-            ExitCode::FAILURE
+            return Err(HarnessError::new(format!(
+                "unknown mode {other:?}; use fuzz | smoke | mutation"
+            )))
         }
     }
+    Ok(gate.finish("conformance"))
 }

@@ -21,15 +21,19 @@
 //! All files record the git revision they were measured at, so the
 //! numbers can be tracked across PRs (CI uploads them as artifacts).
 //!
-//! Flags:
+//! ```text
+//! cargo run -p dve-bench --bin perf --release            # full baseline
+//! cargo run -p dve-bench --bin perf --release -- smoke   # CI gate
+//! ```
 //!
-//! * `--smoke` — reduced-iteration run for CI: ~1 ms of timed batches
-//!   per microbench, a small campaign and a short system trace; the
-//!   JSON files are still written (tagged `"mode": "smoke"`).
+//! `smoke` is the reduced-iteration run for CI: ~1 ms of timed batches
+//! per microbench, a small campaign and a short system trace; the JSON
+//! files are still written (tagged `"mode": "smoke"`).
 //!
-//! Exit code: non-zero if a built-in relative gate fails. Four gates,
-//! all *relative* by design (absolute thresholds would flake across CI
-//! hardware, while these ratios are machine-independent):
+//! Exit code: non-zero if a built-in relative gate fails; every gate is
+//! evaluated and reported either way. Three gates, all *relative* by
+//! design (absolute thresholds would flake across CI hardware, while
+//! these ratios are machine-independent):
 //!
 //! 1. a 1-error RS(18,16) correction must cost at most 2× a clean
 //!    decode (the closed-form single-error path; routing RS(18,16)
@@ -41,14 +45,13 @@
 //! 3. widening the cores from 1 to 4 MSHRs must not increase simulated
 //!    cycles on the pinned trace (memory-level parallelism can only
 //!    hide latency; simulated cycles are deterministic, so this cannot
-//!    flake with runner speed), and
-//! 4. the explicit `mirror2` topology must be bit-identical to the
-//!    implicit mirror-pair config on the pinned trace (deterministic;
-//!    always enforced).
+//!    flake with runner speed).
 
 use criterion::{black_box, Criterion};
 use dve::builder::SystemBuilder;
 use dve::config::Scheme;
+use dve_bench::gate::{smoke, write_report, Gate, HarnessError};
+use dve_bench::profile;
 use dve_campaign::runner::{run_campaign, CampaignConfig, SamplingMode};
 use dve_campaign::trial::CampaignScheme;
 use dve_ecc::code::DetectionCode;
@@ -72,11 +75,6 @@ const GATE_CORRECTION_COST: f64 = 2.0;
 /// throughput. Relative, so it holds on any multi-core runner; skipped
 /// (with a printed notice) when the host has a single hardware thread.
 const GATE_SCALING_2W: f64 = 1.5;
-
-struct Entry {
-    name: &'static str,
-    ns_per_op: f64,
-}
 
 fn git_rev() -> String {
     Command::new("git")
@@ -104,7 +102,16 @@ fn render_json(rev: &str, mode: &str, unit: &str, fields: &[(String, f64)]) -> S
     out
 }
 
-fn bench_ecc(c: &mut Criterion) -> Vec<Entry> {
+/// The value of the field `name`.
+fn field(fields: &[(String, f64)], name: &str) -> f64 {
+    fields
+        .iter()
+        .find(|(n, _)| n == name)
+        .map(|(_, v)| *v)
+        .unwrap_or_else(|| panic!("gate metric {name} missing"))
+}
+
+fn bench_ecc(c: &mut Criterion) -> Vec<(String, f64)> {
     let chipkill = Rs::chipkill();
     let dsd = Rs::dsd();
     let tsd = Rs16Detect::tsd(64);
@@ -122,12 +129,9 @@ fn bench_ecc(c: &mut Criterion) -> Vec<Entry> {
     tsd_err[40] ^= 0x99;
 
     let mut entries = Vec::new();
-    let mut push = |c: &mut Criterion, name: &'static str, scale: f64| {
+    let mut push = |c: &mut Criterion, name: &str, scale: f64| {
         let m = c.take_measurements().pop().expect("bench recorded nothing");
-        entries.push(Entry {
-            name,
-            ns_per_op: m.median_ns_per_iter / scale,
-        });
+        entries.push((name.to_string(), m.median_ns_per_iter / scale));
     };
 
     // --- GF scalar kernels: table-driven vs reference oracle. ---
@@ -324,10 +328,7 @@ fn bench_campaign(trials: u64) -> Vec<(String, f64)> {
 /// returns the JSON fields plus the (mshrs=1, mshrs=4) simulated cycle
 /// counts used by the MSHR gate.
 fn bench_system(ops: u64) -> (Vec<(String, f64)>, u64, u64) {
-    let p = dve_workloads::catalog()
-        .into_iter()
-        .find(|p| p.name == "backprop")
-        .expect("backprop profile");
+    let p = profile("backprop");
     let run = |scheme, mshrs| {
         SystemBuilder::new(scheme)
             .ops_per_thread(ops)
@@ -377,41 +378,22 @@ fn bench_system(ops: u64) -> (Vec<(String, f64)>, u64, u64) {
     (out, deny1.cycles, deny4.cycles)
 }
 
-/// Topology sweep section of `BENCH_system.json`: simulated cycles for
-/// the deny scheme on each placement, plus the mirror-identity flag —
-/// the explicit `mirror2` topology must be bit-identical to the
-/// implicit mirror-pair config on the same trace (deterministic;
-/// always gated).
-fn bench_topology(ops: u64, deny_mirror_cycles: u64) -> (Vec<(String, f64)>, bool) {
+/// Topology sweep section of `BENCH_system.json`: simulated cycles and
+/// replica reads for the deny scheme on each placement.
+fn bench_topology(ops: u64) -> Vec<(String, f64)> {
     use dve::config::TopologySpec;
-    let p = dve_workloads::catalog()
-        .into_iter()
-        .find(|p| p.name == "backprop")
-        .expect("backprop profile");
-    let run = |spec| {
-        SystemBuilder::new(Scheme::DveDeny)
-            .ops_per_thread(ops)
-            .mshrs(1)
-            .topology(spec)
-            .run(&p, 42)
-    };
+    let p = profile("backprop");
     let mut out = Vec::new();
-    let mirror = run(TopologySpec::Mirror2);
-    let identical = mirror.cycles == deny_mirror_cycles;
-    out.push((
-        "topology_mirror2_identity".to_string(),
-        if identical { 1.0 } else { 0.0 },
-    ));
     for spec in [
         TopologySpec::Mirror2,
         TopologySpec::Nway(4),
         TopologySpec::TwoTier,
     ] {
-        let r = if spec == TopologySpec::Mirror2 {
-            mirror.clone()
-        } else {
-            run(spec)
-        };
+        let r = SystemBuilder::new(Scheme::DveDeny)
+            .ops_per_thread(ops)
+            .mshrs(1)
+            .topology(spec)
+            .run(&p, 42);
         let key = spec.to_string().replace(':', "_");
         println!(
             "  topology {key:<8} cycles {} (replica reads {})",
@@ -423,11 +405,11 @@ fn bench_topology(ops: u64, deny_mirror_cycles: u64) -> (Vec<(String, f64)>, boo
             r.engine.replica_reads as f64,
         ));
     }
-    (out, identical)
+    out
 }
 
-fn main() -> ExitCode {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+fn main() -> Result<ExitCode, HarnessError> {
+    let smoke = smoke()?;
     let mode = if smoke { "smoke" } else { "full" };
     let rev = git_rev();
     println!("perf baseline @ {rev} ({mode})");
@@ -440,124 +422,83 @@ fn main() -> ExitCode {
     });
 
     println!("-- ecc microbenches --");
-    let ecc = bench_ecc(&mut c);
-    let ecc_fields: Vec<(String, f64)> = ecc
-        .iter()
-        .map(|e| (e.name.to_string(), e.ns_per_op))
-        .collect();
+    let ecc_fields = bench_ecc(&mut c);
     for (name, ns) in &ecc_fields {
         println!("  {name:<28} {ns:>10.2} ns/op");
     }
-    std::fs::write(
+    write_report(
         "BENCH_ecc.json",
-        render_json(&rev, mode, "ns_per_op_median", &ecc_fields),
-    )
-    .expect("write BENCH_ecc.json");
+        &render_json(&rev, mode, "ns_per_op_median", &ecc_fields),
+    )?;
 
     println!("-- campaign throughput --");
     let trials = if smoke { 20_000 } else { 200_000 };
     let campaign_fields = bench_campaign(trials);
-    std::fs::write(
+    write_report(
         "BENCH_campaign.json",
-        render_json(&rev, mode, "trials_per_sec", &campaign_fields),
-    )
-    .expect("write BENCH_campaign.json");
+        &render_json(&rev, mode, "trials_per_sec", &campaign_fields),
+    )?;
 
     println!("-- system simulator --");
     let sys_ops = if smoke { 300 } else { 2000 };
     let (mut system_fields, deny_m1, deny_m4) = bench_system(sys_ops);
 
     println!("-- topology sweep --");
-    let (topo_fields, topo_identity) = bench_topology(sys_ops, deny_m1);
-    system_fields.extend(topo_fields);
-    std::fs::write(
+    system_fields.extend(bench_topology(sys_ops));
+    write_report(
         "BENCH_system.json",
-        render_json(&rev, mode, "mixed_cycles_and_fractions", &system_fields),
-    )
-    .expect("write BENCH_system.json");
-    println!("wrote BENCH_ecc.json, BENCH_campaign.json and BENCH_system.json");
+        &render_json(&rev, mode, "mixed_cycles_and_fractions", &system_fields),
+    )?;
 
-    // --- Relative gate: single-symbol correction stays closed-form. ---
-    let get = |name: &str| {
-        ecc.iter()
-            .find(|e| e.name == name)
-            .map(|e| e.ns_per_op)
-            .expect("gate metric missing")
-    };
-    let clean = get("rs_decode_clean");
-    let one = get("rs_decode_1err");
+    println!("-- gates --");
+    let mut gate = Gate::new();
+
+    // Single-symbol correction stays closed-form.
+    let clean = field(&ecc_fields, "rs_decode_clean");
+    let one = field(&ecc_fields, "rs_decode_1err");
     let cost = one / clean;
-    println!(
-        "gate: 1-err decode {one:.2} ns vs clean decode {clean:.2} ns \
-         ({cost:.2}x, need <= {GATE_CORRECTION_COST:.1}x)"
+    gate.check(
+        cost <= GATE_CORRECTION_COST,
+        format!(
+            "1-err decode {one:.2} ns vs clean decode {clean:.2} ns \
+             ({cost:.2}x, need <= {GATE_CORRECTION_COST:.1}x)"
+        ),
     );
-    if cost > GATE_CORRECTION_COST {
-        eprintln!(
-            "FAIL: a 1-error RS(18,16) correction costs more than \
-             {GATE_CORRECTION_COST}x a clean decode"
-        );
-        return ExitCode::FAILURE;
-    }
 
-    // --- Campaign scaling gate: two workers must actually buy
-    // throughput. Relative (workers=2 vs workers=1 on the same run) so
-    // it is immune to absolute machine speed, but it does need a second
-    // hardware thread to mean anything — on a single-core runner both
+    // Campaign scaling: two workers must actually buy throughput.
+    // Relative (workers=2 vs workers=1 on the same run) so it is immune
+    // to absolute machine speed, but it does need a second hardware
+    // thread to mean anything — on a single-core runner both
     // configurations time-slice one CPU and the ratio is ~1.0 by
     // physics, not by regression, so the gate is skipped with a notice.
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let getc = |name: &str| {
-        campaign_fields
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| *v)
-            .expect("campaign gate metric missing")
-    };
-    let tps1 = getc("trials_per_sec_workers_1");
-    let tps2 = getc("trials_per_sec_workers_2");
+    let tps1 = field(&campaign_fields, "trials_per_sec_workers_1");
+    let tps2 = field(&campaign_fields, "trials_per_sec_workers_2");
     if cores >= 2 {
         let ratio = tps2 / tps1;
-        println!(
-            "gate: campaign scaling workers=2 {tps2:.0} vs workers=1 {tps1:.0} trials/s \
-             ({ratio:.2}x, need >= {GATE_SCALING_2W:.1}x)"
+        gate.check(
+            ratio >= GATE_SCALING_2W,
+            format!(
+                "campaign scaling workers=2 {tps2:.0} vs workers=1 {tps1:.0} trials/s \
+                 ({ratio:.2}x, need >= {GATE_SCALING_2W:.1}x)"
+            ),
         );
-        if ratio < GATE_SCALING_2W {
-            eprintln!(
-                "FAIL: campaign throughput at 2 workers is below {GATE_SCALING_2W}x the \
-                 1-worker rate — parallel scaling regressed"
-            );
-            return ExitCode::FAILURE;
-        }
     } else {
         println!(
-            "gate: campaign scaling SKIPPED (host has {cores} hardware thread(s); \
+            "  skip campaign scaling (host has {cores} hardware thread(s); \
              the 2-worker/1-worker ratio is meaningless without a second core)"
         );
     }
 
-    // --- MSHR gate: memory-level parallelism must not hurt. Simulated
-    // cycles are deterministic, so this cannot flake with runner speed.
-    println!(
-        "gate: deny cycles mshrs=4 {deny_m4} vs mshrs=1 {deny_m1} \
-         ({:.3}x, need <= 1.0x)",
-        deny_m4 as f64 / deny_m1 as f64
+    // Memory-level parallelism must not hurt. Simulated cycles are
+    // deterministic, so this cannot flake with runner speed.
+    gate.check(
+        deny_m4 <= deny_m1,
+        format!(
+            "deny cycles mshrs=4 {deny_m4} vs mshrs=1 {deny_m1} ({:.3}x, need <= 1.0x)",
+            deny_m4 as f64 / deny_m1 as f64
+        ),
     );
-    if deny_m4 > deny_m1 {
-        eprintln!("FAIL: widening MSHRs 1 -> 4 increased simulated cycles");
-        return ExitCode::FAILURE;
-    }
 
-    // --- Topology identity gate: the placement layer must be a pure
-    // representation change at two nodes. Deterministic — always on.
-    println!(
-        "gate: topology mirror2 identity {}",
-        if topo_identity { "held" } else { "BROKEN" }
-    );
-    if !topo_identity {
-        eprintln!("FAIL: explicit mirror2 topology diverged from the mirror-pair config");
-        return ExitCode::FAILURE;
-    }
-
-    println!("gate: ok");
-    ExitCode::SUCCESS
+    Ok(gate.finish("perf"))
 }

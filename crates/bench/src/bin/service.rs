@@ -31,24 +31,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use dve_bench::gate::{smoke, write_report, Gate, HarnessError};
 use dve_service::{run_loadgen, LoadgenConfig, Service, ServiceConfig, ServiceReport};
 use dve_sim::latency::Component;
-
-struct Gate {
-    failures: Vec<String>,
-}
-
-impl Gate {
-    fn check(&mut self, ok: bool, what: impl Into<String>) {
-        let what = what.into();
-        if ok {
-            println!("  ok   {what}");
-        } else {
-            println!("  FAIL {what}");
-            self.failures.push(what);
-        }
-    }
-}
 
 /// Plain HTTP GET against the service's listener; returns the body.
 fn http_get(addr: std::net::SocketAddr, path: &str) -> std::io::Result<String> {
@@ -303,30 +288,13 @@ fn scheme_table(gate: &mut Gate) -> String {
     out
 }
 
-fn main() -> ExitCode {
-    let smoke = std::env::args().any(|a| a == "smoke");
-    let mut gate = Gate {
-        failures: Vec::new(),
-    };
-
+fn main() -> Result<ExitCode, HarnessError> {
+    let smoke = smoke()?;
+    let mut gate = Gate::new();
     let mut report = smoke_run(&mut gate);
     if !smoke {
         report.push_str(&scheme_table(&mut gate));
     }
-
-    std::fs::create_dir_all("results").expect("create results/");
-    std::fs::write("results/service_report.txt", &report)
-        .expect("write results/service_report.txt");
-    println!("wrote results/service_report.txt");
-
-    if gate.failures.is_empty() {
-        println!("service: ALL GATES PASSED");
-        ExitCode::SUCCESS
-    } else {
-        println!("service: {} gate(s) FAILED:", gate.failures.len());
-        for f in &gate.failures {
-            println!("  - {f}");
-        }
-        ExitCode::FAILURE
-    }
+    write_report("results/service_report.txt", &report)?;
+    Ok(gate.finish("service"))
 }

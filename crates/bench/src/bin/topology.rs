@@ -7,96 +7,25 @@
 //! cargo run -p dve-bench --bin topology --release -- smoke   # CI gate
 //! ```
 //!
-//! Three phases, all gating the exit code:
-//!
-//! 1. **Mirror identity gate** — the explicit `mirror2` topology is a
-//!    representation change, not a model change: it must reproduce the
-//!    pinned mirror-pair goldens bit-identically at both seeds.
-//! 2. **Topology goldens** — `nway:4` and `twotier` hold their own
-//!    pinned cycle counts (mirrors `crates/core/tests/goldens.rs`).
-//! 3. **Sweep** — every topology × Dvé scheme on the pinned backprop
-//!    trace: cycles, replica-read share, inter-node traffic, and the
-//!    per-edge message split, re-run to prove bit-identical
-//!    determinism. Written to `results/topology_report.txt`.
+//! The sweep runs every topology × Dvé scheme on the pinned backprop
+//! trace: cycles, replica-read share, inter-node traffic, and the
+//! per-edge message split, re-run to prove bit-identical determinism,
+//! and gates the exit code on the placement's structural invariants.
+//! It is written to `results/topology_report.txt`. The pinned
+//! per-placement cycle counts live in `crates/core/tests/goldens.rs`.
 
 use dve::config::{Scheme, SystemConfig, TopologySpec};
 use dve::system::{RunResult, System};
-use dve_workloads::{catalog, WorkloadProfile};
+use dve_bench::gate::{smoke, write_report, Gate, HarnessError};
+use dve_bench::profile;
+use dve_workloads::WorkloadProfile;
 use std::fmt::Write as _;
 use std::process::ExitCode;
 
-/// Pinned mirror-pair goldens (backprop, 500 measured ops/thread,
-/// warm-up 50) — must match `crates/core/tests/goldens.rs`.
-const GOLDENS: &[(u64, Scheme, u64)] = &[
-    (42, Scheme::BaselineNuma, 92_408),
-    (42, Scheme::DveAllow, 77_905),
-    (42, Scheme::DveDeny, 54_962),
-    (0x2026_0806, Scheme::BaselineNuma, 91_014),
-    (0x2026_0806, Scheme::DveAllow, 79_614),
-    (0x2026_0806, Scheme::DveDeny, 54_436),
-];
-
-/// Pinned non-mirror goldens, same regime — must match
-/// `crates/core/tests/goldens.rs`.
-const TOPOLOGY_GOLDENS: &[(TopologySpec, u64, Scheme, u64)] = &[
-    (TopologySpec::Nway(4), 42, Scheme::DveAllow, 96_160),
-    (TopologySpec::Nway(4), 42, Scheme::DveDeny, 86_172),
-    (TopologySpec::Nway(4), 0x2026_0806, Scheme::DveAllow, 96_703),
-    (TopologySpec::Nway(4), 0x2026_0806, Scheme::DveDeny, 90_514),
-    (TopologySpec::TwoTier, 42, Scheme::DveAllow, 92_408),
-    (TopologySpec::TwoTier, 42, Scheme::DveDeny, 93_525),
-    (TopologySpec::TwoTier, 0x2026_0806, Scheme::DveAllow, 91_014),
-    (TopologySpec::TwoTier, 0x2026_0806, Scheme::DveDeny, 93_151),
-];
-
-struct Gate {
-    failures: Vec<String>,
-}
-
-impl Gate {
-    fn check(&mut self, ok: bool, what: impl Into<String>) {
-        let what = what.into();
-        if ok {
-            println!("  ok   {what}");
-        } else {
-            println!("  FAIL {what}");
-            self.failures.push(what);
-        }
-    }
-}
-
-fn backprop() -> WorkloadProfile {
-    catalog()
-        .into_iter()
-        .find(|p| p.name == "backprop")
-        .expect("backprop in catalog")
-}
-
-/// Table II config on `spec`, shrinking the core count to the nearest
+/// One sweep run, returning the system so the report can read per-edge
+/// link stats off the fabric. The core count shrinks to the nearest
 /// multiple of the socket count when 16 does not partition (nway:3
 /// drops to 15 cores — cores must split evenly over sockets).
-fn topo_cfg(spec: TopologySpec, scheme: Scheme) -> SystemConfig {
-    let mut cfg = SystemConfig::table_ii(scheme);
-    cfg.engine.cores -= cfg.engine.cores % spec.sockets();
-    cfg.set_topology(spec);
-    cfg
-}
-
-fn run_topo(
-    p: &WorkloadProfile,
-    spec: TopologySpec,
-    scheme: Scheme,
-    ops: u64,
-    seed: u64,
-) -> RunResult {
-    let mut cfg = topo_cfg(spec, scheme);
-    cfg.ops_per_thread = ops;
-    cfg.warmup_per_thread = ops / 10;
-    System::new(cfg, p, seed).run()
-}
-
-/// One sweep run, returning the system so the report can read per-edge
-/// link stats off the fabric.
 fn run_sweep_cell(
     p: &WorkloadProfile,
     spec: TopologySpec,
@@ -104,40 +33,15 @@ fn run_sweep_cell(
     ops: u64,
     seed: u64,
 ) -> (RunResult, System) {
-    let cfg = topo_cfg(spec, scheme);
+    let mut cfg = SystemConfig::table_ii(scheme);
+    cfg.engine.cores -= cfg.engine.cores % spec.sockets();
+    cfg.set_topology(spec);
     let mut sys = System::new(cfg, p, seed);
     sys.warm_up();
     sys.begin_region();
     sys.step_ops(ops);
     let r = sys.finish_region();
     (r, sys)
-}
-
-fn golden_gates(gate: &mut Gate, p: &WorkloadProfile) {
-    println!("-- mirror identity gate: explicit mirror2 vs pinned goldens --");
-    for &(seed, scheme, golden) in GOLDENS {
-        let r = run_topo(p, TopologySpec::Mirror2, scheme, 500, seed);
-        gate.check(
-            r.cycles == golden,
-            format!(
-                "mirror2 {} seed={seed:#x}: {} cycles (golden {golden})",
-                scheme.label(),
-                r.cycles
-            ),
-        );
-    }
-    println!("-- topology goldens: nway:4 and twotier pinned counts --");
-    for &(spec, seed, scheme, golden) in TOPOLOGY_GOLDENS {
-        let r = run_topo(p, spec, scheme, 500, seed);
-        gate.check(
-            r.cycles == golden,
-            format!(
-                "{spec} {} seed={seed:#x}: {} cycles (golden {golden})",
-                scheme.label(),
-                r.cycles
-            ),
-        );
-    }
 }
 
 fn sweep(gate: &mut Gate, p: &WorkloadProfile, ops: u64) -> String {
@@ -220,30 +124,13 @@ fn sweep(gate: &mut Gate, p: &WorkloadProfile, ops: u64) -> String {
     report
 }
 
-fn main() -> ExitCode {
-    let smoke = std::env::args().any(|a| a == "smoke");
-    let ops: u64 = if smoke { 300 } else { 2000 };
-    let p = backprop();
-    let mut gate = Gate {
-        failures: Vec::new(),
-    };
+fn main() -> Result<ExitCode, HarnessError> {
+    let ops: u64 = if smoke()? { 300 } else { 2000 };
+    let p = profile("backprop");
+    let mut gate = Gate::new();
 
-    golden_gates(&mut gate, &p);
     let report = sweep(&mut gate, &p, ops);
-
-    std::fs::create_dir_all("results").ok();
-    std::fs::write("results/topology_report.txt", &report).expect("write topology_report.txt");
-    println!("wrote results/topology_report.txt");
+    write_report("results/topology_report.txt", &report)?;
     print!("{report}");
-
-    if gate.failures.is_empty() {
-        println!("topology: all gates passed");
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("topology: {} gate(s) failed:", gate.failures.len());
-        for f in &gate.failures {
-            eprintln!("  - {f}");
-        }
-        ExitCode::FAILURE
-    }
+    Ok(gate.finish("topology"))
 }

@@ -9,12 +9,17 @@
 //! (plus 10% warm-up) — far past the point where the *normalized*
 //! metrics of the statistical workload clones stabilize. Set `DVE_OPS`
 //! to override.
+//!
+//! The gate binaries (`chaos`, `topology`, `service`, `perf`,
+//! `campaign`, `conformance`) report through [`gate`].
 
 use dve::config::{Scheme, SystemConfig};
 use dve::metrics::GroupedSpeedups;
 use dve::system::{RunResult, System};
 use dve_sim::rng::derive_seed;
 use dve_workloads::{catalog, WorkloadProfile};
+
+pub mod gate;
 
 /// Default measured memory operations per thread.
 pub const DEFAULT_OPS: u64 = 30_000;
@@ -43,11 +48,24 @@ pub fn workload_seed(name: &str) -> u64 {
 
 /// Reads the per-thread op budget from `DVE_OPS`, defaulting to
 /// [`DEFAULT_OPS`].
+///
+/// # Panics
+///
+/// Panics, naming the variable, if `DVE_OPS` is set but malformed.
 pub fn ops_from_env() -> u64 {
-    std::env::var("DVE_OPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(DEFAULT_OPS)
+    gate::env_u64("DVE_OPS", DEFAULT_OPS).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// The catalog workload called `name`.
+///
+/// # Panics
+///
+/// Panics if the catalog has no such workload.
+pub fn profile(name: &str) -> WorkloadProfile {
+    catalog()
+        .into_iter()
+        .find(|p| p.name == name)
+        .unwrap_or_else(|| panic!("no workload {name:?} in the catalog"))
 }
 
 /// Runs one workload under one scheme with a custom config tweak.

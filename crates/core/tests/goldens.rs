@@ -143,7 +143,9 @@ fn inert_armed(source_seed: u64, hammer: bool, thermal: bool, aging: bool) -> Ch
 /// must replay *all* pinned goldens bit-identically: the sources poll
 /// the live fabric on their grids but never touch timed state, so the
 /// cycle counts cannot move. This is the full deterministic matrix —
-/// both seeds, all three schemes, and every pinned topology.
+/// both seeds, all three schemes, and every pinned topology. On the
+/// mirror pair the armed run must also match the disarmed run's whole
+/// latency breakdown and record no recovery activity at all.
 #[test]
 fn armed_but_inert_sources_preserve_every_golden() {
     let p = catalog()
@@ -155,7 +157,10 @@ fn armed_but_inert_sources_preserve_every_golden() {
         cfg.set_topology(spec);
         cfg.ops_per_thread = 500;
         cfg.warmup_per_thread = 50;
-        cfg.chaos = Some(inert_armed(seed ^ 0xD0E, true, true, true));
+        cfg.chaos = Some(ChaosConfig {
+            correlated: Some(CorrelatedConfig::inert(seed ^ 0xD0E)),
+            ..ChaosConfig::inert()
+        });
         System::new(cfg, &p, seed).run()
     };
     for &(seed, scheme, cycles) in GOLDENS {
@@ -163,6 +168,19 @@ fn armed_but_inert_sources_preserve_every_golden() {
         assert_eq!(
             r.cycles, cycles,
             "inert sources moved mirror2 golden: seed={seed:#x} {scheme:?}"
+        );
+        let plain = run_workload(&p, scheme, 500, seed);
+        assert_eq!(
+            r.latency, plain.latency,
+            "inert sources moved the breakdown: seed={seed:#x} {scheme:?}"
+        );
+        assert!(
+            !r.recovery.any_activity(),
+            "inert sources recorded recovery activity: seed={seed:#x} {scheme:?}"
+        );
+        assert_eq!(
+            r.latency.recovery, 0,
+            "inert sources cost recovery cycles: seed={seed:#x} {scheme:?}"
         );
     }
     for &(spec, seed, scheme, cycles) in TOPOLOGY_GOLDENS {
