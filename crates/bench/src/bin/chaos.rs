@@ -19,7 +19,7 @@
 //! 2. **Randomized matrix** — seed-derived schedules plus a link
 //!    outage window and paced patrol scrub, across schemes × MSHR
 //!    depths × seeds. Every run checks: all scheduled work completes,
-//!    the [`RecoveryLedger`](dve::chaos::RecoveryLedger) partition
+//!    the [`RecoveryLedger`] partition
 //!    invariants hold, the latency breakdown conserves end-to-end
 //!    (zero warm-up runs pin it to the engine's per-class sums), and
 //!    the run reproduces bit-for-bit when repeated.

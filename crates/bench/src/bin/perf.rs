@@ -47,11 +47,11 @@
 //!    hide latency; simulated cycles are deterministic, so this cannot
 //!    flake with runner speed).
 
-use criterion::{black_box, Criterion};
 use dve::builder::SystemBuilder;
 use dve::config::Scheme;
 use dve_bench::gate::{smoke, write_report, Gate, HarnessError};
 use dve_bench::profile;
+use dve_bench::timing::MicroBench;
 use dve_campaign::runner::{run_campaign, CampaignConfig, SamplingMode};
 use dve_campaign::trial::CampaignScheme;
 use dve_ecc::code::DetectionCode;
@@ -60,6 +60,7 @@ use dve_ecc::rs::Rs;
 use dve_ecc::rs16::Rs16Detect;
 use dve_sim::latency::Component;
 use std::fmt::Write as _;
+use std::hint::black_box;
 use std::process::{Command, ExitCode};
 use std::time::{Duration, Instant};
 
@@ -111,7 +112,7 @@ fn field(fields: &[(String, f64)], name: &str) -> f64 {
         .unwrap_or_else(|| panic!("gate metric {name} missing"))
 }
 
-fn bench_ecc(c: &mut Criterion) -> Vec<(String, f64)> {
+fn bench_ecc(c: &mut MicroBench) -> Vec<(String, f64)> {
     let chipkill = Rs::chipkill();
     let dsd = Rs::dsd();
     let tsd = Rs16Detect::tsd(64);
@@ -129,7 +130,7 @@ fn bench_ecc(c: &mut Criterion) -> Vec<(String, f64)> {
     tsd_err[40] ^= 0x99;
 
     let mut entries = Vec::new();
-    let mut push = |c: &mut Criterion, name: &str, scale: f64| {
+    let mut push = |c: &mut MicroBench, name: &str, scale: f64| {
         let m = c.take_measurements().pop().expect("bench recorded nothing");
         entries.push((name.to_string(), m.median_ns_per_iter / scale));
     };
@@ -414,8 +415,7 @@ fn main() -> Result<ExitCode, HarnessError> {
     let rev = git_rev();
     println!("perf baseline @ {rev} ({mode})");
 
-    let mut c = Criterion::default();
-    c.quiet(true).measurement_time(if smoke {
+    let mut c = MicroBench::new(if smoke {
         Duration::from_millis(1)
     } else {
         Duration::from_millis(20)

@@ -11,7 +11,8 @@
 //! to override.
 //!
 //! The gate binaries (`chaos`, `topology`, `service`, `perf`,
-//! `campaign`, `conformance`) report through [`gate`].
+//! `campaign`, `conformance`) report through [`gate`]; `perf` times its
+//! micro-benchmarks with [`timing`].
 
 use dve::config::{Scheme, SystemConfig};
 use dve::metrics::GroupedSpeedups;
@@ -20,6 +21,7 @@ use dve_sim::rng::derive_seed;
 use dve_workloads::{catalog, WorkloadProfile};
 
 pub mod gate;
+pub mod timing;
 
 /// Default measured memory operations per thread.
 pub const DEFAULT_OPS: u64 = 30_000;

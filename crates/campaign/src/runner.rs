@@ -16,7 +16,7 @@
 //! simply claims fewer chunks, so stragglers no longer bound the
 //! wall-clock. Chunks are large enough (64–65536 trials) that cursor
 //! traffic is negligible, and each worker accumulates into its own
-//! cache-line-padded [`Partial`] slot, so no two workers ever write the
+//! cache-line-padded `Partial` slot, so no two workers ever write the
 //! same line (no false sharing on the accumulators).
 
 use crate::sampler::{StrataPlan, Stratum};

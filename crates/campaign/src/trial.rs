@@ -11,7 +11,7 @@
 //!    miscorrections produce *bona fide* SDC outcomes rather than
 //!    modeled ones.
 //! 3. **System replay**: the same fault set is installed into
-//!    `dve-dram` [`FaultState`] hooks under a [`RecoverableMemory`]
+//!    `dve-dram` [`FaultState`](dve_dram::fault::FaultState) hooks under a [`RecoverableMemory`]
 //!    pair (or a bare controller for Chipkill), a seeded
 //!    `dve-workloads` trace is replayed, the patrol [`Scrubber`] runs a
 //!    pass, transient faults clear on the §V-B2 write-repair, and the

@@ -10,7 +10,7 @@
 //!
 //! Time travels through the fabric as a [`Stamp`], not a bare cycle
 //! count: every timed service advances the stamp by charging its cycles
-//! to a named [`Component`](dve_sim::latency::Component), so the
+//! to a named [`Component`], so the
 //! [`LatencyBreakdown`](dve_sim::latency::LatencyBreakdown) an access
 //! returns always sums to its end-to-end latency (conservation by
 //! construction — the invariant the conformance harness checks on every

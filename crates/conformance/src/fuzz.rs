@@ -3,7 +3,7 @@
 //! Traces are generated *independently of engine outcomes* — the ops a
 //! trace contains never depend on what the engine returned — so any
 //! trace replays bit-identically and every subsequence of a trace is
-//! itself a valid trace. That property is what makes [`crate::shrink`]
+//! itself a valid trace. That property is what makes [`crate::shrink`](mod@crate::shrink)
 //! sound.
 //!
 //! Generation is seeded through [`dve_sim::rng::derive_seed`] (the one
@@ -37,7 +37,7 @@ const P_SWITCH: f64 = 0.003;
 
 /// The 32-line pool every fuzz trace draws from: lines 0–15 are the
 /// shared region (pages 0–1, homes interleaved), lines 16–31 are four
-/// thread-private regions of [`PRIVATE_LINES`] each (pages 2–3). With
+/// thread-private regions of `PRIVATE_LINES` each (pages 2–3). With
 /// the `Pages([0, 1])` replication scope, the shared region is
 /// replicated and the private regions take the §V-D single-copy
 /// fallback.
@@ -192,7 +192,7 @@ fn stream_of(name: &str) -> u64 {
 }
 
 /// Fuzzes one configuration for `total_ops` operations (in
-/// [`CHUNK_OPS`]-sized traces, cycling through the Table III workload
+/// `CHUNK_OPS`-sized traces, cycling through the Table III workload
 /// profiles) and stops at the first violation.
 pub fn fuzz_config(
     cfg: &FuzzConfig,

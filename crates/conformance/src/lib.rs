@@ -30,7 +30,7 @@
 //!   Dvé×{allow,deny}×{speculative}, replicated-subset scopes, and
 //!   tiny replica-directory capacities that stress evictions, plus
 //!   degraded-mode transitions and dynamic protocol switches.
-//! * [`shrink`] — a delta-debugging (ddmin) shrinker that minimizes a
+//! * [`shrink`](mod@shrink) — a delta-debugging (ddmin) shrinker that minimizes a
 //!   violating op trace to a replayable regression case.
 //! * [`mutation`] — the harness-validation gate: re-runs the fuzzer
 //!   against engines with deliberately seeded protocol bugs

@@ -58,8 +58,8 @@ impl Scheme {
 
 impl std::fmt::Display for Scheme {
     /// Renders the stable report label ([`Scheme::label`]); the inverse
-    /// of [`Scheme::from_str`], so schemes round-trip through config
-    /// text.
+    /// of the [`FromStr`](std::str::FromStr) impl, so schemes
+    /// round-trip through config text.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.label())
     }
@@ -128,7 +128,7 @@ impl TopologySpec {
 
 impl std::fmt::Display for TopologySpec {
     /// Stable config-text form: `mirror2`, `nway:4`, `twotier` (the
-    /// inverse of [`TopologySpec::from_str`]).
+    /// inverse of the [`FromStr`](std::str::FromStr) impl).
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             TopologySpec::Mirror2 => f.write_str("mirror2"),

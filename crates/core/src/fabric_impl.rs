@@ -564,7 +564,7 @@ impl SystemFabric {
 
 impl Fabric for SystemFabric {
     /// LLC-slice → directory route. The two agents are colocated on the
-    /// directory tile ([`DIR_NODE`]), so this is the real zero-hop
+    /// directory tile (`DIR_NODE`), so this is the real zero-hop
     /// route; the per-core traversal is carried by
     /// [`Fabric::mesh_latency_core`] instead. (This retired the old
     /// `mesh_mean` scalar, which double-charged an average traversal on

@@ -13,7 +13,7 @@
 //!   configured threshold. Entirely demand-driven: no RNG at all.
 //! * [`ThermalSource`] — per-rank Bernoulli fault arrivals whose rates
 //!   are Arrhenius-scaled from the controllers'
-//!   [`ThermalProfile`](dve_dram::thermal::ThermalProfile) (hotter
+//!   [`ThermalProfile`] (hotter
 //!   ranks fail proportionally more often).
 //! * [`AgingSource`] — hard line faults whose arrival probability ramps
 //!   linearly with simulated time (wear-out FIT growth).

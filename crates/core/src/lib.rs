@@ -10,8 +10,9 @@
 //! win.
 //!
 //! This crate is the top of the workspace: it assembles the substrates
-//! (`dve-dram`, `dve-noc`, `dve-coherence`, `dve-workloads`,
-//! `dve-osmem`) into a runnable system.
+//! (`dve-dram`, `dve-noc`, `dve-coherence`, `dve-workloads`) into a
+//! runnable system. Replicas are placed by `dve_noc::topology`; the OS
+//! layer in `dve-osmem` is not part of the timed system.
 //!
 //! * [`config`] — Table II system configuration and the scheme catalog
 //!   (baseline NUMA, Intel-mirroring++, Dvé allow / deny / dynamic).

@@ -3,7 +3,7 @@
 //! Dvé's central architectural move is that *detection* and *correction*
 //! are different operations with different providers: every code in this
 //! crate implements [`DetectionCode`]; only codes that can reconstruct
-//! data locally (SEC-DED, Chipkill RS) also implement [`CorrectionCode`].
+//! data locally (Chipkill RS) also implement [`CorrectionCode`].
 //! The memory-controller model consumes these traits, and when a
 //! detect-only code flags a codeword, the Dvé recovery path reads the
 //! replica instead.

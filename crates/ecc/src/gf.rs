@@ -18,7 +18,7 @@
 //! biggest win for the TSD hot path that every campaign trial and scrub
 //! read funnels through.
 //!
-//! The original bit-serial implementations are retained in [`reference`]
+//! The original bit-serial implementations are retained in [`reference`](mod@reference)
 //! as oracles: they are never called on any hot path, but the property
 //! tests (`crates/ecc/tests/proptests.rs`) check the tables against them
 //! on random operand pairs, and the perf harness (`dve-bench --bin
@@ -248,7 +248,7 @@ impl Gf256 {
 /// Arithmetic in GF(2^16) (16-bit symbols, used by the TSD code).
 ///
 /// Table-driven since the decode-pipeline overhaul; the bit-serial
-/// originals live in [`reference`].
+/// originals live in [`reference`](mod@reference).
 ///
 /// # Example
 ///

@@ -2,20 +2,20 @@
 //!
 //! Dvé (ISCA 2021) decouples error *detection* (kept local, via ECC
 //! codewords at the memory controller) from error *correction* (performed
-//! by reading the replica on the other socket). This crate implements all
-//! the codes the paper builds on or compares against:
+//! by reading the replica on the other socket). This crate implements the
+//! codes the fault-injection campaign, the DRAM model and the perf
+//! harness run:
 //!
-//! * [`hamming`] — SEC-DED (72,64) Hamming code: the classic single-error
-//!   correct / double-error detect baseline ("SEC-DED" in Fig. 1).
+//! * [`gf`] — GF(2^8) and GF(2^16) arithmetic, table-driven, with a
+//!   shift-and-add reference oracle.
 //! * [`rs`] — Reed–Solomon codes over GF(2^8), the substrate of Chipkill.
 //!   `Rs::new(18, 16, ..)` is the paper's RS(18,16,8) configuration
-//!   (§IV-A); decoding implements Berlekamp–Massey + Chien + Forney, so
-//!   the same type serves as a *correcting* Chipkill code or a
-//!   *detect-only* DSD code depending on the [`rs::DecodePolicy`].
+//!   (§IV-A); two-check codes correct a single symbol in closed form and
+//!   longer codes run Berlekamp–Massey + Chien + Forney, so the same type
+//!   serves as a *correcting* Chipkill code or a *detect-only* DSD code
+//!   depending on the [`rs::DecodePolicy`].
 //! * [`rs16`] — detection-only Reed–Solomon over GF(2^16): the TSD
 //!   (triple-symbol-detect) code the paper borrows from Multi-ECC.
-//! * [`crc`] — DDR4 write-CRC (CRC-8 ATM), CRC-16/CCITT and CRC-32 bus
-//!   codes used for channel error detection.
 //! * [`code`] — the [`code::DetectionCode`] / [`code::CorrectionCode`]
 //!   traits and the [`code::CheckOutcome`] vocabulary (`NoError`,
 //!   `Corrected`, `DetectedUncorrectable`) shared with the memory
@@ -23,8 +23,6 @@
 //! * [`inject`] — fault injection on codewords at bit, symbol, chip and
 //!   burst granularity, used by the recovery tests and the empirical
 //!   detection-coverage experiments.
-//! * [`loghash`] — MemGuard-style incremental multiset log hashes, the
-//!   alternative detection mechanism §IV points to for future work.
 //!
 //! # Example: detect with ECC, correct from the replica
 //!
@@ -42,15 +40,11 @@
 //! ```
 
 pub mod code;
-pub mod crc;
 pub mod gf;
-pub mod hamming;
 pub mod inject;
-pub mod loghash;
 pub mod rs;
 pub mod rs16;
 
 pub use code::{CheckOutcome, CorrectionCode, DetectionCode};
-pub use hamming::SecDed;
 pub use rs::{DecodePolicy, Rs};
 pub use rs16::Rs16Detect;

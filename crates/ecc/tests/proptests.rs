@@ -1,9 +1,7 @@
 //! Property-based tests for the error-control codes.
 
 use dve_ecc::code::{CheckOutcome, CorrectionCode, DetectionCode};
-use dve_ecc::crc::{Crc16Ccitt, Crc32, Crc8Atm};
 use dve_ecc::gf::{reference, Gf16, Gf256};
-use dve_ecc::hamming::SecDed;
 use dve_ecc::inject::{FaultInjector, FaultKind};
 use dve_ecc::rs::{DecodePolicy, Rs};
 use dve_ecc::rs16::Rs16Detect;
@@ -411,48 +409,6 @@ proptest! {
         for (i, &byte) in a.iter().enumerate() {
             prop_assert_eq!(byte != 0, ta.contains(&i));
         }
-    }
-
-    // ---- SEC-DED ------------------------------------------------------
-
-    #[test]
-    fn secded_corrects_single_bits(word in any::<[u8; 8]>(), bit in 0usize..72) {
-        let code = SecDed::new();
-        let mut cw = code.encode(&word);
-        cw[bit / 8] ^= 1 << (bit % 8);
-        let outcome = code.check_and_repair(&mut cw);
-        prop_assert_eq!(outcome, CheckOutcome::Corrected { symbols_fixed: 1 });
-        prop_assert_eq!(code.extract_data(&cw), word.to_vec());
-    }
-
-    #[test]
-    fn secded_detects_double_bits(word in any::<[u8; 8]>(), a in 0usize..72, b in 0usize..72) {
-        prop_assume!(a != b);
-        let code = SecDed::new();
-        let mut cw = code.encode(&word);
-        cw[a / 8] ^= 1 << (a % 8);
-        cw[b / 8] ^= 1 << (b % 8);
-        let detected =
-            matches!(code.check(&cw), CheckOutcome::DetectedUncorrectable { .. });
-        prop_assert!(detected);
-    }
-
-    // ---- CRC ------------------------------------------------------------
-
-    #[test]
-    fn crc_detects_any_single_bit_flip(
-        data in proptest::collection::vec(any::<u8>(), 1..128),
-        bit in any::<usize>(),
-    ) {
-        let bit = bit % (data.len() * 8);
-        let c8 = Crc8Atm::checksum(&data);
-        let c16 = Crc16Ccitt::checksum(&data);
-        let c32 = Crc32::checksum(&data);
-        let mut bad = data.clone();
-        bad[bit / 8] ^= 1 << (bit % 8);
-        prop_assert!(!Crc8Atm::verify(&bad, c8));
-        prop_assert!(!Crc16Ccitt::verify(&bad, c16));
-        prop_assert!(!Crc32::verify(&bad, c32));
     }
 }
 

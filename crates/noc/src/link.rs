@@ -320,12 +320,11 @@ impl InterSocketLink {
 /// arithmetic, one port per direction.
 ///
 /// Outage windows come in two layers: *global* windows (the original
-/// [`ChaosConfig`]-style whole-fabric outage, consulted by the
-/// system's degraded-mode logic) apply to every edge, and *per-edge*
-/// windows apply to one direction of one link only. A send retries
-/// with the same bounded exponential backoff as the two-socket link.
-///
-/// [`ChaosConfig`]-style: InterSocketLink::set_outages
+/// `dve::chaos::ChaosConfig`-style whole-fabric outage, consulted by
+/// the system's degraded-mode logic) apply to every edge, and
+/// *per-edge* windows apply to one direction of one link only. A send
+/// retries with the same bounded exponential backoff as the two-socket
+/// link.
 ///
 /// # Example
 ///

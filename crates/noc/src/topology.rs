@@ -73,7 +73,7 @@ impl EdgeParams {
 ///
 /// Edges exist between every ordered pair of distinct nodes (the
 /// fabric is a full mesh of point-to-point links); each edge carries
-/// its own latency/bandwidth, defaulting to [`Topology::default_edge`]
+/// its own latency/bandwidth, defaulting to `Topology::default_edge`
 /// unless overridden per edge.
 ///
 /// # Example

@@ -1,29 +1,22 @@
 //! # dve-osmem — OS support for on-demand memory replication (§III, §V-D)
 //!
-//! Dvé maps every replicated physical page to a partner page on the
-//! *other* socket, either through a fixed function (when all memory is
-//! replicated en masse) or through the OS-managed **Replica Map Table**
-//! (RMT) for flexible, on-demand replication. This crate models that
-//! software layer:
+//! Dvé maps every replicated physical page to a partner page on another
+//! node through the OS-managed **Replica Map Table** (RMT) for flexible,
+//! on-demand replication. This crate models that software layer; the
+//! examples `on_demand_replication` and `aging_fleet` drive it. The timed
+//! system does not: it places replicas with
+//! `dve_noc::topology::PlacementMap`.
 //!
-//! * [`mapping`] — the paper's fixed-function mapping
-//!   `f(p) = p/L + 1 − 2S` (socket-interleaved page pairs, identical
-//!   DRAM-internal coordinates).
 //! * [`rmt`] — the RMT as a linear table and as a 2-level radix tree,
 //!   plus the directory-side RMT cache with hit/walk statistics. Entries
 //!   are `page → (node, frame)` [`ReplicaLoc`]s, so replicas can live on
 //!   any node of an N-node topology, not just "the other socket".
-//! * [`placement`] — pluggable placement policies (mirror-2,
-//!   round-robin N-way, two-tier local-compressed + remote-full) with
-//!   per-node frame allocation and capacity accounting.
 //! * [`allocator`] — a two-node physical page allocator that builds
 //!   replica pairs across sockets, carves capacity balloon-style from
 //!   free memory, and hot-plugs it back when replication is disabled.
 //! * [`policy`] — the control-plane decision logic: hysteresis
 //!   thresholds on memory utilization and per-process replication flags
 //!   (the PCB bit of §V-D).
-//! * [`heap`] — the `malloc_replicated` façade: applications place just
-//!   their failure-resilient data segments on replicated pages.
 //!
 //! # Example
 //!
@@ -36,15 +29,9 @@
 //! ```
 
 pub mod allocator;
-pub mod heap;
-pub mod mapping;
-pub mod placement;
 pub mod policy;
 pub mod rmt;
 
 pub use allocator::{PagePair, ReplicaAllocator};
-pub use heap::ReplicatedHeap;
-pub use mapping::FixedMapping;
-pub use placement::ReplicaPlacer;
 pub use policy::ReplicationPolicy;
 pub use rmt::{ReplicaLoc, ReplicaMapTable, RmtCache, RmtOrganization};

@@ -11,9 +11,8 @@
 //!
 //! In the original two-socket system the node was implicit ("the other
 //! socket") and the table held a bare frame number. The N-node
-//! placement layer (see [`crate::placement`] and
-//! `dve_noc::topology`) makes the node explicit: entries are
-//! [`ReplicaLoc`]s, chosen by a pluggable placement policy.
+//! placement policies of `dve_noc::topology` make the node explicit:
+//! entries are [`ReplicaLoc`]s.
 
 use dve_noc::topology::NodeId;
 use std::collections::HashMap;
@@ -225,8 +224,7 @@ mod tests {
     use super::*;
 
     /// Shorthand: a replica on node 1 at `frame` (the two-socket
-    /// mirror's only choice; placement tests with other nodes live in
-    /// `crate::placement`).
+    /// mirror's only choice).
     fn loc(frame: u64) -> ReplicaLoc {
         ReplicaLoc { node: 1, frame }
     }

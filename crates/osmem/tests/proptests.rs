@@ -1,9 +1,6 @@
 //! Property-based tests for the OS memory-replication layer.
 
-use dve_noc::topology::{EdgeParams, PlacementPolicy, Topology};
 use dve_osmem::allocator::ReplicaAllocator;
-use dve_osmem::mapping::FixedMapping;
-use dve_osmem::placement::ReplicaPlacer;
 use dve_osmem::rmt::{ReplicaLoc, ReplicaMapTable, RmtCache, RmtOrganization};
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -13,19 +10,6 @@ fn loc(node: usize, frame: u64) -> ReplicaLoc {
 }
 
 proptest! {
-    // The fixed-function mapping is an involution that always crosses
-    // sockets and preserves page offsets.
-    #[test]
-    fn fixed_mapping_involution(page in 0u64..1_000_000, offset in 0u64..4096) {
-        let m = FixedMapping::new(4096);
-        let r = m.replica_page(page);
-        prop_assert_eq!(m.replica_page(r), page);
-        prop_assert_ne!(m.socket_of_page(page), m.socket_of_page(r));
-        let addr = page * 4096 + offset;
-        prop_assert_eq!(m.replica_addr(addr) % 4096, offset);
-        prop_assert_eq!(m.replica_addr(m.replica_addr(addr)), addr);
-    }
-
     // Both RMT organizations implement identical map semantics.
     #[test]
     fn rmt_organizations_agree(
@@ -104,50 +88,5 @@ proptest! {
         prop_assert_eq!(a.free_pages(0), pages);
         prop_assert_eq!(a.free_pages(1), pages);
         prop_assert_eq!(a.live_pairs(), 0);
-    }
-
-    // Placement round-trip over random N-node topologies: place/lookup/
-    // unplace agree with the RMT, the replica never lands on the home
-    // socket (crossing nodes is the whole point), and unplacing
-    // everything leaves both structures empty.
-    #[test]
-    fn placement_round_trip_over_random_topologies(
-        sockets in 2usize..6,
-        policy_sel in 0u8..2,
-        raw_pages in proptest::collection::vec(0u64..5_000, 1..64),
-        org_radix in any::<bool>(),
-    ) {
-        let (topo, policy) = if policy_sel == 0 {
-            (
-                Topology::symmetric(sockets, EdgeParams::qpi()),
-                PlacementPolicy::RoundRobin,
-            )
-        } else {
-            let topo = Topology::two_tier(EdgeParams::qpi(), EdgeParams::far_tier());
-            let far = topo.nodes() - 1;
-            (topo, PlacementPolicy::TwoTier { far })
-        };
-        let mut placer = ReplicaPlacer::new(&topo, policy);
-        let org = if org_radix { RmtOrganization::Radix2 } else { RmtOrganization::Linear };
-        let mut rmt = ReplicaMapTable::new(org);
-        let pages: std::collections::HashSet<u64> = raw_pages.into_iter().collect();
-
-        let mut placed = HashMap::new();
-        for &page in &pages {
-            let l = placer.place(page, &mut rmt);
-            prop_assert_ne!(l.node, placer.home_of(page));
-            prop_assert_eq!(l.node, placer.replica_node_of(page));
-            prop_assert_eq!(rmt.lookup(page), Some(l));
-            // No two live replicas on the same node share a frame.
-            prop_assert!(!placed.values().any(|&ol| ol == l));
-            placed.insert(page, l);
-        }
-        let total: u64 = placer.replica_counts().iter().sum();
-        prop_assert_eq!(total, pages.len() as u64);
-        for &page in &pages {
-            prop_assert_eq!(placer.unplace(page, &mut rmt), placed.get(&page).copied());
-        }
-        prop_assert_eq!(rmt.len(), 0);
-        prop_assert_eq!(placer.replica_counts().iter().sum::<u64>(), 0);
     }
 }

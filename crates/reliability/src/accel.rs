@@ -135,7 +135,7 @@ impl WindowProbs {
     }
 }
 
-/// The accelerated analogue of [`ReliabilityModel`]: exact per-window
+/// The accelerated analogue of [`ReliabilityModel`](crate::model::ReliabilityModel): exact per-window
 /// combinatorics over one DIMM (Chipkill) or one DIMM pair (Dvé).
 ///
 /// # Example

@@ -3,12 +3,19 @@
 //! The service is launched from scripts and CI, so its configuration
 //! is a flat, whitespace-separated `key=value` string (e.g.
 //! `"scheme=dve-deny epoch_ops=4096 chaos_seed=7"`) rather than a
-//! builder chain. [`ServiceConfig::from_str`] and
-//! [`ServiceConfig::fmt`](std::fmt::Display) are exact inverses, so a
+//! builder chain. Its [`FromStr`](std::str::FromStr) and
+//! [`Display`](std::fmt::Display) impls are exact inverses, so a
 //! config can be logged, copied out of a report, and replayed.
 
 use dve::config::{Scheme, TopologySpec};
 use dve_workloads::tenant::TenantMix;
+
+/// The most MSHR ways per core a config may ask for. Real cores have
+/// tens of L1 MSHRs, and the MSHR-depth sweep stops at 8. The live
+/// system allocates every core's MSHR bank at boot and scans it on each
+/// memory op, so a deeper bank only costs memory and time, and a huge
+/// one aborts `Service::start` with a capacity overflow.
+pub const MAX_MSHRS: usize = 256;
 
 /// Everything needed to boot a [`Service`](crate::Service).
 #[derive(Debug, Clone, PartialEq)]
@@ -24,7 +31,8 @@ pub struct ServiceConfig {
     pub workload: String,
     /// Master seed for the system build (placement, workload layout).
     pub seed: u64,
-    /// MSHR ways per core; >1 lets the epoch runner overlap misses.
+    /// MSHR ways per core, 1..=[`MAX_MSHRS`]; >1 lets the epoch
+    /// runner overlap misses.
     pub mshrs: usize,
     /// Epoch is cut as soon as this many ops are pending…
     pub epoch_ops: usize,
@@ -144,6 +152,9 @@ impl std::str::FromStr for ServiceConfig {
         if cfg.mshrs == 0 {
             return Err("mshrs must be >= 1".to_string());
         }
+        if cfg.mshrs > MAX_MSHRS {
+            return Err(format!("mshrs {} must be <= {MAX_MSHRS}", cfg.mshrs));
+        }
         if cfg.epoch_ops == 0 {
             return Err("epoch_ops must be >= 1".to_string());
         }
@@ -226,6 +237,19 @@ mod tests {
         assert_eq!(cfg.tenants, None);
         let cfg: ServiceConfig = "tenants=gold:2:60000,bronze:0:200000".parse().unwrap();
         assert_eq!(cfg.tenants.unwrap().tenants().len(), 2);
+    }
+
+    #[test]
+    fn mshrs_above_the_bound_are_rejected() {
+        let max = format!("mshrs={MAX_MSHRS}");
+        assert_eq!(max.parse::<ServiceConfig>().unwrap().mshrs, MAX_MSHRS);
+        for bad in [
+            format!("mshrs={}", MAX_MSHRS + 1),
+            format!("mshrs={}", usize::MAX),
+        ] {
+            let err = bad.parse::<ServiceConfig>().unwrap_err();
+            assert!(err.contains("mshrs"), "{bad}: {err}");
+        }
     }
 
     #[test]

@@ -202,7 +202,7 @@ pub struct Service {
 }
 
 impl Service {
-    /// Boots the service: builds the live [`System`](dve::system::System)
+    /// Boots the service: builds the live [`System`]
     /// for `cfg`, spawns the runner and the TCP listener, and returns
     /// once the listener is bound.
     pub fn start(cfg: &ServiceConfig) -> io::Result<Service> {
@@ -988,6 +988,20 @@ mod tests {
         drop(s);
         let report = service.shutdown();
         assert_eq!(report.submitted, 80);
+        assert!(report.conserves(), "{report:?}");
+    }
+
+    #[test]
+    fn deepest_accepted_mshr_bank_boots_and_serves() {
+        let text = format!(
+            "epoch_ops=64 queue_cap=4096 mshrs={}",
+            crate::config::MAX_MSHRS
+        );
+        let service = Service::start(&text.parse().unwrap()).unwrap();
+        let comps = service.session().submit(&gen_ops(0x5E, 200)).unwrap();
+        assert_eq!(comps.len(), 200);
+        let report = service.shutdown();
+        assert_eq!(report.completed, 200);
         assert!(report.conserves(), "{report:?}");
     }
 

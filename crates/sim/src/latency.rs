@@ -172,7 +172,7 @@ impl LatencyBreakdown {
 /// its breakdown once (zeros included, so per-component counts equal
 /// the op count), which gives two invariants for free:
 ///
-/// * each component histogram's [`LogHistogram::sum`] equals the
+/// * each component histogram's [`LogHistogram::sum`](crate::stats::LogHistogram::sum) equals the
 ///   cycles the aggregate breakdown charged to that component, and
 /// * every histogram's count equals the number of recorded ops.
 ///

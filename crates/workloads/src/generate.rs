@@ -73,7 +73,7 @@ pub struct Layout {
 /// layout and derived locality knobs, shared by every thread's stream.
 ///
 /// All per-thread mutable state lives in `ThreadState`, and the op
-/// synthesis itself ([`TraceShape::step`]) only ever touches the shape
+/// synthesis itself (`TraceShape::step`) only ever touches the shape
 /// plus *one* thread's state. That separation is what lets
 /// [`CoreTraceStream`] hand a single core's stream to a worker thread
 /// (the PDES trace-sharding path) while guaranteeing — structurally,
@@ -352,7 +352,7 @@ impl TraceGenerator {
 /// owns only that thread's mutable state — so it is `Send`, cheap to
 /// construct, and safe to drive from a PDES trace-sharding worker
 /// while sibling cores' streams advance on other threads. Timing
-/// cannot leak between streams because [`TraceShape::step`] reads
+/// cannot leak between streams because `TraceShape::step` reads
 /// nothing mutable but this one state.
 ///
 /// # Example

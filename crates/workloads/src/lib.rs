@@ -19,7 +19,8 @@
 //! per-thread operation stream (compute delays, reads, writes, sync
 //! events — the same event vocabulary as the paper's Prism traces).
 //! Every stream is seeded, so whole experiments are reproducible
-//! bit-for-bit.
+//! bit-for-bit; the generator is the one trace source, and no trace is
+//! ever written to or read from a file.
 //!
 //! # Example
 //!
@@ -38,10 +39,8 @@ pub mod generate;
 pub mod op;
 pub mod profile;
 pub mod tenant;
-pub mod trace_file;
 
 pub use generate::{CoreTraceStream, TraceGenerator, TraceShape};
 pub use op::Op;
 pub use profile::{catalog, SharingMix, WorkloadProfile};
 pub use tenant::{TenantMix, TenantProfile};
-pub use trace_file::{record_profile, TraceReader};

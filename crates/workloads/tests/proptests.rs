@@ -1,7 +1,6 @@
-//! Property-based tests for trace synthesis and the trace file format.
+//! Property-based tests for trace synthesis.
 
 use dve_workloads::op::{MemReq, Op};
-use dve_workloads::trace_file::{record_profile, TraceReader};
 use dve_workloads::{catalog, TraceGenerator};
 use proptest::prelude::*;
 
@@ -28,23 +27,12 @@ proptest! {
     #[test]
     fn generation_deterministic(profile_idx in 0usize..20, seed in any::<u64>()) {
         let p = &catalog()[profile_idx];
-        let a = record_profile(p, 4, 200, seed);
-        let b = record_profile(p, 4, 200, seed);
-        prop_assert_eq!(a, b);
-    }
-
-    // The binary format round-trips every op stream exactly.
-    #[test]
-    fn trace_file_roundtrip(profile_idx in 0usize..20, seed in any::<u64>(), ops in 1u64..300) {
-        let p = &catalog()[profile_idx];
-        let bytes = record_profile(p, 3, ops, seed);
-        let mut reader = TraceReader::new(bytes).unwrap();
-        let mut gen = TraceGenerator::new(p, 3, seed);
-        for t in 0..3 {
-            for _ in 0..ops {
-                prop_assert_eq!(reader.next_op(t), Some(gen.next_op(t)));
+        let mut a = TraceGenerator::new(p, 4, seed);
+        let mut b = TraceGenerator::new(p, 4, seed);
+        for t in 0..4 {
+            for _ in 0..200 {
+                prop_assert_eq!(a.next_op(t), b.next_op(t));
             }
-            prop_assert_eq!(reader.next_op(t), None);
         }
     }
 
