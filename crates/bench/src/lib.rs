@@ -1,9 +1,11 @@
-//! Shared harness code for the per-table / per-figure regenerators.
+//! Shared harness code for the table and figure regenerators.
 //!
-//! Each binary in `src/bin/` reproduces one table or figure of the
-//! paper; this library holds the common machinery: running the 20
-//! workloads under a scheme, collecting speedups in the paper's MPKI
-//! order, and rendering aligned text tables.
+//! `figures` renders every simulated paper figure (Fig. 1's performance
+//! column, Figs. 6–10, §VII energy and the ablations) from one
+//! deduplicated [`grid`] of runs; `table1` and `fig5` need no `System`
+//! run, and `sweep` emits the CSV grid. This library holds the common
+//! machinery: the grid, collecting speedups in the paper's MPKI order,
+//! and rendering aligned text tables.
 //!
 //! Run lengths default to 30 000 measured memory operations per thread
 //! (plus 10% warm-up) — far past the point where the *normalized*
@@ -21,6 +23,7 @@ use dve_sim::rng::derive_seed;
 use dve_workloads::{catalog, WorkloadProfile};
 
 pub mod gate;
+pub mod grid;
 pub mod timing;
 
 /// Default measured memory operations per thread.
@@ -70,32 +73,23 @@ pub fn profile(name: &str) -> WorkloadProfile {
         .unwrap_or_else(|| panic!("no workload {name:?} in the catalog"))
 }
 
+/// The Table II configuration for `scheme`, measuring `ops` memory
+/// operations per thread after `ops / 10` of warm-up.
+pub fn config(scheme: Scheme, ops: u64) -> SystemConfig {
+    let mut cfg = SystemConfig::table_ii(scheme);
+    cfg.ops_per_thread = ops;
+    cfg.warmup_per_thread = ops / 10;
+    cfg
+}
+
 /// Runs one workload under one scheme with a custom config tweak.
 pub fn run_with<F>(profile: &WorkloadProfile, scheme: Scheme, ops: u64, tweak: F) -> RunResult
 where
     F: FnOnce(&mut SystemConfig),
 {
-    let mut cfg = SystemConfig::table_ii(scheme);
-    cfg.ops_per_thread = ops;
-    cfg.warmup_per_thread = ops / 10;
+    let mut cfg = config(scheme, ops);
     tweak(&mut cfg);
     System::new(cfg, profile, workload_seed(profile.name)).run()
-}
-
-/// Runs all 20 workloads (paper order) under `scheme`.
-pub fn run_all(scheme: Scheme, ops: u64) -> Vec<RunResult> {
-    run_all_with(scheme, ops, |_| {})
-}
-
-/// Runs all 20 workloads with a config tweak applied to each run.
-pub fn run_all_with<F>(scheme: Scheme, ops: u64, tweak: F) -> Vec<RunResult>
-where
-    F: Fn(&mut SystemConfig),
-{
-    catalog()
-        .iter()
-        .map(|p| run_with(p, scheme, ops, &tweak))
-        .collect()
 }
 
 /// Per-workload speedups of `variant` over `baseline`, in catalog order.
@@ -140,9 +134,12 @@ mod tests {
 
     #[test]
     fn tiny_end_to_end_matrix() {
-        let base = run_all(Scheme::BaselineNuma, 300);
-        let deny = run_all(Scheme::DveDeny, 300);
-        let s = speedups(&deny, &base);
+        let mut grid = grid::Grid::new(300);
+        let base = grid.all(Scheme::BaselineNuma, |_| {});
+        let deny = grid.all(Scheme::DveDeny, |_| {});
+        let run = grid.run(2);
+        assert_eq!(run.simulated, 40);
+        let s = speedups(&run.results[deny], &run.results[base]);
         assert_eq!(s.len(), 20);
         let g = grouped(&s);
         assert!(g.top10 > 0.3 && g.top10 < 10.0, "top10 = {}", g.top10);

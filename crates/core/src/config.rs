@@ -211,7 +211,7 @@ pub struct SystemConfig {
     pub pdes_workers: usize,
     /// §V-E degraded state: run the Dvé scheme with the replica copies
     /// out of service (single functional copy). Performance should match
-    /// baseline NUMA — the `ablation` harness checks this claim.
+    /// baseline NUMA — the `figures` bin gates this claim.
     pub degraded: bool,
     /// ECC capability at every memory controller. The default
     /// (chipkill) matches the controllers' own default, so configuring

@@ -6,7 +6,7 @@
 //! is roughly halved relative to a single-copy system. [`RowHammerMonitor`]
 //! tracks activations per row within refresh windows and reports the
 //! worst-case (victim-adjacent) activation count, the quantity row-hammer
-//! thresholds are defined over. The `ablation` harness uses it to
+//! thresholds are defined over. The `figures` bin's ablations use it to
 //! measure the exposure reduction Dvé's replication provides.
 //!
 //! The correlated row-hammer fault source asks [`RowHammerMonitor::rows_over`]
