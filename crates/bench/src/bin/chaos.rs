@@ -33,8 +33,8 @@
 //!    deliberate admission overload and a degraded (faulty) system:
 //!    priority shedding must land on bronze while gold sheds nothing
 //!    and holds its p99 inside the contracted budget, with per-tenant
-//!    counters conserving against the batcher and reproducing
-//!    bit-for-bit on replay.
+//!    counters conserving against the service's own epoch loop and
+//!    reproducing bit-for-bit on replay.
 //!
 //! The measured tables (fault-rate × scheme latency, hammer ladder,
 //! per-tenant SLO) are written to `results/chaos_report.txt` (the
@@ -45,14 +45,13 @@ use dve::chaos::{
     HammerParams, RecoveryLedger,
 };
 use dve::config::{Scheme, SystemConfig};
-use dve::system::{ClientOp, RunResult, System};
+use dve::system::{RunResult, System};
 use dve_bench::gate::{smoke, write_report, Gate, HarnessError};
 use dve_bench::profile;
 use dve_dram::controller::EccProfile;
-use dve_service::{EpochBatcher, SubmitOutcome, SubmittedOp};
+use dve_service::{EpochLoop, ServiceConfig, ServiceReport, SubmittedOp};
 use dve_sim::latency::Component;
 use dve_sim::rng::SplitMix64;
-use dve_sim::stats::LogHistogram;
 use dve_workloads::op::MemReq;
 use dve_workloads::tenant::TenantMix;
 use dve_workloads::{TraceGenerator, WorkloadProfile};
@@ -414,36 +413,23 @@ fn hammer_ladder(gate: &mut Gate, p: &WorkloadProfile) -> String {
 }
 
 /// Phase 4: the standard tenant mix under admission overload on a
-/// degraded (hammered + scheduled-fault) system. Drives the real
-/// [`EpochBatcher`] and [`System::run_batch`] epoch loop inline —
-/// threadless, so the whole scenario is deterministic and replayable.
+/// degraded (hammered + scheduled-fault) system, driven through the
+/// service's own [`EpochLoop`] — threadless, so the whole scenario is
+/// deterministic and replayable.
 fn tenant_slo_report(gate: &mut Gate, p: &WorkloadProfile) -> String {
     println!("-- per-tenant SLO: overload + degraded chaos, priority shedding --");
     const QUEUE_CAP: usize = 64;
     const BURSTS: usize = 40;
     const BURST_OPS: usize = 150;
-    let mix = TenantMix::standard();
-    let n = mix.tenants().len();
+    let service = ServiceConfig {
+        queue_cap: QUEUE_CAP,
+        epoch_ops: QUEUE_CAP,
+        tenants: Some(TenantMix::standard()),
+        ..ServiceConfig::default()
+    };
 
-    // Per-tenant counters from one full scenario run.
-    #[derive(Clone, PartialEq, Eq, Debug)]
-    struct TenantRow {
-        completed: u64,
-        shed: u64,
-        machine_checks: u64,
-        detected_reads: u64,
-        recovery_cycles: u64,
-        tail: (u64, u64, u64),
-    }
-    struct Outcome {
-        rows: Vec<TenantRow>,
-        ledger: RecoveryLedger,
-        accounted: bool,
-        admitted: u64,
-        shed_total: u64,
-    }
-
-    let scenario = |mix: &TenantMix| -> Outcome {
+    // One full scenario: the final report and the recovery ledger.
+    let scenario = || -> (ServiceReport, RecoveryLedger) {
         let mut cfg = SystemConfig::table_ii(Scheme::DveDeny);
         cfg.mshrs = 4;
         cfg.ecc = EccProfile::tsd();
@@ -475,47 +461,9 @@ fn tenant_slo_report(gate: &mut Gate, p: &WorkloadProfile) -> String {
             }),
             ..ChaosConfig::inert()
         });
-        let cores = cfg.engine.cores as u64;
-        let mut system = System::new(cfg, p, 42);
-
-        let mut batcher = EpochBatcher::new(QUEUE_CAP, QUEUE_CAP);
-        let mut rows = vec![
-            TenantRow {
-                completed: 0,
-                shed: 0,
-                machine_checks: 0,
-                detected_reads: 0,
-                recovery_cycles: 0,
-                tail: (0, 0, 0),
-            };
-            n
-        ];
-        let mut lat: Vec<LogHistogram> = (0..n).map(|_| LogHistogram::new()).collect();
+        let mut epochs = EpochLoop::new(System::new(cfg, p, 42), span, &service);
         let mut rng = SplitMix64::new(0x51_0517);
         let mut seq = 0u64;
-
-        let run_epoch = |batcher: &mut EpochBatcher,
-                         system: &mut System,
-                         rows: &mut Vec<TenantRow>,
-                         lat: &mut Vec<LogHistogram>| {
-            let epoch = batcher.take_epoch();
-            let ops: Vec<ClientOp> = epoch
-                .iter()
-                .map(|op| ClientOp {
-                    core: (op.client % cores) as usize,
-                    line: mix.fold_line(mix.tenant_of_client(op.client), op.line, span),
-                    req: op.req,
-                })
-                .collect();
-            for (op, out) in epoch.iter().zip(system.run_batch(&ops)) {
-                let t = mix.tenant_of_client(op.client);
-                rows[t].completed += 1;
-                rows[t].machine_checks += out.machine_checks;
-                rows[t].detected_reads += out.detected_reads;
-                rows[t].recovery_cycles += out.breakdown.recovery;
-                lat[t].record(out.complete_at - out.issued_at);
-            }
-        };
 
         // Most bursts more than double the admission queue, so the
         // batcher must shed; gold's share of a burst (BURST_OPS / n)
@@ -525,9 +473,8 @@ fn tenant_slo_report(gate: &mut Gate, p: &WorkloadProfile) -> String {
         for b in 0..BURSTS {
             let burst = if b % 4 == 3 { QUEUE_CAP / 2 } else { BURST_OPS };
             for i in 0..burst {
-                let client = (i % 12) as u64;
-                let op = SubmittedOp {
-                    client,
+                epochs.submit(SubmittedOp {
+                    client: (i % 12) as u64,
                     seq,
                     // A deliberately hot range: each tenant's folded
                     // stripe concentrates on a handful of DRAM rows, so
@@ -538,86 +485,63 @@ fn tenant_slo_report(gate: &mut Gate, p: &WorkloadProfile) -> String {
                     } else {
                         MemReq::Write
                     },
-                    priority: mix.priority_of(mix.tenant_of_client(client)),
-                };
+                    priority: 0,
+                });
                 seq += 1;
-                match batcher.submit(op) {
-                    SubmitOutcome::Admitted => {}
-                    SubmitOutcome::Shed => {
-                        rows[mix.tenant_of_client(op.client)].shed += 1;
-                    }
-                    SubmitOutcome::AdmittedEvicting(victim) => {
-                        rows[mix.tenant_of_client(victim.client)].shed += 1;
-                    }
-                }
             }
-            run_epoch(&mut batcher, &mut system, &mut rows, &mut lat);
+            epochs.run_epoch();
         }
-        while batcher.pending_len() > 0 {
-            run_epoch(&mut batcher, &mut system, &mut rows, &mut lat);
+        while epochs.pending() > 0 {
+            epochs.run_epoch();
         }
-        for (row, h) in rows.iter_mut().zip(&lat) {
-            row.tail = h.tail();
-        }
-        Outcome {
-            rows,
-            ledger: system.recovery_ledger(),
-            accounted: batcher.accounted(),
-            admitted: batcher.admitted(),
-            shed_total: batcher.shed(),
-        }
+        let ledger = epochs.system().recovery_ledger();
+        (epochs.finish(), ledger)
     };
 
-    let out = scenario(&mix);
+    let (report, ledger) = scenario();
     let mut table = String::from(
         "tenant  prio p99_budget completed shed p50  p99   p999  slo_ok mce detected rec_cycles\n",
     );
-    for (t, row) in out.rows.iter().enumerate() {
-        let prof = &mix.tenants()[t];
-        let (p50, p99, p999) = row.tail;
+    for t in &report.tenants {
         writeln!(
             table,
             "{:<7} {:<4} {:<10} {:<9} {:<4} {:<4} {:<5} {:<5} {:<6} {:<3} {:<8} {}",
-            prof.name,
-            prof.priority,
-            prof.slo_p99_cycles,
-            row.completed,
-            row.shed,
-            p50,
-            p99,
-            p999,
-            p99 <= prof.slo_p99_cycles,
-            row.machine_checks,
-            row.detected_reads,
-            row.recovery_cycles,
+            t.name,
+            t.priority,
+            t.slo_p99_cycles,
+            t.completed,
+            t.shed,
+            t.p50,
+            t.p99,
+            t.p999,
+            t.slo_ok(),
+            t.machine_checks,
+            t.detected_reads,
+            t.recovery_cycles,
         )
         .expect("write tenant row");
     }
-    let gold = &out.rows[0];
-    let bronze = &out.rows[n - 1];
+    let gold = &report.tenants[0];
+    let bronze = &report.tenants[report.tenants.len() - 1];
     gate.check(
-        out.ledger.faults_planted > 0 && out.ledger.detected_reads > 0,
+        ledger.faults_planted > 0 && ledger.detected_reads > 0,
         format!(
             "scenario is degraded (planted={}, detected={})",
-            out.ledger.faults_planted, out.ledger.detected_reads
+            ledger.faults_planted, ledger.detected_reads
         ),
     );
     gate.check(
-        out.ledger.consistent(),
-        format!("recovery ledger consistent: {:?}", out.ledger),
+        ledger.consistent(),
+        format!("recovery ledger consistent: {ledger:?}"),
     );
     gate.check(
-        out.accounted && out.rows.iter().map(|r| r.shed).sum::<u64>() == out.shed_total,
-        "per-tenant sheds sum to the batcher's exact shed count",
+        report.conserves(),
+        "every admitted op completes, and per-tenant completions, sheds and fault \
+         exposure sum to the loop's counters and the ledger",
     );
     gate.check(
-        out.rows.iter().map(|r| r.detected_reads).sum::<u64>() > 0
-            && out.rows.iter().map(|r| r.detected_reads).sum::<u64>() <= out.ledger.detected_reads,
-        "fault exposure attributes to tenants without over-counting",
-    );
-    gate.check(
-        out.rows.iter().map(|r| r.completed).sum::<u64>() == out.admitted,
-        "every admitted op completes for exactly one tenant",
+        report.tenants.iter().map(|t| t.detected_reads).sum::<u64>() > 0,
+        "fault exposure attributes to tenants",
     );
     gate.check(
         bronze.shed > 0,
@@ -628,16 +552,15 @@ fn tenant_slo_report(gate: &mut Gate, p: &WorkloadProfile) -> String {
         format!("gold sheds nothing under overload ({} sheds)", gold.shed),
     );
     gate.check(
-        gold.tail.1 <= mix.tenants()[0].slo_p99_cycles,
+        gold.slo_ok(),
         format!(
             "gold holds p99 inside its SLO budget ({} <= {})",
-            gold.tail.1,
-            mix.tenants()[0].slo_p99_cycles
+            gold.p99, gold.slo_p99_cycles
         ),
     );
-    let again = scenario(&mix);
+    let (again, again_ledger) = scenario();
     gate.check(
-        again.rows == out.rows && again.ledger == out.ledger,
+        again.tenants == report.tenants && again_ledger == ledger,
         "per-tenant scenario is bit-identical on replay",
     );
     table

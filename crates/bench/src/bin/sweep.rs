@@ -19,9 +19,13 @@
 //! ```text
 //! cargo run -p dve-bench --bin sweep --release > results/sweep.csv
 //! ```
+//!
+//! The runs are requested as [`dve_bench::grid`] cells and simulated
+//! on every core; the CSV is the same at any worker count.
 
 use dve::config::Scheme;
-use dve_bench::{ops_from_env, run_with};
+use dve_bench::grid::Grid;
+use dve_bench::ops_from_env;
 use dve_sim::latency::Component;
 use dve_sim::time::Nanos;
 use dve_workloads::catalog;
@@ -48,6 +52,30 @@ fn depths(workload: &str, scheme: Scheme) -> &'static [usize] {
 
 fn main() {
     let ops = ops_from_env().min(15_000); // ~340 runs: keep each modest
+    let latencies = [30u64, 50, 60];
+    // One row per (workload, scheme, link latency, MSHR depth): its
+    // cell and the blocking baseline at the same link latency, which
+    // anchors speedups. The grid runs each distinct cell once, so a
+    // baseline row and its anchor are one simulation.
+    let mut grid = Grid::new(ops);
+    let mut rows = Vec::new();
+    for p in catalog() {
+        for scheme in Scheme::ALL {
+            for &ns in &latencies {
+                let base = grid.cell(p.name, Scheme::BaselineNuma, |c| c.link_latency = Nanos(ns));
+                for &mshrs in depths(p.name, scheme) {
+                    let cell = grid.cell(p.name, scheme, |c| {
+                        c.link_latency = Nanos(ns);
+                        c.mshrs = mshrs;
+                    });
+                    rows.push((p.name, scheme, ns, mshrs, cell, base));
+                }
+            }
+        }
+    }
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let results = grid.run(workers).results;
+
     let mut header = String::from(
         "workload,scheme,link_ns,cycles,speedup,traffic_bytes,traffic_norm,\
          replica_read_share,mem_joules,mem_edp,max_row_activations,mshrs",
@@ -56,55 +84,32 @@ fn main() {
         header.push_str(&format!(",frac_{}", c.label()));
     }
     println!("{header}");
-    let latencies = [30u64, 50, 60];
-    for p in catalog() {
-        // Blocking baseline at each link latency anchors speedups.
-        let anchors: Vec<_> = latencies
-            .iter()
-            .map(|&ns| {
-                run_with(&p, Scheme::BaselineNuma, ops, |c| {
-                    c.link_latency = Nanos(ns)
-                })
-            })
-            .collect();
-        for scheme in Scheme::ALL {
-            for (&ns, base) in latencies.iter().zip(&anchors) {
-                for &mshrs in depths(p.name, scheme) {
-                    let r = if scheme == Scheme::BaselineNuma && mshrs == 1 {
-                        base.clone()
-                    } else {
-                        run_with(&p, scheme, ops, |c| {
-                            c.link_latency = Nanos(ns);
-                            c.mshrs = mshrs;
-                        })
-                    };
-                    let dir_requests: u64 = r.engine.served[2..].iter().sum();
-                    let replica_share = if dir_requests == 0 {
-                        0.0
-                    } else {
-                        r.engine.replica_reads as f64 / dir_requests as f64
-                    };
-                    let mut line = format!(
-                        "{},{},{},{},{:.4},{},{:.4},{:.4},{:.6e},{:.6e},{},{}",
-                        p.name,
-                        scheme.label(),
-                        ns,
-                        r.cycles,
-                        r.speedup_over(base),
-                        r.traffic.total_bytes(),
-                        r.traffic.normalized_to(&base.traffic),
-                        replica_share,
-                        r.mem_energy_joules,
-                        r.mem_edp,
-                        r.max_row_activations,
-                        mshrs,
-                    );
-                    for c in LAYERS {
-                        line.push_str(&format!(",{:.6}", r.latency.fraction(c)));
-                    }
-                    println!("{line}");
-                }
-            }
+    for (workload, scheme, ns, mshrs, cell, base) in rows {
+        let (r, base) = (&results[cell], &results[base]);
+        let dir_requests: u64 = r.engine.served[2..].iter().sum();
+        let replica_share = if dir_requests == 0 {
+            0.0
+        } else {
+            r.engine.replica_reads as f64 / dir_requests as f64
+        };
+        let mut line = format!(
+            "{},{},{},{},{:.4},{},{:.4},{:.4},{:.6e},{:.6e},{},{}",
+            workload,
+            scheme.label(),
+            ns,
+            r.cycles,
+            r.speedup_over(base),
+            r.traffic.total_bytes(),
+            r.traffic.normalized_to(&base.traffic),
+            replica_share,
+            r.mem_energy_joules,
+            r.mem_edp,
+            r.max_row_activations,
+            mshrs,
+        );
+        for c in LAYERS {
+            line.push_str(&format!(",{:.6}", r.latency.fraction(c)));
         }
+        println!("{line}");
     }
 }

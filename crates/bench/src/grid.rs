@@ -1,6 +1,6 @@
-//! The figure grid: every `System` run the `figures` bin reads,
-//! requested up front, deduplicated, and simulated once each on all
-//! workers.
+//! The simulation grid: every `System` run the `figures` bin (or the
+//! `sweep` CSV) reads, requested up front, deduplicated, and simulated
+//! once each on all workers.
 //!
 //! A [`Cell`] is one catalog workload under one [`SystemConfig`],
 //! always seeded with [`workload_seed`]. Figures request the cells they
@@ -194,7 +194,9 @@ mod tests {
         let mut grid = Grid::new(200);
         grid.cell("nw", Scheme::DveAllow, |c| c.mshrs = 2);
         let via_grid = grid.run(1);
-        let direct = crate::run_with(&profile("nw"), Scheme::DveAllow, 200, |c| c.mshrs = 2);
+        let mut cfg = config(Scheme::DveAllow, 200);
+        cfg.mshrs = 2;
+        let direct = System::new(cfg, &profile("nw"), workload_seed("nw")).run();
         assert_eq!(fingerprint(&via_grid.results[0]), fingerprint(&direct));
     }
 

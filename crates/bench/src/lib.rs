@@ -2,8 +2,8 @@
 //!
 //! `figures` renders every simulated paper figure (Fig. 1's performance
 //! column, Figs. 6–10, §VII energy and the ablations) from one
-//! deduplicated [`grid`] of runs; `table1` and `fig5` need no `System`
-//! run, and `sweep` emits the CSV grid. This library holds the common
+//! deduplicated [`grid`] of runs, and `sweep` emits its CSV from
+//! another; `table1` and `fig5` need no `System` run. This library holds the common
 //! machinery: the grid, collecting speedups in the paper's MPKI order,
 //! and rendering aligned text tables.
 //!
@@ -18,7 +18,7 @@
 
 use dve::config::{Scheme, SystemConfig};
 use dve::metrics::GroupedSpeedups;
-use dve::system::{RunResult, System};
+use dve::system::RunResult;
 use dve_sim::rng::derive_seed;
 use dve_workloads::{catalog, WorkloadProfile};
 
@@ -80,16 +80,6 @@ pub fn config(scheme: Scheme, ops: u64) -> SystemConfig {
     cfg.ops_per_thread = ops;
     cfg.warmup_per_thread = ops / 10;
     cfg
-}
-
-/// Runs one workload under one scheme with a custom config tweak.
-pub fn run_with<F>(profile: &WorkloadProfile, scheme: Scheme, ops: u64, tweak: F) -> RunResult
-where
-    F: FnOnce(&mut SystemConfig),
-{
-    let mut cfg = config(scheme, ops);
-    tweak(&mut cfg);
-    System::new(cfg, profile, workload_seed(profile.name)).run()
 }
 
 /// Per-workload speedups of `variant` over `baseline`, in catalog order.

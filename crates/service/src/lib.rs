@@ -24,10 +24,12 @@
 //!   fixed-size / fixed-deadline epochs in a canonical `(client, seq)`
 //!   order so the epoch contents do not depend on arrival
 //!   interleaving.
-//! * **The epoch runner** owns the live timed [`System`] and drives
-//!   each epoch through [`System::run_batch`]: client traffic pays for
-//!   coherence contention, bank conflicts, link occupancy, chaos
-//!   detours and §V-E degraded operation exactly like trace traffic.
+//! * **The epoch loop** ([`EpochLoop`]) owns the live timed [`System`]
+//!   and drives each epoch through [`System::run_batch`]: client
+//!   traffic pays for coherence contention, bank conflicts, link
+//!   occupancy, chaos detours and §V-E degraded operation exactly like
+//!   trace traffic. It is threadless; the service's runner thread is a
+//!   shell over it, and batch callers drive it directly.
 //! * **Telemetry** aggregates per-component
 //!   [`LatencyHists`](dve_sim::latency::LatencyHists) and serves
 //!   plaintext `/metrics` + `/health` over the same TCP listener the
@@ -41,6 +43,7 @@
 
 pub mod batcher;
 pub mod config;
+pub mod epoch;
 pub mod loadgen;
 pub mod proto;
 pub mod service;
@@ -48,6 +51,7 @@ pub mod telemetry;
 
 pub use batcher::{EpochBatcher, SubmitOutcome, SubmittedOp};
 pub use config::ServiceConfig;
+pub use epoch::{Completion, EpochLoop};
 pub use loadgen::{run_loadgen, LoadgenConfig, LoadgenReport};
-pub use service::{Completion, Service, ServiceReport, Session};
-pub use telemetry::{Telemetry, TenantTelemetry};
+pub use service::{Service, Session};
+pub use telemetry::{ServiceReport, Telemetry, TenantTelemetry};

@@ -10,7 +10,7 @@ use dve_sim::stats::LogHistogram;
 use dve_workloads::op::MemReq;
 
 use crate::proto::TcpClient;
-use crate::service::{Completion, Service};
+use crate::{Completion, Service};
 
 /// Stream id for loadgen session seeds in [`derive_seed`].
 const LOADGEN_STREAM: u64 = 0x10AD;

@@ -24,7 +24,7 @@ use dve_sim::latency::{Component, LatencyBreakdown};
 use dve_workloads::op::MemReq;
 
 use crate::batcher::SubmittedOp;
-use crate::service::Completion;
+use crate::epoch::Completion;
 
 /// Upper bound on a frame body; protects both sides from a corrupt
 /// length prefix.

@@ -1,15 +1,14 @@
-//! The running service: session registration, the epoch runner that
-//! owns the live [`System`], and the TCP front end.
+//! The running service: session registration, the epoch runner
+//! thread, and the TCP front end.
 //!
 //! Thread layout:
 //!
-//! * **Runner** (one thread) — owns the `System` and the
-//!   [`EpochBatcher`]. Drains the control channel, cuts an epoch when
-//!   either `epoch_ops` are pending or `epoch_wait_ms` has elapsed
-//!   since the first pending op, executes it via
-//!   [`System::run_batch`], routes per-op completions back to
-//!   sessions, publishes telemetry. All simulation state is confined
-//!   here; no locks on the simulation.
+//! * **Runner** (one thread) — owns the [`EpochLoop`] (and through it
+//!   the `System`, the batcher and the accounting). Drains the control
+//!   channel into the loop, runs an epoch when either `epoch_ops` are
+//!   pending or `epoch_wait_ms` has elapsed since the first pending
+//!   op, and routes completions back to sessions. All simulation state
+//!   is confined here; no locks on the simulation.
 //! * **Listener** (one thread) — non-blocking `accept` loop; spawns a
 //!   connection thread per client.
 //! * **Connection threads** — sniff HTTP (`GET /metrics`,
@@ -20,53 +19,27 @@
 //! remaining submissions are refused as shed (with completions, so
 //! closed-loop clients never hang), the runner executes every already
 //! admitted op, and [`Service::shutdown`] returns the final
-//! [`ServiceReport`].
-//!
-//! [`System`]: dve::system::System
-//! [`System::run_batch`]: dve::system::System::run_batch
+//! [`ServiceReport`]. If the runner panics, its channels close
+//! (sessions get `None`, connections drop), `/health` reports
+//! `failed`, and the report does not conserve.
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use dve::chaos::{ChaosConfig, ChaosParams};
-use dve::config::SystemConfig;
-use dve::system::{ClientOp, System};
-use dve_dram::controller::EccProfile;
-use dve_sim::latency::{LatencyBreakdown, LatencyHists};
-use dve_sim::stats::LogHistogram;
 use dve_workloads::op::MemReq;
-use dve_workloads::tenant::TenantMix;
-use dve_workloads::{catalog, TraceGenerator};
 
-use crate::batcher::{EpochBatcher, SubmitOutcome, SubmittedOp};
+use crate::batcher::SubmittedOp;
 use crate::config::ServiceConfig;
+use crate::epoch::{Completion, EpochLoop};
 use crate::proto;
-use crate::telemetry::{EdgeOccupancy, Telemetry, TelemetrySnapshot, TenantTelemetry};
-
-/// Per-op completion delivered to the submitting session.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Completion {
-    /// Session that submitted the op.
-    pub client: u64,
-    /// Echo of the client-chosen sequence number.
-    pub seq: u64,
-    /// The op was refused at admission (queue full or draining); the
-    /// timing fields are zero and the op did not touch the system.
-    pub shed: bool,
-    /// Simulated issue time (core cycles).
-    pub issued_at: u64,
-    /// Simulated completion time.
-    pub complete_at: u64,
-    /// Per-layer latency attribution; sums to
-    /// `complete_at - issued_at`.
-    pub breakdown: LatencyBreakdown,
-}
+use crate::telemetry::{ServiceReport, Telemetry};
 
 /// Messages into the runner thread.
 enum Msg {
@@ -82,56 +55,9 @@ enum Msg {
     ForceDegraded(bool),
     /// Begin the drain; the runner finishes admitted work and exits.
     Shutdown,
-}
-
-/// Final accounting returned by [`Service::shutdown`].
-#[derive(Debug, Clone)]
-pub struct ServiceReport {
-    /// Final simulated clock (core cycles).
-    pub cycles: u64,
-    /// Admission accounting; `submitted == admitted + shed` always.
-    pub submitted: u64,
-    pub admitted: u64,
-    pub shed: u64,
-    /// Completions delivered for admitted ops; equals `admitted` after
-    /// a clean drain — the no-dropped-ops gate.
-    pub completed: u64,
-    /// Epochs executed.
-    pub epochs: u64,
-    /// Cumulative per-op latency histograms (whole service lifetime).
-    pub hists: LatencyHists,
-    /// Engine-side aggregate the histograms must conserve against.
-    pub engine_latency: LatencyBreakdown,
-    /// §V-E degraded-mode transitions observed by the engine.
-    pub degraded_transitions: u64,
-    /// Recovery ledger self-consistency at shutdown.
-    pub recovery_consistent: bool,
-    /// Demand reads that took the §V-B2 recovery path.
-    pub detected_reads: u64,
-    /// Uncorrectable demand reads raised as machine checks.
-    pub machine_checks: u64,
-    /// Final per-tenant accounting; empty without a tenant mix.
-    pub tenants: Vec<TenantTelemetry>,
-}
-
-impl ServiceReport {
-    /// The service-level conservation gate: every admitted op
-    /// completed, the admission ledger balances, the per-op
-    /// histograms sum to the engine's own cycle totals, and (with a
-    /// tenant mix) the per-tenant accounting sums back to the global
-    /// counters.
-    pub fn conserves(&self) -> bool {
-        let sum = |get: fn(&TenantTelemetry) -> u64| self.tenants.iter().map(get).sum::<u64>();
-        let tenants_ok = self.tenants.is_empty()
-            || (sum(|t| t.completed) == self.completed
-                && sum(|t| t.shed) == self.shed
-                && sum(|t| t.machine_checks) <= self.machine_checks
-                && sum(|t| t.detected_reads) <= self.detected_reads);
-        self.submitted == self.admitted + self.shed
-            && self.completed == self.admitted
-            && (self.hists.count() == 0 || self.hists.conserves(&self.engine_latency))
-            && tenants_ok
-    }
+    /// Panics the runner, standing in for a failed engine invariant.
+    #[cfg(test)]
+    Panic,
 }
 
 /// An in-process session: submit ops, receive completions. Cheap to
@@ -158,7 +84,7 @@ impl Session {
     /// Submits `(seq, line, req)` ops and blocks until every one has a
     /// completion (shed ones included). Completions are returned in
     /// delivery order; match on `seq`. Returns `None` if the service
-    /// went away mid-wait.
+    /// went away (shut down, or its runner failed) before answering.
     pub fn submit(&self, ops: &[(u64, u64, MemReq)]) -> Option<Vec<Completion>> {
         let batch: Vec<SubmittedOp> = ops
             .iter()
@@ -197,73 +123,29 @@ pub struct Service {
     cores: usize,
     next_client: AtomicU64,
     shutdown: Arc<AtomicBool>,
-    runner: Option<JoinHandle<ServiceReport>>,
+    runner: Option<JoinHandle<Option<ServiceReport>>>,
     listener: Option<JoinHandle<()>>,
 }
 
 impl Service {
-    /// Boots the service: builds the live [`System`]
-    /// for `cfg`, spawns the runner and the TCP listener, and returns
-    /// once the listener is bound.
+    /// Boots the service: builds the live `System` for `cfg`, spawns
+    /// the runner and the TCP listener, and returns once the listener
+    /// is bound.
     pub fn start(cfg: &ServiceConfig) -> io::Result<Service> {
-        let profile = catalog()
-            .into_iter()
-            .find(|p| p.name == cfg.workload)
-            .ok_or_else(|| {
-                io::Error::new(
-                    io::ErrorKind::NotFound,
-                    format!("unknown workload {:?}", cfg.workload),
-                )
-            })?;
-
-        let mut sys_cfg = SystemConfig::table_ii(cfg.scheme);
-        // Shrink the core count to partition over the socket count
-        // before applying the topology (nway:3 drops 16 → 15 cores).
-        sys_cfg.engine.cores -= sys_cfg.engine.cores % cfg.topology.sockets();
-        sys_cfg.set_topology(cfg.topology);
-        sys_cfg.mshrs = cfg.mshrs;
-        // Client lines are folded into the workload's address span so
-        // they hit the same layout (and the same chaos fault sites) as
-        // trace traffic would.
-        let span = TraceGenerator::new(&profile, sys_cfg.engine.cores, cfg.seed).span_lines();
-        if let Some(chaos_seed) = cfg.chaos_seed {
-            sys_cfg.ecc = EccProfile::tsd();
-            sys_cfg.chaos = Some(ChaosConfig::random(
-                chaos_seed,
-                &ChaosParams {
-                    faults: 8,
-                    horizon: 200_000,
-                    transient_fraction: 0.5,
-                    heal_after: Some(100_000),
-                    channels_per_socket: sys_cfg.channels_per_socket(),
-                    line_span: span,
-                    nodes: sys_cfg.nodes(),
-                },
-            ));
-        }
-        let cores = sys_cfg.engine.cores;
-        let system = System::new(sys_cfg, &profile, cfg.seed);
-
-        let telemetry = Arc::new(Telemetry::new());
-        telemetry.publish(TelemetrySnapshot {
-            recovery_consistent: true,
-            ..TelemetrySnapshot::default()
-        });
+        let epochs = EpochLoop::from_config(cfg)?;
+        let cores = epochs.system().cores();
+        let telemetry = Arc::clone(epochs.telemetry());
         let shutdown = Arc::new(AtomicBool::new(false));
         let (ctl_tx, ctl_rx) = channel();
 
         let runner = {
             let telemetry = Arc::clone(&telemetry);
-            let epoch_ops = cfg.epoch_ops;
-            let queue_cap = cfg.queue_cap;
             let wait = Duration::from_millis(cfg.epoch_wait_ms);
-            let tenants = cfg.tenants.clone();
             std::thread::Builder::new()
                 .name("dve-epoch-runner".to_string())
                 .spawn(move || {
-                    run_epochs(
-                        system, span, queue_cap, epoch_ops, wait, tenants, ctl_rx, telemetry,
-                    )
+                    let run = AssertUnwindSafe(|| run_epochs(epochs, wait, ctl_rx));
+                    panic::catch_unwind(run).map_err(|_| telemetry.fail()).ok()
                 })?
         };
 
@@ -300,16 +182,13 @@ impl Service {
         Arc::clone(&self.telemetry)
     }
 
-    /// Opens an in-process session with a fresh client id.
+    /// Opens an in-process session with a fresh client id. If the
+    /// runner has failed, the session's submits return `None`.
     pub fn session(&self) -> Session {
         let client = self.next_client.fetch_add(1, Ordering::Relaxed);
         let (tx, rx) = channel();
         self.telemetry.sessions.fetch_add(1, Ordering::Relaxed);
-        // The runner can only be gone after shutdown(), which consumes
-        // the Service — so this send cannot race a live handle.
-        self.ctl
-            .send(Msg::Register { client, tx })
-            .expect("runner alive while service handle exists");
+        let _ = self.ctl.send(Msg::Register { client, tx });
         Session {
             client,
             cores: self.cores,
@@ -335,21 +214,21 @@ impl Service {
     }
 
     /// Graceful drain: stop accepting, execute every admitted op,
-    /// tear down the listener, and return the final report.
+    /// tear down the listener, and return the final report. After a
+    /// runner failure the report is the last published one, marked
+    /// `failed`.
     pub fn shutdown(mut self) -> ServiceReport {
         self.telemetry.stop_accepting();
         self.shutdown.store(true, Ordering::Release);
         let _ = self.ctl.send(Msg::Shutdown);
-        let report = self
-            .runner
-            .take()
-            .expect("shutdown runs once")
-            .join()
-            .expect("runner thread panicked");
+        let report = self.runner.take().and_then(|r| r.join().ok().flatten());
         if let Some(l) = self.listener.take() {
             let _ = l.join();
         }
-        report
+        report.unwrap_or_else(|| {
+            self.telemetry.fail();
+            self.telemetry.report()
+        })
     }
 }
 
@@ -357,255 +236,65 @@ impl Service {
 /// below this (the loadgen uses small integers).
 const IN_PROC_CLIENT_BASE: u64 = 1 << 32;
 
-fn shed_completion(op: &SubmittedOp) -> Completion {
-    Completion {
-        client: op.client,
-        seq: op.seq,
-        shed: true,
-        issued_at: 0,
-        complete_at: 0,
-        breakdown: LatencyBreakdown::default(),
-    }
-}
-
-/// Runner-local per-tenant accounting. Lives entirely on the runner
-/// thread (no locks); snapshots are published through the telemetry
-/// mutex like every other epoch-fresh stat.
-struct TenantAcct {
-    mix: TenantMix,
-    completed: Vec<u64>,
-    shed: Vec<u64>,
-    machine_checks: Vec<u64>,
-    detected_reads: Vec<u64>,
-    recovery_cycles: Vec<u64>,
-    lat: Vec<LogHistogram>,
-}
-
-impl TenantAcct {
-    fn new(mix: TenantMix) -> TenantAcct {
-        let n = mix.tenants().len();
-        TenantAcct {
-            mix,
-            completed: vec![0; n],
-            shed: vec![0; n],
-            machine_checks: vec![0; n],
-            detected_reads: vec![0; n],
-            recovery_cycles: vec![0; n],
-            lat: vec![LogHistogram::default(); n],
-        }
-    }
-
-    /// The shed priority the runner stamps on this client's ops.
-    fn priority_for(&self, client: u64) -> u8 {
-        self.mix.priority_of(self.mix.tenant_of_client(client))
-    }
-
-    /// Folds a client line into its tenant's address partition.
-    fn fold(&self, client: u64, line: u64, span: u64) -> u64 {
-        self.mix
-            .fold_line(self.mix.tenant_of_client(client), line, span)
-    }
-
-    fn shed_one(&mut self, client: u64) {
-        self.shed[self.mix.tenant_of_client(client)] += 1;
-    }
-
-    fn complete_one(&mut self, client: u64, latency: u64, b: &LatencyBreakdown) {
-        let t = self.mix.tenant_of_client(client);
-        self.completed[t] += 1;
-        self.recovery_cycles[t] += b.recovery;
-        self.lat[t].record(latency);
-    }
-
-    fn attribute_faults(&mut self, client: u64, detected_reads: u64, machine_checks: u64) {
-        let t = self.mix.tenant_of_client(client);
-        self.detected_reads[t] += detected_reads;
-        self.machine_checks[t] += machine_checks;
-    }
-
-    fn snapshot(&self) -> Vec<TenantTelemetry> {
-        self.mix
-            .tenants()
-            .iter()
-            .enumerate()
-            .map(|(t, profile)| {
-                let (p50, p99, p999) = self.lat[t].tail();
-                TenantTelemetry {
-                    name: profile.name.clone(),
-                    priority: profile.priority,
-                    slo_p99_cycles: profile.slo_p99_cycles,
-                    completed: self.completed[t],
-                    shed: self.shed[t],
-                    machine_checks: self.machine_checks[t],
-                    detected_reads: self.detected_reads[t],
-                    recovery_cycles: self.recovery_cycles[t],
-                    p50,
-                    p99,
-                    p999,
-                }
-            })
-            .collect()
-    }
-}
-
-/// The epoch runner: the only thread that touches the `System`.
-#[allow(clippy::too_many_arguments)]
-fn run_epochs(
-    mut system: System,
-    line_span: u64,
-    queue_cap: usize,
-    epoch_ops: usize,
-    wait: Duration,
-    tenants: Option<TenantMix>,
-    rx: Receiver<Msg>,
-    telemetry: Arc<Telemetry>,
-) -> ServiceReport {
-    let cores = system.cores() as u64;
-    let mut batcher = EpochBatcher::new(queue_cap, epoch_ops);
+/// The runner thread: feeds the control channel into the loop, runs an
+/// epoch when one is full or `wait` has passed since its first pending
+/// op, and routes completions to sessions. On shutdown (or once every
+/// handle is gone) it closes admission and runs the admitted ops out.
+fn run_epochs(mut epochs: EpochLoop, wait: Duration, rx: Receiver<Msg>) -> ServiceReport {
     let mut routes: HashMap<u64, Sender<Vec<Completion>>> = HashMap::new();
-    let mut first_pending: Option<Instant> = None;
-    let mut draining = false;
-    let mut completed: u64 = 0;
-    let mut acct = tenants.map(TenantAcct::new);
-
-    let handle = |msg: Msg,
-                  batcher: &mut EpochBatcher,
-                  routes: &mut HashMap<u64, Sender<Vec<Completion>>>,
-                  system: &mut System,
-                  first_pending: &mut Option<Instant>,
-                  draining: &mut bool,
-                  acct: &mut Option<TenantAcct>| {
-        match msg {
-            Msg::Register { client, tx } => {
-                routes.insert(client, tx);
-            }
-            Msg::Deregister { client } => {
-                routes.remove(&client);
-                telemetry.sessions.fetch_sub(1, Ordering::Relaxed);
-            }
-            Msg::ForceDegraded(on) => system.set_forced_degraded(on),
-            Msg::Shutdown => *draining = true,
-            Msg::Ops(ops) => {
-                let mut shed: Vec<Completion> = Vec::new();
-                for mut op in ops {
-                    telemetry.submitted.fetch_add(1, Ordering::Relaxed);
-                    if let Some(a) = acct.as_ref() {
-                        op.priority = a.priority_for(op.client);
-                    }
-                    // While draining, refuse new work outright (but
-                    // still answer it) so the drain terminates.
-                    let outcome = if *draining {
-                        SubmitOutcome::Shed
-                    } else {
-                        batcher.submit(op)
-                    };
-                    match outcome {
-                        SubmitOutcome::Admitted => {
-                            telemetry.admitted.fetch_add(1, Ordering::Relaxed);
-                            if first_pending.is_none() {
-                                *first_pending = Some(Instant::now());
-                            }
-                        }
-                        SubmitOutcome::Shed => {
-                            telemetry.shed.fetch_add(1, Ordering::Relaxed);
-                            if let Some(a) = acct.as_mut() {
-                                a.shed_one(op.client);
-                            }
-                            shed.push(shed_completion(&op));
-                        }
-                        SubmitOutcome::AdmittedEvicting(victim) => {
-                            // The incoming op took the victim's
-                            // admitted slot: net admitted unchanged,
-                            // one more shed, and the victim's client
-                            // still gets an answer.
-                            telemetry.shed.fetch_add(1, Ordering::Relaxed);
-                            if let Some(a) = acct.as_mut() {
-                                a.shed_one(victim.client);
-                            }
-                            shed.push(shed_completion(&victim));
-                            if first_pending.is_none() {
-                                *first_pending = Some(Instant::now());
-                            }
-                        }
-                    }
-                }
-                for (client, comps) in group_by_client(shed) {
-                    if let Some(tx) = routes.get(&client) {
-                        let _ = tx.send(comps);
-                    }
-                }
+    let deliver = |routes: &HashMap<u64, Sender<Vec<Completion>>>, comps: Vec<Completion>| {
+        let mut by_client: HashMap<u64, Vec<Completion>> = HashMap::new();
+        for c in comps {
+            by_client.entry(c.client).or_default().push(c);
+        }
+        for (client, comps) in by_client {
+            if let Some(tx) = routes.get(&client) {
+                let _ = tx.send(comps);
             }
         }
     };
+    let mut first_pending: Option<Instant> = None;
+    let mut received: Option<Msg> = None;
 
     loop {
-        // Drain whatever is queued without blocking.
-        while let Ok(msg) = rx.try_recv() {
-            handle(
-                msg,
-                &mut batcher,
-                &mut routes,
-                &mut system,
-                &mut first_pending,
-                &mut draining,
-                &mut acct,
-            );
+        // The message that woke the runner, then whatever else is
+        // queued, without blocking.
+        for msg in received
+            .take()
+            .into_iter()
+            .chain(std::iter::from_fn(|| rx.try_recv().ok()))
+        {
+            match msg {
+                Msg::Register { client, tx } => {
+                    routes.insert(client, tx);
+                }
+                Msg::Deregister { client } => {
+                    routes.remove(&client);
+                    epochs.telemetry().sessions.fetch_sub(1, Ordering::Relaxed);
+                }
+                Msg::ForceDegraded(on) => epochs.force_degraded(on),
+                Msg::Shutdown => epochs.close(),
+                Msg::Ops(ops) => {
+                    let shed = ops.into_iter().filter_map(|op| epochs.submit(op)).collect();
+                    deliver(&routes, shed);
+                }
+                #[cfg(test)]
+                Msg::Panic => panic!("injected epoch runner failure"),
+            }
+        }
+        if first_pending.is_none() && epochs.pending() > 0 {
+            first_pending = Some(Instant::now());
         }
 
         let deadline_hit = first_pending.is_some_and(|t| t.elapsed() >= wait);
-        if batcher.epoch_ready() || (batcher.pending_len() > 0 && (deadline_hit || draining)) {
-            let epoch = batcher.take_epoch();
-            let client_ops: Vec<ClientOp> = epoch
-                .iter()
-                .map(|op| ClientOp {
-                    core: (op.client % cores) as usize,
-                    // With a tenant mix, each tenant folds into its
-                    // own disjoint stripe of the span; otherwise the
-                    // whole span is shared.
-                    line: match &acct {
-                        Some(a) => a.fold(op.client, op.line, line_span.max(1)),
-                        None => op.line % line_span.max(1),
-                    },
-                    req: op.req,
-                })
-                .collect();
-            let outcomes = system.run_batch(&client_ops);
-            debug_assert_eq!(outcomes.len(), epoch.len());
-            let done: Vec<Completion> = epoch
-                .iter()
-                .zip(outcomes)
-                .map(|(op, out)| {
-                    if let Some(a) = acct.as_mut() {
-                        a.complete_one(op.client, out.complete_at - out.issued_at, &out.breakdown);
-                        a.attribute_faults(op.client, out.detected_reads, out.machine_checks);
-                    }
-                    Completion {
-                        client: op.client,
-                        seq: op.seq,
-                        shed: false,
-                        issued_at: out.issued_at,
-                        complete_at: out.complete_at,
-                        breakdown: out.breakdown,
-                    }
-                })
-                .collect();
-            completed += done.len() as u64;
-            telemetry
-                .completed
-                .fetch_add(done.len() as u64, Ordering::Relaxed);
-            telemetry.epochs.fetch_add(1, Ordering::Relaxed);
-            for (client, comps) in group_by_client(done) {
-                if let Some(tx) = routes.get(&client) {
-                    let _ = tx.send(comps);
-                }
-            }
-            first_pending = (batcher.pending_len() > 0).then(Instant::now);
-            publish_snapshot(&system, &telemetry, acct.as_ref());
+        if epochs.epoch_ready() || (epochs.pending() > 0 && (deadline_hit || epochs.closed())) {
+            deliver(&routes, epochs.run_epoch());
+            first_pending = (epochs.pending() > 0).then(Instant::now);
             continue;
         }
 
-        if draining && batcher.pending_len() == 0 {
-            break;
+        if epochs.closed() && epochs.pending() == 0 {
+            return epochs.finish();
         }
 
         // Idle: block until the next message (or a deadline tick).
@@ -616,82 +305,12 @@ fn run_epochs(
             Duration::from_millis(20)
         };
         match rx.recv_timeout(timeout) {
-            Ok(msg) => handle(
-                msg,
-                &mut batcher,
-                &mut routes,
-                &mut system,
-                &mut first_pending,
-                &mut draining,
-                &mut acct,
-            ),
+            Ok(msg) => received = Some(msg),
             Err(RecvTimeoutError::Timeout) => {}
             // Every Service/Session handle is gone; drain and exit.
-            Err(RecvTimeoutError::Disconnected) => draining = true,
+            Err(RecvTimeoutError::Disconnected) => epochs.close(),
         }
     }
-
-    publish_snapshot(&system, &telemetry, acct.as_ref());
-    let engine = system.engine_stats();
-    let ledger = system.recovery_ledger();
-    // Drain-time sheds bypass the batcher, so the report reads the
-    // telemetry counters (the batcher's ledger is a strict subset and
-    // its own `accounted()` invariant still holds).
-    ServiceReport {
-        cycles: system.now(),
-        submitted: telemetry.submitted.load(Ordering::Relaxed),
-        admitted: telemetry.admitted.load(Ordering::Relaxed),
-        shed: telemetry.shed.load(Ordering::Relaxed),
-        completed,
-        epochs: batcher.epochs(),
-        hists: system.latency_hists().clone(),
-        engine_latency: engine.latency_breakdown,
-        degraded_transitions: engine.degraded_transitions,
-        recovery_consistent: ledger.consistent(),
-        detected_reads: ledger.detected_reads,
-        machine_checks: ledger.machine_checks,
-        tenants: acct.as_ref().map(TenantAcct::snapshot).unwrap_or_default(),
-    }
-}
-
-fn publish_snapshot(system: &System, telemetry: &Telemetry, acct: Option<&TenantAcct>) {
-    let engine = system.engine_stats();
-    let ledger = system.recovery_ledger();
-    let link = system.fabric().link_table();
-    let nodes = system.config().nodes();
-    let edge_occupancy = (0..nodes)
-        .flat_map(|from| (0..nodes).map(move |to| (from, to)))
-        .filter(|&(from, to)| from != to)
-        .map(|(from, to)| {
-            let s = link.edge_stats(from, to);
-            EdgeOccupancy {
-                from,
-                to,
-                messages: s.grants,
-                busy_cycles: s.busy_cycles,
-            }
-        })
-        .collect();
-    telemetry.publish(TelemetrySnapshot {
-        hists: system.latency_hists().clone(),
-        engine_latency: engine.latency_breakdown,
-        cycles: system.now(),
-        degraded_transitions: engine.degraded_transitions,
-        recovery_consistent: ledger.consistent(),
-        detected_reads: ledger.detected_reads,
-        machine_checks: ledger.machine_checks,
-        node_replica_entries: system.node_replica_entries(),
-        edge_occupancy,
-        tenants: acct.map(TenantAcct::snapshot).unwrap_or_default(),
-    });
-}
-
-fn group_by_client(comps: Vec<Completion>) -> HashMap<u64, Vec<Completion>> {
-    let mut by_client: HashMap<u64, Vec<Completion>> = HashMap::new();
-    for c in comps {
-        by_client.entry(c.client).or_default().push(c);
-    }
-    by_client
 }
 
 /// Accept loop. Non-blocking so shutdown can interrupt it.
@@ -989,6 +608,30 @@ mod tests {
         let report = service.shutdown();
         assert_eq!(report.submitted, 80);
         assert!(report.conserves(), "{report:?}");
+    }
+
+    #[test]
+    fn a_runner_panic_fails_health_and_sessions_instead_of_hanging() {
+        let service = Service::start(&small_cfg()).unwrap();
+        let session = service.session();
+        assert!(session.submit(&gen_ops(0x9A, 100)).is_some());
+        service.ctl.send(Msg::Panic).unwrap();
+        let telemetry = service.telemetry();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !telemetry.failed() && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let mut s = TcpStream::connect(service.addr()).unwrap();
+        s.write_all(b"GET /health HTTP/1.0\r\n\r\n").unwrap();
+        let mut rsp = String::new();
+        s.read_to_string(&mut rsp).unwrap();
+        assert!(rsp.contains("\r\n\r\nfailed "), "{rsp}");
+        // Old and new sessions get `None`, not a hang or a panic.
+        assert!(session.submit(&gen_ops(0x9B, 10)).is_none());
+        assert!(service.session().submit(&gen_ops(0x9C, 10)).is_none());
+        let report = service.shutdown();
+        assert!(report.failed && !report.conserves(), "{report:?}");
+        assert_eq!(report.completed, 100, "the last published figures survive");
     }
 
     #[test]

@@ -7,6 +7,85 @@ use std::sync::Mutex;
 
 use dve_sim::latency::{Component, LatencyBreakdown, LatencyHists};
 
+/// Final accounting returned by [`Service::shutdown`] and
+/// [`EpochLoop::finish`], built from the last published snapshot and
+/// the counters.
+///
+/// [`Service::shutdown`]: crate::Service::shutdown
+/// [`EpochLoop::finish`]: crate::EpochLoop::finish
+#[derive(Debug, Clone)]
+pub struct ServiceReport {
+    /// Final simulated clock (core cycles).
+    pub cycles: u64,
+    /// Admission accounting; `submitted == admitted + shed` always.
+    pub submitted: u64,
+    pub admitted: u64,
+    pub shed: u64,
+    /// Completions delivered for admitted ops; equals `admitted` after
+    /// a clean drain — the no-dropped-ops gate.
+    pub completed: u64,
+    /// Epochs executed.
+    pub epochs: u64,
+    /// Cumulative per-op latency histograms (whole service lifetime).
+    pub hists: LatencyHists,
+    /// Engine-side aggregate the histograms must conserve against.
+    pub engine_latency: LatencyBreakdown,
+    /// §V-E degraded-mode transitions observed by the engine.
+    pub degraded_transitions: u64,
+    /// Recovery ledger self-consistency at shutdown.
+    pub recovery_consistent: bool,
+    /// Demand reads that took the §V-B2 recovery path.
+    pub detected_reads: u64,
+    /// Uncorrectable demand reads raised as machine checks.
+    pub machine_checks: u64,
+    /// Final per-tenant accounting; empty without a tenant mix.
+    pub tenants: Vec<TenantTelemetry>,
+    /// The epoch runner died; the figures above are the last ones it
+    /// published, and admitted ops may never have completed.
+    pub failed: bool,
+}
+
+impl ServiceReport {
+    /// The service-level conservation gate: the runner survived, every
+    /// admitted op completed, the admission ledger balances, the per-op
+    /// histograms sum to the engine's own cycle totals, and the
+    /// per-tenant rows sum back to the global counters (the same check
+    /// as the `dve_tenant_conserves` gauge).
+    pub fn conserves(&self) -> bool {
+        !self.failed
+            && self.submitted == self.admitted + self.shed
+            && self.completed == self.admitted
+            && (self.hists.count() == 0 || self.hists.conserves(&self.engine_latency))
+            && tenants_conserve(
+                &self.tenants,
+                self.completed,
+                self.shed,
+                self.machine_checks,
+                self.detected_reads,
+            )
+    }
+}
+
+/// Whether per-tenant rows sum back to the global counters: every
+/// completed and every shed op belongs to exactly one tenant, and the
+/// detections and machine checks attributed to tenants never exceed
+/// the ledger's (scrub-driven detections between ops are deliberately
+/// unattributed). True without a tenant mix.
+pub(crate) fn tenants_conserve(
+    tenants: &[TenantTelemetry],
+    completed: u64,
+    shed: u64,
+    machine_checks: u64,
+    detected_reads: u64,
+) -> bool {
+    let sum = |get: fn(&TenantTelemetry) -> u64| tenants.iter().map(get).sum::<u64>();
+    tenants.is_empty()
+        || (sum(|t| t.completed) == completed
+            && sum(|t| t.shed) == shed
+            && sum(|t| t.machine_checks) <= machine_checks
+            && sum(|t| t.detected_reads) <= detected_reads)
+}
+
 /// Histogram / engine state published by the epoch runner after each
 /// epoch. Scrapes read a coherent copy under the mutex; the op hot
 /// path never touches it.
@@ -100,13 +179,21 @@ pub struct Telemetry {
     pub sessions: AtomicU64,
     /// Service accepts work (false once draining).
     accepting: AtomicBool,
+    /// The epoch runner panicked.
+    failed: AtomicBool,
     snapshot: Mutex<TelemetrySnapshot>,
 }
 
 impl Telemetry {
+    /// Accepting, with an empty boot snapshot (whose empty recovery
+    /// ledger is consistent).
     pub fn new() -> Telemetry {
         let t = Telemetry::default();
         t.accepting.store(true, Ordering::Release);
+        t.publish(TelemetrySnapshot {
+            recovery_consistent: true,
+            ..TelemetrySnapshot::default()
+        });
         t
     }
 
@@ -118,6 +205,38 @@ impl Telemetry {
     /// Whether the service is accepting new work.
     pub fn accepting(&self) -> bool {
         self.accepting.load(Ordering::Acquire)
+    }
+
+    /// Marks the epoch runner dead; `/health` flips to `failed`.
+    pub(crate) fn fail(&self) {
+        self.failed.store(true, Ordering::Release);
+    }
+
+    /// Whether the epoch runner died.
+    pub(crate) fn failed(&self) -> bool {
+        self.failed.load(Ordering::Acquire)
+    }
+
+    /// The report of the last published snapshot and the counters.
+    pub(crate) fn report(&self) -> ServiceReport {
+        let snap = self.snapshot();
+        let count = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        ServiceReport {
+            cycles: snap.cycles,
+            submitted: count(&self.submitted),
+            admitted: count(&self.admitted),
+            shed: count(&self.shed),
+            completed: count(&self.completed),
+            epochs: count(&self.epochs),
+            hists: snap.hists,
+            engine_latency: snap.engine_latency,
+            degraded_transitions: snap.degraded_transitions,
+            recovery_consistent: snap.recovery_consistent,
+            detected_reads: snap.detected_reads,
+            machine_checks: snap.machine_checks,
+            tenants: snap.tenants,
+            failed: self.failed(),
+        }
     }
 
     /// Publishes a fresh snapshot (epoch runner, once per epoch).
@@ -132,11 +251,12 @@ impl Telemetry {
 
     /// The `/health` body: one line, `ok` while accepting (plus a
     /// conservation check against the last snapshot), `draining`
-    /// during shutdown.
+    /// during shutdown, `failed` once the epoch runner has died.
     pub fn render_health(&self) -> String {
         let snap = self.snapshot();
         let conserves = snap.hists.count() == 0 || snap.hists.conserves(&snap.engine_latency);
         let state = match (self.accepting(), conserves && snap.recovery_consistent) {
+            _ if self.failed() => "failed",
             (true, true) => "ok",
             (true, false) => "degraded-accounting",
             (false, _) => "draining",
@@ -194,23 +314,27 @@ impl Telemetry {
         }
 
         if !snap.tenants.is_empty() {
-            let mut tenant_counter = |name: &str, get: &dyn Fn(&TenantTelemetry) -> u64| {
-                out.push_str(&format!("# TYPE dve_tenant_{name} counter\n"));
-                for t in &snap.tenants {
-                    out.push_str(&format!(
-                        "dve_tenant_{name}{{tenant=\"{}\"}} {}\n",
-                        t.name,
-                        get(t)
-                    ));
-                }
-            };
-            tenant_counter("ops_completed", &|t| t.completed);
-            tenant_counter("ops_shed", &|t| t.shed);
-            tenant_counter("machine_checks", &|t| t.machine_checks);
-            tenant_counter("detected_reads", &|t| t.detected_reads);
-            tenant_counter("recovery_cycles", &|t| t.recovery_cycles);
+            let tenants = &snap.tenants;
+            let series =
+                |out: &mut String, name: &str, kind: &str, get: fn(&TenantTelemetry) -> u64| {
+                    out.push_str(&format!("# TYPE dve_tenant_{name} {kind}\n"));
+                    for t in tenants {
+                        out.push_str(&format!(
+                            "dve_tenant_{name}{{tenant=\"{}\"}} {}\n",
+                            t.name,
+                            get(t)
+                        ));
+                    }
+                };
+            series(&mut out, "ops_completed", "counter", |t| t.completed);
+            series(&mut out, "ops_shed", "counter", |t| t.shed);
+            series(&mut out, "machine_checks", "counter", |t| t.machine_checks);
+            series(&mut out, "detected_reads", "counter", |t| t.detected_reads);
+            series(&mut out, "recovery_cycles", "counter", |t| {
+                t.recovery_cycles
+            });
             out.push_str("# TYPE dve_tenant_latency_cycles summary\n");
-            for t in &snap.tenants {
+            for t in tenants {
                 for (q, v) in [("0.5", t.p50), ("0.99", t.p99), ("0.999", t.p999)] {
                     out.push_str(&format!(
                         "dve_tenant_latency_cycles{{tenant=\"{}\",quantile=\"{q}\"}} {v}\n",
@@ -218,32 +342,15 @@ impl Telemetry {
                     ));
                 }
             }
-            out.push_str("# TYPE dve_tenant_slo_budget_cycles gauge\n");
-            for t in &snap.tenants {
-                out.push_str(&format!(
-                    "dve_tenant_slo_budget_cycles{{tenant=\"{}\"}} {}\n",
-                    t.name, t.slo_p99_cycles
-                ));
-            }
-            out.push_str("# TYPE dve_tenant_slo_ok gauge\n");
-            for t in &snap.tenants {
-                out.push_str(&format!(
-                    "dve_tenant_slo_ok{{tenant=\"{}\"}} {}\n",
-                    t.name,
-                    t.slo_ok() as u8
-                ));
-            }
-            // Sum conservation against the global counters: every
-            // completed/shed op belongs to exactly one tenant, and
-            // attributed detections/machine checks never exceed the
-            // ledger totals (scrub-driven detections between ops are
-            // deliberately unattributed).
-            let sum =
-                |get: &dyn Fn(&TenantTelemetry) -> u64| snap.tenants.iter().map(get).sum::<u64>();
-            let tenant_conserves = sum(&|t| t.completed) == self.completed.load(Ordering::Relaxed)
-                && sum(&|t| t.shed) == self.shed.load(Ordering::Relaxed)
-                && sum(&|t| t.machine_checks) <= snap.machine_checks
-                && sum(&|t| t.detected_reads) <= snap.detected_reads;
+            series(&mut out, "slo_budget_cycles", "gauge", |t| t.slo_p99_cycles);
+            series(&mut out, "slo_ok", "gauge", |t| t.slo_ok() as u64);
+            let tenant_conserves = tenants_conserve(
+                tenants,
+                self.completed.load(Ordering::Relaxed),
+                self.shed.load(Ordering::Relaxed),
+                snap.machine_checks,
+                snap.detected_reads,
+            );
             out.push_str(&format!(
                 "# TYPE dve_tenant_conserves gauge\ndve_tenant_conserves {}\n",
                 tenant_conserves as u8
@@ -298,6 +405,8 @@ mod tests {
         assert!(t.render_health().starts_with("ok"));
         t.stop_accepting();
         assert!(t.render_health().starts_with("draining"));
+        t.fail();
+        assert!(t.render_health().starts_with("failed"));
     }
 
     #[test]
