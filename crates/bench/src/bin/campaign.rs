@@ -23,8 +23,7 @@
 //!   detection-escape strata
 //! * `DVE_CAMPAIGN_OUT`     — output directory for the event logs
 //!   (default `results/`); writes `campaign_events.csv`,
-//!   `campaign_events.bin`, `campaign.txt` and (stratified runs)
-//!   `campaign_strata.csv`
+//!   `campaign.txt` and (stratified runs) `campaign_strata.csv`
 //!
 //! The process exits non-zero if any scheme's empirical DUE/SDC rate
 //! disagrees with the analytical expectation — this binary doubles as
@@ -36,8 +35,7 @@
 
 use dve_bench::gate::{env_flag, env_u64, write_report, Gate, HarnessError};
 use dve_campaign::{
-    run_all, write_events_binary, write_events_csv, CampaignConfig, CampaignReport, CampaignScheme,
-    SamplingMode,
+    run_all, write_events_csv, CampaignConfig, CampaignReport, CampaignScheme, SamplingMode,
 };
 use std::fs;
 use std::io::Write as _;
@@ -122,14 +120,10 @@ fn main() -> Result<ExitCode, HarnessError> {
         PathBuf::from(std::env::var("DVE_CAMPAIGN_OUT").unwrap_or_else(|_| "results".to_string()));
     write_report(out_dir.join("campaign.txt"), &rendered)?;
     let csv_path = out_dir.join("campaign_events.csv");
-    let bin_path = out_dir.join("campaign_events.bin");
     let logs = (|| -> std::io::Result<()> {
         let mut csv = fs::File::create(&csv_path)?;
         write_events_csv(&mut csv, &results)?;
         csv.flush()?;
-        let mut bin = fs::File::create(&bin_path)?;
-        write_events_binary(&mut bin, &results)?;
-        bin.flush()?;
         if stratified {
             let mut sc = fs::File::create(out_dir.join("campaign_strata.csv"))?;
             write_strata_csv(&mut sc, &report)?;
@@ -139,10 +133,9 @@ fn main() -> Result<ExitCode, HarnessError> {
     })();
     logs.map_err(|e| HarnessError::new(format!("event log not written: {e}")))?;
     println!(
-        "\nevent log: {} recovery events -> {} + {}",
+        "\nevent log: {} recovery events -> {}",
         results.iter().map(|r| r.events.len()).sum::<usize>(),
-        csv_path.display(),
-        bin_path.display()
+        csv_path.display()
     );
 
     let mut gate = Gate::new();

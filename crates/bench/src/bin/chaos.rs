@@ -2,8 +2,7 @@
 //! system (§V-B2 exercised live, not as out-of-band unit fixtures).
 //!
 //! ```text
-//! cargo run -p dve-bench --bin chaos --release            # full matrix
-//! cargo run -p dve-bench --bin chaos --release -- smoke   # CI gate
+//! cargo run -p dve-bench --bin chaos --release
 //! ```
 //!
 //! Four phases, all gating the exit code (that an armed but inert
@@ -46,7 +45,7 @@ use dve::chaos::{
 };
 use dve::config::{Scheme, SystemConfig};
 use dve::system::{RunResult, System};
-use dve_bench::gate::{smoke, write_report, Gate, HarnessError};
+use dve_bench::gate::{no_args, write_report, Gate, HarnessError};
 use dve_bench::profile;
 use dve_dram::controller::EccProfile;
 use dve_service::{EpochLoop, ServiceConfig, ServiceReport, SubmittedOp};
@@ -242,20 +241,15 @@ fn chaos_cell(p: &WorkloadProfile, scheme: Scheme, mshrs: usize, seed: u64, ops:
 }
 
 /// Phase 2: the randomized matrix, with the per-run invariant gate.
-fn randomized_matrix(gate: &mut Gate, p: &WorkloadProfile, smoke: bool) -> String {
+fn randomized_matrix(gate: &mut Gate, p: &WorkloadProfile) -> String {
     println!("-- randomized matrix: schedules + outage + paced scrub --");
-    let schemes: &[Scheme] = if smoke {
-        &[Scheme::DveDeny]
-    } else {
-        &[Scheme::DveAllow, Scheme::DveDeny]
-    };
-    let ops: u64 = if smoke { 300 } else { 500 };
+    let ops: u64 = 500;
     let seeds: &[u64] = &[0xC0FFEE, 7];
     let mut table = String::from(
         "scheme      mshrs seed      cycles   planted detected corrected repaired degraded mce \
          scrubbed redirects rec_frac rec_p99\n",
     );
-    for &scheme in schemes {
+    for scheme in [Scheme::DveAllow, Scheme::DveDeny] {
         for &mshrs in &[1usize, 4] {
             for &seed in seeds {
                 let r = chaos_cell(p, scheme, mshrs, seed, ops);
@@ -567,12 +561,12 @@ fn tenant_slo_report(gate: &mut Gate, p: &WorkloadProfile) -> String {
 }
 
 fn main() -> Result<ExitCode, HarnessError> {
-    let smoke = smoke()?;
+    no_args()?;
     let p = profile("backprop");
     let mut gate = Gate::new();
 
     directed_transitions(&mut gate, &p);
-    let matrix = randomized_matrix(&mut gate, &p, smoke);
+    let matrix = randomized_matrix(&mut gate, &p);
     let ladder = hammer_ladder(&mut gate, &p);
     let tenants = tenant_slo_report(&mut gate, &p);
 

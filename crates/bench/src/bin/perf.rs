@@ -47,11 +47,11 @@
 //!    hide latency; simulated cycles are deterministic, so this cannot
 //!    flake with runner speed).
 
-use dve::builder::SystemBuilder;
 use dve::config::Scheme;
+use dve::system::System;
 use dve_bench::gate::{smoke, write_report, Gate, HarnessError};
-use dve_bench::profile;
 use dve_bench::timing::MicroBench;
+use dve_bench::{config, profile};
 use dve_campaign::runner::{run_campaign, CampaignConfig, SamplingMode};
 use dve_campaign::trial::CampaignScheme;
 use dve_ecc::code::DetectionCode;
@@ -331,10 +331,9 @@ fn bench_campaign(trials: u64) -> Vec<(String, f64)> {
 fn bench_system(ops: u64) -> (Vec<(String, f64)>, u64, u64) {
     let p = profile("backprop");
     let run = |scheme, mshrs| {
-        SystemBuilder::new(scheme)
-            .ops_per_thread(ops)
-            .mshrs(mshrs)
-            .run(&p, 42)
+        let mut cfg = config(scheme, ops);
+        cfg.mshrs = mshrs;
+        System::new(cfg, &p, 42).run()
     };
     let start = Instant::now();
     let base = run(Scheme::BaselineNuma, 1);
@@ -390,11 +389,10 @@ fn bench_topology(ops: u64) -> Vec<(String, f64)> {
         TopologySpec::Nway(4),
         TopologySpec::TwoTier,
     ] {
-        let r = SystemBuilder::new(Scheme::DveDeny)
-            .ops_per_thread(ops)
-            .mshrs(1)
-            .topology(spec)
-            .run(&p, 42);
+        let mut cfg = config(Scheme::DveDeny, ops);
+        cfg.mshrs = 1;
+        cfg.set_topology(spec);
+        let r = System::new(cfg, &p, 42).run();
         let key = spec.to_string().replace(':', "_");
         println!(
             "  topology {key:<8} cycles {} (replica reads {})",

@@ -1,11 +1,10 @@
-//! Service smoke harness: boots the always-on replication service,
-//! drives it with a concurrent closed-loop fleet (in-process + TCP
-//! sessions), flips §V-E degraded mode mid-run, and gates on the
-//! end-to-end invariants.
+//! Service harness: boots the always-on replication service, drives it
+//! with a concurrent closed-loop fleet (in-process + TCP sessions),
+//! flips §V-E degraded mode mid-run, gates on the end-to-end
+//! invariants, then compares schemes under the same service stack.
 //!
 //! ```text
-//! cargo run -p dve-bench --bin service --release -- smoke   # CI gate
-//! cargo run -p dve-bench --bin service --release           # + scheme table
+//! cargo run -p dve-bench --bin service --release
 //! ```
 //!
 //! Gates (all must hold for exit 0):
@@ -22,8 +21,9 @@
 //!   (`degraded_transitions >= 2`) while chaos faults are live.
 //! * Percentiles are ordered (p50 <= p99 <= p999).
 //!
-//! The measured throughput and per-component percentile table land in
-//! `results/service_report.txt` (quoted in EXPERIMENTS.md §9).
+//! The measured throughput, per-component percentile table and scheme
+//! table land in `results/service_report.txt` (not committed: wall-clock
+//! epoch cuts move it run to run; EXPERIMENTS.md §9 quotes one run).
 
 use std::fmt::Write as _;
 use std::process::ExitCode;
@@ -31,7 +31,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use dve_bench::gate::{smoke, write_report, Gate, HarnessError};
+use dve_bench::gate::{no_args, write_report, Gate, HarnessError};
 use dve_service::{run_loadgen, LoadgenConfig, Service, ServiceConfig, ServiceReport};
 use dve_sim::latency::Component;
 
@@ -90,17 +90,17 @@ fn percentile_table(report: &ServiceReport) -> String {
 
 /// The gated run: chaos armed, >=100 sessions, >=100k ops, a
 /// mid-run degraded flip, full conservation checks.
-fn smoke_run(gate: &mut Gate) -> String {
+fn gated_run(gate: &mut Gate) -> String {
     let svc_cfg: ServiceConfig =
         "scheme=dve-deny workload=backprop mshrs=4 epoch_ops=4096 epoch_wait_ms=2 chaos_seed=13"
             .parse()
-            .expect("smoke service config");
+            .expect("gated service config");
     let load = LoadgenConfig::default();
     let total_ops = load.sessions as u64 * load.ops_per_session;
     assert!(load.sessions >= 100, "acceptance floor: >=100 sessions");
     assert!(total_ops >= 100_000, "acceptance floor: >=100k ops");
 
-    println!("-- service smoke: {svc_cfg} --");
+    println!("-- service: {svc_cfg} --");
     println!(
         "   load: {} sessions ({} TCP) x {} ops = {} ops",
         load.sessions, load.tcp_sessions, load.ops_per_session, total_ops
@@ -207,7 +207,7 @@ fn smoke_run(gate: &mut Gate) -> String {
     );
 
     let mut out = String::new();
-    writeln!(out, "# Service smoke report").unwrap();
+    writeln!(out, "# Service report").unwrap();
     writeln!(out, "config: {svc_cfg}").unwrap();
     writeln!(
         out,
@@ -241,8 +241,8 @@ fn smoke_run(gate: &mut Gate) -> String {
     out
 }
 
-/// Full mode extra: a quick fault-free scheme comparison under the
-/// same service stack (smaller fleet; the point is relative latency).
+/// A quick fault-free scheme comparison under the same service stack
+/// (smaller fleet; the point is relative latency).
 fn scheme_table(gate: &mut Gate) -> String {
     let mut out = String::new();
     writeln!(
@@ -289,12 +289,10 @@ fn scheme_table(gate: &mut Gate) -> String {
 }
 
 fn main() -> Result<ExitCode, HarnessError> {
-    let smoke = smoke()?;
+    no_args()?;
     let mut gate = Gate::new();
-    let mut report = smoke_run(&mut gate);
-    if !smoke {
-        report.push_str(&scheme_table(&mut gate));
-    }
+    let mut report = gated_run(&mut gate);
+    report.push_str(&scheme_table(&mut gate));
     write_report("results/service_report.txt", &report)?;
     Ok(gate.finish("service"))
 }

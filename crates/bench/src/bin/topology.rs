@@ -3,8 +3,7 @@
 //! and the two-tier far-memory scheme.
 //!
 //! ```text
-//! cargo run -p dve-bench --bin topology --release            # full sweep
-//! cargo run -p dve-bench --bin topology --release -- smoke   # CI gate
+//! cargo run -p dve-bench --bin topology --release
 //! ```
 //!
 //! The sweep runs every topology × Dvé scheme on the pinned backprop
@@ -16,16 +15,14 @@
 
 use dve::config::{Scheme, SystemConfig, TopologySpec};
 use dve::system::{RunResult, System};
-use dve_bench::gate::{smoke, write_report, Gate, HarnessError};
+use dve_bench::gate::{no_args, write_report, Gate, HarnessError};
 use dve_bench::profile;
 use dve_workloads::WorkloadProfile;
 use std::fmt::Write as _;
 use std::process::ExitCode;
 
 /// One sweep run, returning the system so the report can read per-edge
-/// link stats off the fabric. The core count shrinks to the nearest
-/// multiple of the socket count when 16 does not partition (nway:3
-/// drops to 15 cores — cores must split evenly over sockets).
+/// link stats off the fabric (`set_topology` drops nway:3 to 15 cores).
 fn run_sweep_cell(
     p: &WorkloadProfile,
     spec: TopologySpec,
@@ -34,7 +31,6 @@ fn run_sweep_cell(
     seed: u64,
 ) -> (RunResult, System) {
     let mut cfg = SystemConfig::table_ii(scheme);
-    cfg.engine.cores -= cfg.engine.cores % spec.sockets();
     cfg.set_topology(spec);
     let mut sys = System::new(cfg, p, seed);
     sys.warm_up();
@@ -125,11 +121,11 @@ fn sweep(gate: &mut Gate, p: &WorkloadProfile, ops: u64) -> String {
 }
 
 fn main() -> Result<ExitCode, HarnessError> {
-    let ops: u64 = if smoke()? { 300 } else { 2000 };
+    no_args()?;
     let p = profile("backprop");
     let mut gate = Gate::new();
 
-    let report = sweep(&mut gate, &p, ops);
+    let report = sweep(&mut gate, &p, 2000);
     write_report("results/topology_report.txt", &report)?;
     print!("{report}");
     Ok(gate.finish("topology"))

@@ -145,6 +145,22 @@ fn parse_smoke(args: Vec<String>) -> Result<bool, HarnessError> {
     }
 }
 
+/// Fails on any command-line argument: for a bin with one run and one
+/// report, a leftover mode such as `smoke` is an error, not ignored.
+pub fn no_args() -> Result<(), HarnessError> {
+    parse_no_args(std::env::args().skip(1).collect())
+}
+
+fn parse_no_args(args: Vec<String>) -> Result<(), HarnessError> {
+    if args.is_empty() {
+        Ok(())
+    } else {
+        Err(HarnessError(format!(
+            "unexpected arguments {args:?}; this bin takes none"
+        )))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -225,6 +241,14 @@ mod tests {
         assert!(parse_smoke(args(&["smoke"])).unwrap());
         assert!(parse_smoke(args(&["--smoke"])).is_err());
         assert!(parse_smoke(args(&["smoke", "x"])).is_err());
+    }
+
+    #[test]
+    fn a_bin_without_modes_rejects_every_argument() {
+        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect();
+        assert!(parse_no_args(args(&[])).is_ok());
+        assert!(parse_no_args(args(&["smoke"])).is_err());
+        assert!(parse_no_args(args(&["x", "y"])).is_err());
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! The `campaign` gate fails on bad input or output instead of warning
 //! past it: a malformed knob and an event log that cannot be written
-//! both exit non-zero, naming what went wrong.
+//! both exit non-zero, naming what went wrong. A good run writes the
+//! report and the CSV event log, nothing else.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -43,7 +44,14 @@ fn unwritable_event_log_fails_the_run() {
         "control run: {}",
         String::from_utf8_lossy(&ok.stdout)
     );
-    assert!(ok_dir.join("campaign_events.csv").is_file());
+    // The CSV is the one event-log format: it is written, and nothing
+    // else beside the report is.
+    let mut written: Vec<String> = std::fs::read_dir(&ok_dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    written.sort();
+    assert_eq!(written, ["campaign.txt", "campaign_events.csv"]);
 
     // A directory squatting on the CSV's path: the report writes, the
     // event log cannot.

@@ -26,8 +26,7 @@
 //!   noise and the documented SDC model fidelity), reweights
 //!   stratified campaigns without bias, prints Table I's real-scale
 //!   analytical rows and per-stratum breakdowns alongside, and
-//!   serializes per-trial recovery events as CSV and a compact binary
-//!   log.
+//!   serializes per-trial recovery events as CSV.
 //!
 //! Entry point: `cargo run -p dve-bench --bin campaign --release`.
 
@@ -37,8 +36,7 @@ pub mod sampler;
 pub mod trial;
 
 pub use report::{
-    read_events_binary, stratified_rate, write_events_binary, write_events_csv, CampaignReport,
-    SchemeEventLog, SchemeReport, StratumRow, Verdict,
+    stratified_rate, write_events_csv, CampaignReport, SchemeReport, StratumRow, Verdict,
 };
 pub use runner::{
     run_all, run_campaign, wilson_interval, CampaignConfig, CampaignResult, OutcomeCounts,

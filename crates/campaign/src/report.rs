@@ -10,20 +10,18 @@
 //! and the §IV arithmetic have diverged, which is the bug this report
 //! exists to catch.
 //!
-//! Two serializations of the per-trial recovery-event log ride along:
-//! a human-greppable CSV and a compact fixed-record binary format with
-//! magic header `DVECAMP1`.
+//! The per-trial recovery-event log rides along as CSV.
 
 use crate::runner::{
     wilson_interval, CampaignConfig, CampaignResult, OutcomeCounts, StratumResult,
 };
 use crate::sampler::Stratum;
 use crate::trial::CampaignScheme;
-use dve::{RecoveryEvent, RecoveryOutcome};
+use dve::RecoveryOutcome;
 use dve_reliability::accel::{AccelModel, WindowProbs};
 use dve_reliability::table1_rows;
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 
 /// Did the empirical estimate agree with the analytical expectation?
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -106,11 +104,6 @@ impl SchemeReport {
     /// Both rates agree with the model.
     pub fn agrees(&self) -> bool {
         self.due_verdict == Verdict::Agree && self.sdc_verdict == Verdict::Agree
-    }
-
-    /// Empirical uncorrectable mass (DUE + SDC).
-    pub fn empirical_unc(&self) -> f64 {
-        self.empirical_due + self.empirical_sdc
     }
 }
 
@@ -387,25 +380,6 @@ impl CampaignReport {
 
 // ---- event-log serialization ---------------------------------------
 
-fn outcome_code(o: RecoveryOutcome) -> u8 {
-    match o {
-        RecoveryOutcome::Clean => 0,
-        RecoveryOutcome::CorrectedTransient => 1,
-        RecoveryOutcome::CorrectedDegraded => 2,
-        RecoveryOutcome::MachineCheck => 3,
-    }
-}
-
-fn outcome_from_code(c: u8) -> io::Result<RecoveryOutcome> {
-    Ok(match c {
-        0 => RecoveryOutcome::Clean,
-        1 => RecoveryOutcome::CorrectedTransient,
-        2 => RecoveryOutcome::CorrectedDegraded,
-        3 => RecoveryOutcome::MachineCheck,
-        _ => return Err(io::Error::new(io::ErrorKind::InvalidData, "bad outcome")),
-    })
-}
-
 fn outcome_label(o: RecoveryOutcome) -> &'static str {
     match o {
         RecoveryOutcome::Clean => "clean",
@@ -433,67 +407,6 @@ pub fn write_events_csv(w: &mut impl Write, results: &[CampaignResult]) -> io::R
         }
     }
     Ok(())
-}
-
-/// Magic header of the binary event log.
-pub const EVENT_LOG_MAGIC: &[u8; 8] = b"DVECAMP1";
-
-/// Writes the compact binary event log: magic, then per scheme a
-/// `[scheme_code: u8, count: u64-le]` header followed by `count`
-/// 25-byte records `[trial: u64-le, at: u64-le, addr: u64-le, outcome:
-/// u8]`.
-pub fn write_events_binary(w: &mut impl Write, results: &[CampaignResult]) -> io::Result<()> {
-    w.write_all(EVENT_LOG_MAGIC)?;
-    w.write_all(&[results.len() as u8])?;
-    for r in results {
-        w.write_all(&[r.scheme.stream() as u8])?;
-        w.write_all(&(r.events.len() as u64).to_le_bytes())?;
-        for (trial, e) in &r.events {
-            w.write_all(&trial.to_le_bytes())?;
-            w.write_all(&e.at.to_le_bytes())?;
-            w.write_all(&e.addr.to_le_bytes())?;
-            w.write_all(&[outcome_code(e.outcome)])?;
-        }
-    }
-    Ok(())
-}
-
-/// One scheme's decoded event log: `(scheme stream code, tagged events)`.
-pub type SchemeEventLog = (u8, Vec<(u64, RecoveryEvent)>);
-
-/// Reads a binary event log back: one [`SchemeEventLog`] per scheme.
-pub fn read_events_binary(r: &mut impl Read) -> io::Result<Vec<SchemeEventLog>> {
-    let mut magic = [0u8; 8];
-    r.read_exact(&mut magic)?;
-    if &magic != EVENT_LOG_MAGIC {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "bad magic"));
-    }
-    let mut n = [0u8; 1];
-    r.read_exact(&mut n)?;
-    let mut out = Vec::with_capacity(n[0] as usize);
-    for _ in 0..n[0] {
-        let mut hdr = [0u8; 9];
-        r.read_exact(&mut hdr)?;
-        let count = u64::from_le_bytes(hdr[1..9].try_into().unwrap());
-        let mut events = Vec::with_capacity(count as usize);
-        for _ in 0..count {
-            let mut rec = [0u8; 25];
-            r.read_exact(&mut rec)?;
-            let trial = u64::from_le_bytes(rec[0..8].try_into().unwrap());
-            let at = u64::from_le_bytes(rec[8..16].try_into().unwrap());
-            let addr = u64::from_le_bytes(rec[16..24].try_into().unwrap());
-            events.push((
-                trial,
-                RecoveryEvent {
-                    addr,
-                    at,
-                    outcome: outcome_from_code(rec[24])?,
-                },
-            ));
-        }
-        out.push((hdr[0], events));
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -673,21 +586,6 @@ mod tests {
     }
 
     #[test]
-    fn binary_event_log_roundtrips() {
-        let cfg = cfg();
-        let results = run_all(&cfg);
-        let mut buf = Vec::new();
-        write_events_binary(&mut buf, &results).unwrap();
-        assert_eq!(&buf[..8], EVENT_LOG_MAGIC);
-        let back = read_events_binary(&mut buf.as_slice()).unwrap();
-        assert_eq!(back.len(), results.len());
-        for (got, want) in back.iter().zip(&results) {
-            assert_eq!(got.0, want.scheme.stream() as u8);
-            assert_eq!(got.1, want.events);
-        }
-    }
-
-    #[test]
     fn csv_has_header_and_rows() {
         let cfg = cfg();
         let results = run_all(&cfg);
@@ -697,21 +595,5 @@ mod tests {
         let mut lines = text.lines();
         assert_eq!(lines.next(), Some("scheme,trial,at,addr,outcome"));
         assert!(lines.next().is_some(), "no event rows");
-    }
-
-    #[test]
-    fn truncated_binary_log_is_rejected() {
-        let cfg = CampaignConfig {
-            trials: 300,
-            ..cfg()
-        };
-        let results = run_all(&cfg);
-        let mut buf = Vec::new();
-        write_events_binary(&mut buf, &results).unwrap();
-        buf.truncate(buf.len() - 1);
-        assert!(read_events_binary(&mut buf.as_slice()).is_err());
-        let mut bad = buf.clone();
-        bad[0] ^= 0xFF;
-        assert!(read_events_binary(&mut bad.as_slice()).is_err());
     }
 }

@@ -269,24 +269,27 @@ impl SystemConfig {
 
     /// Switches the node-level topology, rewiring the engine geometry
     /// that depends on it: socket count, placement policy, and the
-    /// per-socket core partition. [`TopologySpec::Mirror2`] leaves a
-    /// Table II configuration exactly as constructed (the engine
-    /// defaults already describe the paper's two-socket machine).
+    /// per-socket core partition. Cores must split evenly over the
+    /// sockets, so the core count drops to the nearest multiple of the
+    /// socket count (a Table II config under `nway:3` runs 15 cores, 5
+    /// per socket). [`TopologySpec::Mirror2`] leaves a Table II
+    /// configuration exactly as constructed (the engine defaults
+    /// already describe the paper's two-socket machine).
     ///
     /// # Panics
     ///
-    /// Panics if the core count does not divide evenly across the
-    /// topology's sockets.
+    /// Panics if there are fewer cores than the topology has sockets.
     pub fn set_topology(&mut self, spec: TopologySpec) {
         assert!(
-            self.engine.cores.is_multiple_of(spec.sockets()),
-            "{} cores do not partition over {} sockets",
+            self.engine.cores >= spec.sockets(),
+            "{} cores cannot populate {} sockets",
             self.engine.cores,
             spec.sockets()
         );
         self.topology = spec;
         self.engine.sockets = spec.sockets();
         self.engine.placement = spec.placement();
+        self.engine.cores -= self.engine.cores % spec.sockets();
         self.engine.cores_per_socket = self.engine.cores / spec.sockets();
     }
 
@@ -436,6 +439,15 @@ mod tests {
             g.edge(0, 2).latency > g.edge(0, 1).latency,
             "far hop slower"
         );
+    }
+
+    #[test]
+    fn set_topology_drops_cores_that_do_not_split_over_sockets() {
+        let mut c = SystemConfig::table_ii(Scheme::DveDeny);
+        c.set_topology(TopologySpec::Nway(3));
+        assert_eq!(c.engine.cores, 15, "16 cores do not split over 3 sockets");
+        assert_eq!(c.engine.sockets, 3);
+        assert_eq!(c.engine.cores_per_socket, 5);
     }
 
     #[test]

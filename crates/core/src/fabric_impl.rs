@@ -522,11 +522,6 @@ impl SystemFabric {
         end
     }
 
-    /// Whether the chaos layer is armed.
-    pub fn chaos_enabled(&self) -> bool {
-        self.chaos
-    }
-
     /// The recovery ledger accumulated so far.
     pub fn ledger(&self) -> RecoveryLedger {
         self.ledger

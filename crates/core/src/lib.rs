@@ -50,7 +50,6 @@
 //! assert!(result.engine.replica_reads > 0); // Dvé served local replicas
 //! ```
 
-pub mod builder;
 pub mod chaos;
 pub mod config;
 pub mod fabric_impl;
@@ -60,7 +59,6 @@ pub mod pdes;
 pub mod recovery;
 pub mod system;
 
-pub use builder::SystemBuilder;
 pub use chaos::{
     ChaosConfig, ChaosParams, CorrelatedConfig, FaultSchedule, FaultSourceKind, RecoveryLedger,
 };

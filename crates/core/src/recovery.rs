@@ -53,22 +53,6 @@ pub struct RecoveryStats {
     pub machine_checks: u64,
 }
 
-/// A replicated memory region backed by one controller per socket.
-///
-/// # Example
-///
-/// ```
-/// use dve::recovery::{RecoverableMemory, RecoveryOutcome};
-/// use dve_dram::fault::FaultDomain;
-///
-/// let mut mem = RecoverableMemory::new_dve_tsd();
-/// // A whole memory controller dies on socket 0:
-/// mem.primary_mut().faults_mut().fail(FaultDomain::Controller);
-/// let (outcome, _) = mem.read(0x1000, 0);
-/// // The replica recovers the data; socket 0's copy stays bad (hard
-/// // fault), so the region degrades to one copy.
-/// assert_eq!(outcome, RecoveryOutcome::CorrectedDegraded);
-/// ```
 /// One recovery-relevant read, as recorded by the event log.
 ///
 /// Fault campaigns drain these with
@@ -85,6 +69,22 @@ pub struct RecoveryEvent {
     pub outcome: RecoveryOutcome,
 }
 
+/// A replicated memory region backed by one controller per socket.
+///
+/// # Example
+///
+/// ```
+/// use dve::recovery::{RecoverableMemory, RecoveryOutcome};
+/// use dve_dram::fault::FaultDomain;
+///
+/// let mut mem = RecoverableMemory::new_dve_tsd();
+/// // A whole memory controller dies on socket 0:
+/// mem.primary_mut().faults_mut().fail(FaultDomain::Controller);
+/// let (outcome, _) = mem.read(0x1000, 0);
+/// // The replica recovers the data; socket 0's copy stays bad (hard
+/// // fault), so the region degrades to one copy.
+/// assert_eq!(outcome, RecoveryOutcome::CorrectedDegraded);
+/// ```
 #[derive(Debug)]
 pub struct RecoverableMemory {
     primary: MemoryController,
@@ -93,20 +93,20 @@ pub struct RecoverableMemory {
     degraded: HashSet<u64>,
     stats: RecoveryStats,
     /// Non-clean reads observed since the last [`Self::take_events`],
-    /// bounded at `event_cap` entries: when full, the *oldest* event is
-    /// dropped (and counted) so a long undrained run keeps the most
-    /// recent history instead of growing without bound.
+    /// bounded at [`Self::EVENT_LOG_CAP`] entries: when full, the
+    /// *oldest* event is dropped (and counted) so a long undrained run
+    /// keeps the most recent history instead of growing without bound.
     events: VecDeque<RecoveryEvent>,
     log_events: bool,
-    event_cap: usize,
     dropped: u64,
 }
 
 impl RecoverableMemory {
-    /// Default bound on the undrained event log (entries). Chosen so a
+    /// Bound on the undrained event log (entries). Chosen so a
     /// campaign that forgets to drain between trials caps at ~100 KiB
     /// of log instead of growing with run length.
     pub const EVENT_LOG_CAP: usize = 4096;
+
     /// Builds a replicated region with the given ECC at both
     /// controllers.
     pub fn new(cfg: DramConfig, ecc: EccProfile) -> RecoverableMemory {
@@ -121,7 +121,6 @@ impl RecoverableMemory {
             stats: RecoveryStats::default(),
             events: VecDeque::new(),
             log_events: false,
-            event_cap: Self::EVENT_LOG_CAP,
             dropped: 0,
         }
     }
@@ -129,11 +128,6 @@ impl RecoverableMemory {
     /// Dvé+TSD: detect-only codes, correction via replica.
     pub fn new_dve_tsd() -> RecoverableMemory {
         Self::new(DramConfig::ddr4_2400_no_refresh(), EccProfile::tsd())
-    }
-
-    /// Dvé+Chipkill: local single-symbol repair plus replica recovery.
-    pub fn new_dve_chipkill() -> RecoverableMemory {
-        Self::new(DramConfig::ddr4_2400_no_refresh(), EccProfile::chipkill())
     }
 
     /// The primary-side controller.
@@ -162,17 +156,6 @@ impl RecoverableMemory {
         self.log_events = on;
     }
 
-    /// Overrides the event-log bound ([`Self::EVENT_LOG_CAP`] by
-    /// default). A cap of 0 records nothing (every event counts as
-    /// dropped while logging is on).
-    pub fn set_event_log_cap(&mut self, cap: usize) {
-        self.event_cap = cap;
-        while self.events.len() > cap {
-            self.events.pop_front();
-            self.dropped += 1;
-        }
-    }
-
     /// Events evicted from the bounded log before they were drained
     /// (cumulative over the run; never reset by [`Self::take_events`]).
     pub fn dropped_events(&self) -> u64 {
@@ -192,17 +175,15 @@ impl RecoverableMemory {
     pub fn read(&mut self, addr: u64, now: u64) -> (RecoveryOutcome, u64) {
         let (outcome, done) = self.read_inner(addr, now);
         if self.log_events && outcome != RecoveryOutcome::Clean {
-            if self.events.len() >= self.event_cap {
+            if self.events.len() >= Self::EVENT_LOG_CAP {
                 self.events.pop_front();
                 self.dropped += 1;
             }
-            if self.event_cap > 0 {
-                self.events.push_back(RecoveryEvent {
-                    addr,
-                    at: now,
-                    outcome,
-                });
-            }
+            self.events.push_back(RecoveryEvent {
+                addr,
+                at: now,
+                outcome,
+            });
         }
         (outcome, done)
     }
@@ -282,47 +263,29 @@ mod tests {
 
     #[test]
     fn event_log_is_bounded_with_dropped_counter() {
+        const CAP: u64 = RecoverableMemory::EVENT_LOG_CAP as u64;
         let mut mem = RecoverableMemory::new_dve_tsd();
         mem.set_event_logging(true);
-        mem.set_event_log_cap(8);
         mem.primary_mut().faults_mut().fail(FaultDomain::Controller);
-        // 20 distinct lines: every first read is CorrectedDegraded and
-        // gets logged; the ring keeps only the newest 8.
-        for i in 0..20u64 {
+        // CAP + 100 distinct lines: every first read is CorrectedDegraded
+        // and gets logged; the ring keeps only the newest CAP.
+        for i in 0..CAP + 100 {
             mem.read(i * 64, i * 100_000);
         }
-        assert_eq!(mem.dropped_events(), 12);
+        assert_eq!(mem.dropped_events(), 100);
         let events = mem.take_events();
-        assert_eq!(events.len(), 8, "log stays within the cap");
-        assert_eq!(events[0].addr, 12 * 64, "oldest entries were evicted");
-        assert_eq!(events[7].addr, 19 * 64, "newest entry survives");
+        assert_eq!(events.len() as u64, CAP, "log stays within the cap");
+        assert_eq!(events[0].addr, 100 * 64, "oldest entries were evicted");
+        assert_eq!(
+            events.last().map(|e| e.addr),
+            Some((CAP + 99) * 64),
+            "newest entry survives"
+        );
         assert_eq!(
             mem.dropped_events(),
-            12,
+            100,
             "drain does not reset the cumulative counter"
         );
-        // A long undrained run with the default cap stays within it.
-        let mut mem = RecoverableMemory::new_dve_tsd();
-        mem.set_event_logging(true);
-        mem.primary_mut().faults_mut().fail(FaultDomain::Controller);
-        for i in 0..(RecoverableMemory::EVENT_LOG_CAP as u64 + 100) {
-            mem.read(i * 64, i * 100_000);
-        }
-        assert_eq!(mem.take_events().len(), RecoverableMemory::EVENT_LOG_CAP);
-        assert_eq!(mem.dropped_events(), 100);
-    }
-
-    #[test]
-    fn zero_cap_records_nothing_and_counts_everything() {
-        let mut mem = RecoverableMemory::new_dve_tsd();
-        mem.set_event_logging(true);
-        mem.set_event_log_cap(0);
-        mem.primary_mut().faults_mut().fail(FaultDomain::Controller);
-        for i in 0..5u64 {
-            mem.read(i * 64, i * 100_000);
-        }
-        assert!(mem.take_events().is_empty());
-        assert_eq!(mem.dropped_events(), 5);
     }
 
     #[test]
@@ -335,7 +298,8 @@ mod tests {
 
     #[test]
     fn chip_fault_with_chipkill_repairs_locally() {
-        let mut mem = RecoverableMemory::new_dve_chipkill();
+        let mut mem =
+            RecoverableMemory::new(DramConfig::ddr4_2400_no_refresh(), EccProfile::chipkill());
         mem.primary_mut().faults_mut().fail(FaultDomain::Chip {
             channel: 0,
             rank: 0,

@@ -22,9 +22,9 @@
 //! * [`rowhammer`] — per-row activation tracking within refresh windows;
 //!   quantifies the exposure reduction Dvé's replica load-balancing
 //!   provides (§III).
-//! * [`thermal`] — chip- and rank-level thermal profiles with Arrhenius
-//!   FIT scaling, and the risk-inverse replica placement of §IV-C
-//!   (including its rank-level future-work generalization).
+//! * [`thermal`] — the rank-level thermal profile (§IV-C) whose
+//!   Arrhenius-scaled per-rank risks set the thermal fault source's
+//!   arrival rates.
 //! * [`scrub`] — the patrol scrubber whose interval conditions every
 //!   DUE/SDC coincidence term in §IV's analytical model.
 //!
@@ -58,4 +58,4 @@ pub use energy::EnergyModel;
 pub use fault::{FaultDomain, FaultState};
 pub use rowhammer::RowHammerMonitor;
 pub use scrub::Scrubber;
-pub use thermal::{risk_inverse_placement, ThermalProfile};
+pub use thermal::ThermalProfile;

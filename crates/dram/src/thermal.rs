@@ -1,56 +1,32 @@
-//! Thermal modeling and risk-aware replica placement (§IV-C).
+//! Rank-level thermal profile (§IV-C).
 //!
-//! The paper exploits the ~10 °C gradient between the DRAM chip nearest
-//! and farthest from the fan: mapping data on hot chips to replicas on
-//! cool chips ("risk-inverse mapping") lowers the probability that both
-//! copies of a line sit on high-FIT silicon. §IV-C closes with future
-//! work this module also implements: *rank-level* thermal profiles
-//! ("ranks closer to the processor may exhibit higher temperatures") and
-//! memory-controller policies that place the two copies of data in ranks
-//! that are not both at high risk.
+//! §IV-C observes that "ranks closer to the processor may exhibit
+//! higher temperatures". [`ThermalProfile`] carries that gradient and
+//! turns it into per-rank relative FIT rates with the Arrhenius
+//! relation; the in-band thermal fault source scales its per-rank
+//! arrival rates by them. The paper's chip-level risk-inverse mapping
+//! (Table I) lives in `dve_reliability::fit::ThermalMapping`.
 
-/// A thermal profile over the chips of one DIMM and the ranks of one
-/// channel.
+/// A thermal profile over the ranks of one channel.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ThermalProfile {
-    /// Temperature of each chip in a DIMM, °C, ordered by distance from
-    /// the fan.
-    pub chip_celsius: Vec<f64>,
     /// Temperature of each rank in the channel, °C, ordered by distance
     /// from the processor.
     pub rank_celsius: Vec<f64>,
 }
 
 impl ThermalProfile {
-    /// The paper's profile: a 10 °C gradient across the 9 chips of a
-    /// DIMM (§IV-C), and a 6 °C gradient across ranks.
+    /// The paper-derived profile: a 6 °C gradient across `ranks` ranks,
+    /// hottest nearest the processor.
     pub fn paper_default(ranks: usize) -> ThermalProfile {
-        let chip_celsius = (0..9).map(|i| 45.0 + 10.0 * i as f64 / 8.0).collect();
         let rank_celsius = (0..ranks.max(1))
             .map(|i| 51.0 - 6.0 * i as f64 / ranks.max(2).saturating_sub(1) as f64)
             .collect();
-        ThermalProfile {
-            chip_celsius,
-            rank_celsius,
-        }
+        ThermalProfile { rank_celsius }
     }
 
-    /// Scales a base FIT rate per chip using the Arrhenius relation at
-    /// activation energy `ea_ev`, referenced to the coolest chip.
-    pub fn chip_fits(&self, base_fit: f64, ea_ev: f64) -> Vec<f64> {
-        let t0 = self
-            .chip_celsius
-            .iter()
-            .cloned()
-            .fold(f64::INFINITY, f64::min);
-        self.chip_celsius
-            .iter()
-            .map(|&t| crate_arrhenius(base_fit, t0, t, ea_ev))
-            .collect()
-    }
-
-    /// Per-rank risk scores (relative FIT), referenced to the coolest
-    /// rank.
+    /// Per-rank risk scores (relative FIT) at activation energy
+    /// `ea_ev`, referenced to the coolest rank.
     pub fn rank_risks(&self, ea_ev: f64) -> Vec<f64> {
         let t0 = self
             .rank_celsius
@@ -59,78 +35,14 @@ impl ThermalProfile {
             .fold(f64::INFINITY, f64::min);
         self.rank_celsius
             .iter()
-            .map(|&t| crate_arrhenius(1.0, t0, t, ea_ev))
+            .map(|&t| arrhenius(1.0, t0, t, ea_ev))
             .collect()
     }
 }
 
-fn crate_arrhenius(fit: f64, t0: f64, t1: f64, ea_ev: f64) -> f64 {
+fn arrhenius(fit: f64, t0: f64, t1: f64, ea_ev: f64) -> f64 {
     const K_B: f64 = 8.617_333e-5;
     fit * (ea_ev / K_B * (1.0 / (t0 + 273.15) - 1.0 / (t1 + 273.15))).exp()
-}
-
-/// A rank-level replica placement: for each primary rank, the rank (on
-/// the other socket's channel) that holds its replica.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RankPlacement {
-    /// `replica_rank[i]` is the replica rank paired with primary rank `i`.
-    pub replica_rank: Vec<usize>,
-}
-
-/// Computes the thermal-risk-minimizing rank pairing: sort primaries by
-/// descending risk, replicas by ascending risk, and pair them — the
-/// rank-level generalization of the paper's chip-level risk-inverse
-/// mapping. Returns the placement and its *joint risk* (sum over pairs
-/// of the product of the two risks, the quantity the DUE rate is
-/// proportional to).
-///
-/// # Panics
-///
-/// Panics if the slices differ in length or are empty.
-pub fn risk_inverse_placement(
-    primary_risks: &[f64],
-    replica_risks: &[f64],
-) -> (RankPlacement, f64) {
-    assert!(!primary_risks.is_empty(), "need at least one rank");
-    assert_eq!(
-        primary_risks.len(),
-        replica_risks.len(),
-        "rank counts must match"
-    );
-    let n = primary_risks.len();
-    let mut primaries: Vec<usize> = (0..n).collect();
-    let mut replicas: Vec<usize> = (0..n).collect();
-    primaries.sort_by(|&a, &b| primary_risks[b].total_cmp(&primary_risks[a]));
-    replicas.sort_by(|&a, &b| replica_risks[a].total_cmp(&replica_risks[b]));
-    let mut replica_rank = vec![0usize; n];
-    for (p, r) in primaries.iter().zip(&replicas) {
-        replica_rank[*p] = *r;
-    }
-    let joint = joint_risk(
-        &RankPlacement {
-            replica_rank: replica_rank.clone(),
-        },
-        primary_risks,
-        replica_risks,
-    );
-    (RankPlacement { replica_rank }, joint)
-}
-
-/// The identity pairing (what same-position mirroring is stuck with).
-pub fn identity_placement(n: usize) -> RankPlacement {
-    RankPlacement {
-        replica_rank: (0..n).collect(),
-    }
-}
-
-/// Joint failure risk of a placement: Σ risk_primary(i) ×
-/// risk_replica(pair(i)) — the DUE rate is proportional to this.
-pub fn joint_risk(p: &RankPlacement, primary: &[f64], replica: &[f64]) -> f64 {
-    p.replica_rank
-        .iter()
-        .enumerate()
-        .map(|(i, &r)| primary[i] * replica[r])
-        .sum()
 }
 
 #[cfg(test)]
@@ -140,60 +52,11 @@ mod tests {
     #[test]
     fn paper_profile_shape() {
         let t = ThermalProfile::paper_default(2);
-        assert_eq!(t.chip_celsius.len(), 9);
-        assert!((t.chip_celsius[8] - t.chip_celsius[0] - 10.0).abs() < 1e-9);
+        assert_eq!(t.rank_celsius.len(), 2);
         assert!(
             t.rank_celsius[0] > t.rank_celsius[1],
             "rank 0 nearer the CPU runs hotter"
         );
-    }
-
-    #[test]
-    fn chip_fits_monotone_with_temperature() {
-        let t = ThermalProfile::paper_default(1);
-        let fits = t.chip_fits(66.1, 0.6);
-        for w in fits.windows(2) {
-            assert!(w[1] > w[0]);
-        }
-        assert!(
-            (fits[0] - 66.1).abs() < 1e-9,
-            "coolest chip keeps the base FIT"
-        );
-    }
-
-    #[test]
-    fn risk_inverse_beats_identity() {
-        let risks = [1.0, 1.3, 1.7, 2.2];
-        let (placement, joint) = risk_inverse_placement(&risks, &risks);
-        let identity = joint_risk(&identity_placement(4), &risks, &risks);
-        assert!(joint < identity, "{joint} !< {identity}");
-        // The hottest primary pairs with the coolest replica.
-        assert_eq!(placement.replica_rank[3], 0);
-        assert_eq!(placement.replica_rank[0], 3);
-    }
-
-    #[test]
-    fn risk_inverse_is_optimal_among_reversals() {
-        // Rearrangement inequality: no transposition improves it.
-        let primary = [1.0, 2.0, 4.0];
-        let replica = [1.5, 2.5, 3.0];
-        let (p, joint) = risk_inverse_placement(&primary, &replica);
-        for i in 0..3 {
-            for j in (i + 1)..3 {
-                let mut alt = p.clone();
-                alt.replica_rank.swap(i, j);
-                assert!(joint <= joint_risk(&alt, &primary, &replica) + 1e-12);
-            }
-        }
-    }
-
-    #[test]
-    fn placement_is_a_permutation() {
-        let risks = [3.0, 1.0, 2.0, 5.0, 4.0];
-        let (p, _) = risk_inverse_placement(&risks, &risks);
-        let mut seen: Vec<usize> = p.replica_rank.clone();
-        seen.sort_unstable();
-        assert_eq!(seen, vec![0, 1, 2, 3, 4]);
     }
 
     #[test]
@@ -202,11 +65,5 @@ mod tests {
         let r = t.rank_risks(0.6);
         let min = r.iter().cloned().fold(f64::INFINITY, f64::min);
         assert!((min - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one rank")]
-    fn empty_rejected() {
-        risk_inverse_placement(&[], &[]);
     }
 }

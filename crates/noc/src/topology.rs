@@ -159,11 +159,6 @@ impl Topology {
         self.kinds[node]
     }
 
-    /// Whether `node` is a compute socket.
-    pub fn is_socket(&self, node: NodeId) -> bool {
-        self.kind(node) == NodeKind::Socket
-    }
-
     /// Overrides the parameters of the ordered edge `from → to`.
     ///
     /// # Panics

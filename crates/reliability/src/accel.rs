@@ -17,8 +17,6 @@
 //! Dvé+Chipkill gap) carry over to real scale because both are governed
 //! by the same leading-order terms.
 
-use crate::fit::BASE_FIT;
-
 /// Parameters of one accelerated campaign window.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AccelParams {
@@ -61,16 +59,6 @@ impl AccelParams {
     /// ```
     pub fn fail_prob_from_fit(fit: f64, window_hours: f64, accel: f64) -> f64 {
         (fit * 1e-9 * window_hours * accel).clamp(0.0, 0.5)
-    }
-
-    /// Paper-default params at a given acceleration factor over a
-    /// 1-hour window of [`BASE_FIT`]-rate chips.
-    pub fn from_acceleration(accel: f64) -> AccelParams {
-        AccelParams {
-            chips_per_dimm: 9,
-            chip_fail_prob: Self::fail_prob_from_fit(BASE_FIT, 1.0, accel),
-            transient_frac: 0.7,
-        }
     }
 }
 

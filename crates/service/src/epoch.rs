@@ -113,9 +113,6 @@ impl EpochLoop {
             })?;
 
         let mut sys_cfg = SystemConfig::table_ii(cfg.scheme);
-        // Shrink the core count to partition over the socket count
-        // before applying the topology (nway:3 drops 16 → 15 cores).
-        sys_cfg.engine.cores -= sys_cfg.engine.cores % cfg.topology.sockets();
         sys_cfg.set_topology(cfg.topology);
         sys_cfg.mshrs = cfg.mshrs;
         // Client lines are folded into the workload's address span so

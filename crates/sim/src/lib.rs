@@ -8,9 +8,8 @@
 //!   reproducible.
 //! * [`time`] — strongly-typed simulated time ([`time::Cycles`],
 //!   [`time::Nanos`]) and clock-domain conversion ([`time::Frequency`]).
-//! * [`stats`] — counters, histograms and summary statistics used by the
-//!   evaluation harnesses (including the geometric-mean aggregation the
-//!   paper reports).
+//! * [`stats`] — the [`stats::LogHistogram`] latency histogram and the
+//!   geometric-mean aggregation the paper reports.
 //! * [`hash`] — [`hash::IntHasher`], the deterministic integer hasher
 //!   behind the directory and row-hammer maps ([`hash::IntMap`]).
 //! * [`rng`] — a tiny, dependency-free, seedable [`rng::SplitMix64`]
@@ -50,5 +49,5 @@ pub use event::EventQueue;
 pub use latency::{Component, LatencyBreakdown, Stamp};
 pub use resource::{Grant, Resource, ResourceStats};
 pub use rng::SplitMix64;
-pub use stats::{geomean, Counter, Histogram, Summary};
+pub use stats::geomean;
 pub use time::{Cycles, Frequency, Nanos};

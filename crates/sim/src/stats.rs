@@ -2,173 +2,9 @@
 //!
 //! The paper reports geometric means of speedups over workload groups
 //! (top-10 / top-15 / all-20 by L2 MPKI); [`geomean`] implements exactly
-//! that aggregation. [`Counter`] and [`Histogram`] are the building blocks
-//! components use to expose run statistics, and [`Summary`] accumulates
-//! running mean/min/max/variance without storing samples.
-
-use std::fmt;
-
-/// A named monotonically increasing event counter.
-///
-/// # Example
-///
-/// ```
-/// use dve_sim::stats::Counter;
-///
-/// let mut c = Counter::new("llc_misses");
-/// c.add(3);
-/// c.inc();
-/// assert_eq!(c.value(), 4);
-/// assert_eq!(c.name(), "llc_misses");
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Counter {
-    name: String,
-    value: u64,
-}
-
-impl Counter {
-    /// Creates a counter starting at zero.
-    pub fn new(name: impl Into<String>) -> Counter {
-        Counter {
-            name: name.into(),
-            value: 0,
-        }
-    }
-
-    /// Adds `n` to the counter.
-    pub fn add(&mut self, n: u64) {
-        self.value += n;
-    }
-
-    /// Adds one to the counter.
-    pub fn inc(&mut self) {
-        self.value += 1;
-    }
-
-    /// Current value.
-    pub fn value(&self) -> u64 {
-        self.value
-    }
-
-    /// The counter's name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Resets the counter to zero (used between profiling epochs by the
-    /// sampling-based dynamic protocol).
-    pub fn reset(&mut self) {
-        self.value = 0;
-    }
-}
-
-impl fmt::Display for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}: {}", self.name, self.value)
-    }
-}
-
-/// A power-of-two bucketed latency histogram.
-///
-/// Bucket `i` counts samples in `[2^i, 2^(i+1))`; bucket 0 also holds 0.
-///
-/// # Example
-///
-/// ```
-/// use dve_sim::stats::Histogram;
-///
-/// let mut h = Histogram::new();
-/// h.record(1);
-/// h.record(100);
-/// h.record(100);
-/// assert_eq!(h.count(), 3);
-/// assert_eq!(h.mean(), 67.0);
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct Histogram {
-    buckets: [u64; 64],
-    count: u64,
-    sum: u128,
-    max: u64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram {
-            buckets: [0; 64],
-            count: 0,
-            sum: 0,
-            max: 0,
-        }
-    }
-}
-
-impl Histogram {
-    /// Creates an empty histogram.
-    pub fn new() -> Histogram {
-        Histogram::default()
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, value: u64) {
-        let idx = if value == 0 {
-            0
-        } else {
-            63 - value.leading_zeros() as usize
-        };
-        self.buckets[idx] += 1;
-        self.count += 1;
-        self.sum += value as u128;
-        self.max = self.max.max(value);
-    }
-
-    /// Number of recorded samples.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean of recorded samples (0.0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// Largest recorded sample.
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
-    /// Approximate percentile from the bucketed distribution: returns the
-    /// upper bound of the bucket containing the requested quantile.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is not within `0.0..=1.0`.
-    pub fn percentile(&self, q: f64) -> u64 {
-        assert!((0.0..=1.0).contains(&q), "quantile must be in [0,1]");
-        if self.count == 0 {
-            return 0;
-        }
-        let target = (q * self.count as f64).ceil() as u64;
-        let mut seen = 0;
-        for (i, &b) in self.buckets.iter().enumerate() {
-            seen += b;
-            if seen >= target.max(1) {
-                return 1u64 << (i + 1).min(63);
-            }
-        }
-        self.max
-    }
-
-    /// Bucket counts, for rendering.
-    pub fn buckets(&self) -> &[u64; 64] {
-        &self.buckets
-    }
-}
+//! that aggregation. [`LogHistogram`] is the one latency histogram: the
+//! per-op latency attribution, the service telemetry and the load
+//! generator all record into it.
 
 /// Number of linear sub-buckets per octave in a [`LogHistogram`]
 /// (as a power of two: 2^3 = 8 sub-buckets).
@@ -182,11 +18,10 @@ const LOG_HIST_BUCKETS: usize = LOG_HIST_SUB + (64 - LOG_HIST_SUB_BITS as usize)
 /// A log-linear latency histogram: mergeable, allocation-light, and
 /// tight enough for tail reporting.
 ///
-/// The coarse power-of-two [`Histogram`] bounds percentiles only to
-/// within a factor of two — fine for sanity checks, useless for a p999
-/// SLO line. `LogHistogram` subdivides every octave into 8 linear
-/// sub-buckets, so percentile upper bounds carry at most 12.5% relative
-/// error while the whole structure stays a flat array of counters that
+/// A power-of-two histogram bounds percentiles only to within a factor
+/// of two — useless for a p999 SLO line. `LogHistogram` subdivides
+/// every octave into 8 linear sub-buckets, so percentile upper bounds
+/// carry at most 12.5% relative error while the whole structure stays a flat array of counters that
 /// merges across epochs and worker threads by addition. This is the
 /// serving-path histogram: the service telemetry records every
 /// completion's per-component latency into one of these.
@@ -379,73 +214,6 @@ impl LogHistogram {
     }
 }
 
-/// Running summary (count / mean / min / max / variance) without storing
-/// samples; Welford's online algorithm.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Summary {
-    count: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Summary {
-    /// Creates an empty summary.
-    pub fn new() -> Summary {
-        Summary {
-            count: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Adds a sample.
-    pub fn record(&mut self, x: f64) {
-        self.count += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sample mean (0.0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance (0.0 when fewer than two samples).
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Smallest sample (`None` when empty).
-    pub fn min(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Largest sample (`None` when empty).
-    pub fn max(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.max)
-    }
-}
-
 /// Geometric mean of a slice of strictly positive values.
 ///
 /// This is the aggregate the paper uses for speedups ("we report the
@@ -480,41 +248,6 @@ pub fn geomean(values: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_basics() {
-        let mut c = Counter::new("x");
-        c.inc();
-        c.add(9);
-        assert_eq!(c.value(), 10);
-        c.reset();
-        assert_eq!(c.value(), 0);
-        assert_eq!(format!("{c}"), "x: 0");
-    }
-
-    #[test]
-    fn histogram_mean_and_max() {
-        let mut h = Histogram::new();
-        for v in [0, 1, 2, 4, 8] {
-            h.record(v);
-        }
-        assert_eq!(h.count(), 5);
-        assert_eq!(h.mean(), 3.0);
-        assert_eq!(h.max(), 8);
-    }
-
-    #[test]
-    fn histogram_percentile_bounds() {
-        let mut h = Histogram::new();
-        for _ in 0..99 {
-            h.record(10);
-        }
-        h.record(1000);
-        // p50 should land in the bucket containing 10 -> upper bound 16
-        assert_eq!(h.percentile(0.5), 16);
-        // p100 should reach the big sample's bucket
-        assert!(h.percentile(1.0) >= 1000);
-    }
 
     #[test]
     fn log_histogram_small_values_are_exact() {
@@ -642,28 +375,6 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn log_histogram_bucket_bounds_reject_bad_index() {
         LogHistogram::bucket_upper(LOG_HIST_BUCKETS);
-    }
-
-    #[test]
-    fn summary_welford() {
-        let mut s = Summary::new();
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            s.record(x);
-        }
-        assert_eq!(s.count(), 8);
-        assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.variance() - 4.0).abs() < 1e-12);
-        assert_eq!(s.min(), Some(2.0));
-        assert_eq!(s.max(), Some(9.0));
-    }
-
-    #[test]
-    fn summary_empty() {
-        let s = Summary::new();
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.variance(), 0.0);
-        assert_eq!(s.min(), None);
-        assert_eq!(s.max(), None);
     }
 
     #[test]
