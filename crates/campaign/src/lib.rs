@@ -8,8 +8,10 @@
 //!   transient or permanent) at the accelerated per-window probability
 //!   of [`dve_reliability::accel::AccelParams`];
 //! * [`trial`] adjudicates each fault set with the *real* codecs
-//!   (`Rs::chipkill()`, detect-only DSD/TSD) against golden data — so
-//!   SDCs are genuine detection misses and RS miscorrections — and
+//!   (`Rs::chipkill()`, detect-only DSD/TSD) — so SDCs are genuine
+//!   detection misses and RS miscorrections — on the all-zero
+//!   codeword, which the codes' linearity makes outcome-identical to
+//!   encoding random data (DESIGN.md §7), and
 //!   replays a seeded workload slice on [`dve::RecoverableMemory`] with
 //!   fault hooks, patrol scrub, and §V-B2 transient write-repair,
 //!   logging recovery events;

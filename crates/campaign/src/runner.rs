@@ -255,14 +255,21 @@ pub fn run_campaign(cfg: &CampaignConfig, scheme: CampaignScheme) -> CampaignRes
                         break;
                     }
                     let end = (start + chunk).min(cfg.trials);
+                    // Cells own contiguous ascending ranges: one search
+                    // per chunk, then the cursor only steps forward.
+                    let mut cell = plan.map_or(0, |p| p.stratum_of(start));
                     for trial in start..end {
                         let r = match plan {
                             None => exec.run_with(cfg.master_seed, trial, &mut scratch),
                             Some(p) => {
-                                exec.run_stratified_with(cfg.master_seed, trial, p, &mut scratch)
+                                while p.strata[cell].start + p.strata[cell].trials <= trial {
+                                    cell += 1;
+                                }
+                                let spec = &p.strata[cell];
+                                exec.run_in_stratum(cfg.master_seed, trial, p, spec, &mut scratch)
                             }
                         };
-                        part.absorb(plan.map(|p| p.stratum_of(trial)), r);
+                        part.absorb(plan.map(|_| cell), r);
                     }
                 }
             });

@@ -4,12 +4,18 @@
 //! A trial observes one accelerated scrub-interval window:
 //!
 //! 1. [`FaultSampler`] draws per-chip failures for the DIMM (pair).
-//! 2. **Codeword adjudication**: golden data is encoded with the
-//!    scheme's real code, failed chips corrupt their symbol (through
-//!    `dve-ecc`'s injector), and the real decoder classifies the result
-//!    against the golden data — so detection misses and RS
-//!    miscorrections produce *bona fide* SDC outcomes rather than
-//!    modeled ones.
+//! 2. **Codeword adjudication**: each failed chip XORs an error mask
+//!    into its symbol of each copy (drawn through `dve-ecc`'s injector),
+//!    and the scheme's real code classifies the copy — so detection
+//!    misses and RS miscorrections produce *bona fide* SDC outcomes
+//!    rather than modeled ones. The codes are linear and the masks are
+//!    drawn independently of the data, so every decoder decision depends
+//!    on the error pattern alone: the trial adjudicates the pattern on
+//!    the all-zero codeword, with no golden data and no encode, and gets
+//!    the outcome a random codeword would (DESIGN.md §7 gives the
+//!    argument). Chipkill decodes the 18-byte error word with the real
+//!    [`Rs::decode_in_place`]; DSD and TSD check only the faulty symbols
+//!    ([`Rs::check_sparse`], [`Rs16Detect::check_sparse`]).
 //! 3. **System replay**: the same fault set is installed into
 //!    `dve-dram` [`FaultState`](dve_dram::fault::FaultState) hooks under a [`RecoverableMemory`]
 //!    pair (or a bare controller for Chipkill), a seeded
@@ -26,19 +32,23 @@
 //!
 //! # Zero-allocation trials
 //!
-//! Campaign throughput is decode-pipeline-bound, so the executor threads
-//! a per-worker [`TrialScratch`] (the fault sample, golden data, codeword
-//! and work buffers, the RS decoder scratch, the replay address list and
-//! the recovery-event buffer) through every trial. With the system
-//! replay off (`replay_ops == 0`, as in stratified campaigns), a trial —
-//! faulty or not — touches the heap zero times once the scratch has
-//! seen a full window; `tests/alloc_free.rs` counts. The replay builds a
-//! fresh memory model per faulty trial and allocates. Results remain
-//! **bit-identical** for any worker count and to the pre-scratch
-//! implementation: the RNG draw order is unchanged and every buffer is
-//! fully overwritten per trial.
+//! The executor threads a per-worker [`TrialScratch`] (the fault
+//! sample, both copies' error patterns, the Chipkill error word and RS
+//! decoder scratch, the replay address list and the recovery-event
+//! buffer) through every trial. With the system replay off
+//! (`replay_ops == 0`, as in stratified campaigns), a trial — faulty or
+//! not — touches the heap zero times once the scratch has seen a full
+//! window; `tests/alloc_free.rs` counts. The replay builds a fresh
+//! memory model per faulty trial and allocates. Results are
+//! **bit-identical** for any worker count and to adjudicating encoded
+//! random data: the golden-data draws are skipped with
+//! [`SplitMix64::skip`] rather than removed, so the mask and replay
+//! draws keep their place in the stream, and every buffer is fully
+//! overwritten per trial.
 
-use crate::sampler::{ChipFault, FaultSample, FaultSampler, Granularity, Side, StrataPlan};
+use crate::sampler::{
+    ChipFault, FaultSample, FaultSampler, Granularity, Side, StrataPlan, StratumSpec,
+};
 use dve::recovery::{RecoverableMemory, RecoveryEvent};
 use dve_dram::config::DramConfig;
 use dve_dram::controller::{AccessKind, EccProfile, MemoryController};
@@ -129,19 +139,6 @@ pub enum TrialOutcome {
     Sdc,
 }
 
-impl TrialOutcome {
-    /// Stable single-byte encoding for the binary event log.
-    pub fn code(&self) -> u8 {
-        match self {
-            TrialOutcome::Clean => 0,
-            TrialOutcome::CeTransient => 1,
-            TrialOutcome::CeDegraded => 2,
-            TrialOutcome::Due => 3,
-            TrialOutcome::Sdc => 4,
-        }
-    }
-}
-
 /// Everything one trial produced.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TrialResult {
@@ -168,16 +165,12 @@ pub struct TrialResult {
 pub struct TrialScratch {
     /// The trial's sampled fault window.
     sample: FaultSample,
-    /// Golden dataword drawn per trial.
-    golden: Vec<u8>,
-    /// The clean encoded codeword.
-    clean_cw: Vec<u8>,
-    /// Primary copy after fault corruption.
-    primary: Vec<u8>,
-    /// Replica copy after fault corruption.
-    replica: Vec<u8>,
-    /// Decoder working copy (decoded in place).
-    work: Vec<u8>,
+    /// The primary copy's error pattern: `(symbol, mask)` per fault.
+    primary: Vec<(usize, u16)>,
+    /// The replica copy's error pattern.
+    replica: Vec<(usize, u16)>,
+    /// One copy's Chipkill error word, decoded in place.
+    word: Vec<u8>,
     /// RS decoder scratch (Berlekamp–Massey / Chien / Forney buffers).
     rs: RsScratch,
     /// Replayed trace addresses.
@@ -222,20 +215,16 @@ impl TrialExecutor {
         self.scheme
     }
 
-    /// Builds a scratch sized for this executor's largest codeword.
+    /// Builds a scratch sized for a full fault window.
     pub fn make_scratch(&self) -> TrialScratch {
-        let max_cw = self.chipkill.codeword_len().max(self.tsd.codeword_len());
-        let max_data = self.chipkill.data_len().max(self.tsd.data_len());
-        let slots = 2 * self.sampler.params().chips_per_dimm;
+        let chips = self.sampler.params().chips_per_dimm;
         TrialScratch {
             sample: FaultSample {
-                faults: Vec::with_capacity(slots),
+                faults: Vec::with_capacity(2 * chips),
             },
-            golden: Vec::with_capacity(max_data),
-            clean_cw: Vec::with_capacity(max_cw),
-            primary: Vec::with_capacity(max_cw),
-            replica: Vec::with_capacity(max_cw),
-            work: Vec::with_capacity(max_cw),
+            primary: Vec::with_capacity(chips),
+            replica: Vec::with_capacity(chips),
+            word: Vec::with_capacity(self.chipkill.codeword_len()),
             rs: self.chipkill.make_scratch(),
             addrs: Vec::with_capacity(self.replay_ops as usize),
             events: Vec::new(),
@@ -291,10 +280,22 @@ impl TrialExecutor {
         plan: &StrataPlan,
         scratch: &mut TrialScratch,
     ) -> TrialResult {
-        scratch.events.clear();
-        let seed = derive_seed(master_seed, self.scheme.stream(), trial);
-        let mut rng = SplitMix64::new(seed);
         let spec = &plan.strata[plan.stratum_of(trial)];
+        self.run_in_stratum(master_seed, trial, plan, spec, scratch)
+    }
+
+    /// [`TrialExecutor::run_stratified_with`] for a caller that already
+    /// knows `spec`, the cell of `plan` owning `trial`.
+    pub(crate) fn run_in_stratum(
+        &self,
+        master_seed: u64,
+        trial: u64,
+        plan: &StrataPlan,
+        spec: &StratumSpec,
+        scratch: &mut TrialScratch,
+    ) -> TrialResult {
+        scratch.events.clear();
+        let mut rng = SplitMix64::new(derive_seed(master_seed, self.scheme.stream(), trial));
         self.sampler
             .sample_stratum_into(plan, spec, &mut rng, &mut scratch.sample);
         self.finish_trial(trial, &mut rng, scratch)
@@ -302,10 +303,9 @@ impl TrialExecutor {
 
     /// Shared trial tail: adjudicate the window in `scratch.sample` and
     /// replay it through the system model. Fault-free windows — the
-    /// common case — short-circuit to `Clean`: every adjudicator maps an
+    /// common case — short-circuit to `Clean`: adjudication maps an
     /// uncorrupted codeword to `Clean` and the replay is a no-op without
-    /// faults, so skipping both is outcome-identical and saves the
-    /// encode/decode.
+    /// faults, so skipping both is outcome-identical and draws nothing.
     fn finish_trial(
         &self,
         trial: u64,
@@ -339,6 +339,10 @@ impl TrialExecutor {
 
     // ---- codeword-level adjudication ---------------------------------
 
+    /// Classifies the faulty window in `sample` on the all-zero codeword
+    /// (DESIGN.md §7): the masks are the copies' whole error words, and
+    /// "decoded data equals the stored data" means "decoded data is
+    /// zero".
     fn adjudicate(
         &self,
         sample: &FaultSample,
@@ -346,124 +350,44 @@ impl TrialExecutor {
         rng: &mut SplitMix64,
         s: &mut TrialScratch,
     ) -> TrialOutcome {
-        match self.scheme {
-            CampaignScheme::Chipkill => self.adjudicate_chipkill(sample, rng, s),
-            CampaignScheme::DveDsd => {
-                self.adjudicate_detect_only(&self.dsd, sample, overlap, rng, s)
-            }
-            CampaignScheme::DveTsd => {
-                self.adjudicate_detect_only(&self.tsd, sample, overlap, rng, s)
-            }
-            CampaignScheme::DveChipkill => self.adjudicate_dve_chipkill(sample, overlap, rng, s),
+        let wide = self.scheme == CampaignScheme::DveTsd;
+        // Skip the golden data a random codeword would draw: one u64 per
+        // 8 bytes and one per leftover byte.
+        let data_len = if wide {
+            self.tsd.data_len()
+        } else {
+            self.chipkill.data_len()
+        } as u64;
+        rng.skip(data_len / 8 + data_len % 8);
+        let side = |side| sample.faults.iter().filter(move |f| f.side == side);
+        draw_errors(wide, side(Side::Primary), rng, &mut s.primary);
+        if self.scheme.is_replicated() {
+            draw_errors(wide, side(Side::Replica), rng, &mut s.replica);
         }
-    }
-
-    fn fill_golden(golden: &mut Vec<u8>, len: usize, rng: &mut SplitMix64) {
-        golden.clear();
-        for _ in 0..len / 8 {
-            golden.extend_from_slice(&rng.next_u64().to_le_bytes());
-        }
-        for _ in 0..len % 8 {
-            golden.push(rng.next_u64() as u8);
-        }
-    }
-
-    fn ce(&self, sample: &FaultSample) -> TrialOutcome {
-        if sample.all_transient(Side::Primary) {
+        let ce = if sample.all_transient(Side::Primary) {
             TrialOutcome::CeTransient
         } else {
             TrialOutcome::CeDegraded
-        }
-    }
-
-    /// Chipkill alone: one DIMM, local correction, no replica.
-    fn adjudicate_chipkill(
-        &self,
-        sample: &FaultSample,
-        rng: &mut SplitMix64,
-        s: &mut TrialScratch,
-    ) -> TrialOutcome {
-        Self::fill_golden(&mut s.golden, self.chipkill.data_len(), rng);
-        s.clean_cw.resize(self.chipkill.codeword_len(), 0);
-        self.chipkill.encode_into(&s.golden, &mut s.clean_cw);
-        s.primary.clear();
-        s.primary.extend_from_slice(&s.clean_cw);
-        corrupt8(&mut s.primary, sample.faults.iter(), rng);
-        let corrupted = s.primary != s.clean_cw;
-        s.work.clear();
-        s.work.extend_from_slice(&s.primary);
-        match self.chipkill.decode_in_place(&mut s.work, &mut s.rs) {
-            CheckOutcome::NoError => {
-                if corrupted {
-                    TrialOutcome::Sdc
-                } else {
-                    TrialOutcome::Clean
-                }
-            }
-            CheckOutcome::Corrected { .. } => {
-                if s.work[..self.chipkill.data_len()] == s.golden[..] {
-                    self.ce(sample)
-                } else {
-                    TrialOutcome::Sdc // miscorrection
-                }
-            }
-            CheckOutcome::DetectedUncorrectable { .. } => TrialOutcome::Due,
-        }
-    }
-
-    /// Dvé with a detect-only code: detection local, correction via the
-    /// replica; when both copies are flagged, symbol-union
-    /// reconstruction succeeds unless a chip pair overlaps.
-    fn adjudicate_detect_only<C: DetectionCode>(
-        &self,
-        code: &C,
-        sample: &FaultSample,
-        overlap: usize,
-        rng: &mut SplitMix64,
-        s: &mut TrialScratch,
-    ) -> TrialOutcome {
-        Self::fill_golden(&mut s.golden, code.data_len(), rng);
-        s.clean_cw.resize(code.codeword_len(), 0);
-        code.encode_into(&s.golden, &mut s.clean_cw);
-        let sixteen_bit = matches!(self.scheme, CampaignScheme::DveTsd);
-
-        s.primary.clear();
-        s.primary.extend_from_slice(&s.clean_cw);
-        s.replica.clear();
-        s.replica.extend_from_slice(&s.clean_cw);
-        let prim_faults = sample.faults.iter().filter(|f| f.side == Side::Primary);
-        let repl_faults = sample.faults.iter().filter(|f| f.side == Side::Replica);
-        if sixteen_bit {
-            corrupt16(&mut s.primary, prim_faults, rng);
-            corrupt16(&mut s.replica, repl_faults, rng);
-        } else {
-            corrupt8(&mut s.primary, prim_faults, rng);
-            corrupt8(&mut s.replica, repl_faults, rng);
-        }
-
-        match code.check(&s.primary) {
-            CheckOutcome::NoError => {
-                if s.primary != s.clean_cw {
-                    TrialOutcome::Sdc // detection miss on the home copy
-                } else {
-                    TrialOutcome::Clean
-                }
-            }
-            CheckOutcome::Corrected { .. } => unreachable!("detect-only code corrected"),
-            CheckOutcome::DetectedUncorrectable { .. } => match code.check(&s.replica) {
-                CheckOutcome::NoError => {
-                    if s.replica != s.clean_cw {
-                        TrialOutcome::Sdc // silent wrong data served by replica
+        };
+        match self.read(Side::Primary, s) {
+            Read::Intact => TrialOutcome::Clean,
+            Read::Corrected => ce,
+            Read::Wrong => TrialOutcome::Sdc,
+            Read::Flagged if !self.scheme.is_replicated() => TrialOutcome::Due,
+            Read::Flagged => match self.read(Side::Replica, s) {
+                Read::Intact | Read::Corrected => ce,
+                Read::Wrong => TrialOutcome::Sdc,
+                // Both copies flagged: symbol-union reconstruction takes
+                // each symbol from a copy that holds it intact, and over
+                // Chipkill each copy also corrects one symbol locally.
+                // Data is lost only where pairs failed on both sides.
+                Read::Flagged => {
+                    let lost_at = if self.scheme == CampaignScheme::DveChipkill {
+                        2
                     } else {
-                        self.ce(sample)
-                    }
-                }
-                CheckOutcome::Corrected { .. } => unreachable!("detect-only code corrected"),
-                CheckOutcome::DetectedUncorrectable { .. } => {
-                    // Both copies flagged: recover symbol-by-symbol from
-                    // whichever copy holds each symbol intact. Data is
-                    // lost only where the same pair failed on both sides.
-                    if overlap >= 1 {
+                        1
+                    };
+                    if overlap >= lost_at {
                         TrialOutcome::Due
                     } else {
                         TrialOutcome::CeDegraded
@@ -473,79 +397,40 @@ impl TrialExecutor {
         }
     }
 
-    /// Dvé over Chipkill: each copy locally corrects one symbol; the
-    /// replica (then symbol-union reconstruction) handles the rest.
-    fn adjudicate_dve_chipkill(
-        &self,
-        sample: &FaultSample,
-        overlap: usize,
-        rng: &mut SplitMix64,
-        s: &mut TrialScratch,
-    ) -> TrialOutcome {
-        Self::fill_golden(&mut s.golden, self.chipkill.data_len(), rng);
-        s.clean_cw.resize(self.chipkill.codeword_len(), 0);
-        self.chipkill.encode_into(&s.golden, &mut s.clean_cw);
-        s.primary.clear();
-        s.primary.extend_from_slice(&s.clean_cw);
-        s.replica.clear();
-        s.replica.extend_from_slice(&s.clean_cw);
-        corrupt8(
-            &mut s.primary,
-            sample.faults.iter().filter(|f| f.side == Side::Primary),
-            rng,
-        );
-        corrupt8(
-            &mut s.replica,
-            sample.faults.iter().filter(|f| f.side == Side::Replica),
-            rng,
-        );
-        s.work.clear();
-        s.work.extend_from_slice(&s.primary);
-        match self.chipkill.decode_in_place(&mut s.work, &mut s.rs) {
-            CheckOutcome::NoError => {
-                if s.primary != s.clean_cw {
-                    TrialOutcome::Sdc
-                } else {
-                    TrialOutcome::Clean
+    /// Reads back the copy on `side`, whose error pattern is in `s`.
+    fn read(&self, side: Side, s: &mut TrialScratch) -> Read {
+        let errors = match side {
+            Side::Primary => &s.primary,
+            Side::Replica => &s.replica,
+        };
+        let outcome = match self.scheme {
+            CampaignScheme::DveDsd => self
+                .dsd
+                .check_sparse(errors.iter().map(|&(p, m)| (p, m as u8))),
+            CampaignScheme::DveTsd => self.tsd.check_sparse(errors.iter().copied()),
+            CampaignScheme::Chipkill | CampaignScheme::DveChipkill => {
+                s.word.clear();
+                s.word.resize(self.chipkill.codeword_len(), 0);
+                for &(p, m) in errors {
+                    s.word[p] ^= m as u8;
                 }
+                self.chipkill.decode_in_place(&mut s.word, &mut s.rs)
             }
-            CheckOutcome::Corrected { .. } => {
-                if s.work[..self.chipkill.data_len()] == s.golden[..] {
-                    self.ce(sample)
-                } else {
-                    TrialOutcome::Sdc // local miscorrection, replica never asked
-                }
+        };
+        match outcome {
+            // One side's faults sit on distinct chips and every mask is
+            // non-zero, so the error word is zero exactly when the copy
+            // has no faults.
+            CheckOutcome::NoError if errors.is_empty() => Read::Intact,
+            CheckOutcome::NoError => Read::Wrong, // detection miss
+            // Only Chipkill corrects, in `s.word`.
+            CheckOutcome::Corrected { .. }
+                if s.word[..self.chipkill.data_len()].iter().all(|&b| b == 0) =>
+            {
+                Read::Corrected
             }
-            CheckOutcome::DetectedUncorrectable { .. } => {
-                s.work.clear();
-                s.work.extend_from_slice(&s.replica);
-                match self.chipkill.decode_in_place(&mut s.work, &mut s.rs) {
-                    CheckOutcome::NoError => {
-                        if s.replica != s.clean_cw {
-                            TrialOutcome::Sdc
-                        } else {
-                            self.ce(sample)
-                        }
-                    }
-                    CheckOutcome::Corrected { .. } => {
-                        if s.work[..self.chipkill.data_len()] == s.golden[..] {
-                            self.ce(sample)
-                        } else {
-                            TrialOutcome::Sdc
-                        }
-                    }
-                    CheckOutcome::DetectedUncorrectable { .. } => {
-                        // Both beyond local correction: with one symbol
-                        // locally reconstructible per copy, data is lost
-                        // only at two or more pair overlaps.
-                        if overlap >= 2 {
-                            TrialOutcome::Due
-                        } else {
-                            TrialOutcome::CeDegraded
-                        }
-                    }
-                }
-            }
+            CheckOutcome::Corrected { .. } => Read::Wrong, // miscorrection
+            CheckOutcome::DetectedUncorrectable { .. } => Read::Flagged,
         }
     }
 
@@ -667,51 +552,42 @@ impl TrialExecutor {
     }
 }
 
-// ---- symbol corruption helpers -------------------------------------
-
-/// Corrupts 8-bit-symbol codewords: chip `i` owns symbol `2i` (the repo
-/// maps one chip to one RS(18,16) symbol; spreading over even positions
-/// covers data and parity symbols alike).
-fn corrupt8<'a>(cw: &mut [u8], faults: impl Iterator<Item = &'a ChipFault>, rng: &mut SplitMix64) {
-    let mut injector = FaultInjector::new(rng.next_u64());
-    for f in faults {
-        let pos = f.chip * 2;
-        assert!(pos < cw.len(), "chip symbol out of codeword");
-        match f.granularity {
-            Granularity::Bit => {
-                cw[pos] ^= 1 << rng.next_below(8);
-            }
-            Granularity::Pin => {
-                let width = 2 + rng.next_below(3); // 2..=4 bits
-                let mask = ((1u16 << width) - 1) as u8;
-                let shift = rng.next_below(9 - width) as u8;
-                cw[pos] ^= mask << shift;
-            }
-            Granularity::Chip => {
-                cw[pos] ^= injector.nonzero_byte();
-            }
-        }
-    }
+/// How one copy reads back under its code.
+enum Read {
+    /// No error and nothing wrong.
+    Intact,
+    /// Corrected back to the stored data.
+    Corrected,
+    /// Passed as good but wrong: a detection miss or a miscorrection.
+    Wrong,
+    /// Detected and not corrected.
+    Flagged,
 }
 
-/// Corrupts 16-bit-symbol codewords (big-endian byte pairs): chip `i`
-/// owns symbol `i`.
-fn corrupt16<'a>(cw: &mut [u8], faults: impl Iterator<Item = &'a ChipFault>, rng: &mut SplitMix64) {
+/// Draws one copy's error pattern into `out` as `(symbol, mask)` pairs.
+/// With 8-bit symbols (`wide == false`, RS(18,16)) chip `i` owns symbol
+/// `2i`, spreading the chips over data and parity symbols alike; with
+/// 16-bit symbols (TSD) chip `i` owns symbol `i`.
+fn draw_errors<'a>(
+    wide: bool,
+    faults: impl Iterator<Item = &'a ChipFault>,
+    rng: &mut SplitMix64,
+    out: &mut Vec<(usize, u16)>,
+) {
     let mut injector = FaultInjector::new(rng.next_u64());
+    let bits = if wide { 16 } else { 8 };
+    out.clear();
     for f in faults {
-        let sym = f.chip;
-        assert!(sym * 2 + 1 < cw.len(), "chip symbol out of codeword");
-        let mask: u16 = match f.granularity {
-            Granularity::Bit => 1 << rng.next_below(16),
+        let mask = match f.granularity {
+            Granularity::Bit => 1 << rng.next_below(bits),
             Granularity::Pin => {
-                let width = 2 + rng.next_below(3);
-                let m = (1u32 << width) - 1;
-                (m << rng.next_below(17 - width)) as u16
+                let width = 2 + rng.next_below(3); // 2..=4 bits
+                (((1u32 << width) - 1) << rng.next_below(bits + 1 - width)) as u16
             }
-            Granularity::Chip => injector.nonzero_u16(),
+            Granularity::Chip if wide => injector.nonzero_u16(),
+            Granularity::Chip => u16::from(injector.nonzero_byte()),
         };
-        cw[sym * 2] ^= (mask >> 8) as u8;
-        cw[sym * 2 + 1] ^= mask as u8;
+        out.push((if wide { f.chip } else { 2 * f.chip }, mask));
     }
 }
 
@@ -889,20 +765,201 @@ mod tests {
 
     #[test]
     fn corruption_always_changes_the_codeword() {
+        // `read` takes a fault-free copy for an intact one: that holds
+        // because every mask is non-zero and fits its symbol.
         let mut rng = SplitMix64::new(11);
-        let fault = ChipFault {
-            side: Side::Primary,
-            chip: 4,
-            granularity: Granularity::Pin,
-            transient: false,
+        let mut out = Vec::new();
+        for granularity in [Granularity::Bit, Granularity::Pin, Granularity::Chip] {
+            let fault = ChipFault {
+                side: Side::Primary,
+                chip: 4,
+                granularity,
+                transient: false,
+            };
+            for _ in 0..200 {
+                draw_errors(false, std::iter::once(&fault), &mut rng, &mut out);
+                assert!(
+                    out[0].0 == 8 && out[0].1 != 0 && out[0].1 <= 0xFF,
+                    "{out:?}"
+                );
+                draw_errors(true, std::iter::once(&fault), &mut rng, &mut out);
+                assert!(out[0].0 == 4 && out[0].1 != 0, "{out:?}");
+            }
+        }
+    }
+
+    /// Corrupts 8-bit-symbol codewords: chip `i` owns symbol `2i`.
+    fn corrupt8<'a>(
+        cw: &mut [u8],
+        faults: impl Iterator<Item = &'a ChipFault>,
+        rng: &mut SplitMix64,
+    ) {
+        let mut injector = FaultInjector::new(rng.next_u64());
+        for f in faults {
+            let pos = f.chip * 2;
+            match f.granularity {
+                Granularity::Bit => cw[pos] ^= 1 << rng.next_below(8),
+                Granularity::Pin => {
+                    let width = 2 + rng.next_below(3);
+                    let mask = ((1u16 << width) - 1) as u8;
+                    let shift = rng.next_below(9 - width) as u8;
+                    cw[pos] ^= mask << shift;
+                }
+                Granularity::Chip => cw[pos] ^= injector.nonzero_byte(),
+            }
+        }
+    }
+
+    /// Corrupts 16-bit-symbol codewords (big-endian byte pairs): chip
+    /// `i` owns symbol `i`.
+    fn corrupt16<'a>(
+        cw: &mut [u8],
+        faults: impl Iterator<Item = &'a ChipFault>,
+        rng: &mut SplitMix64,
+    ) {
+        let mut injector = FaultInjector::new(rng.next_u64());
+        for f in faults {
+            let sym = f.chip;
+            let mask: u16 = match f.granularity {
+                Granularity::Bit => 1 << rng.next_below(16),
+                Granularity::Pin => {
+                    let width = 2 + rng.next_below(3);
+                    let m = (1u32 << width) - 1;
+                    (m << rng.next_below(17 - width)) as u16
+                }
+                Granularity::Chip => injector.nonzero_u16(),
+            };
+            cw[sym * 2] ^= (mask >> 8) as u8;
+            cw[sym * 2 + 1] ^= mask as u8;
+        }
+    }
+
+    /// The adjudication the executor's zero-codeword shortcut must
+    /// reproduce: random golden data drawn from the trial RNG, a real
+    /// encode, corruption of the dense codewords, and a dense decode (or
+    /// detect-only check) of each copy judged against the golden data.
+    fn reference(
+        e: &TrialExecutor,
+        sample: &FaultSample,
+        overlap: usize,
+        rng: &mut SplitMix64,
+    ) -> TrialOutcome {
+        let wide = e.scheme == CampaignScheme::DveTsd;
+        let data_len = if wide { e.tsd.data_len() } else { 16 };
+        let golden: Vec<u8> = (0..data_len / 8)
+            .flat_map(|_| rng.next_u64().to_le_bytes())
+            .collect();
+        let clean = match e.scheme {
+            CampaignScheme::DveDsd => e.dsd.encode(&golden),
+            CampaignScheme::DveTsd => e.tsd.encode(&golden),
+            _ => e.chipkill.encode(&golden),
         };
-        for _ in 0..200 {
-            let mut cw = vec![0u8; 18];
-            corrupt8(&mut cw, std::iter::once(&fault), &mut rng);
-            assert!(cw.iter().any(|&b| b != 0));
-            let mut cw16 = vec![0u8; 70];
-            corrupt16(&mut cw16, std::iter::once(&fault), &mut rng);
-            assert!(cw16.iter().any(|&b| b != 0));
+        let mut copy = |side| {
+            let mut cw = clean.clone();
+            let faults = sample.faults.iter().filter(move |f| f.side == side);
+            if wide {
+                corrupt16(&mut cw, faults, rng);
+            } else {
+                corrupt8(&mut cw, faults, rng);
+            }
+            cw
+        };
+        let primary = copy(Side::Primary);
+        let replica = if e.scheme.is_replicated() {
+            copy(Side::Replica)
+        } else {
+            clean.clone()
+        };
+        // The decoder's verdict on one copy, and whether the data it
+        // hands back (unchanged, or corrected) is the golden data.
+        let decode = |cw: &[u8]| match e.scheme {
+            CampaignScheme::DveDsd => (e.dsd.check(cw), cw == clean),
+            CampaignScheme::DveTsd => (e.tsd.check(cw), cw == clean),
+            _ => {
+                let mut work = cw.to_vec();
+                let o = e
+                    .chipkill
+                    .decode_in_place(&mut work, &mut e.chipkill.make_scratch());
+                let right = match o {
+                    CheckOutcome::NoError => cw == clean,
+                    _ => work[..16] == golden[..],
+                };
+                (o, right)
+            }
+        };
+        let ce = if sample.all_transient(Side::Primary) {
+            TrialOutcome::CeTransient
+        } else {
+            TrialOutcome::CeDegraded
+        };
+        match decode(&primary) {
+            (CheckOutcome::NoError, true) => TrialOutcome::Clean,
+            (CheckOutcome::Corrected { .. }, true) => ce,
+            (CheckOutcome::DetectedUncorrectable { .. }, _) if e.scheme.is_replicated() => {
+                match decode(&replica) {
+                    (CheckOutcome::DetectedUncorrectable { .. }, _) => {
+                        let lost_at = if e.scheme == CampaignScheme::DveChipkill {
+                            2
+                        } else {
+                            1
+                        };
+                        if overlap >= lost_at {
+                            TrialOutcome::Due
+                        } else {
+                            TrialOutcome::CeDegraded
+                        }
+                    }
+                    (_, true) => ce,
+                    (_, false) => TrialOutcome::Sdc,
+                }
+            }
+            (CheckOutcome::DetectedUncorrectable { .. }, _) => TrialOutcome::Due,
+            (_, false) => TrialOutcome::Sdc,
+        }
+    }
+
+    #[test]
+    fn zero_codeword_adjudication_matches_the_dense_reference() {
+        // The committed campaign's seed and 10^5-trial plan: its DSD
+        // `k>=4 all-chip` cell holds a detection escape, so every
+        // scheme's SDC path is compared, not only its DUE and CE paths.
+        const SEED: u64 = 0xD0E5_2021;
+        for scheme in CampaignScheme::ALL {
+            let e = TrialExecutor::new(scheme, AccelParams::paper_accelerated(), 0);
+            let plan = e.strata_plan(crate::sampler::DEFAULT_TAIL_MIN, 100_000);
+            let mut scratch = e.make_scratch();
+            let mut sample = FaultSample::default();
+            let mut escapes = 0;
+            for spec in &plan.strata {
+                let all = scheme == CampaignScheme::DveDsd && spec.stratum.all_chip;
+                let n = if all {
+                    spec.trials
+                } else {
+                    spec.trials.min(1_500)
+                };
+                for trial in spec.start..spec.start + n {
+                    let mut rng = SplitMix64::new(derive_seed(SEED, scheme.stream(), trial));
+                    e.sampler
+                        .sample_stratum_into(&plan, spec, &mut rng, &mut sample);
+                    if !sample.any() {
+                        continue;
+                    }
+                    let overlap = sample.pair_overlap(|i| i);
+                    let mut dense_rng = rng.clone();
+                    let got = e.adjudicate(&sample, overlap, &mut rng, &mut scratch);
+                    let want = reference(&e, &sample, overlap, &mut dense_rng);
+                    assert_eq!(got, want, "{} trial {trial}", scheme.label());
+                    // The replay draws from where adjudication left off.
+                    assert_eq!(rng, dense_rng, "{} trial {trial}", scheme.label());
+                    escapes += u64::from(got == TrialOutcome::Sdc);
+                }
+            }
+            // TSD escapes (~10⁻¹³ per window) are out of reach.
+            assert!(
+                escapes > 0 || scheme == CampaignScheme::DveTsd,
+                "no {} SDC to compare",
+                scheme.label()
+            );
         }
     }
 }

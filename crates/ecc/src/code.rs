@@ -32,6 +32,18 @@ pub enum CheckOutcome {
 }
 
 impl CheckOutcome {
+    /// A detect-only verdict from the number of non-zero syndromes:
+    /// `NoError` at weight 0, `DetectedUncorrectable` otherwise.
+    pub(crate) fn from_syndrome_weight(weight: usize) -> CheckOutcome {
+        if weight == 0 {
+            CheckOutcome::NoError
+        } else {
+            CheckOutcome::DetectedUncorrectable {
+                syndrome_weight: weight,
+            }
+        }
+    }
+
     /// Whether the data can be trusted after the check (possibly after an
     /// in-place repair).
     pub fn is_good(&self) -> bool {

@@ -465,12 +465,34 @@ impl Rs {
     /// Panics if `codeword.len() != n`.
     pub fn check_scratch(&self, codeword: &[u8], s: &mut RsScratch) -> CheckOutcome {
         assert_eq!(codeword.len(), self.n, "codeword length mismatch");
-        if !self.syndromes_into(codeword, &mut s.syn) {
-            return CheckOutcome::NoError;
+        self.syndromes_into(codeword, &mut s.syn);
+        CheckOutcome::from_syndrome_weight(s.syn.iter().filter(|&&v| v != 0).count())
+    }
+
+    /// [`DetectionCode::check`] of the word that is zero but for
+    /// `errors`, given as `(position, value)` pairs; values at a repeated
+    /// position add. Each pair adds `e·X^i` to syndrome `S_i`, with the
+    /// location value `X = α^{n−1−p}` from the constructor's table, so a
+    /// word with a few non-zero symbols costs a few multiplies instead of
+    /// a pass over all `n`. The code is linear, so this is also the check
+    /// of any codeword carrying that error pattern (DESIGN.md §7).
+    /// Allocation-free.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a position is `>= n`.
+    pub fn check_sparse(&self, errors: impl IntoIterator<Item = (usize, u8)>) -> CheckOutcome {
+        let mut syn = [0u8; 255];
+        let syn = &mut syn[..self.parity_len()];
+        for (p, e) in errors {
+            let x = self.x[p];
+            let mut term = e;
+            for s in syn.iter_mut() {
+                *s ^= term;
+                term = Gf256::mul(term, x);
+            }
         }
-        CheckOutcome::DetectedUncorrectable {
-            syndrome_weight: s.syn.iter().filter(|&&v| v != 0).count(),
-        }
+        CheckOutcome::from_syndrome_weight(syn.iter().filter(|&&v| v != 0).count())
     }
 
     fn decode_with(
@@ -584,14 +606,7 @@ impl DetectionCode for Rs {
             }
             *s = acc;
         }
-        let weight = syn.iter().filter(|&&v| v != 0).count();
-        if weight == 0 {
-            CheckOutcome::NoError
-        } else {
-            CheckOutcome::DetectedUncorrectable {
-                syndrome_weight: weight,
-            }
-        }
+        CheckOutcome::from_syndrome_weight(syn.iter().filter(|&&v| v != 0).count())
     }
 }
 

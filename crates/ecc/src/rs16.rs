@@ -233,6 +233,41 @@ impl Rs16Detect {
             self.syndromes_into(codeword, &mut syn)
         }
     }
+
+    /// [`DetectionCode::check`] of the word that is zero but for
+    /// `errors`, given as `(symbol position, value)` pairs over the
+    /// codeword's `N = codeword_len / 2` big-endian symbols; values at a
+    /// repeated position add. Each pair adds `e·X^i` to syndrome `S_i`,
+    /// with location value `X = α^{N−1−p}`, so a word with a few non-zero
+    /// symbols costs a few multiplies instead of a pass over all `N`. The
+    /// code is linear, so this is also the check of any codeword carrying
+    /// that error pattern (DESIGN.md §7). Allocation-free up to
+    /// [`MAX_INLINE_CHECK_SYMBOLS`] check symbols.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a position is `>= N`.
+    pub fn check_sparse(&self, errors: impl IntoIterator<Item = (usize, u16)>) -> CheckOutcome {
+        let symbols = self.codeword_len() / 2;
+        let mut inline = [0u16; MAX_INLINE_CHECK_SYMBOLS];
+        let mut wide = Vec::new();
+        let syn = if self.check_symbols <= MAX_INLINE_CHECK_SYMBOLS {
+            &mut inline[..self.check_symbols]
+        } else {
+            wide.resize(self.check_symbols, 0);
+            &mut wide[..]
+        };
+        for (p, e) in errors {
+            assert!(p < symbols, "symbol position out of codeword");
+            let x = Gf16::alpha_pow((symbols - 1 - p) as u32);
+            let mut term = e;
+            for s in syn.iter_mut() {
+                *s ^= term;
+                term = Gf16::mul(term, x);
+            }
+        }
+        CheckOutcome::from_syndrome_weight(syn.iter().filter(|&&v| v != 0).count())
+    }
 }
 
 impl DetectionCode for Rs16Detect {
@@ -281,14 +316,7 @@ impl DetectionCode for Rs16Detect {
             self.codeword_len(),
             "codeword length mismatch"
         );
-        let weight = self.syndrome_weight(codeword);
-        if weight == 0 {
-            CheckOutcome::NoError
-        } else {
-            CheckOutcome::DetectedUncorrectable {
-                syndrome_weight: weight,
-            }
-        }
+        CheckOutcome::from_syndrome_weight(self.syndrome_weight(codeword))
     }
 }
 

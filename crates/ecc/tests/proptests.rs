@@ -4,7 +4,7 @@ use dve_ecc::code::{CheckOutcome, CorrectionCode, DetectionCode};
 use dve_ecc::gf::{reference, Gf16, Gf256};
 use dve_ecc::inject::{FaultInjector, FaultKind};
 use dve_ecc::rs::{DecodePolicy, Rs};
-use dve_ecc::rs16::Rs16Detect;
+use dve_ecc::rs16::{Rs16Detect, MAX_INLINE_CHECK_SYMBOLS};
 use dve_sim::rng::SplitMix64;
 use proptest::prelude::*;
 
@@ -507,5 +507,111 @@ fn rs_closed_form_matches_general_decode_on_every_double_error() {
                 assert_closed_form_matches_general(&rs, &cw);
             }
         }
+    }
+}
+
+// ---- Sparse detect-only checks ------------------------------------------
+//
+// The campaign checks DSD and TSD error patterns through `check_sparse`,
+// which sums each faulty symbol's syndrome terms instead of walking the
+// whole word. Both properties compare it with the dense `check` of the
+// word holding the same symbols; positions may repeat (their values add).
+
+/// The DSD word and the TSD word carrying `errors` (TSD values whole,
+/// DSD values reduced to a non-zero byte at a position below 18).
+fn dense_words(errors: &[(usize, u16)]) -> (Vec<(usize, u8)>, [u8; 18], Vec<u8>) {
+    let dsd: Vec<(usize, u8)> = errors
+        .iter()
+        .map(|&(p, v)| (p % 18, (v % 255 + 1) as u8))
+        .collect();
+    let mut dsd_word = [0u8; 18];
+    for &(p, v) in &dsd {
+        dsd_word[p] ^= v;
+    }
+    let mut tsd_word = vec![0u8; 70];
+    for &(p, v) in errors {
+        let [hi, lo] = v.to_be_bytes();
+        tsd_word[2 * p] ^= hi;
+        tsd_word[2 * p + 1] ^= lo;
+    }
+    (dsd, dsd_word, tsd_word)
+}
+
+/// The non-zero symbols of a codeword as `(position, value)` pairs, the
+/// first one split over a repeated position.
+fn escape_pairs<T: Copy + PartialEq + Default + std::ops::BitXor<Output = T>>(
+    symbols: impl Iterator<Item = T>,
+    split: T,
+) -> Vec<(usize, T)> {
+    let mut pairs: Vec<(usize, T)> = symbols
+        .enumerate()
+        .filter(|&(_, v)| v != T::default())
+        .collect();
+    pairs.push((pairs[0].0, split));
+    pairs[0].1 = pairs[0].1 ^ split;
+    pairs
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn sparse_check_matches_dense_check(
+        errors in proptest::collection::vec((0usize..35, 1u16..), 1..=4),
+        spread in 1usize..=35,
+    ) {
+        // A small `spread` folds the positions together, so repeated
+        // positions (and cancelling values) come up often.
+        let errors: Vec<(usize, u16)> = errors.iter().map(|&(p, v)| (p % spread, v)).collect();
+        let (dsd_errors, dsd_word, tsd_word) = dense_words(&errors);
+        let (dsd, tsd) = (Rs::dsd(), Rs16Detect::tsd(64));
+        prop_assert_eq!(dsd.check_sparse(dsd_errors.iter().copied()), dsd.check(&dsd_word));
+        prop_assert_eq!(tsd.check_sparse(errors.iter().copied()), tsd.check(&tsd_word));
+        // More check symbols than the inline registers hold: the same
+        // symbols at the head of a 43-symbol word.
+        let wide = Rs16Detect::new(64, MAX_INLINE_CHECK_SYMBOLS + 3);
+        let mut wide_word = tsd_word.clone();
+        wide_word.resize(wide.codeword_len(), 0);
+        prop_assert_eq!(wide.check_sparse(errors.iter().copied()), wide.check(&wide_word));
+    }
+
+    #[test]
+    fn sparse_check_passes_the_codewords_dense_check_passes(
+        at in 0usize..32,
+        value in 1u16..,
+        split in any::<u16>(),
+        extra in (0usize..35, 1u16..),
+    ) {
+        // A dataword with one non-zero symbol encodes to a minimum-weight
+        // codeword (3 symbols under DSD, 4 under TSD): an error pattern
+        // both checks must pass, the detection escape the campaign counts
+        // as SDC. One more error on top must be judged alike again.
+        let dsd = Rs::dsd();
+        let mut data = [0u8; 16];
+        data[at % 16] = (value % 255 + 1) as u8;
+        let cw = dsd.encode(&data);
+        let mut pairs = escape_pairs(cw.iter().copied(), split as u8);
+        prop_assert_eq!(dsd.check(&cw), CheckOutcome::NoError);
+        prop_assert_eq!(dsd.check_sparse(pairs.iter().copied()), CheckOutcome::NoError);
+        let mut bad = cw.clone();
+        let (p, v) = (extra.0 % 18, (extra.1 % 255 + 1) as u8);
+        bad[p] ^= v;
+        pairs.push((p, v));
+        prop_assert_eq!(dsd.check_sparse(pairs.iter().copied()), dsd.check(&bad));
+
+        let tsd = Rs16Detect::tsd(64);
+        let mut data = [0u8; 64];
+        data[2 * at..2 * at + 2].copy_from_slice(&value.to_be_bytes());
+        let cw = tsd.encode(&data);
+        let symbols = cw.chunks_exact(2).map(|s| u16::from_be_bytes([s[0], s[1]]));
+        let mut pairs = escape_pairs(symbols, split);
+        prop_assert_eq!(tsd.check(&cw), CheckOutcome::NoError);
+        prop_assert_eq!(tsd.check_sparse(pairs.iter().copied()), CheckOutcome::NoError);
+        let mut bad = cw.clone();
+        let [hi, lo] = extra.1.to_be_bytes();
+        bad[2 * extra.0] ^= hi;
+        bad[2 * extra.0 + 1] ^= lo;
+        pairs.push(extra);
+        prop_assert_eq!(tsd.check_sparse(pairs.iter().copied()), tsd.check(&bad));
     }
 }

@@ -29,6 +29,9 @@ pub struct SplitMix64 {
     state: u64,
 }
 
+/// The Weyl-sequence increment SplitMix64 adds to its state per draw.
+const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
 impl SplitMix64 {
     /// Creates a generator from a seed.
     pub fn new(seed: u64) -> SplitMix64 {
@@ -37,11 +40,29 @@ impl SplitMix64 {
 
     /// Next 64 random bits.
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        self.state = self.state.wrapping_add(GAMMA);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^ (z >> 31)
+    }
+
+    /// Advances past `n` draws in O(1), leaving the generator exactly
+    /// where `n` calls of [`SplitMix64::next_u64`] would: the state is a
+    /// Weyl sequence, so `n` steps add `n·γ` (mod 2⁶⁴).
+    ///
+    /// ```
+    /// use dve_sim::rng::SplitMix64;
+    ///
+    /// let (mut a, mut b) = (SplitMix64::new(7), SplitMix64::new(7));
+    /// a.skip(3);
+    /// for _ in 0..3 {
+    ///     b.next_u64();
+    /// }
+    /// assert_eq!(a.next_u64(), b.next_u64());
+    /// ```
+    pub fn skip(&mut self, n: u64) {
+        self.state = self.state.wrapping_add(n.wrapping_mul(GAMMA));
     }
 
     /// Uniform value in `[0, bound)` using Lemire's multiply-shift
@@ -117,6 +138,36 @@ mod tests {
         // Known first outputs of SplitMix64 with seed 0.
         assert_eq!(r.next_u64(), 0xE220_A839_7B1D_CDAF);
         assert_eq!(r.next_u64(), 0x6E78_9E6A_A1B9_65F4);
+    }
+
+    #[test]
+    fn skip_matches_repeated_draws() {
+        // Seed 0 and a seed next to the top of the state space, so the
+        // skipped additions also wrap.
+        for seed in [0, 0x1234_5678, u64::MAX - 3] {
+            for n in [0u64, 1, 16] {
+                let mut skipped = SplitMix64::new(seed);
+                skipped.skip(n);
+                let mut drawn = SplitMix64::new(seed);
+                for _ in 0..n {
+                    drawn.next_u64();
+                }
+                assert_eq!(skipped, drawn, "seed {seed:#x} n {n}");
+                assert_eq!(skipped.next_u64(), drawn.next_u64());
+            }
+        }
+        // A count whose product with γ wraps the whole state space:
+        // 2⁶⁴ − 1 draws and one more add 2⁶⁴·γ ≡ 0.
+        let mut r = SplitMix64::new(99);
+        r.skip(u64::MAX);
+        r.skip(1);
+        assert_eq!(r, SplitMix64::new(99));
+        let mut r = SplitMix64::new(99);
+        r.skip(u64::MAX);
+        let mut back = SplitMix64::new(99);
+        back.skip(u64::MAX - 1);
+        back.next_u64();
+        assert_eq!(r, back);
     }
 
     #[test]
