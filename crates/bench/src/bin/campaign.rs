@@ -15,15 +15,12 @@
 //! * `DVE_CAMPAIGN_WORKERS` — worker threads (default: all cores, no
 //!   floor — the parallel merge path is covered by the runner's own
 //!   `MERGE_TEST_WORKERS` tests, not by inflating production defaults)
-//! * `DVE_CAMPAIGN_REPLAY`  — memory ops replayed per faulty trial
-//!   through the recovery state machine (default 16; 0 disables)
 //! * `DVE_CAMPAIGN_STRATIFIED` — set to `1`/`true` to stratify the
 //!   trial budget over (fault count, all-chip) cells with unbiased
 //!   reweighting, concentrating trials on the rare miscorrection /
 //!   detection-escape strata
-//! * `DVE_CAMPAIGN_OUT`     — output directory for the event logs
-//!   (default `results/`); writes `campaign_events.csv`,
-//!   `campaign.txt` and (stratified runs) `campaign_strata.csv`
+//! * `DVE_CAMPAIGN_OUT`     — output directory (default `results/`);
+//!   writes `campaign.txt`, plus `campaign_strata.csv` when stratified
 //!
 //! The process exits non-zero if any scheme's empirical DUE/SDC rate
 //! disagrees with the analytical expectation — this binary doubles as
@@ -34,11 +31,8 @@
 //! the run.
 
 use dve_bench::gate::{env_flag, env_u64, write_report, Gate, HarnessError};
-use dve_campaign::{
-    run_all, write_events_csv, CampaignConfig, CampaignReport, CampaignScheme, SamplingMode,
-};
-use std::fs;
-use std::io::Write as _;
+use dve_campaign::{run_all, CampaignConfig, CampaignReport, CampaignScheme, SamplingMode};
+use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -74,11 +68,9 @@ fn stratified_gate(gate: &mut Gate, report: &CampaignReport) {
     }
 }
 
-fn write_strata_csv(w: &mut impl std::io::Write, report: &CampaignReport) -> std::io::Result<()> {
-    writeln!(
-        w,
-        "scheme,cell,weight,trials,due,sdc,due_ci_lo,due_ci_hi,sdc_ci_lo,sdc_ci_hi"
-    )?;
+fn strata_csv(report: &CampaignReport) -> String {
+    let mut w =
+        String::from("scheme,cell,weight,trials,due,sdc,due_ci_lo,due_ci_hi,sdc_ci_lo,sdc_ci_hi\n");
     for row in &report.rows {
         for cell in &row.strata {
             writeln!(
@@ -94,10 +86,11 @@ fn write_strata_csv(w: &mut impl std::io::Write, report: &CampaignReport) -> std
                 cell.due_ci.1,
                 cell.sdc_ci.0,
                 cell.sdc_ci.1,
-            )?;
+            )
+            .expect("writing to a String cannot fail");
         }
     }
-    Ok(())
+    w
 }
 
 fn main() -> Result<ExitCode, HarnessError> {
@@ -105,7 +98,6 @@ fn main() -> Result<ExitCode, HarnessError> {
     cfg.master_seed = env_u64("DVE_CAMPAIGN_SEED", dve_bench::SEED)?;
     cfg.trials = env_u64("DVE_CAMPAIGN_TRIALS", 10_000)?;
     cfg.workers = env_u64("DVE_CAMPAIGN_WORKERS", cfg.workers as u64)?.max(1) as usize;
-    cfg.replay_ops = env_u64("DVE_CAMPAIGN_REPLAY", 16)?;
     let stratified = env_flag("DVE_CAMPAIGN_STRATIFIED")?;
     if stratified {
         cfg.sampling = SamplingMode::stratified_default();
@@ -119,24 +111,9 @@ fn main() -> Result<ExitCode, HarnessError> {
     let out_dir =
         PathBuf::from(std::env::var("DVE_CAMPAIGN_OUT").unwrap_or_else(|_| "results".to_string()));
     write_report(out_dir.join("campaign.txt"), &rendered)?;
-    let csv_path = out_dir.join("campaign_events.csv");
-    let logs = (|| -> std::io::Result<()> {
-        let mut csv = fs::File::create(&csv_path)?;
-        write_events_csv(&mut csv, &results)?;
-        csv.flush()?;
-        if stratified {
-            let mut sc = fs::File::create(out_dir.join("campaign_strata.csv"))?;
-            write_strata_csv(&mut sc, &report)?;
-            sc.flush()?;
-        }
-        Ok(())
-    })();
-    logs.map_err(|e| HarnessError::new(format!("event log not written: {e}")))?;
-    println!(
-        "\nevent log: {} recovery events -> {}",
-        results.iter().map(|r| r.events.len()).sum::<usize>(),
-        csv_path.display()
-    );
+    if stratified {
+        write_report(out_dir.join("campaign_strata.csv"), &strata_csv(&report))?;
+    }
 
     let mut gate = Gate::new();
     gate.check(

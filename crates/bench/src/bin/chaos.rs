@@ -44,12 +44,14 @@ use dve::chaos::{
     HammerParams, RecoveryLedger,
 };
 use dve::config::{Scheme, SystemConfig};
+use dve::fabric_impl::SystemFabric;
 use dve::system::{RunResult, System};
 use dve_bench::gate::{no_args, write_report, Gate, HarnessError};
 use dve_bench::profile;
+use dve_coherence::fabric::Fabric;
 use dve_dram::controller::EccProfile;
 use dve_service::{EpochLoop, ServiceConfig, ServiceReport, SubmittedOp};
-use dve_sim::latency::Component;
+use dve_sim::latency::{Component, Stamp};
 use dve_sim::rng::SplitMix64;
 use dve_workloads::op::MemReq;
 use dve_workloads::tenant::TenantMix;
@@ -57,7 +59,7 @@ use dve_workloads::{TraceGenerator, WorkloadProfile};
 use std::fmt::Write as _;
 use std::process::ExitCode;
 
-fn directed_run(p: &WorkloadProfile, events: Vec<FaultEvent>) -> RunResult {
+fn directed_cfg(events: Vec<FaultEvent>) -> SystemConfig {
     let mut cfg = SystemConfig::table_ii(Scheme::DveDeny);
     cfg.ops_per_thread = 500;
     cfg.warmup_per_thread = 0; // pins conservation to the engine sums
@@ -66,7 +68,11 @@ fn directed_run(p: &WorkloadProfile, events: Vec<FaultEvent>) -> RunResult {
         schedule: FaultSchedule::new(events),
         ..ChaosConfig::inert()
     });
-    System::new(cfg, p, 42).run()
+    cfg
+}
+
+fn directed_run(p: &WorkloadProfile, events: Vec<FaultEvent>) -> RunResult {
+    System::new(directed_cfg(events), p, 42).run()
 }
 
 fn conserves(r: &RunResult) -> bool {
@@ -141,26 +147,44 @@ fn directed_transitions(gate: &mut Gate, p: &WorkloadProfile) {
         ),
     );
     // The workload's address stream rarely revisits a line inside the
-    // measured window, so demonstrate the redirect path (degraded line
-    // re-read is served by the survivor without re-degrading) directly
-    // on the recovery state machine.
+    // measured window, so demonstrate the redirect path (a degraded
+    // line's re-read is served by the survivor without re-degrading)
+    // on the same timed fabric: one directed hard plant, two reads.
     {
-        use dve::recovery::{RecoverableMemory, RecoveryOutcome};
-        use dve_dram::fault::FaultDomain;
-        let mut mem = RecoverableMemory::new_dve_tsd();
-        mem.primary_mut().faults_mut().fail(FaultDomain::Line {
+        let mut fabric = SystemFabric::new(&directed_cfg(Vec::new()));
+        let line = 7;
+        let home = fabric.placement().home_of(line);
+        fabric.apply_fault_event(&FaultEvent {
+            at: 0,
+            socket: home,
             channel: 0,
-            line: 7,
+            action: FaultAction::Plant {
+                site: FaultSite::Line { line },
+                transient: false,
+            },
         });
-        let (first, t) = mem.read(7 * 64, 0);
-        let (second, _) = mem.read(7 * 64, t);
+        let t = fabric.mem_read(home, line, Stamp::start(0));
+        let first = fabric.ledger();
+        fabric.mem_read(home, line, t);
+        let second = fabric.ledger();
         gate.check(
-            first == RecoveryOutcome::CorrectedDegraded
-                && second == RecoveryOutcome::Clean
-                && mem.stats().degraded == 1,
+            first.corrected == 1
+                && first.degraded == 1
+                && second.degraded == 1
+                && second.clean_redirects == 1
+                && second.machine_checks == 0
+                && fabric.degraded_line_count() == 1
+                && second.consistent(),
             format!(
-                "degraded line re-read redirects cleanly ({first:?} then {second:?}, degraded={})",
-                mem.stats().degraded
+                "degraded line re-read redirects cleanly (corrected={}, degraded={} then {}, \
+                 clean_redirects={}, machine_checks={}, consistent={}, degraded lines={})",
+                first.corrected,
+                first.degraded,
+                second.degraded,
+                second.clean_redirects,
+                second.machine_checks,
+                second.consistent(),
+                fabric.degraded_line_count()
             ),
         );
     }

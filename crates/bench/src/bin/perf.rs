@@ -1,7 +1,8 @@
 //! Tracked performance baseline for the ECC decode pipeline, the
 //! fault-injection campaign and the timed system simulator.
 //!
-//! Produces three machine-readable artifacts in the current directory:
+//! Produces three machine-readable artifacts, in the current directory
+//! for a full run and under `target/perf-smoke/` for `smoke`:
 //!
 //! * `BENCH_ecc.json` — median ns/op for the GF kernels (table-driven
 //!   vs the shift-and-add reference oracle), RS(18,16) encode and
@@ -27,8 +28,9 @@
 //! ```
 //!
 //! `smoke` is the reduced-iteration run for CI: ~1 ms of timed batches
-//! per microbench, a small campaign and a short system trace; the JSON
-//! files are still written (tagged `"mode": "smoke"`).
+//! per microbench, a small campaign and a short system trace. Its JSON
+//! files (tagged `"mode": "smoke"`) go under `target/perf-smoke/`, so a
+//! gate run never rewrites the committed baselines.
 //!
 //! Exit code: non-zero if a built-in relative gate fails; every gate is
 //! evaluated and reported either way. Three gates, all *relative* by
@@ -61,12 +63,17 @@ use dve_ecc::rs16::Rs16Detect;
 use dve_sim::latency::Component;
 use std::fmt::Write as _;
 use std::hint::black_box;
+use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode};
 use std::time::{Duration, Instant};
 
 /// How many scalar GF multiplies each GF routine performs per
 /// iteration; reported numbers are divided by this.
 const GF_BATCH: f64 = 255.0;
+
+/// Where `smoke` writes its JSON files: inside the build directory, away
+/// from the committed full-run baselines.
+const SMOKE_DIR: &str = "target/perf-smoke";
 
 /// The gate: a 1-error decode may cost at most this many clean decodes.
 const GATE_CORRECTION_COST: f64 = 2.0;
@@ -412,6 +419,13 @@ fn main() -> Result<ExitCode, HarnessError> {
     let mode = if smoke { "smoke" } else { "full" };
     let rev = git_rev();
     println!("perf baseline @ {rev} ({mode})");
+    let out = |name: &str| {
+        if smoke {
+            Path::new(SMOKE_DIR).join(name)
+        } else {
+            PathBuf::from(name)
+        }
+    };
 
     let mut c = MicroBench::new(if smoke {
         Duration::from_millis(1)
@@ -425,7 +439,7 @@ fn main() -> Result<ExitCode, HarnessError> {
         println!("  {name:<28} {ns:>10.2} ns/op");
     }
     write_report(
-        "BENCH_ecc.json",
+        out("BENCH_ecc.json"),
         &render_json(&rev, mode, "ns_per_op_median", &ecc_fields),
     )?;
 
@@ -433,7 +447,7 @@ fn main() -> Result<ExitCode, HarnessError> {
     let trials = if smoke { 20_000 } else { 200_000 };
     let campaign_fields = bench_campaign(trials);
     write_report(
-        "BENCH_campaign.json",
+        out("BENCH_campaign.json"),
         &render_json(&rev, mode, "trials_per_sec", &campaign_fields),
     )?;
 
@@ -444,7 +458,7 @@ fn main() -> Result<ExitCode, HarnessError> {
     println!("-- topology sweep --");
     system_fields.extend(bench_topology(sys_ops));
     write_report(
-        "BENCH_system.json",
+        out("BENCH_system.json"),
         &render_json(&rev, mode, "mixed_cycles_and_fractions", &system_fields),
     )?;
 

@@ -1,7 +1,7 @@
 //! The `campaign` gate fails on bad input or output instead of warning
-//! past it: a malformed knob and an event log that cannot be written
-//! both exit non-zero, naming what went wrong. A good run writes the
-//! report and the CSV event log, nothing else.
+//! past it: a malformed knob and a report that cannot be written both
+//! exit non-zero, naming what went wrong. A good plain run writes the
+//! report, nothing else.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -11,7 +11,6 @@ fn campaign(out: &PathBuf, trials: &str) -> Output {
     Command::new(env!("CARGO_BIN_EXE_campaign"))
         .env("DVE_CAMPAIGN_TRIALS", trials)
         .env("DVE_CAMPAIGN_WORKERS", "1")
-        .env("DVE_CAMPAIGN_REPLAY", "0")
         .env("DVE_CAMPAIGN_OUT", out)
         .env_remove("DVE_CAMPAIGN_SEED")
         .env_remove("DVE_CAMPAIGN_STRATIFIED")
@@ -36,7 +35,7 @@ fn malformed_trial_count_is_rejected_by_name() {
 }
 
 #[test]
-fn unwritable_event_log_fails_the_run() {
+fn unwritable_report_fails_the_run() {
     let ok_dir = scratch("ok");
     let ok = campaign(&ok_dir, "200");
     assert!(
@@ -44,23 +43,25 @@ fn unwritable_event_log_fails_the_run() {
         "control run: {}",
         String::from_utf8_lossy(&ok.stdout)
     );
-    // The CSV is the one event-log format: it is written, and nothing
-    // else beside the report is.
     let mut written: Vec<String> = std::fs::read_dir(&ok_dir)
         .unwrap()
         .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
         .collect();
     written.sort();
-    assert_eq!(written, ["campaign.txt", "campaign_events.csv"]);
+    assert_eq!(written, ["campaign.txt"]);
 
-    // A directory squatting on the CSV's path: the report writes, the
-    // event log cannot.
+    // A directory squatting on the report's path: the run fails and
+    // names the path it could not write.
     let bad_dir = scratch("blocked");
-    std::fs::create_dir_all(bad_dir.join("campaign_events.csv")).unwrap();
+    let report = bad_dir.join("campaign.txt");
+    std::fs::create_dir_all(&report).unwrap();
     let bad = campaign(&bad_dir, "200");
     let stderr = String::from_utf8_lossy(&bad.stderr);
-    assert!(!bad.status.success(), "a missing event log must fail");
-    assert!(stderr.contains("event log not written"), "{stderr}");
+    assert!(!bad.status.success(), "an unwritten report must fail");
+    assert!(
+        stderr.contains(&format!("cannot write {}", report.display())),
+        "{stderr}"
+    );
 
     std::fs::remove_dir_all(&ok_dir).unwrap();
     std::fs::remove_dir_all(&bad_dir).unwrap();

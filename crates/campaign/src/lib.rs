@@ -2,7 +2,7 @@
 //!
 //! Empirically cross-validates the analytical reliability model of §IV
 //! (`dve-reliability`) by *running* accelerated fault campaigns against
-//! the real machinery of the rest of the workspace:
+//! the real codecs of `dve-ecc`:
 //!
 //! * [`sampler`] draws per-chip failures (bit / pin / chip granularity,
 //!   transient or permanent) at the accelerated per-window probability
@@ -11,10 +11,7 @@
 //!   (`Rs::chipkill()`, detect-only DSD/TSD) — so SDCs are genuine
 //!   detection misses and RS miscorrections — on the all-zero
 //!   codeword, which the codes' linearity makes outcome-identical to
-//!   encoding random data (DESIGN.md §7), and
-//!   replays a seeded workload slice on [`dve::RecoverableMemory`] with
-//!   fault hooks, patrol scrub, and §V-B2 transient write-repair,
-//!   logging recovery events;
+//!   encoding random data (DESIGN.md §7);
 //! * [`runner`] fans seeded trials across `std::thread` workers via
 //!   chunked work-stealing over a shared atomic cursor, with
 //!   cache-line-padded per-worker accumulators and bit-reproducible,
@@ -26,9 +23,8 @@
 //!   binomial expectations of [`dve_reliability::accel::AccelModel`]
 //!   (same probability space, so agreement is exact up to sampling
 //!   noise and the documented SDC model fidelity), reweights
-//!   stratified campaigns without bias, prints Table I's real-scale
-//!   analytical rows and per-stratum breakdowns alongside, and
-//!   serializes per-trial recovery events as CSV.
+//!   stratified campaigns without bias, and prints Table I's real-scale
+//!   analytical rows and per-stratum breakdowns alongside.
 //!
 //! Entry point: `cargo run -p dve-bench --bin campaign --release`.
 
@@ -37,9 +33,7 @@ pub mod runner;
 pub mod sampler;
 pub mod trial;
 
-pub use report::{
-    stratified_rate, write_events_csv, CampaignReport, SchemeReport, StratumRow, Verdict,
-};
+pub use report::{stratified_rate, CampaignReport, SchemeReport, StratumRow, Verdict};
 pub use runner::{
     run_all, run_campaign, wilson_interval, CampaignConfig, CampaignResult, OutcomeCounts,
     SamplingMode, StratumResult, MERGE_TEST_WORKERS,

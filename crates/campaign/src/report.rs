@@ -1,5 +1,4 @@
-//! Empirical-vs-analytical cross-validation report and event-log
-//! serialization.
+//! Empirical-vs-analytical cross-validation report.
 //!
 //! The sampler and the analytical [`AccelModel`] share one probability
 //! space — independent per-chip failures at the same accelerated `p` —
@@ -9,19 +8,15 @@
 //! exact binomial expectation. Disagreement means the trial executor
 //! and the §IV arithmetic have diverged, which is the bug this report
 //! exists to catch.
-//!
-//! The per-trial recovery-event log rides along as CSV.
 
 use crate::runner::{
     wilson_interval, CampaignConfig, CampaignResult, OutcomeCounts, StratumResult,
 };
 use crate::sampler::Stratum;
 use crate::trial::CampaignScheme;
-use dve::RecoveryOutcome;
 use dve_reliability::accel::{AccelModel, WindowProbs};
 use dve_reliability::table1_rows;
 use std::fmt;
-use std::io::{self, Write};
 
 /// Did the empirical estimate agree with the analytical expectation?
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -378,37 +373,6 @@ impl CampaignReport {
     }
 }
 
-// ---- event-log serialization ---------------------------------------
-
-fn outcome_label(o: RecoveryOutcome) -> &'static str {
-    match o {
-        RecoveryOutcome::Clean => "clean",
-        RecoveryOutcome::CorrectedTransient => "ce-transient",
-        RecoveryOutcome::CorrectedDegraded => "ce-degraded",
-        RecoveryOutcome::MachineCheck => "machine-check",
-    }
-}
-
-/// Writes all schemes' recovery events as CSV
-/// (`scheme,trial,at,addr,outcome`).
-pub fn write_events_csv(w: &mut impl Write, results: &[CampaignResult]) -> io::Result<()> {
-    writeln!(w, "scheme,trial,at,addr,outcome")?;
-    for r in results {
-        for (trial, e) in &r.events {
-            writeln!(
-                w,
-                "{},{},{},{},{}",
-                r.scheme.label(),
-                trial,
-                e.at,
-                e.addr,
-                outcome_label(e.outcome)
-            )?;
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -421,7 +385,7 @@ mod tests {
             trials: 4000,
             workers: 4,
             params: AccelParams::paper_accelerated(),
-            replay_ops: 4,
+            replay_ops: 0,
             sampling: SamplingMode::Plain,
         }
     }
@@ -456,7 +420,6 @@ mod tests {
         // must bracket each other's point estimates.
         let mut plain = cfg();
         plain.trials = 20_000;
-        plain.replay_ops = 0;
         let mut strat = plain;
         strat.sampling = SamplingMode::stratified_default();
         for scheme in CampaignScheme::ALL {
@@ -492,7 +455,6 @@ mod tests {
         // trials; the estimator must skip them without dividing by zero.
         let mut c = cfg();
         c.trials = 500;
-        c.replay_ops = 0;
         c.params.chip_fail_prob = 0.0;
         c.sampling = SamplingMode::stratified_default();
         let results = run_all(&c);
@@ -549,7 +511,6 @@ mod tests {
     fn stratified_render_includes_per_stratum_table() {
         let mut c = cfg();
         c.trials = 3_000;
-        c.replay_ops = 0;
         c.sampling = SamplingMode::stratified_default();
         let results = run_all(&c);
         let report = CampaignReport::build(&c, &results);
@@ -563,7 +524,6 @@ mod tests {
     fn dve_chipkill_improvement_exceeds_40x() {
         let mut cfg = cfg();
         cfg.trials = 20_000;
-        cfg.replay_ops = 0;
         let results = run_all(&cfg);
         let report = CampaignReport::build(&cfg, &results);
         // `None` means zero observed uncorrectables: even better than 40x.
@@ -583,17 +543,5 @@ mod tests {
         }
         assert!(text.contains("agree"));
         assert!(text.contains("Table I"));
-    }
-
-    #[test]
-    fn csv_has_header_and_rows() {
-        let cfg = cfg();
-        let results = run_all(&cfg);
-        let mut buf = Vec::new();
-        write_events_csv(&mut buf, &results).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        let mut lines = text.lines();
-        assert_eq!(lines.next(), Some("scheme,trial,at,addr,outcome"));
-        assert!(lines.next().is_some(), "no event rows");
     }
 }

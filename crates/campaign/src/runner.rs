@@ -3,8 +3,7 @@
 //! Determinism contract: every trial outcome depends only on
 //! `(master_seed, scheme, trial_index)` (see [`TrialExecutor::run`]) —
 //! plus the stratification plan, itself a pure function of the config —
-//! and aggregation is commutative integer counting plus an
-//! order-normalizing sort of the event log. A campaign's
+//! and aggregation is commutative integer counting. A campaign's
 //! [`CampaignResult`] is therefore **bit-identical** for any worker
 //! count, including 1, no matter how the scheduler interleaves workers.
 //!
@@ -62,8 +61,8 @@ pub struct CampaignConfig {
     /// Accelerated window parameters shared by sampler and the
     /// analytical cross-check.
     pub params: AccelParams,
-    /// Memory operations replayed per faulty trial (0 disables the
-    /// system replay; adjudication still runs).
+    /// Unread placeholder: the benchmark still names it. Nothing reads
+    /// it; ROADMAP's benchmark item deletes it.
     pub replay_ops: u64,
     /// Plain Monte Carlo or stratified rare-event sampling.
     pub sampling: SamplingMode,
@@ -164,10 +163,6 @@ pub struct CampaignResult {
     pub fault_sum: u64,
     /// Per-stratum breakdown; empty for plain campaigns.
     pub strata: Vec<StratumResult>,
-    /// Recovery events from faulty-trial replays, tagged by trial and
-    /// sorted by `(trial, at, addr)` so the log is deterministic for
-    /// any worker count.
-    pub events: Vec<(u64, dve::RecoveryEvent)>,
 }
 
 /// Per-worker accumulator, padded out to its own pair of cache lines so
@@ -180,7 +175,6 @@ struct Partial {
     overlap_sum: u64,
     fault_sum: u64,
     strata_counts: Vec<OutcomeCounts>,
-    events: Vec<(u64, dve::RecoveryEvent)>,
 }
 
 impl Partial {
@@ -191,8 +185,6 @@ impl Partial {
         }
         self.overlap_sum += r.overlap as u64;
         self.fault_sum += r.fault_count as u64;
-        let trial = r.trial;
-        self.events.extend(r.events.into_iter().map(|e| (trial, e)));
     }
 }
 
@@ -280,7 +272,6 @@ pub fn run_campaign(cfg: &CampaignConfig, scheme: CampaignScheme) -> CampaignRes
     let mut overlap_sum = 0;
     let mut fault_sum = 0;
     let mut strata_counts = vec![OutcomeCounts::default(); n_strata];
-    let mut events = Vec::new();
     for p in partials {
         counts.merge(&p.counts);
         overlap_sum += p.overlap_sum;
@@ -288,12 +279,9 @@ pub fn run_campaign(cfg: &CampaignConfig, scheme: CampaignScheme) -> CampaignRes
         for (acc, c) in strata_counts.iter_mut().zip(&p.strata_counts) {
             acc.merge(c);
         }
-        events.extend(p.events);
     }
-    // Normalize the merge order away. Every addend above is commutative
-    // and this sort key is unique per trial block, so the result cannot
-    // depend on which worker claimed which chunk.
-    events.sort_by_key(|(trial, e)| (*trial, e.at, e.addr));
+    // Every addend above is commutative, so the result cannot depend on
+    // which worker claimed which chunk.
     let strata = plan.map_or_else(Vec::new, |p| {
         p.strata
             .iter()
@@ -312,7 +300,6 @@ pub fn run_campaign(cfg: &CampaignConfig, scheme: CampaignScheme) -> CampaignRes
         overlap_sum,
         fault_sum,
         strata,
-        events,
     }
 }
 
@@ -353,7 +340,7 @@ mod tests {
             trials: 600,
             workers,
             params: AccelParams::paper_accelerated(),
-            replay_ops: 8,
+            replay_ops: 0,
             sampling: SamplingMode::Plain,
         }
     }
@@ -415,7 +402,6 @@ mod tests {
     fn stratified_counts_match_the_plan() {
         let mut cfg = small_cfg(MERGE_TEST_WORKERS);
         cfg.trials = 5_000;
-        cfg.replay_ops = 0;
         cfg.sampling = SamplingMode::stratified_default();
         let r = run_campaign(&cfg, CampaignScheme::DveDsd);
         assert_eq!(r.counts.total(), cfg.trials);
@@ -426,17 +412,6 @@ mod tests {
         }
         let mass: f64 = r.strata.iter().map(|s| s.weight).sum();
         assert!((mass - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn events_sorted_and_tagged() {
-        let r = run_campaign(&small_cfg(4), CampaignScheme::DveTsd);
-        assert!(!r.events.is_empty(), "replay produced no events");
-        let keys: Vec<_> = r.events.iter().map(|(t, e)| (*t, e.at, e.addr)).collect();
-        let mut sorted = keys.clone();
-        sorted.sort();
-        assert_eq!(keys, sorted);
-        assert!(r.events.iter().all(|(t, _)| *t < 600));
     }
 
     #[test]
@@ -457,7 +432,6 @@ mod tests {
         // the empirical rate within a generous band.
         let mut cfg = small_cfg(4);
         cfg.trials = 10_000;
-        cfg.replay_ops = 0;
         let r = run_campaign(&cfg, CampaignScheme::Chipkill);
         let rate = (r.counts.due + r.counts.sdc) as f64 / cfg.trials as f64;
         assert!((0.05..0.09).contains(&rate), "rate {rate}");

@@ -1,5 +1,4 @@
-//! One campaign trial: fault sampling, real-codec adjudication, and a
-//! system-level replay with recovery-event logging.
+//! One campaign trial: fault sampling and real-codec adjudication.
 //!
 //! A trial observes one accelerated scrub-interval window:
 //!
@@ -16,52 +15,33 @@
 //!    argument). Chipkill decodes the 18-byte error word with the real
 //!    [`Rs::decode_in_place`]; DSD and TSD check only the faulty symbols
 //!    ([`Rs::check_sparse`], [`Rs16Detect::check_sparse`]).
-//! 3. **System replay**: the same fault set is installed into
-//!    `dve-dram` [`FaultState`](dve_dram::fault::FaultState) hooks under a [`RecoverableMemory`]
-//!    pair (or a bare controller for Chipkill), a seeded
-//!    `dve-workloads` trace is replayed, the patrol [`Scrubber`] runs a
-//!    pass, transient faults clear on the §V-B2 write-repair, and the
-//!    recovery events are drained into the trial record.
 //!
-//! The final outcome comes from the codeword layer (which models Dvé's
-//! symbol-union reconstruction across copies exactly); the controller
-//! layer is coarser — it flags any faulty DIMM read as uncorrectable
-//! without attempting cross-copy reconstruction — so its event stream is
-//! a conservative overapproximation, logged for inspection rather than
-//! classification.
+//! The outcome models Dvé's symbol-union reconstruction across copies
+//! exactly. The timed §V-B2 recovery flow (detour to the replica,
+//! repair write, re-read, degraded mode) is the system's, in
+//! `dve::fabric_impl`; the chaos harness exercises it in-run.
 //!
 //! # Zero-allocation trials
 //!
 //! The executor threads a per-worker [`TrialScratch`] (the fault
 //! sample, both copies' error patterns, the Chipkill error word and RS
-//! decoder scratch, the replay address list and the recovery-event
-//! buffer) through every trial. With the system replay off
-//! (`replay_ops == 0`, as in stratified campaigns), a trial — faulty or
-//! not — touches the heap zero times once the scratch has seen a full
-//! window; `tests/alloc_free.rs` counts. The replay builds a fresh
-//! memory model per faulty trial and allocates. Results are
-//! **bit-identical** for any worker count and to adjudicating encoded
-//! random data: the golden-data draws are skipped with
-//! [`SplitMix64::skip`] rather than removed, so the mask and replay
-//! draws keep their place in the stream, and every buffer is fully
-//! overwritten per trial.
+//! decoder scratch) through every trial. A trial — faulty or not —
+//! touches the heap zero times once the scratch has seen a full window;
+//! `tests/alloc_free.rs` counts. Results are **bit-identical** for any
+//! worker count and to adjudicating encoded random data: the
+//! golden-data draws are skipped with [`SplitMix64::skip`] rather than
+//! removed, so the mask draws keep their place in the stream, and every
+//! buffer is fully overwritten per trial.
 
 use crate::sampler::{
     ChipFault, FaultSample, FaultSampler, Granularity, Side, StrataPlan, StratumSpec,
 };
-use dve::recovery::{RecoverableMemory, RecoveryEvent};
-use dve_dram::config::DramConfig;
-use dve_dram::controller::{AccessKind, EccProfile, MemoryController};
-use dve_dram::fault::FaultDomain;
-use dve_dram::scrub::Scrubber;
 use dve_ecc::code::{CheckOutcome, DetectionCode};
 use dve_ecc::inject::FaultInjector;
 use dve_ecc::rs::{Rs, RsScratch};
 use dve_ecc::rs16::Rs16Detect;
 use dve_reliability::accel::AccelParams;
 use dve_sim::rng::{derive_seed, SplitMix64};
-use dve_sim::time::Cycles;
-use dve_workloads::{catalog, Op, TraceGenerator};
 
 /// The protection schemes a campaign can exercise.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -110,15 +90,6 @@ impl CampaignScheme {
     pub fn is_replicated(&self) -> bool {
         !matches!(self, CampaignScheme::Chipkill)
     }
-
-    /// The controller-level ECC profile used in the system replay.
-    pub fn ecc_profile(&self) -> EccProfile {
-        match self {
-            CampaignScheme::Chipkill | CampaignScheme::DveChipkill => EccProfile::chipkill(),
-            CampaignScheme::DveDsd => EccProfile::dsd(),
-            CampaignScheme::DveTsd => EccProfile::tsd(),
-        }
-    }
 }
 
 /// Final classification of one trial.
@@ -150,8 +121,6 @@ pub struct TrialResult {
     pub overlap: usize,
     /// Total sampled chip failures.
     pub fault_count: usize,
-    /// Recovery events drained from the system replay.
-    pub events: Vec<RecoveryEvent>,
 }
 
 /// Per-worker reusable buffers threaded through [`TrialExecutor::run_with`].
@@ -159,8 +128,7 @@ pub struct TrialResult {
 /// Build one per worker thread with [`TrialExecutor::make_scratch`]; its
 /// buffers are fully overwritten each trial, so reuse cannot leak state
 /// between trials and the campaign stays bit-identical for any worker
-/// count. Without the system replay, trials complete without any heap
-/// allocation.
+/// count, and trials complete without any heap allocation.
 #[derive(Debug, Clone, Default)]
 pub struct TrialScratch {
     /// The trial's sampled fault window.
@@ -173,11 +141,6 @@ pub struct TrialScratch {
     word: Vec<u8>,
     /// RS decoder scratch (Berlekamp–Massey / Chien / Forney buffers).
     rs: RsScratch,
-    /// Replayed trace addresses.
-    addrs: Vec<u64>,
-    /// Recovery events accumulated by the system replay, copied into the
-    /// [`TrialResult`] at the end of each trial.
-    events: Vec<RecoveryEvent>,
 }
 
 /// Runs trials for one scheme; cheap to construct, reusable across a
@@ -189,24 +152,19 @@ pub struct TrialExecutor {
     chipkill: Rs,
     dsd: Rs,
     tsd: Rs16Detect,
-    /// Memory operations replayed from the workload trace per trial
-    /// (0 disables the system replay for pure-statistics campaigns).
-    replay_ops: u64,
 }
 
-/// Bytes scrubbed/replayed per trial (64 lines).
-const REPLAY_REGION_BYTES: u64 = 4096;
-
 impl TrialExecutor {
-    /// Builds an executor for `scheme` under `params`.
-    pub fn new(scheme: CampaignScheme, params: AccelParams, replay_ops: u64) -> TrialExecutor {
+    /// Builds an executor for `scheme` under `params`. `_replay_ops` is
+    /// an unread placeholder kept for the benchmark's call site; nothing
+    /// reads it (ROADMAP's benchmark item deletes it).
+    pub fn new(scheme: CampaignScheme, params: AccelParams, _replay_ops: u64) -> TrialExecutor {
         TrialExecutor {
             scheme,
             sampler: FaultSampler::new(params),
             chipkill: Rs::chipkill(),
             dsd: Rs::dsd(),
             tsd: Rs16Detect::tsd(64),
-            replay_ops,
         }
     }
 
@@ -226,8 +184,6 @@ impl TrialExecutor {
             replica: Vec::with_capacity(chips),
             word: Vec::with_capacity(self.chipkill.codeword_len()),
             rs: self.chipkill.make_scratch(),
-            addrs: Vec::with_capacity(self.replay_ops as usize),
-            events: Vec::new(),
         }
     }
 
@@ -249,7 +205,6 @@ impl TrialExecutor {
         trial: u64,
         scratch: &mut TrialScratch,
     ) -> TrialResult {
-        scratch.events.clear();
         let seed = derive_seed(master_seed, self.scheme.stream(), trial);
         let mut rng = SplitMix64::new(seed);
         self.sampler
@@ -270,7 +225,7 @@ impl TrialExecutor {
 
     /// Runs trial `trial` under a stratified `plan`: the trial's index
     /// selects its stratum (contiguous per-cell ranges), the sample is
-    /// drawn conditioned on that cell, and adjudication/replay proceed
+    /// drawn conditioned on that cell, and adjudication proceeds
     /// exactly as in [`TrialExecutor::run_with`]. Deterministic in
     /// `(master_seed, scheme, plan, trial)`.
     pub fn run_stratified_with(
@@ -294,18 +249,16 @@ impl TrialExecutor {
         spec: &StratumSpec,
         scratch: &mut TrialScratch,
     ) -> TrialResult {
-        scratch.events.clear();
         let mut rng = SplitMix64::new(derive_seed(master_seed, self.scheme.stream(), trial));
         self.sampler
             .sample_stratum_into(plan, spec, &mut rng, &mut scratch.sample);
         self.finish_trial(trial, &mut rng, scratch)
     }
 
-    /// Shared trial tail: adjudicate the window in `scratch.sample` and
-    /// replay it through the system model. Fault-free windows — the
-    /// common case — short-circuit to `Clean`: adjudication maps an
-    /// uncorrupted codeword to `Clean` and the replay is a no-op without
-    /// faults, so skipping both is outcome-identical and draws nothing.
+    /// Shared trial tail: adjudicate the window in `scratch.sample`.
+    /// Fault-free windows — the common case — short-circuit to `Clean`:
+    /// adjudication maps an uncorrupted codeword to `Clean`, so skipping
+    /// it is outcome-identical and draws nothing.
     fn finish_trial(
         &self,
         trial: u64,
@@ -321,9 +274,6 @@ impl TrialExecutor {
         } else {
             TrialOutcome::Clean
         };
-        if self.replay_ops > 0 && sample.any() {
-            self.replay(&sample, rng, scratch);
-        }
         let fault_count = sample.faults.len();
         scratch.sample = sample;
         TrialResult {
@@ -331,9 +281,6 @@ impl TrialExecutor {
             outcome,
             overlap,
             fault_count,
-            // Copy out so the accumulation buffer (and its capacity) is
-            // reused by the next trial; empty for fault-free trials.
-            events: scratch.events.clone(),
         }
     }
 
@@ -351,8 +298,9 @@ impl TrialExecutor {
         s: &mut TrialScratch,
     ) -> TrialOutcome {
         let wide = self.scheme == CampaignScheme::DveTsd;
-        // Skip the golden data a random codeword would draw: one u64 per
-        // 8 bytes and one per leftover byte.
+        // Skip the golden data a random codeword would draw (one u64 per
+        // 8 bytes and one per leftover byte), so the mask draws below
+        // stay where encoding random data would put them.
         let data_len = if wide {
             self.tsd.data_len()
         } else {
@@ -433,123 +381,6 @@ impl TrialExecutor {
             CheckOutcome::DetectedUncorrectable { .. } => Read::Flagged,
         }
     }
-
-    // ---- system-level replay -----------------------------------------
-
-    fn replay(&self, sample: &FaultSample, rng: &mut SplitMix64, s: &mut TrialScratch) {
-        if self.scheme.is_replicated() {
-            self.replay_replicated(sample, rng, s);
-        } else {
-            self.replay_single(sample, rng, s);
-        }
-    }
-
-    fn fault_domain(side: Side, chip: usize) -> FaultDomain {
-        FaultDomain::Chip {
-            channel: match side {
-                Side::Primary => 0,
-                Side::Replica => 1,
-            },
-            rank: 0,
-            chip,
-        }
-    }
-
-    /// Fills `addrs` with a slice of a seeded workload trace, folded into
-    /// the scrub region.
-    fn trace_addrs_into(&self, rng: &mut SplitMix64, addrs: &mut Vec<u64>) {
-        let profile = &catalog()[0];
-        let mut gen = TraceGenerator::new(profile, 1, rng.next_u64());
-        addrs.clear();
-        let lines = REPLAY_REGION_BYTES / 64;
-        let mut guard = 0u64;
-        while addrs.len() < self.replay_ops as usize && guard < self.replay_ops * 16 {
-            if let Op::Mem { line, .. } = gen.next_op(0) {
-                addrs.push((line % lines) * 64);
-            }
-            guard += 1;
-        }
-    }
-
-    fn replay_replicated(&self, sample: &FaultSample, rng: &mut SplitMix64, s: &mut TrialScratch) {
-        let mut mem = RecoverableMemory::new(
-            DramConfig::ddr4_2400_no_refresh(),
-            self.scheme.ecc_profile(),
-        );
-        mem.set_event_logging(true);
-        for f in &sample.faults {
-            let side = f.side;
-            let mc = match side {
-                Side::Primary => mem.primary_mut(),
-                Side::Replica => mem.replica_mut(),
-            };
-            mc.faults_mut().fail(Self::fault_domain(side, f.chip));
-        }
-        // Workload phase.
-        let mut t = 0u64;
-        self.trace_addrs_into(rng, &mut s.addrs);
-        for &addr in &s.addrs {
-            let (_, done) = mem.read(addr, t);
-            t = done;
-        }
-        // Patrol scrub of both copies, then the §V-B2 write-repair
-        // clears transient faults.
-        let mut scrubber = Scrubber::new(REPLAY_REGION_BYTES);
-        let rep = scrubber.full_pass(mem.primary_mut(), t);
-        t += rep.duration;
-        let rep = scrubber.full_pass(mem.replica_mut(), t);
-        t += rep.duration;
-        for f in &sample.faults {
-            if f.transient {
-                let side = f.side;
-                let mc = match side {
-                    Side::Primary => mem.primary_mut(),
-                    Side::Replica => mem.replica_mut(),
-                };
-                mc.faults_mut().repair(Self::fault_domain(side, f.chip));
-            }
-        }
-        // Post-scrub probe: surviving permanent faults keep firing.
-        for i in 0..4u64 {
-            let (_, done) = mem.read(i * 64, t);
-            t = done;
-        }
-        s.events.extend(mem.take_events());
-    }
-
-    fn replay_single(&self, sample: &FaultSample, rng: &mut SplitMix64, s: &mut TrialScratch) {
-        let mut mc = MemoryController::new(0, DramConfig::ddr4_2400_no_refresh());
-        mc.set_ecc(self.scheme.ecc_profile());
-        for f in &sample.faults {
-            mc.faults_mut()
-                .fail(Self::fault_domain(Side::Primary, f.chip));
-        }
-        let mut t = 0u64;
-        self.trace_addrs_into(rng, &mut s.addrs);
-        for &addr in &s.addrs {
-            let (timing, outcome) = mc.read_with_check(addr, Cycles(t));
-            t = timing.complete_at.raw();
-            if let CheckOutcome::DetectedUncorrectable { .. } = outcome {
-                s.events.push(RecoveryEvent {
-                    addr,
-                    at: t,
-                    outcome: dve::recovery::RecoveryOutcome::MachineCheck,
-                });
-            } else if let CheckOutcome::Corrected { .. } = outcome {
-                // Local ECC corrected: write back (scrub-style repair).
-                let w = mc.access(addr, AccessKind::Write, Cycles(t));
-                t = w.complete_at.raw();
-            }
-        }
-        let mut scrubber = Scrubber::new(REPLAY_REGION_BYTES);
-        scrubber.full_pass(&mut mc, t);
-        for f in &sample.faults {
-            if f.transient {
-                mc.faults_mut()
-                    .repair(Self::fault_domain(Side::Primary, f.chip));
-            }
-        }
-    }
 }
 
 /// How one copy reads back under its code.
@@ -596,7 +427,7 @@ mod tests {
     use super::*;
 
     fn exec(scheme: CampaignScheme) -> TrialExecutor {
-        TrialExecutor::new(scheme, AccelParams::paper_accelerated(), 32)
+        TrialExecutor::new(scheme, AccelParams::paper_accelerated(), 0)
     }
 
     #[test]
@@ -689,7 +520,7 @@ mod tests {
     }
 
     #[test]
-    fn fault_free_trials_are_clean_with_no_events() {
+    fn fault_free_trials_are_clean() {
         let e = exec(CampaignScheme::DveDsd);
         let mut scratch = e.make_scratch();
         let mut seen = 0;
@@ -698,34 +529,9 @@ mod tests {
             if r.fault_count == 0 {
                 seen += 1;
                 assert_eq!(r.outcome, TrialOutcome::Clean);
-                assert!(r.events.is_empty());
             }
         }
         assert!(seen > 50, "only {seen} fault-free trials");
-    }
-
-    #[test]
-    fn replay_logs_events_when_faults_bite() {
-        // A permanent primary fault under a detect-only code must leave
-        // recovery events in the replay log.
-        let e = exec(CampaignScheme::DveTsd);
-        let mut scratch = e.make_scratch();
-        let mut with_faults = 0;
-        let mut with_events = 0;
-        for t in 0..300 {
-            let r = e.run_with(6, t, &mut scratch);
-            if r.fault_count > 0 {
-                with_faults += 1;
-                if !r.events.is_empty() {
-                    with_events += 1;
-                }
-            }
-        }
-        assert!(with_faults > 50);
-        assert!(
-            with_events * 2 > with_faults,
-            "{with_events}/{with_faults} faulty trials produced events"
-        );
     }
 
     #[test]
@@ -949,7 +755,8 @@ mod tests {
                     let got = e.adjudicate(&sample, overlap, &mut rng, &mut scratch);
                     let want = reference(&e, &sample, overlap, &mut dense_rng);
                     assert_eq!(got, want, "{} trial {trial}", scheme.label());
-                    // The replay draws from where adjudication left off.
+                    // Both consume the same draws, so the golden-data
+                    // skip keeps every later mask draw in its place.
                     assert_eq!(rng, dense_rng, "{} trial {trial}", scheme.label());
                     escapes += u64::from(got == TrialOutcome::Sdc);
                 }

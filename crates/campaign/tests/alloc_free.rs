@@ -1,6 +1,6 @@
-//! Trials without the system replay must not touch the heap once the
-//! scratch is built: a counting global allocator watches every trial of
-//! a stratified (99% faulty) and a plain campaign for each scheme.
+//! Trials must not touch the heap once the scratch is built: a counting
+//! global allocator watches every trial of a stratified (99% faulty)
+//! and a plain campaign for each scheme.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -53,7 +53,7 @@ const TRIALS: u64 = 12_000;
 const WARMUP: u64 = 500;
 
 #[test]
-fn trials_without_replay_never_allocate() {
+fn trials_never_allocate() {
     for scheme in CampaignScheme::ALL {
         let exec = TrialExecutor::new(scheme, AccelParams::paper_accelerated(), 0);
         let plan = exec.strata_plan(DEFAULT_TAIL_MIN, TRIALS);

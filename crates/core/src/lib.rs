@@ -18,11 +18,11 @@
 //!   (baseline NUMA, Intel-mirroring++, Dvé allow / deny / dynamic).
 //! * [`fabric_impl`] — the cycle-accounting [`coherence
 //!   Fabric`](dve_coherence::fabric::Fabric) over real DRAM controllers,
-//!   the 2×4 mesh and the inter-socket link.
+//!   the 2×4 mesh and the inter-socket link, and the one §V-B2 recovery
+//!   flow: ECC detection at one controller, correction from the
+//!   replica, repair-and-reread, and degraded mode, all in simulated
+//!   time.
 //! * [`system`] — the event-driven multi-core runner and [`system::RunResult`].
-//! * [`recovery`] — the §V-B2 recovery flow: ECC detection at one
-//!   controller, correction from the replica, repair-and-reread, and
-//!   degraded mode.
 //! * [`chaos`] — in-band fault injection: deterministic fault
 //!   schedules, link outages, paced patrol scrub, and the recovery
 //!   ledger checked by the `chaos` harness.
@@ -56,7 +56,6 @@ pub mod fabric_impl;
 pub mod fault_source;
 pub mod metrics;
 pub mod pdes;
-pub mod recovery;
 pub mod system;
 
 pub use chaos::{
@@ -65,5 +64,10 @@ pub use chaos::{
 pub use config::{Scheme, SystemConfig, TopologySpec};
 pub use fault_source::FaultSource;
 pub use pdes::{ShardedSupply, TraceSupply};
-pub use recovery::{RecoverableMemory, RecoveryEvent, RecoveryOutcome};
 pub use system::{RunResult, System};
+
+// Directed tests of the §V-B2 recovery flow in `fabric_impl`.
+#[cfg(test)]
+mod recovery {
+    mod tests;
+}

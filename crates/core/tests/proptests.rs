@@ -1,11 +1,32 @@
 //! Property-based tests over the assembled system.
 
+use dve::chaos::{ChaosConfig, FaultAction, FaultEvent, FaultSite};
 use dve::config::{Scheme, SystemConfig};
-use dve::recovery::{RecoverableMemory, RecoveryOutcome};
+use dve::fabric_impl::SystemFabric;
 use dve::system::System;
-use dve_dram::fault::FaultDomain;
+use dve_coherence::fabric::Fabric;
+use dve_sim::latency::Stamp;
 use dve_workloads::catalog;
 use proptest::prelude::*;
+
+/// A Dvé fabric with detect-only TSD ECC and the chaos layer armed, so
+/// every detected read takes the §V-B2 detour.
+fn recovery_fabric() -> SystemFabric {
+    let mut cfg = SystemConfig::table_ii(Scheme::DveDeny);
+    cfg.ecc = dve_dram::controller::EccProfile::tsd();
+    cfg.chaos = Some(ChaosConfig::inert());
+    SystemFabric::new(&cfg)
+}
+
+/// Applies `action` to the copy at `(socket, channel)`.
+fn act(f: &mut SystemFabric, socket: usize, channel: usize, action: FaultAction) {
+    f.apply_fault_event(&FaultEvent {
+        at: 0,
+        socket,
+        channel,
+        action,
+    });
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
@@ -72,69 +93,94 @@ proptest! {
         prop_assert!(sum == 0.0 || (sum - 1.0).abs() < 1e-9);
     }
 
-    // Recovery: with only the primary faulted, no read ever
-    // machine-checks, regardless of the fault domain or access pattern.
+    // Recovery: with only socket 0's home-channel copies faulted, no
+    // read ever machine-checks and the ledger stays consistent,
+    // whatever the fault site or access pattern (each line is read
+    // twice, so degraded copies are redirected too).
     #[test]
     fn single_sided_faults_never_machine_check(
-        seed in any::<u64>(),
-        fault_pick in 0u8..4,
-        addrs in proptest::collection::vec(0u64..(1u64 << 20), 1..50),
+        fault_pick in 0u8..5,
+        lines in proptest::collection::vec(0u64..(1u64 << 14), 1..50),
     ) {
-        let _ = seed;
-        let fault = match fault_pick {
-            0 => FaultDomain::Controller,
-            1 => FaultDomain::Channel { channel: 0 },
-            2 => FaultDomain::Chip { channel: 0, rank: 0, chip: 3 },
-            _ => FaultDomain::Row { channel: 0, rank: 0, bank: 0, row: 0 },
+        let site = match fault_pick {
+            0 => FaultSite::Controller,
+            1 => FaultSite::Channel,
+            2 => FaultSite::Chip { rank: 0, chip: 3 },
+            3 => FaultSite::Row { rank: 0, bank: 0, row: 0 },
+            _ => FaultSite::Line { line: lines[0] },
         };
-        let mut mem = RecoverableMemory::new_dve_tsd();
-        mem.primary_mut().faults_mut().fail(fault);
+        let mut f = recovery_fabric();
+        act(&mut f, 0, 0, FaultAction::Plant { site, transient: false });
         let mut t = 0;
-        for addr in addrs {
-            let (outcome, done) = mem.read(addr & !63, t);
-            prop_assert_ne!(outcome, RecoveryOutcome::MachineCheck);
+        for &line in lines.iter().chain(&lines) {
+            let done = f.mem_read(0, line, Stamp::start(t)).at();
             prop_assert!(done >= t);
             t = done;
+            let l = f.ledger();
+            prop_assert_eq!(l.machine_checks, 0);
+            prop_assert!(l.consistent(), "{:?}", l);
         }
-        prop_assert_eq!(mem.stats().machine_checks, 0);
     }
 
-    // The recovery state machine never over-reports repairs
-    // (`repaired <= corrected`, with `repaired + degraded == corrected`
-    // exactly), keeps the outcome partition
-    // (`clean + corrected + machine_checks == reads`), and never
-    // degrades an already-degraded line twice — under arbitrary
-    // interleavings of fault plants, fault repairs and reads.
+    // The recovery ledger stays consistent (`repaired + degraded ==
+    // corrected`, `clean_redirects + corrected + machine_checks ==
+    // detected_reads`) after every step of arbitrary interleavings of
+    // fault plants, heals and reads; and re-reading a degraded line
+    // redirects cleanly, never degrading it again.
     #[test]
     fn recovery_state_machine_invariants(
-        ops in proptest::collection::vec((0u64..16, 0u8..4), 1..40),
+        ops in proptest::collection::vec((0u64..16, 0u8..5), 1..40),
     ) {
-        let mut mem = RecoverableMemory::new_dve_tsd();
-        let mut reads = 0u64;
-        for (i, &(line, kind)) in ops.iter().enumerate() {
-            let d = FaultDomain::Line { channel: 0, line };
+        let mut f = recovery_fabric();
+        let place = f.placement();
+        let home = |line| (place.home_of(line), 0);
+        let replica = |line| (place.replica_node(line), 1);
+        // Lines whose home copy the fabric holds degraded, tracked from
+        // the degraded-copy count across each step.
+        let mut degraded = std::collections::BTreeSet::new();
+        let mut now = 0;
+        for &(line, kind) in &ops {
+            let site = FaultSite::Line { line };
+            let before = f.degraded_line_count();
             match kind {
-                0 => { mem.primary_mut().faults_mut().fail(d); }
-                1 => { mem.primary_mut().faults_mut().repair(d); }
-                2 => { mem.replica_mut().faults_mut().fail(d); }
-                _ => {
-                    mem.read(line * 64, i as u64 * 1_000_000);
-                    reads += 1;
+                0 | 1 => {
+                    let (s, c) = home(line);
+                    act(&mut f, s, c, FaultAction::Plant { site, transient: kind == 1 });
                 }
+                2 => {
+                    let (s, c) = home(line);
+                    act(&mut f, s, c, FaultAction::Heal { site });
+                }
+                3 => {
+                    let (s, c) = replica(line);
+                    act(&mut f, s, c, FaultAction::Plant { site, transient: false });
+                }
+                _ => now = f.mem_read(home(line).0, line, Stamp::start(now)).at(),
             }
-            let s = mem.stats();
-            prop_assert!(s.repaired <= s.corrected);
-            prop_assert_eq!(s.repaired + s.degraded, s.corrected);
-            prop_assert_eq!(s.clean + s.corrected + s.machine_checks, reads);
-        }
-        // Re-reading degraded lines redirects; it never re-degrades.
-        let degraded_before = mem.stats().degraded;
-        for line in 0..16u64 {
-            if mem.is_degraded(line * 64) {
-                mem.read(line * 64, 1_000_000_000);
+            let after = f.degraded_line_count();
+            if after > before {
+                degraded.insert(line);
+            } else if after < before {
+                degraded.remove(&line);
             }
+            prop_assert_eq!(after, degraded.len());
+            prop_assert!(f.ledger().consistent(), "{:?}", f.ledger());
         }
-        prop_assert_eq!(mem.stats().degraded, degraded_before);
+        // With every replica healthy again, each degraded line's re-read
+        // is a clean redirect and degrades nothing.
+        for line in 0..16 {
+            let (s, c) = replica(line);
+            act(&mut f, s, c, FaultAction::Heal { site: FaultSite::Line { line } });
+        }
+        for &line in &degraded {
+            let before = f.ledger();
+            now = f.mem_read(home(line).0, line, Stamp::start(now)).at();
+            let after = f.ledger();
+            prop_assert_eq!(after.clean_redirects, before.clean_redirects + 1);
+            prop_assert_eq!(after.degraded, before.degraded);
+            prop_assert_eq!(f.degraded_line_count(), degraded.len());
+            prop_assert!(after.consistent(), "{:?}", after);
+        }
     }
 
     // Full-system chaos: a randomized seed-derived fault schedule keeps

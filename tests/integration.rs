@@ -155,21 +155,47 @@ fn energy_shows_dve_memory_overhead() {
 
 #[test]
 fn recovery_and_protocol_compose() {
-    // The reliability claim end-to-end: a controller dies, every read of
-    // the replicated region still returns data (as CEs), none machine-check.
-    use dve::recovery::{RecoverableMemory, RecoveryOutcome};
-    let mut mem = RecoverableMemory::new_dve_tsd();
-    mem.primary_mut()
-        .faults_mut()
-        .fail(dve_dram::fault::FaultDomain::Controller);
-    let mut t = 0;
-    for i in 0..500u64 {
-        let (outcome, done) = mem.read(i * 64, t);
-        assert_ne!(outcome, RecoveryOutcome::MachineCheck, "read {i}");
-        t = done;
+    // The reliability claim end-to-end on the timed fabric: the home
+    // controller dies, every read of a line it holds still returns data
+    // from the replica (a CE, then a clean redirect of the degraded
+    // copy), and none machine-checks.
+    use dve::chaos::{ChaosConfig, FaultAction, FaultEvent, FaultSite};
+    use dve::fabric_impl::SystemFabric;
+    use dve_coherence::fabric::Fabric;
+    use dve_sim::latency::Stamp;
+    let mut cfg = SystemConfig::table_ii(Scheme::DveDeny);
+    cfg.ecc = dve_dram::controller::EccProfile::tsd();
+    cfg.chaos = Some(ChaosConfig::inert());
+    let mut f = SystemFabric::new(&cfg);
+    f.apply_fault_event(&FaultEvent {
+        at: 0,
+        socket: 0,
+        channel: 0,
+        action: FaultAction::Plant {
+            site: FaultSite::Controller,
+            transient: false,
+        },
+    });
+    let held: Vec<u64> = (0..2_000u64)
+        .filter(|&line| f.placement().home_of(line) == 0)
+        .take(250)
+        .collect();
+    assert_eq!(held.len(), 250);
+    let mut t = Stamp::start(0);
+    for pass in 0..2 {
+        for &line in &held {
+            t = f.mem_read(0, line, Stamp::start(t.at()));
+            let l = f.ledger();
+            assert_eq!(l.machine_checks, 0, "pass {pass} line {line}");
+            assert!(l.consistent(), "pass {pass} line {line}: {l:?}");
+        }
     }
-    assert_eq!(mem.stats().machine_checks, 0);
-    assert_eq!(mem.stats().corrected, 500);
+    let l = f.ledger();
+    let n = held.len() as u64;
+    assert_eq!(l.detected_reads, 2 * n);
+    assert_eq!((l.corrected, l.degraded, l.repaired), (n, n, 0));
+    assert_eq!(l.clean_redirects, n, "every re-read redirects cleanly");
+    assert_eq!(f.degraded_line_count(), held.len());
 }
 
 #[test]
