@@ -75,10 +75,8 @@ pub enum Mode {
 /// Configuration of the engine's structures.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineConfig {
-    /// Total cores (Table II: 16).
+    /// Total cores (Table II: 16), split evenly over the sockets.
     pub cores: usize,
-    /// Cores per socket (Table II: 8).
-    pub cores_per_socket: usize,
     /// L1 size in bytes (64 KB).
     pub l1_bytes: usize,
     /// L1 associativity (8).
@@ -119,7 +117,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             cores: 16,
-            cores_per_socket: 8,
             l1_bytes: 64 * 1024,
             l1_ways: 8,
             llc_bytes: 8 * 1024 * 1024,
@@ -134,6 +131,13 @@ impl Default for EngineConfig {
             sockets: NUM_SOCKETS,
             placement: PlacementPolicy::Mirror2,
         }
+    }
+}
+
+impl EngineConfig {
+    /// Cores per socket (Table II: 8): `cores / sockets`.
+    pub fn cores_per_socket(&self) -> usize {
+        self.cores / self.sockets
     }
 }
 
@@ -257,6 +261,8 @@ pub fn service_index(s: ServiceLevel) -> usize {
 pub struct ProtocolEngine {
     mode: Mode,
     cfg: EngineConfig,
+    /// [`EngineConfig::cores_per_socket`], computed once.
+    cores_per_socket: usize,
     /// The shared placement arithmetic (home node, replica node per
     /// line), built from `cfg.sockets` / `cfg.placement` /
     /// `cfg.page_lines`.
@@ -288,14 +294,14 @@ impl ProtocolEngine {
     ///
     /// # Panics
     ///
-    /// Panics if `cores` is not `cores_per_socket * sockets`, or if the
+    /// Panics if `cores` does not split evenly over `sockets`, or if the
     /// placement names more than 8 nodes (the home directory's sharer
     /// vector is one bit per node in a `u8`).
     pub fn new(mode: Mode, cfg: EngineConfig) -> ProtocolEngine {
-        assert_eq!(
+        assert!(
+            cfg.sockets > 0 && cfg.cores.is_multiple_of(cfg.sockets),
+            "{} cores do not split evenly over {} sockets",
             cfg.cores,
-            cfg.cores_per_socket * cfg.sockets,
-            "engine models exactly {} sockets",
             cfg.sockets
         );
         let place = PlacementMap::new(cfg.sockets, cfg.page_lines, cfg.placement);
@@ -324,6 +330,7 @@ impl ProtocolEngine {
             .map(|n| (0..cfg.sockets).map(|_| DirCache::new(n)).collect());
         ProtocolEngine {
             mode,
+            cores_per_socket: cfg.cores_per_socket(),
             cfg,
             place,
             l1s,
@@ -471,7 +478,7 @@ impl ProtocolEngine {
 
     /// Socket of a core.
     pub fn socket_of(&self, core: usize) -> usize {
-        core / self.cfg.cores_per_socket
+        core / self.cores_per_socket
     }
 
     /// Home socket of a line.
@@ -614,9 +621,9 @@ impl ProtocolEngine {
 
     /// Invalidates all on-socket L1 copies of `line` except `keep`.
     fn invalidate_local_l1s(&mut self, socket: usize, line: LineAddr, keep: Option<usize>) {
-        let base = socket * self.cfg.cores_per_socket;
+        let base = socket * self.cores_per_socket;
         let sharers = self.llcs[socket].sharers_of(line).unwrap_or(0);
-        for i in 0..self.cfg.cores_per_socket {
+        for i in 0..self.cores_per_socket {
             let core = base + i;
             if Some(core) == keep {
                 continue;
@@ -627,8 +634,8 @@ impl ProtocolEngine {
         }
         let keep_mask = keep
             .map(|c| {
-                if c / self.cfg.cores_per_socket == socket {
-                    1u16 << (c % self.cfg.cores_per_socket)
+                if c / self.cores_per_socket == socket {
+                    1u16 << (c % self.cores_per_socket)
                 } else {
                     0
                 }
@@ -662,8 +669,8 @@ impl ProtocolEngine {
     /// `sibling_l1_downgraded_on_shared_read`.)
     fn downgrade_dirty_l1s(&mut self, socket: usize, line: LineAddr, keep: Option<usize>) {
         let sharers = self.llcs[socket].sharers_of(line).unwrap_or(0);
-        let base = socket * self.cfg.cores_per_socket;
-        for i in 0..self.cfg.cores_per_socket {
+        let base = socket * self.cores_per_socket;
+        for i in 0..self.cores_per_socket {
             let core = base + i;
             if Some(core) == keep || sharers & (1 << i) == 0 {
                 continue;
@@ -682,7 +689,7 @@ impl ProtocolEngine {
 
     /// Records a sharer core in the LLC's embedded local directory.
     fn add_l1_sharer(&mut self, socket: usize, line: LineAddr, core: usize) {
-        let bit = 1u16 << (core % self.cfg.cores_per_socket);
+        let bit = 1u16 << (core % self.cores_per_socket);
         let cur = self.llcs[socket].sharers_of(line).unwrap_or(0);
         self.llcs[socket].set_sharers(line, cur | bit);
     }
@@ -770,8 +777,8 @@ impl ProtocolEngine {
         if let Some(ev) = self.llcs[socket].insert(line, state) {
             // Back-invalidate L1 copies of the evicted line (inclusive
             // hierarchy).
-            let base = socket * self.cfg.cores_per_socket;
-            for i in 0..self.cfg.cores_per_socket {
+            let base = socket * self.cores_per_socket;
+            for i in 0..self.cores_per_socket {
                 if ev.sharers & (1 << i) != 0 {
                     self.l1s[base + i].invalidate(ev.addr);
                 }
@@ -830,8 +837,8 @@ impl ProtocolEngine {
                             // Downgrade the on-socket L1 copies too: the
                             // writer must re-acquire M for its next store.
                             let sharers = self.llcs[o].sharers_of(l).unwrap_or(0);
-                            let base = o * self.cfg.cores_per_socket;
-                            for i in 0..self.cfg.cores_per_socket {
+                            let base = o * self.cores_per_socket;
+                            for i in 0..self.cores_per_socket {
                                 if sharers & (1 << i) != 0 {
                                     self.l1s[base + i].set_state(l, CacheState::S);
                                 }

@@ -82,13 +82,6 @@ pub enum ServiceLevel {
     RemoteOwner,
 }
 
-impl ServiceLevel {
-    /// Whether servicing crossed the inter-socket link.
-    pub fn crossed_link(self) -> bool {
-        matches!(self, ServiceLevel::RemoteDram | ServiceLevel::RemoteOwner)
-    }
-}
-
 /// The paper's Fig. 7 classification of requests arriving at the home
 /// directory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -125,13 +118,6 @@ impl fmt::Display for RequestClass {
     }
 }
 
-/// Identifies the home socket of a line: the paper interleaves adjacent
-/// pages across memory controllers round-robin (§VI), so the home is the
-/// parity of the page number.
-pub fn home_socket(line: LineAddr, page_lines: u64) -> usize {
-    ((line / page_lines) % NUM_SOCKETS as u64) as usize
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,23 +130,6 @@ mod tests {
         assert!(!CacheState::I.readable() && !CacheState::I.writable());
         assert!(CacheState::M.dirty() && CacheState::O.dirty());
         assert!(!CacheState::S.dirty());
-    }
-
-    #[test]
-    fn home_interleaves_by_page() {
-        let page_lines = 64; // 4 KiB page
-        assert_eq!(home_socket(0, page_lines), 0);
-        assert_eq!(home_socket(63, page_lines), 0);
-        assert_eq!(home_socket(64, page_lines), 1);
-        assert_eq!(home_socket(128, page_lines), 0);
-    }
-
-    #[test]
-    fn service_level_link_crossing() {
-        assert!(ServiceLevel::RemoteDram.crossed_link());
-        assert!(ServiceLevel::RemoteOwner.crossed_link());
-        assert!(!ServiceLevel::LocalDram.crossed_link());
-        assert!(!ServiceLevel::L1.crossed_link());
     }
 
     #[test]

@@ -25,7 +25,6 @@ fn allow() -> Mode {
 fn nway4() -> EngineConfig {
     EngineConfig {
         cores: 32,
-        cores_per_socket: 8,
         sockets: 4,
         placement: PlacementPolicy::RoundRobin,
         ..Default::default()

@@ -99,7 +99,7 @@ impl ConformanceChecker {
     pub fn new(cfg: &FuzzConfig, bug: Option<SeededBug>, pool: Vec<LineAddr>) -> Self {
         let mut engine = ProtocolEngine::new(cfg.mode, cfg.engine.clone());
         engine.seed_bug(bug);
-        let shadow = GoldenShadow::new(engine.placement(), cfg.engine.cores_per_socket);
+        let shadow = GoldenShadow::new(engine.placement(), cfg.engine.cores_per_socket());
         let fabric = RecordingFabric::with_nodes(engine.num_nodes());
         ConformanceChecker {
             engine,
@@ -386,7 +386,7 @@ impl ConformanceChecker {
     fn structural_check(&self, idx: usize) -> Result<(), Violation> {
         let cfg = self.engine.config();
         let cores = cfg.cores;
-        let cps = cfg.cores_per_socket;
+        let cps = cfg.cores_per_socket();
         let sockets = cfg.sockets;
         let nodes = self.engine.num_nodes();
         let is_dve = matches!(self.engine.mode(), Mode::Dve { .. });

@@ -54,7 +54,6 @@ pub struct FuzzConfig {
 pub fn tiny_engine() -> EngineConfig {
     EngineConfig {
         cores: 4,
-        cores_per_socket: 2,
         l1_bytes: 512,
         l1_ways: 2,
         llc_bytes: 2048,
@@ -109,7 +108,6 @@ pub fn builtin_configs() -> Vec<FuzzConfig> {
     // home nor replica for a line).
     let nway3 = |cfg: &EngineConfig| EngineConfig {
         cores: 6,
-        cores_per_socket: 2,
         sockets: 3,
         placement: PlacementPolicy::RoundRobin,
         ..cfg.clone()

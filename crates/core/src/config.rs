@@ -6,7 +6,7 @@ use dve_coherence::replica_dir::ReplicaPolicy;
 use dve_dram::config::DramConfig;
 use dve_dram::controller::EccProfile;
 use dve_noc::topology::{EdgeParams, PlacementPolicy, Topology};
-use dve_sim::time::{Frequency, Nanos};
+use dve_sim::time::Nanos;
 
 /// The memory-system scheme under evaluation (the bars of Fig. 6).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -171,23 +171,17 @@ pub struct SystemConfig {
     /// Scheme under evaluation.
     pub scheme: Scheme,
     /// Node-level topology. Set it through
-    /// [`SystemConfig::set_topology`] (or the builder's `topology`
-    /// method) so the engine's socket count, placement policy and
-    /// core partitioning stay consistent with it.
+    /// [`SystemConfig::set_topology`] so the engine's socket count,
+    /// placement policy and core count stay consistent with it.
     pub topology: TopologySpec,
-    /// Core clock (Table II: 3.0 GHz).
-    pub clock: Frequency,
     /// Engine/caches configuration.
     pub engine: EngineConfig,
     /// DRAM timing/geometry.
     pub dram: DramConfig,
     /// One-way inter-socket link latency (Table II: 50 ns; Fig. 10
-    /// sweeps 30–60 ns).
+    /// sweeps 30–60 ns). The link's serialization bandwidth is
+    /// [`EdgeParams::qpi`]'s 16 B/cycle.
     pub link_latency: Nanos,
-    /// Link serialization bandwidth (bytes per core cycle).
-    pub link_bytes_per_cycle: u64,
-    /// Mesh dimensions (Table II: 2×4).
-    pub mesh: (usize, usize),
     /// Speculative replica access enabled (default on, §VI).
     pub speculative: bool,
     /// Memory operations executed per thread (after warm-up).
@@ -232,12 +226,9 @@ impl SystemConfig {
         SystemConfig {
             scheme,
             topology: TopologySpec::Mirror2,
-            clock: Frequency::ghz(3.0),
             engine: EngineConfig::default(),
             dram: DramConfig::ddr4_2400(),
             link_latency: Nanos(50),
-            link_bytes_per_cycle: 16,
-            mesh: (4, 2),
             speculative: true,
             ops_per_thread: 50_000,
             warmup_per_thread: 5_000,
@@ -269,10 +260,10 @@ impl SystemConfig {
 
     /// Switches the node-level topology, rewiring the engine geometry
     /// that depends on it: socket count, placement policy, and the
-    /// per-socket core partition. Cores must split evenly over the
-    /// sockets, so the core count drops to the nearest multiple of the
-    /// socket count (a Table II config under `nway:3` runs 15 cores, 5
-    /// per socket). [`TopologySpec::Mirror2`] leaves a Table II
+    /// core count. Cores must split evenly over the sockets, so the
+    /// core count drops to the nearest multiple of the socket count (a
+    /// Table II config under `nway:3` runs 15 cores, 5 per socket).
+    /// [`TopologySpec::Mirror2`] leaves a Table II
     /// configuration exactly as constructed (the engine defaults
     /// already describe the paper's two-socket machine).
     ///
@@ -290,7 +281,6 @@ impl SystemConfig {
         self.engine.sockets = spec.sockets();
         self.engine.placement = spec.placement();
         self.engine.cores -= self.engine.cores % spec.sockets();
-        self.engine.cores_per_socket = self.engine.cores / spec.sockets();
     }
 
     /// Total nodes in the topology (sockets plus far-memory pools).
@@ -298,17 +288,19 @@ impl SystemConfig {
         self.topology.nodes()
     }
 
-    /// The link-level topology graph: every socket-socket edge carries
-    /// the configured inter-socket link parameters; edges touching a
-    /// far-memory node use the CXL-class far-tier parameters.
+    /// The link-level topology graph: every socket-socket edge is the
+    /// Table II link ([`EdgeParams::qpi`]) at the configured latency;
+    /// edges touching a far-memory node use the CXL-class far-tier
+    /// parameters.
     pub fn topology_graph(&self) -> Topology {
         let edge = EdgeParams {
             latency: self.link_latency,
-            bytes_per_cycle: self.link_bytes_per_cycle,
+            ..EdgeParams::qpi()
         };
         match self.topology {
-            TopologySpec::Mirror2 => Topology::mirror2(edge),
-            TopologySpec::Nway(n) => Topology::symmetric(n, edge),
+            TopologySpec::Mirror2 | TopologySpec::Nway(_) => {
+                Topology::symmetric(self.topology.sockets(), edge)
+            }
             TopologySpec::TwoTier => Topology::two_tier(edge, EdgeParams::far_tier()),
         }
     }
@@ -338,8 +330,7 @@ mod tests {
     fn table_ii_defaults() {
         let c = SystemConfig::table_ii(Scheme::BaselineNuma);
         assert_eq!(c.engine.cores, 16);
-        assert_eq!(c.engine.cores_per_socket, 8);
-        assert_eq!(c.mesh, (4, 2));
+        assert_eq!(c.engine.cores_per_socket(), 8);
         assert_eq!(c.link_latency, Nanos(50));
         assert_eq!(c.channels_per_socket(), 1);
         assert_eq!(c.total_ranks(), 2);
@@ -425,13 +416,13 @@ mod tests {
         // N-way re-partitions the 16 cores.
         c.set_topology(TopologySpec::Nway(4));
         assert_eq!(c.engine.sockets, 4);
-        assert_eq!(c.engine.cores_per_socket, 4);
+        assert_eq!(c.engine.cores_per_socket(), 4);
         assert_eq!(c.nodes(), 4);
         assert_eq!(c.total_ranks(), 8);
         // Two-tier keeps two compute sockets but adds the far node.
         c.set_topology(TopologySpec::TwoTier);
         assert_eq!(c.engine.sockets, 2);
-        assert_eq!(c.engine.cores_per_socket, 8);
+        assert_eq!(c.engine.cores_per_socket(), 8);
         assert_eq!(c.nodes(), 3);
         let g = c.topology_graph();
         assert_eq!(g.nodes(), 3);
@@ -447,7 +438,7 @@ mod tests {
         c.set_topology(TopologySpec::Nway(3));
         assert_eq!(c.engine.cores, 15, "16 cores do not split over 3 sockets");
         assert_eq!(c.engine.sockets, 3);
-        assert_eq!(c.engine.cores_per_socket, 5);
+        assert_eq!(c.engine.cores_per_socket(), 5);
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //!
 //! Implements [`Fabric`] over the real substrates: per-socket DRAM
 //! controllers (one channel in the baseline, two when replication or
-//! mirroring doubles capacity), the intra-socket mesh, and the
-//! inter-socket link with serialization/occupancy. This is where the
-//! scheme-specific memory layouts live:
+//! mirroring doubles capacity), the Table II 2×4 intra-socket mesh, and
+//! the per-edge inter-node links with serialization/occupancy. This is
+//! where the scheme-specific memory layouts live:
 //!
 //! * **Baseline NUMA** — the home copy is the only copy, on channel 0 of
 //!   the home socket.
@@ -71,6 +71,9 @@ use std::collections::{BTreeSet, HashSet};
 /// route ([`Fabric::mesh_latency_core`]) carries the real traversal.
 const DIR_NODE: usize = 2;
 
+/// Table II's intra-socket mesh: 4 routers wide, 2 high.
+const MESH: (usize, usize) = (4, 2);
+
 /// The timed platform fabric.
 #[derive(Debug)]
 pub struct SystemFabric {
@@ -78,8 +81,8 @@ pub struct SystemFabric {
     mesh: Mesh,
     cores_per_socket: usize,
     /// Per-edge point-to-point links over the configured topology (one
-    /// pipelined port per ordered node pair; cycle-identical to the
-    /// original two-socket pair link at N = 2).
+    /// pipelined port per ordered node pair; the paper's two sockets
+    /// are the two-node table).
     link: LinkTable,
     /// The placement map the engine shares: line → home node / replica
     /// node. Drives line-aware survivor selection in the §V-B2 detour.
@@ -116,10 +119,10 @@ pub struct SystemFabric {
 impl SystemFabric {
     /// Builds the fabric for a system configuration.
     pub fn new(cfg: &SystemConfig) -> SystemFabric {
-        let mesh = Mesh::new(cfg.mesh.0, cfg.mesh.1);
-        let cores_per_socket = cfg.engine.cores_per_socket;
+        let mesh = Mesh::new(MESH.0, MESH.1);
+        let cores_per_socket = cfg.engine.cores_per_socket();
         let nodes = cfg.nodes();
-        let mut link = LinkTable::new(&cfg.topology_graph(), cfg.clock);
+        let mut link = LinkTable::new(&cfg.topology_graph());
         let place = PlacementMap::new(
             cfg.engine.sockets,
             cfg.engine.page_lines,
@@ -210,7 +213,7 @@ impl SystemFabric {
 
     /// Sums DRAM energy across all controllers into one model.
     pub fn total_energy(&self) -> dve_dram::energy::EnergyModel {
-        let mut total = dve_dram::energy::EnergyModel::new(0);
+        let mut total = dve_dram::energy::EnergyModel::default();
         for socket in &self.ctrls {
             for c in socket {
                 total.merge(c.energy());
@@ -559,21 +562,18 @@ impl SystemFabric {
 
 impl Fabric for SystemFabric {
     /// LLC-slice → directory route. The two agents are colocated on the
-    /// directory tile (`DIR_NODE`), so this is the real zero-hop
-    /// route; the per-core traversal is carried by
-    /// [`Fabric::mesh_latency_core`] instead. (This retired the old
-    /// `mesh_mean` scalar, which double-charged an average traversal on
-    /// top of the per-core one.)
+    /// directory tile (`DIR_NODE`), so this is the zero-hop route: 0
+    /// cycles. The per-core traversal is carried by
+    /// [`Fabric::mesh_latency_core`] instead.
     fn mesh_latency(&self) -> u64 {
-        let dir = DIR_NODE % self.mesh.nodes();
-        self.mesh.latency_cycles(dir, dir)
+        0
     }
 
     fn mesh_latency_core(&self, core: usize) -> u64 {
         // Core tiles occupy the socket's mesh nodes in order; the
         // directory/memory-controller tile sits at DIR_NODE.
         let tile = core % self.cores_per_socket % self.mesh.nodes();
-        self.mesh.latency_cycles(tile, DIR_NODE % self.mesh.nodes())
+        self.mesh.latency_cycles(tile, DIR_NODE)
     }
 
     fn link_send(&mut self, from: usize, to: usize, t: Stamp, class: MessageClass) -> Stamp {

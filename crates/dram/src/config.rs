@@ -1,11 +1,11 @@
 //! DRAM configuration with the paper's Table II defaults.
 
-use dve_sim::time::{Cycles, Frequency};
+use dve_sim::time::{Cycles, CORE_CLOCK};
 
 /// Geometry and timing of one memory channel's DRAM.
 ///
 /// Latencies are stored in *core* cycles (the simulation's single clock
-/// domain, 3 GHz by default), pre-converted from the nanosecond values
+/// domain, [`CORE_CLOCK`]), pre-converted from the nanosecond values
 /// the paper quotes.
 ///
 /// # Example
@@ -21,8 +21,6 @@ use dve_sim::time::{Cycles, Frequency};
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct DramConfig {
-    /// Core clock used as the global time base.
-    pub core_clock: Frequency,
     /// CAS latency.
     pub t_cl: Cycles,
     /// RAS-to-CAS delay.
@@ -59,9 +57,8 @@ impl DramConfig {
     /// (8 KB across the rank's 8 devices), 16 banks/rank,
     /// tCL-tRCD-tRP-tRAS = 14.16-14.16-14.16-32 ns, 3 GHz core clock.
     pub fn ddr4_2400() -> DramConfig {
-        let core = Frequency::ghz(3.0);
+        let core = CORE_CLOCK;
         DramConfig {
-            core_clock: core,
             t_cl: core.cycles_for_ns_f64(14.16),
             t_rcd: core.cycles_for_ns_f64(14.16),
             t_rp: core.cycles_for_ns_f64(14.16),
@@ -96,9 +93,8 @@ impl DramConfig {
     /// channel. Used for the far node of a two-tier topology (the
     /// Volos & Sazeides replication-based protection scheme).
     pub fn far_tier() -> DramConfig {
-        let core = Frequency::ghz(3.0);
         DramConfig {
-            t_cl: core.cycles_for_ns_f64(14.16 + 30.0),
+            t_cl: CORE_CLOCK.cycles_for_ns_f64(14.16 + 30.0),
             channel_capacity: 32 << 30,
             ..Self::ddr4_2400()
         }
@@ -113,11 +109,6 @@ impl DramConfig {
     /// Row-hit read latency: tCL + burst.
     pub fn hit_latency(&self) -> Cycles {
         self.t_cl + self.t_burst
-    }
-
-    /// Row-conflict latency: tRP + tRCD + tCL + burst.
-    pub fn conflict_latency(&self) -> Cycles {
-        self.t_rp + self.t_rcd + self.t_cl + self.t_burst
     }
 
     /// Total banks on the channel.
@@ -155,7 +146,6 @@ mod tests {
     fn latency_ordering() {
         let c = DramConfig::ddr4_2400();
         assert!(c.hit_latency() < c.miss_latency());
-        assert!(c.miss_latency() < c.conflict_latency());
     }
 
     #[test]

@@ -147,7 +147,6 @@ impl MemoryController {
     /// Creates a controller for channel `channel`.
     pub fn new(channel: usize, cfg: DramConfig) -> MemoryController {
         let banks = vec![Bank::new(); cfg.total_banks()];
-        let ranks = cfg.ranks_per_channel;
         let t_refi = cfg.t_refi;
         let refresh_enabled = cfg.refresh_enabled;
         let mut maintenance = EventQueue::with_capacity(4);
@@ -158,7 +157,7 @@ impl MemoryController {
             channel,
             mapper: AddressMapper::new(cfg),
             banks,
-            energy: EnergyModel::new(ranks),
+            energy: EnergyModel::default(),
             faults: FaultState::new(),
             stats: ControllerStats::default(),
             ecc: EccProfile::chipkill(),

@@ -8,73 +8,47 @@
 //! are not the point — the *relative* EDP between baseline and replicated
 //! configurations is.
 
-use dve_sim::time::{Cycles, Frequency};
-
-/// Per-operation and background energy constants, in picojoules /
-/// picowatts terms (stored as nanojoules and milliwatts for readability).
-#[derive(Debug, Clone, PartialEq)]
-pub struct EnergyParams {
-    /// Energy of one activate+precharge pair (nJ).
-    pub act_pre_nj: f64,
-    /// Energy of one 64-byte read burst, incl. I/O (nJ).
-    pub read_nj: f64,
-    /// Energy of one 64-byte write burst (nJ).
-    pub write_nj: f64,
-    /// Energy of one per-rank refresh command (nJ).
-    pub refresh_nj: f64,
-    /// Background (standby + peripheral) power per rank (mW).
-    pub background_mw_per_rank: f64,
-}
+/// The Micron 8 Gb DDR4-2400 energy figures (VDD = 1.2 V): per-operation
+/// dynamic energies and the per-rank background power.
+#[derive(Debug)]
+pub struct EnergyParams;
 
 impl EnergyParams {
+    /// Energy of one activate+precharge pair (IDD0-based), nJ.
+    pub const ACT_PRE_NJ: f64 = 2.0;
+    /// Energy of one 64-byte read burst incl. I/O (IDD4R), nJ.
+    pub const READ_NJ: f64 = 3.5;
+    /// Energy of one 64-byte write burst (IDD4W), nJ.
+    pub const WRITE_NJ: f64 = 3.8;
+    /// Energy of one per-rank refresh command (tRFC × IDD5), nJ.
+    pub const REFRESH_NJ: f64 = 28.0;
     /// Background (standby + peripheral) power per DRAM rank, in
-    /// milliwatts — the Micron 8 Gb DDR4-2400 standby figure (IDD2N/3N
-    /// class at VDD = 1.2 V plus peripheral overheads, ≈150 mW). This is
-    /// the single source of truth for the standby term: the system
-    /// runner's region-level background-energy accounting and
-    /// [`EnergyModel::total_joules`] both derive from it.
+    /// milliwatts (IDD2N/3N class plus peripheral overheads, ≈150 mW).
     pub const BACKGROUND_MW_PER_RANK: f64 = 150.0;
 
     /// Background energy of `ranks` ranks held in standby for
-    /// `seconds`, in joules.
+    /// `seconds`, in joules. The system's memory energy is
+    /// [`EnergyModel::dynamic_joules`] plus this term.
     pub fn background_joules(ranks: usize, seconds: f64) -> f64 {
         Self::BACKGROUND_MW_PER_RANK * 1e-3 * ranks as f64 * seconds
     }
 }
 
-impl Default for EnergyParams {
-    fn default() -> Self {
-        // Micron 8Gb DDR4-2400 approximations: IDD0-based ACT/PRE ~2 nJ,
-        // IDD4R/W bursts ~3.5/3.8 nJ per line, tRFC*IDD5 ~28 nJ/refresh,
-        // BACKGROUND_MW_PER_RANK standby per rank.
-        EnergyParams {
-            act_pre_nj: 2.0,
-            read_nj: 3.5,
-            write_nj: 3.8,
-            refresh_nj: 28.0,
-            background_mw_per_rank: EnergyParams::BACKGROUND_MW_PER_RANK,
-        }
-    }
-}
-
-/// Accumulates DRAM energy over a simulation and computes EDP.
+/// Counts the DRAM operations that cost dynamic energy.
 ///
 /// # Example
 ///
 /// ```
-/// use dve_dram::energy::EnergyModel;
-/// use dve_sim::time::{Cycles, Frequency};
+/// use dve_dram::energy::{EnergyModel, EnergyParams};
 ///
-/// let mut e = EnergyModel::new(1); // one rank
+/// let mut e = EnergyModel::default();
 /// e.count_read();
 /// e.count_activate();
-/// let joules = e.total_joules(Cycles(3_000_000_000), Frequency::ghz(3.0));
-/// assert!(joules > 0.0);
+/// let expect = (EnergyParams::ACT_PRE_NJ + EnergyParams::READ_NJ) * 1e-9;
+/// assert!((e.dynamic_joules() - expect).abs() < 1e-18);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EnergyModel {
-    params: EnergyParams,
-    ranks: usize,
     activates: u64,
     reads: u64,
     writes: u64,
@@ -82,23 +56,6 @@ pub struct EnergyModel {
 }
 
 impl EnergyModel {
-    /// Creates a model for a subsystem with `ranks` total DRAM ranks.
-    pub fn new(ranks: usize) -> EnergyModel {
-        Self::with_params(ranks, EnergyParams::default())
-    }
-
-    /// Creates a model with explicit energy parameters.
-    pub fn with_params(ranks: usize, params: EnergyParams) -> EnergyModel {
-        EnergyModel {
-            params,
-            ranks,
-            activates: 0,
-            reads: 0,
-            writes: 0,
-            refreshes: 0,
-        }
-    }
-
     /// Records one activate+precharge.
     pub fn count_activate(&mut self) {
         self.activates += 1;
@@ -125,7 +82,6 @@ impl EnergyModel {
         self.reads += other.reads;
         self.writes += other.writes;
         self.refreshes += other.refreshes;
-        self.ranks += other.ranks;
     }
 
     /// Number of read bursts recorded.
@@ -145,25 +101,11 @@ impl EnergyModel {
 
     /// Dynamic energy only (no background), in joules.
     pub fn dynamic_joules(&self) -> f64 {
-        (self.activates as f64 * self.params.act_pre_nj
-            + self.reads as f64 * self.params.read_nj
-            + self.writes as f64 * self.params.write_nj
-            + self.refreshes as f64 * self.params.refresh_nj)
+        (self.activates as f64 * EnergyParams::ACT_PRE_NJ
+            + self.reads as f64 * EnergyParams::READ_NJ
+            + self.writes as f64 * EnergyParams::WRITE_NJ
+            + self.refreshes as f64 * EnergyParams::REFRESH_NJ)
             * 1e-9
-    }
-
-    /// Total energy (dynamic + background) over an execution of
-    /// `duration` at `clock`, in joules.
-    pub fn total_joules(&self, duration: Cycles, clock: Frequency) -> f64 {
-        let seconds = clock.nanos_for(duration) * 1e-9;
-        self.dynamic_joules()
-            + self.params.background_mw_per_rank * 1e-3 * self.ranks as f64 * seconds
-    }
-
-    /// Memory energy-delay product: total energy × execution time (J·s).
-    pub fn memory_edp(&self, duration: Cycles, clock: Frequency) -> f64 {
-        let seconds = clock.nanos_for(duration) * 1e-9;
-        self.total_joules(duration, clock) * seconds
     }
 }
 
@@ -199,7 +141,7 @@ mod tests {
 
     #[test]
     fn dynamic_energy_adds_up() {
-        let mut e = EnergyModel::new(1);
+        let mut e = EnergyModel::default();
         e.count_activate();
         e.count_read();
         e.count_write();
@@ -210,56 +152,31 @@ mod tests {
 
     #[test]
     fn background_constant_is_single_source_of_truth() {
-        // The named constant, the default params and the helper must all
-        // agree, so total energy computed through any of them is
+        // The helper is the named constant applied to ranks × seconds,
         // identical to the historical inline `150.0e-3 * ranks * s`.
         assert_eq!(EnergyParams::BACKGROUND_MW_PER_RANK, 150.0);
-        assert_eq!(
-            EnergyParams::default().background_mw_per_rank,
-            EnergyParams::BACKGROUND_MW_PER_RANK
-        );
         let seconds = 0.25;
         let ranks = 4;
         let via_helper = EnergyParams::background_joules(ranks, seconds);
         let via_literal = 150.0e-3 * ranks as f64 * seconds;
         assert_eq!(via_helper, via_literal);
-        // And the model's total = dynamic + the same background term.
-        let mut e = EnergyModel::new(ranks);
-        e.count_read();
-        let t = Cycles(750_000_000); // 0.25 s at 3 GHz
-        let f = Frequency::ghz(3.0);
-        let total = e.total_joules(t, f);
-        assert!((total - (e.dynamic_joules() + via_helper)).abs() < 1e-15);
     }
 
     #[test]
     fn background_scales_with_ranks_and_time() {
-        let e1 = EnergyModel::new(1);
-        let e2 = EnergyModel::new(2);
-        let t = Cycles(3_000_000_000); // 1 s at 3 GHz
-        let f = Frequency::ghz(3.0);
-        let j1 = e1.total_joules(t, f);
-        let j2 = e2.total_joules(t, f);
+        let j1 = EnergyParams::background_joules(1, 1.0);
+        let j2 = EnergyParams::background_joules(2, 1.0);
         assert!((j2 / j1 - 2.0).abs() < 1e-9);
         assert!((j1 - 0.150).abs() < 1e-9); // 150 mW for 1 s
-    }
-
-    #[test]
-    fn edp_is_energy_times_delay() {
-        let mut e = EnergyModel::new(1);
-        e.count_read();
-        let t = Cycles(3_000_000);
-        let f = Frequency::ghz(3.0);
-        let edp = e.memory_edp(t, f);
-        let expect = e.total_joules(t, f) * 1e-3;
-        assert!((edp - expect).abs() < 1e-15);
+        let half = EnergyParams::background_joules(1, 0.5);
+        assert!((j1 / half - 2.0).abs() < 1e-9);
     }
 
     #[test]
     fn merge_accumulates() {
-        let mut a = EnergyModel::new(1);
+        let mut a = EnergyModel::default();
         a.count_read();
-        let mut b = EnergyModel::new(1);
+        let mut b = EnergyModel::default();
         b.count_read();
         b.count_write();
         a.merge(&b);

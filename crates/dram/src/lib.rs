@@ -14,8 +14,8 @@
 //!   access timing, per-request latency, row hit/miss/conflict and
 //!   refresh accounting, and the ECC check hook at the controller edge
 //!   (where Dvé performs detection).
-//! * [`energy`] — Micron-datasheet-style energy accounting and the
-//!   energy-delay-product metric used in §VII.
+//! * [`energy`] — Micron-datasheet energy constants, the per-controller
+//!   dynamic-energy counters, and the system-EDP formula of §VII.
 //! * [`fault`] — persistent fault state at controller/channel/chip/row
 //!   granularity; failed components make reads return detection failures,
 //!   which is what triggers Dvé's replica recovery.

@@ -10,7 +10,6 @@
 //! clean/corrected/detected lines, and repairs transient faults by
 //! rewriting (the §V-B2 fix-up step applied proactively).
 
-use crate::config::DramConfig;
 use crate::controller::{AccessKind, MemoryController};
 use dve_ecc::code::CheckOutcome;
 use dve_sim::time::Cycles;
@@ -40,7 +39,7 @@ pub struct ScrubSlice {
     /// Byte addresses of lines with detected-uncorrectable errors —
     /// the caller escalates these to the §V-B2 recovery path.
     pub detected_addrs: Vec<u64>,
-    /// Time the slice finished (last read/repair completion + pacing).
+    /// Time the slice finished (last read/repair completion).
     pub end: u64,
     /// Whether the cursor wrapped past the end of the region (one
     /// patrol pass completed) during this slice.
@@ -74,9 +73,6 @@ pub struct ScrubSlice {
 pub struct Scrubber {
     region_bytes: u64,
     line_bytes: u64,
-    /// Gap inserted between scrub reads so the patrol stays low-priority
-    /// (cycles).
-    pacing: u64,
     /// Patrol cursor for paced slices: the next byte address to scrub.
     cursor: u64,
     /// Completed patrol passes (cursor wraps).
@@ -94,24 +90,9 @@ impl Scrubber {
         Scrubber {
             region_bytes,
             line_bytes: 64,
-            pacing: 0,
             cursor: 0,
             passes: 0,
         }
-    }
-
-    /// Sets the inter-read pacing gap in cycles (0 = back-to-back).
-    pub fn set_pacing(&mut self, cycles: u64) {
-        self.pacing = cycles;
-    }
-
-    /// The scrub interval implied by pacing and region size at `cfg`'s
-    /// clock, in seconds — the "scrub interval" of §IV's coincidence
-    /// factor.
-    pub fn interval_seconds(&self, cfg: &DramConfig) -> f64 {
-        let lines = self.region_bytes / self.line_bytes;
-        let per_line = self.pacing + cfg.hit_latency().raw();
-        cfg.core_clock.nanos_for(Cycles(lines * per_line)) * 1e-9
     }
 
     /// The patrol cursor (next byte address a [`slice`] will scrub).
@@ -127,7 +108,7 @@ impl Scrubber {
     }
 
     /// Scrubs one line at `addr`, updating `report` and returning the
-    /// time after the read (and any repair write) plus pacing. Pushes
+    /// time after the read (and any repair write). Pushes
     /// detected-uncorrectable addresses into `detected_addrs` if given.
     fn scrub_line(
         &self,
@@ -138,7 +119,7 @@ impl Scrubber {
         detected_addrs: Option<&mut Vec<u64>>,
     ) -> u64 {
         let (timing, outcome) = mc.read_with_check(addr, Cycles(t));
-        let mut t = timing.complete_at.raw() + self.pacing;
+        let mut t = timing.complete_at.raw();
         report.lines += 1;
         match outcome {
             CheckOutcome::NoError => report.clean += 1,
@@ -218,6 +199,7 @@ impl Scrubber {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::DramConfig;
     use crate::controller::EccProfile;
     use crate::fault::FaultDomain;
 
@@ -286,16 +268,6 @@ mod tests {
         let r = s.full_pass(&mut mc, 0);
         assert_eq!(r.detected, 8192 / 64, "exactly the dead row's lines");
         assert_eq!(r.clean, r.lines - 8192 / 64);
-    }
-
-    #[test]
-    fn pacing_stretches_the_interval() {
-        let cfg = DramConfig::ddr4_2400_no_refresh();
-        let mut fast = Scrubber::new(1 << 20);
-        let mut slow = Scrubber::new(1 << 20);
-        slow.set_pacing(10_000);
-        assert!(slow.interval_seconds(&cfg) > fast.interval_seconds(&cfg) * 10.0);
-        let _ = &mut fast;
     }
 
     #[test]

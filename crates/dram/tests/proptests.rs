@@ -146,8 +146,8 @@ proptest! {
     #[test]
     fn energy_additive(reads in 0u64..1000, writes in 0u64..1000, acts in 0u64..1000) {
         use dve_dram::energy::EnergyModel;
-        let mut a = EnergyModel::new(1);
-        let mut b = EnergyModel::new(1);
+        let mut a = EnergyModel::default();
+        let mut b = EnergyModel::default();
         for _ in 0..reads { a.count_read(); }
         for _ in 0..writes { b.count_write(); }
         for _ in 0..acts { a.count_activate(); }

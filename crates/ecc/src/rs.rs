@@ -457,18 +457,6 @@ impl Rs {
         self.decode_with(codeword, s, false)
     }
 
-    /// Detect-only check via caller-owned scratch: never mutates the
-    /// codeword, regardless of policy. Allocation-free.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `codeword.len() != n`.
-    pub fn check_scratch(&self, codeword: &[u8], s: &mut RsScratch) -> CheckOutcome {
-        assert_eq!(codeword.len(), self.n, "codeword length mismatch");
-        self.syndromes_into(codeword, &mut s.syn);
-        CheckOutcome::from_syndrome_weight(s.syn.iter().filter(|&&v| v != 0).count())
-    }
-
     /// [`DetectionCode::check`] of the word that is zero but for
     /// `errors`, given as `(position, value)` pairs; values at a repeated
     /// position add. Each pair adds `e·X^i` to syndrome `S_i`, with the
@@ -666,8 +654,6 @@ mod tests {
         let rs = Rs::chipkill();
         let cw = rs.encode(&data(16));
         assert_eq!(rs.check(&cw), CheckOutcome::NoError);
-        let mut scratch = rs.make_scratch();
-        assert_eq!(rs.check_scratch(&cw, &mut scratch), CheckOutcome::NoError);
     }
 
     #[test]

@@ -129,11 +129,6 @@ impl Rs16Detect {
         self.check_symbols
     }
 
-    /// Guaranteed symbol-error detection capability (= check symbols).
-    pub fn detectable_symbols(&self) -> usize {
-        self.check_symbols
-    }
-
     /// g(x) = Π (x − α^i), i in 0..nsym, highest degree first.
     fn generator_poly(nsym: usize) -> Vec<u16> {
         let mut g = vec![1u16];
@@ -431,7 +426,6 @@ mod tests {
         // code space" argument of §III.
         let tsd = Rs16Detect::tsd(64);
         assert!(tsd.overhead() < 0.125);
-        assert_eq!(tsd.detectable_symbols(), 3);
         assert_eq!(tsd.check_symbols(), 3);
     }
 

@@ -2,20 +2,20 @@
 //!
 //! Models the two interconnect levels of the paper's Table II system:
 //!
-//! * [`mesh`] — the intra-socket 2×4 mesh with table-based static
-//!   shortest-path (SSSP) routing at 1 cycle per hop.
-//! * [`link`] — the inter-socket point-to-point QPI/UPI-like link with a
-//!   fixed 50 ns (configurable 30–60 ns, Fig. 10) per-hop latency, plus
-//!   serialization/occupancy so bandwidth contention is visible.
+//! * [`mesh`] — the intra-socket 2×4 mesh with static shortest-path
+//!   (SSSP) routing at 1 cycle per hop: a route costs its Manhattan
+//!   distance.
+//! * [`link`] — [`link::LinkTable`], the point-to-point QPI/UPI-like
+//!   links between nodes: one pipelined port per ordered edge with a
+//!   50 ns (Fig. 10 sweeps 30–60 ns) latency, serialization/occupancy
+//!   so bandwidth contention is visible, and per-edge outage windows.
 //! * [`traffic`] — message-class accounting; Fig. 8's headline metric is
 //!   the *inter-socket traffic* reduction Dvé achieves by serving reads
 //!   from the local replica.
 //! * [`topology`] — the N-node generalization: node kinds
 //!   (compute sockets vs disaggregated far memory), per-edge link
 //!   parameters, and the replica [`PlacementMap`] every layer shares
-//!   (mirror-2, round-robin N-way, two-tier). [`link::LinkTable`]
-//!   instantiates one pipelined port per ordered edge with per-edge
-//!   outage windows.
+//!   (mirror-2, round-robin N-way, two-tier).
 //!
 //! # Example
 //!
@@ -32,7 +32,7 @@ pub mod mesh;
 pub mod topology;
 pub mod traffic;
 
-pub use link::{InterSocketLink, LinkTable};
+pub use link::LinkTable;
 pub use mesh::Mesh;
 pub use topology::{NodeId, NodeKind, PlacementMap, PlacementPolicy, Topology};
 pub use traffic::{MessageClass, TrafficStats};

@@ -1,11 +1,13 @@
-//! Intra-socket mesh with table-based static shortest-path routing.
+//! Intra-socket mesh with static shortest-path routing.
 //!
-//! Table II: "2×4 Mesh, SSSP routing, 1 cycle per hop". The routing
-//! table is computed once by breadth-first search from every node (the
-//! "table-based static routing ... with a shortest path route with
-//! minimum number of link traversals" of §VI), then lookups are O(1).
+//! Table II: "2×4 Mesh, SSSP routing, 1 cycle per hop". On a 2D mesh
+//! every static shortest-path route between two routers traverses
+//! exactly their Manhattan distance in links, so the timed path needs
+//! only that hop count: it is tabulated once at construction, and a
+//! route's latency is one table load.
 
-/// A `width × height` 2D mesh of routers, nodes numbered row-major.
+/// A `width × height` 2D mesh of routers, nodes numbered row-major,
+/// at 1 cycle per hop.
 ///
 /// # Example
 ///
@@ -15,101 +17,39 @@
 /// let m = Mesh::new(4, 2);
 /// assert_eq!(m.nodes(), 8);
 /// assert_eq!(m.hops(0, 3), 3);
-/// let path = m.path(0, 5);
-/// assert_eq!(*path.first().unwrap(), 0);
-/// assert_eq!(*path.last().unwrap(), 5);
+/// assert_eq!(m.latency_cycles(0, 7), 4); // (0,0) -> (3,1)
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Mesh {
-    width: usize,
-    height: usize,
-    hop_cycles: u64,
-    /// dist[src][dst] in hops.
-    dist: Vec<Vec<u32>>,
-    /// next[src][dst]: neighbor of src on a shortest path to dst.
-    next: Vec<Vec<u32>>,
+    nodes: usize,
+    /// `hops[src * nodes + dst]`: Manhattan distance in links.
+    hops: Vec<u32>,
 }
 
 impl Mesh {
-    /// Builds a mesh and its static routing tables (1 cycle per hop).
+    /// Builds a mesh and tabulates its route lengths.
     ///
     /// # Panics
     ///
     /// Panics if either dimension is zero.
     pub fn new(width: usize, height: usize) -> Mesh {
-        Self::with_hop_latency(width, height, 1)
-    }
-
-    /// Builds a mesh with a custom per-hop latency in cycles.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either dimension is zero or `hop_cycles` is zero.
-    pub fn with_hop_latency(width: usize, height: usize, hop_cycles: u64) -> Mesh {
         assert!(width > 0 && height > 0, "mesh dimensions must be non-zero");
-        assert!(hop_cycles > 0, "hop latency must be non-zero");
-        let n = width * height;
-        let mut dist = vec![vec![u32::MAX; n]; n];
-        let mut next = vec![vec![u32::MAX; n]; n];
-        let neighbors = |v: usize| -> Vec<usize> {
-            let (x, y) = (v % width, v / width);
-            let mut out = Vec::with_capacity(4);
-            if x > 0 {
-                out.push(v - 1);
-            }
-            if x + 1 < width {
-                out.push(v + 1);
-            }
-            if y > 0 {
-                out.push(v - width);
-            }
-            if y + 1 < height {
-                out.push(v + width);
-            }
-            out
-        };
-        // BFS from every source; first-discovered parent gives a
-        // deterministic shortest-path routing table.
-        for src in 0..n {
-            let mut queue = std::collections::VecDeque::new();
-            dist[src][src] = 0;
-            next[src][src] = src as u32;
-            queue.push_back(src);
-            let mut first_hop = vec![u32::MAX; n];
-            first_hop[src] = src as u32;
-            while let Some(v) = queue.pop_front() {
-                for w in neighbors(v) {
-                    if dist[src][w] == u32::MAX {
-                        dist[src][w] = dist[src][v] + 1;
-                        first_hop[w] = if v == src { w as u32 } else { first_hop[v] };
-                        queue.push_back(w);
-                    }
-                }
-            }
-            next[src] = first_hop;
-        }
-        Mesh {
-            width,
-            height,
-            hop_cycles,
-            dist,
-            next,
-        }
+        let nodes = width * height;
+        let hops = (0..nodes)
+            .flat_map(|src| {
+                (0..nodes).map(move |dst| {
+                    let dx = (src % width).abs_diff(dst % width);
+                    let dy = (src / width).abs_diff(dst / width);
+                    (dx + dy) as u32
+                })
+            })
+            .collect();
+        Mesh { nodes, hops }
     }
 
     /// Number of nodes.
     pub fn nodes(&self) -> usize {
-        self.width * self.height
-    }
-
-    /// Mesh width.
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
-    /// Mesh height.
-    pub fn height(&self) -> usize {
-        self.height
+        self.nodes
     }
 
     /// Hop count of the shortest route from `src` to `dst`.
@@ -118,46 +58,17 @@ impl Mesh {
     ///
     /// Panics if either node is out of range.
     pub fn hops(&self, src: usize, dst: usize) -> u32 {
-        assert!(
-            src < self.nodes() && dst < self.nodes(),
-            "node out of range"
-        );
-        self.dist[src][dst]
+        assert!(src < self.nodes && dst < self.nodes, "node out of range");
+        self.hops[src * self.nodes + dst]
     }
 
-    /// Route latency in cycles (`hops × hop_cycles`).
+    /// Route latency in cycles (1 cycle per hop).
+    ///
+    /// # Panics
+    ///
+    /// Panics if either node is out of range.
     pub fn latency_cycles(&self, src: usize, dst: usize) -> u64 {
-        self.hops(src, dst) as u64 * self.hop_cycles
-    }
-
-    /// The full routed path from `src` to `dst`, inclusive of both ends,
-    /// following the static routing table.
-    pub fn path(&self, src: usize, dst: usize) -> Vec<usize> {
-        assert!(
-            src < self.nodes() && dst < self.nodes(),
-            "node out of range"
-        );
-        let mut path = vec![src];
-        let mut cur = src;
-        while cur != dst {
-            cur = self.next[cur][dst] as usize;
-            path.push(cur);
-            debug_assert!(path.len() <= self.nodes(), "routing loop");
-        }
-        path
-    }
-
-    /// Average hop count over all ordered node pairs — a quick sanity
-    /// metric for placement studies.
-    pub fn mean_hops(&self) -> f64 {
-        let n = self.nodes();
-        let mut total = 0u64;
-        for s in 0..n {
-            for d in 0..n {
-                total += self.dist[s][d] as u64;
-            }
-        }
-        total as f64 / (n * n) as f64
+        u64::from(self.hops(src, dst))
     }
 }
 
@@ -167,60 +78,29 @@ mod tests {
 
     #[test]
     fn hops_match_manhattan_distance() {
-        let m = Mesh::new(4, 2);
-        for s in 0..8 {
-            for d in 0..8 {
-                let (sx, sy) = (s % 4, s / 4);
-                let (dx, dy) = (d % 4, d / 4);
-                let manhattan =
-                    (sx as i32 - dx as i32).unsigned_abs() + (sy as i32 - dy as i32).unsigned_abs();
-                assert_eq!(m.hops(s, d), manhattan, "{s}->{d}");
-            }
-        }
-    }
-
-    #[test]
-    fn path_is_shortest_and_contiguous() {
-        let m = Mesh::new(4, 2);
-        for s in 0..8 {
-            for d in 0..8 {
-                let p = m.path(s, d);
-                assert_eq!(p.len() as u32, m.hops(s, d) + 1);
-                for w in p.windows(2) {
-                    assert_eq!(m.hops(w[0], w[1]), 1, "non-adjacent step");
+        for w in 1..=6usize {
+            for h in 1..=6usize {
+                let m = Mesh::new(w, h);
+                assert_eq!(m.nodes(), w * h);
+                for s in 0..w * h {
+                    for d in 0..w * h {
+                        let (sx, sy) = (s % w, s / w);
+                        let (dx, dy) = (d % w, d / w);
+                        let manhattan = (sx as i32 - dx as i32).unsigned_abs()
+                            + (sy as i32 - dy as i32).unsigned_abs();
+                        assert_eq!(m.hops(s, d), manhattan, "{w}x{h}: {s}->{d}");
+                        assert_eq!(m.latency_cycles(s, d), u64::from(manhattan));
+                    }
                 }
             }
         }
     }
 
     #[test]
-    fn latency_scales_with_hop_cost() {
-        let m = Mesh::with_hop_latency(4, 2, 3);
-        assert_eq!(m.latency_cycles(0, 7), 4 * 3);
-    }
-
-    #[test]
     fn single_node_mesh() {
         let m = Mesh::new(1, 1);
         assert_eq!(m.hops(0, 0), 0);
-        assert_eq!(m.path(0, 0), vec![0]);
-    }
-
-    #[test]
-    fn mean_hops_positive_for_real_mesh() {
-        let m = Mesh::new(4, 2);
-        assert!(m.mean_hops() > 1.0 && m.mean_hops() < 4.0);
-    }
-
-    #[test]
-    fn deterministic_routing_tables() {
-        let a = Mesh::new(4, 2);
-        let b = Mesh::new(4, 2);
-        for s in 0..8 {
-            for d in 0..8 {
-                assert_eq!(a.path(s, d), b.path(s, d));
-            }
-        }
+        assert_eq!(m.latency_cycles(0, 0), 0);
     }
 
     #[test]

@@ -116,11 +116,6 @@ impl Topology {
         }
     }
 
-    /// The paper's two-socket system.
-    pub fn mirror2(edge: EdgeParams) -> Topology {
-        Topology::symmetric(2, edge)
-    }
-
     /// Two sockets plus one far-memory pool; every edge touching the
     /// far node uses `far_edge`.
     pub fn two_tier(socket_edge: EdgeParams, far_edge: EdgeParams) -> Topology {
@@ -328,15 +323,6 @@ impl PlacementMap {
         }
     }
 
-    /// The node holding an auxiliary (recovery-only) local compressed
-    /// copy, if the policy keeps one.
-    pub fn local_copy_node(&self, line: u64) -> Option<NodeId> {
-        match self.policy {
-            PlacementPolicy::TwoTier { .. } => Some(self.home_of(line)),
-            _ => None,
-        }
-    }
-
     /// Whether a core on `node` can be served by the coherent replica
     /// of `line` (it is co-located with the replica and is not the
     /// home).
@@ -359,7 +345,6 @@ mod tests {
             assert!(m.serves_replica_locally(1 - home, line));
             assert!(!m.serves_replica_locally(home, line));
         }
-        assert_eq!(m.local_copy_node(0), None);
     }
 
     #[test]
@@ -400,7 +385,6 @@ mod tests {
         assert_eq!(m.nodes(), 3);
         for line in 0..512u64 {
             assert_eq!(m.replica_node(line), 2);
-            assert_eq!(m.local_copy_node(line), Some(m.home_of(line)));
             // No core lives on the far node, so nothing is served
             // replica-locally.
             for node in 0..2 {

@@ -1,9 +1,10 @@
 //! Property-based tests for the interconnect models.
 
-use dve_noc::link::InterSocketLink;
+use dve_noc::link::LinkTable;
 use dve_noc::mesh::Mesh;
+use dve_noc::topology::{EdgeParams, Topology};
 use dve_noc::traffic::{MessageClass, TrafficStats};
-use dve_sim::time::{Cycles, Frequency, Nanos};
+use dve_sim::time::{Cycles, Nanos};
 use proptest::prelude::*;
 
 proptest! {
@@ -27,27 +28,16 @@ proptest! {
         }
     }
 
-    // Routed paths have exactly hop+1 nodes and every step is adjacent.
-    #[test]
-    fn mesh_paths_are_valid(w in 1usize..6, h in 1usize..6, src in 0usize..36, dst in 0usize..36) {
-        let m = Mesh::new(w, h);
-        let (src, dst) = (src % m.nodes(), dst % m.nodes());
-        let p = m.path(src, dst);
-        prop_assert_eq!(p.len() as u32, m.hops(src, dst) + 1);
-        for step in p.windows(2) {
-            prop_assert_eq!(m.hops(step[0], step[1]), 1);
-        }
-    }
-
     // Link latency is linear in message size and respects the propagation
-    // floor; traffic accounting is exact.
+    // floor; traffic accounting is exact. Two nodes: the paper's pair.
     #[test]
     fn link_latency_and_accounting(
         ns in 1u64..200,
         msgs in proptest::collection::vec((any::<bool>(), 1u64..512), 1..50),
     ) {
-        let mut link = InterSocketLink::new(Nanos(ns), Frequency::ghz(3.0), 16);
-        let floor = link.latency().raw();
+        let edge = EdgeParams { latency: Nanos(ns), ..EdgeParams::qpi() };
+        let mut link = LinkTable::new(&Topology::symmetric(2, edge));
+        let floor = link.latency(0, 1).raw();
         let mut total_bytes = 0;
         for (dir, bytes) in &msgs {
             let (from, to) = if *dir { (0, 1) } else { (1, 0) };

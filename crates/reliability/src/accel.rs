@@ -43,23 +43,6 @@ impl AccelParams {
             transient_frac: 0.7,
         }
     }
-
-    /// Derives the per-window failure probability from a FIT rate, a
-    /// window length in hours and a time-compression factor:
-    /// `p = FIT × 10⁻⁹ × hours × accel`, clamped to `[0, 0.5]`.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use dve_reliability::accel::AccelParams;
-    ///
-    /// // 66.1 FIT, a 1-hour scrub window, 7.5×10⁵× compression ≈ 5%.
-    /// let p = AccelParams::fail_prob_from_fit(66.1, 1.0, 7.5e5);
-    /// assert!((p - 0.0496).abs() < 1e-3);
-    /// ```
-    pub fn fail_prob_from_fit(fit: f64, window_hours: f64, accel: f64) -> f64 {
-        (fit * 1e-9 * window_hours * accel).clamp(0.0, 0.5)
-    }
 }
 
 /// Exact binomial tail `P(X ≥ k)` for `X ~ Binomial(n, p)`.
@@ -236,13 +219,6 @@ impl AccelModel {
             sdc_expected: sdc,
         }
     }
-
-    /// Probability that exactly zero chips fail anywhere in the window
-    /// (both DIMMs of a pair): the clean-trial mass for Dvé schemes.
-    pub fn pair_all_clean(&self) -> f64 {
-        let n = self.params.chips_per_dimm as i32;
-        (1.0 - self.params.chip_fail_prob).powi(2 * n)
-    }
 }
 
 #[cfg(test)]
@@ -306,20 +282,5 @@ mod tests {
         let ck = m.chipkill().due;
         let dck = m.dve_chipkill().due;
         assert!(ck / dck > 40.0, "improvement = {}", ck / dck);
-    }
-
-    #[test]
-    fn fail_prob_scales_linearly_then_clamps() {
-        let p1 = AccelParams::fail_prob_from_fit(66.1, 1.0, 1e5);
-        let p2 = AccelParams::fail_prob_from_fit(66.1, 1.0, 2e5);
-        assert!((p2 / p1 - 2.0).abs() < 1e-9);
-        assert_eq!(AccelParams::fail_prob_from_fit(66.1, 1.0, 1e12), 0.5);
-    }
-
-    #[test]
-    fn clean_mass_plus_fault_mass_is_one_ish() {
-        let m = AccelModel::new(AccelParams::paper_accelerated());
-        let clean = m.pair_all_clean();
-        assert!(clean > 0.35 && clean < 0.45, "clean = {clean}");
     }
 }

@@ -166,64 +166,6 @@ impl ReliabilityModel {
         }
     }
 
-    // ----- N-way and two-tier placements ------------------------------
-
-    /// Dvé generalized to `replicas` total copies of every page
-    /// (round-robin N-way placement): a DUE needs the same-position
-    /// chip on *every* other copy's DIMM to fail within the same scrub
-    /// interval, so each extra copy multiplies the rate by another
-    /// `f·S`. The DIMM-population factor scales with the copy count —
-    /// any copy's detection can initiate the coincidence. Reduces
-    /// exactly to [`ReliabilityModel::dve_due`] at `replicas == 2`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `replicas < 2` (a single copy is baseline, not Dvé).
-    pub fn dve_nway_due(&self, replicas: usize, mapping: ThermalMapping) -> f64 {
-        assert!(replicas >= 2, "replication needs at least two copies");
-        let n = self.chips_per_dimm;
-        let mut sum = 0.0;
-        for i in 0..n {
-            let mut term = self.chip_fit[i];
-            for _ in 1..replicas {
-                term *= self.chip_fit[mapping.pair(i, n)] * Self::SCRUB;
-            }
-            sum += term;
-        }
-        sum * self.dimms as f64 * replicas as f64
-    }
-
-    /// N-way Dvé over a TSD detection code: DUE from the all-copies
-    /// coincidence; SDC scales with the replicated DIMM population
-    /// (every copy can corrupt silently past the code's guarantee).
-    pub fn dve_nway_tsd(&self, replicas: usize, mapping: ThermalMapping) -> DueSdc {
-        DueSdc {
-            due: self.dve_nway_due(replicas, mapping),
-            sdc: self.simultaneous(4) * (self.dimms * replicas) as f64 * Self::DSD_MISS,
-        }
-    }
-
-    /// Two-tier replication (Volos & Sazeides): the full replica lives
-    /// in a far-memory pool whose media sits behind an extra
-    /// controller/retimer hop, modeled as a FIT multiplier
-    /// `far_fit_scale` on the far chips (≥ 1: serialized links and
-    /// denser media fail more, not less). The on-socket compressed
-    /// copy is recovery-only and carries no coherent-read exposure.
-    /// At `far_fit_scale == 1.0` this is exactly
-    /// [`ReliabilityModel::dve_tsd`] with the identity mapping.
-    pub fn two_tier_tsd(&self, far_fit_scale: f64) -> DueSdc {
-        assert!(far_fit_scale >= 1.0, "far media cannot beat local media");
-        let mut pair = 0.0;
-        for &f in &self.chip_fit {
-            pair += f * f * far_fit_scale * Self::SCRUB;
-        }
-        let due = pair * self.dimms as f64 * 2.0;
-        // SDC: ≥4 simultaneous failures escaping the code, over the
-        // socket DIMMs plus the (scaled) far pool.
-        let sdc = self.simultaneous(4) * self.dimms as f64 * (1.0 + far_fit_scale) * Self::DSD_MISS;
-        DueSdc { due, sdc }
-    }
-
     /// Intel-mirroring-like scheme with a TSD code: replicas exist but on
     /// the *same* board position (identity thermal mapping) — §IV-C's
     /// comparison point.
@@ -387,65 +329,5 @@ mod tests {
     #[should_panic(expected = "supports k")]
     fn simultaneous_bounds() {
         ReliabilityModel::thermal().simultaneous(5);
-    }
-
-    #[test]
-    fn nway_reduces_to_the_mirror_pair() {
-        for m in [
-            ReliabilityModel::paper_defaults(),
-            ReliabilityModel::thermal(),
-        ] {
-            for mapping in [ThermalMapping::Identity, ThermalMapping::RiskInverse] {
-                let pair = m.dve_due(mapping);
-                let two = m.dve_nway_due(2, mapping);
-                assert!((pair - two).abs() / pair < 1e-12, "{pair:e} vs {two:e}");
-            }
-            let tsd2 = m.dve_nway_tsd(2, ThermalMapping::Identity);
-            let tsd = m.dve_tsd(ThermalMapping::Identity);
-            close(tsd2.due, tsd.due, 1e-12);
-            close(tsd2.sdc, tsd.sdc, 1e-12);
-        }
-    }
-
-    #[test]
-    fn each_extra_replica_buys_orders_of_magnitude() {
-        let m = ReliabilityModel::paper_defaults();
-        let d2 = m.dve_nway_due(2, ThermalMapping::Identity);
-        let d3 = m.dve_nway_due(3, ThermalMapping::Identity);
-        let d4 = m.dve_nway_due(4, ThermalMapping::Identity);
-        assert!(d3 < d2 && d4 < d3);
-        // Each extra copy multiplies the coincidence by another f·S:
-        // with f ≈ 66 FIT and S = 1e-9 h⁻¹ that is ~1e7× per replica
-        // (modulo the r/(r+1) population factor) — well over 1e5.
-        assert!(d2 / d3 > 1e5, "2→3 gain = {:e}", d2 / d3);
-        assert!(d3 / d4 > 1e5, "3→4 gain = {:e}", d3 / d4);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least two copies")]
-    fn nway_rejects_a_single_copy() {
-        ReliabilityModel::paper_defaults().dve_nway_due(1, ThermalMapping::Identity);
-    }
-
-    #[test]
-    fn two_tier_brackets_the_mirror_pair() {
-        let m = ReliabilityModel::paper_defaults();
-        let mirror = m.dve_tsd(ThermalMapping::Identity);
-        // Far media as good as local: exactly the mirror pair.
-        let equal = m.two_tier_tsd(1.0);
-        close(equal.due, mirror.due, 1e-12);
-        close(equal.sdc, mirror.sdc, 1e-12);
-        // A 3× worse far pool scales DUE by exactly 3× (the pair
-        // product is linear in the far FIT) yet still crushes Chipkill.
-        let worse = m.two_tier_tsd(3.0);
-        close(worse.due / mirror.due, 3.0, 1e-12);
-        assert!(worse.due < m.chipkill().due);
-        assert!(worse.sdc > mirror.sdc);
-    }
-
-    #[test]
-    #[should_panic(expected = "far media")]
-    fn two_tier_rejects_magic_far_media() {
-        ReliabilityModel::paper_defaults().two_tier_tsd(0.5);
     }
 }

@@ -1,124 +1,16 @@
-//! From rates to operational metrics: MTTF, annualized failure
-//! probability, and fleet-level expectations.
+//! From rates to fleet-level expectations.
 //!
 //! Table I's rates are "per billion hours of operation"; an operator
 //! deciding whether to flip a fleet into replicated mode (§V-D's control
-//! plane) thinks in mean-time-to-failure, failures per year per thousand
-//! machines, and the probability of surviving a deployment's lifetime.
-//! These conversions make the §IV results directly consumable by that
-//! control plane.
+//! plane) thinks in failures per year across the fleet. This conversion
+//! makes the §IV results directly consumable by that control plane.
 
 /// Hours in a (Julian) year.
 pub const HOURS_PER_YEAR: f64 = 8766.0;
 
-/// Mean time to failure, in hours, from a rate per 10^9 hours.
-///
-/// # Panics
-///
-/// Panics if `rate_per_1e9h` is not strictly positive.
-///
-/// # Example
-///
-/// ```
-/// use dve_reliability::mttf::mttf_hours;
-///
-/// // Chipkill's 1e-2 DUE per 1e9 h → 1e11 hours MTTF per system.
-/// assert!((mttf_hours(1e-2) - 1e11).abs() < 1.0);
-/// ```
-pub fn mttf_hours(rate_per_1e9h: f64) -> f64 {
-    assert!(rate_per_1e9h > 0.0, "rate must be positive");
-    1e9 / rate_per_1e9h
-}
-
-/// Probability of at least one event within `years`, assuming an
-/// exponential failure law (constant rate).
-pub fn failure_probability(rate_per_1e9h: f64, years: f64) -> f64 {
-    assert!(
-        rate_per_1e9h >= 0.0 && years >= 0.0,
-        "non-negative inputs required"
-    );
-    1.0 - (-(rate_per_1e9h / 1e9) * years * HOURS_PER_YEAR).exp()
-}
-
 /// Expected events per year across a fleet of `machines`.
 pub fn fleet_events_per_year(rate_per_1e9h: f64, machines: u64) -> f64 {
     rate_per_1e9h / 1e9 * HOURS_PER_YEAR * machines as f64
-}
-
-/// Operational summary for one scheme.
-#[derive(Debug, Clone, PartialEq)]
-pub struct OperationalSummary {
-    /// Scheme name.
-    pub scheme: &'static str,
-    /// MTTF for detected-uncorrectable errors, hours.
-    pub due_mttf_hours: f64,
-    /// Probability of a DUE within a 5-year deployment.
-    pub due_5yr: f64,
-    /// Expected DUEs per year in a 100 000-machine fleet.
-    pub fleet_dues_per_year: f64,
-    /// Expected silent corruptions per year in the same fleet.
-    pub fleet_sdcs_per_year: f64,
-}
-
-/// Builds operational summaries for the Table I schemes.
-pub fn operational_summaries() -> Vec<OperationalSummary> {
-    crate::table1::table1_rows()
-        .into_iter()
-        .map(|row| OperationalSummary {
-            scheme: row.scheme,
-            due_mttf_hours: mttf_hours(row.rates.due),
-            due_5yr: failure_probability(row.rates.due, 5.0),
-            fleet_dues_per_year: fleet_events_per_year(row.rates.due, 100_000),
-            fleet_sdcs_per_year: fleet_events_per_year(row.rates.sdc, 100_000),
-        })
-        .collect()
-}
-
-/// One rung of the replication-count MTTF ladder.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TopologySummary {
-    /// Placement label (`nway:2` … `nway:N`, `twotier`).
-    pub topology: String,
-    /// Total copies of every page (the far-tier scheme keeps two).
-    pub replicas: usize,
-    /// MTTF for detected-uncorrectable errors, hours.
-    pub due_mttf_hours: f64,
-    /// Expected DUEs per year in a 100 000-machine fleet.
-    pub fleet_dues_per_year: f64,
-    /// Expected silent corruptions per year in the same fleet.
-    pub fleet_sdcs_per_year: f64,
-}
-
-/// MTTF ladder for the topology-generic placements under Dvé+TSD:
-/// round-robin N-way for every replica count `2..=max_replicas`, plus
-/// the two-tier far-memory scheme with its far pool `far_fit_scale`
-/// times the local FIT. This is the reliability face of the §V-D
-/// control plane's topology choice — the perf face is the `topology`
-/// sweep harness.
-pub fn topology_summaries(max_replicas: usize, far_fit_scale: f64) -> Vec<TopologySummary> {
-    use crate::fit::ThermalMapping;
-    let m = crate::model::ReliabilityModel::paper_defaults();
-    let mut out: Vec<TopologySummary> = (2..=max_replicas)
-        .map(|r| {
-            let rates = m.dve_nway_tsd(r, ThermalMapping::Identity);
-            TopologySummary {
-                topology: format!("nway:{r}"),
-                replicas: r,
-                due_mttf_hours: mttf_hours(rates.due),
-                fleet_dues_per_year: fleet_events_per_year(rates.due, 100_000),
-                fleet_sdcs_per_year: fleet_events_per_year(rates.sdc, 100_000),
-            }
-        })
-        .collect();
-    let tt = m.two_tier_tsd(far_fit_scale);
-    out.push(TopologySummary {
-        topology: "twotier".to_string(),
-        replicas: 2,
-        due_mttf_hours: mttf_hours(tt.due),
-        fleet_dues_per_year: fleet_events_per_year(tt.due, 100_000),
-        fleet_sdcs_per_year: fleet_events_per_year(tt.sdc, 100_000),
-    });
-    out
 }
 
 #[cfg(test)]
@@ -126,68 +18,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mttf_inverts_rate() {
-        assert!((mttf_hours(1.0) - 1e9).abs() < 1e-3);
-        assert!((mttf_hours(2.0) - 5e8).abs() < 1e-3);
-    }
-
-    #[test]
-    fn failure_probability_limits() {
-        assert_eq!(failure_probability(0.0, 10.0), 0.0);
-        assert!(failure_probability(1e9, 1.0) > 0.999);
-        // Small-rate linearization: p ≈ rate × time.
-        let p = failure_probability(1e-2, 1.0);
-        let linear = 1e-2 / 1e9 * HOURS_PER_YEAR;
-        assert!((p - linear).abs() / linear < 1e-3);
-    }
-
-    #[test]
     fn fleet_math_scales_linearly() {
         let one = fleet_events_per_year(1e-2, 1);
         let many = fleet_events_per_year(1e-2, 100_000);
         assert!((many / one - 100_000.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn summaries_preserve_the_paper_ordering() {
-        let s = operational_summaries();
-        let get = |n: &str| s.iter().find(|x| x.scheme == n).unwrap();
-        // Dvé's 4x DUE advantage shows up as 4x MTTF.
-        let ck = get("Chipkill");
-        let dve = get("Dve+TSD");
-        assert!((dve.due_mttf_hours / ck.due_mttf_hours - 4.0).abs() < 0.05);
-        // A 100k-machine Chipkill fleet sees ~0.009 DUEs/year.
-        assert!(ck.fleet_dues_per_year > 0.008 && ck.fleet_dues_per_year < 0.010);
-        assert!(dve.fleet_dues_per_year < ck.fleet_dues_per_year / 3.9);
-        // SDCs are vanishingly rare under TSD.
-        assert!(dve.fleet_sdcs_per_year < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn zero_rate_has_no_mttf() {
-        mttf_hours(0.0);
-    }
-
-    #[test]
-    fn topology_ladder_is_monotone_and_anchored() {
-        let ladder = topology_summaries(4, 3.0);
-        let get = |n: &str| ladder.iter().find(|x| x.topology == n).unwrap();
-        // nway:2 is the classic mirror pair: same MTTF as Dve+TSD.
-        let table = operational_summaries();
-        let dve = table.iter().find(|x| x.scheme == "Dve+TSD").unwrap();
-        let pair = get("nway:2");
-        assert!((pair.due_mttf_hours / dve.due_mttf_hours - 1.0).abs() < 1e-9);
-        // Every extra replica multiplies MTTF — strictly monotone.
-        assert!(get("nway:3").due_mttf_hours > pair.due_mttf_hours * 1e5);
-        assert!(get("nway:4").due_mttf_hours > get("nway:3").due_mttf_hours * 1e5);
-        // The two-tier far pool (3× FIT) sits between the pair and
-        // nway:3: worse than local mirroring, far better than Chipkill.
-        let tt = get("twotier");
-        assert!(tt.due_mttf_hours < pair.due_mttf_hours);
-        let ck = table.iter().find(|x| x.scheme == "Chipkill").unwrap();
-        assert!(tt.due_mttf_hours > ck.due_mttf_hours);
-        // SDC exposure grows with the replicated population.
-        assert!(get("nway:4").fleet_sdcs_per_year > pair.fleet_sdcs_per_year);
     }
 }

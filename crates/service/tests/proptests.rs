@@ -5,14 +5,139 @@
 //!    the arrival interleaving, and
 //! 2. every submitted op is either admitted or shed, exactly —
 //!
-//! and for the wire decoders in front of it, which must turn any byte
-//! sequence a client sends into a value or an error, never a panic.
+//! and for the wire decoders and config parsers in front of it, which
+//! must turn any byte sequence a client or a script sends into a value
+//! or an error, never a panic.
 
+use dve::config::TopologySpec;
 use dve_service::batcher::{EpochBatcher, SubmittedOp};
 use dve_service::proto::{decode_batch, decode_ops, TAG_BATCH, TAG_OPS};
+use dve_service::{EpochLoop, ServiceConfig};
 use dve_sim::rng::SplitMix64;
 use dve_workloads::op::MemReq;
+use dve_workloads::tenant::TenantMix;
 use proptest::prelude::*;
+
+/// Every key `ServiceConfig` parses, plus near misses.
+const KEYS: [&str; 14] = [
+    "scheme",
+    "topology",
+    "workload",
+    "seed",
+    "mshrs",
+    "epoch_ops",
+    "epoch_wait_ms",
+    "queue_cap",
+    "port",
+    "chaos_seed",
+    "tenants",
+    "Scheme",
+    "",
+    "mshrs ",
+];
+
+/// Values well-formed for some key, edge numbers, and malformed ones.
+const VALUES: [&str; 36] = [
+    "dve-deny",
+    "dve-allow",
+    "dve-dynamic",
+    "baseline-numa",
+    "intel-mirror++",
+    "mirror2",
+    "nway:2",
+    "nway:3",
+    "nway:8",
+    "nway:9",
+    "nway:",
+    "twotier",
+    "backprop",
+    "kmeans",
+    "no-such-workload",
+    "",
+    "0",
+    "1",
+    "4",
+    "256",
+    "257",
+    "65536",
+    "+7",
+    "-1",
+    "1e5",
+    "18446744073709551615",
+    "18446744073709551616",
+    "none",
+    "gold:2:60000,bronze:0:200000",
+    "gold:2:60000",
+    "gold:2",
+    "gold:2:0",
+    "gold:1:5,gold:0:9",
+    ":1:5",
+    "a:300:5",
+    "=",
+];
+
+/// Characters the topology and tenant grammars are made of, so byte
+/// strings drawn from them reach past the first parse error.
+const GRAMMAR_BYTES: &[u8] = b"0123456789:,nwaytomirgdlbe+- \xff";
+
+/// Values each of the first 11 [`KEYS`] accepts (and, for
+/// `workload`, one the catalog lacks), so configs that parse are
+/// common and varied.
+const WELL_FORMED: [&[&str]; 11] = [
+    &[
+        "dve-deny",
+        "dve-allow",
+        "dve-dynamic",
+        "baseline-numa",
+        "intel-mirror++",
+    ],
+    &["mirror2", "nway:2", "nway:3", "nway:4", "nway:8", "twotier"],
+    &["backprop", "kmeans", "fft", "stencil", "no-such-workload"],
+    &["0", "7", "18446744073709551615"],
+    &["1", "4", "256"],
+    &["1", "64", "4096"],
+    &["0", "5", "18446744073709551615"],
+    &["4096", "65536", "18446744073709551615"],
+    &["0", "65535"],
+    &["none", "0", "13"],
+    &["none", "gold:2:60000,bronze:0:200000", "a:0:1"],
+];
+
+/// One config token from a key choice, a value choice, a shape and raw
+/// bytes: `key=value` with a value from [`VALUES`] or one the key
+/// accepts, a bare key, `key=<raw bytes>` or `=value`.
+fn token(key: usize, value: usize, shape: u8, raw: &[u8]) -> String {
+    let name = KEYS[key % KEYS.len()];
+    let any_value = VALUES[value % VALUES.len()];
+    match shape % 5 {
+        0 => format!("{name}={any_value}"),
+        1 => name.to_string(),
+        2 => format!("{name}={}", String::from_utf8_lossy(raw)),
+        3 => format!("={any_value}"),
+        _ => match WELL_FORMED.get(key % KEYS.len()) {
+            Some(values) => format!("{name}={}", values[value % values.len()]),
+            None => format!("{name}={any_value}"),
+        },
+    }
+}
+
+/// A config string of `tokens`, separated by single spaces.
+fn config_text(tokens: &[(usize, usize, u8, Vec<u8>)]) -> String {
+    tokens
+        .iter()
+        .map(|(k, v, shape, raw)| token(*k, *v, *shape, raw))
+        .collect::<Vec<_>>()
+        .join(" ")
+}
+
+/// Bytes drawn from [`GRAMMAR_BYTES`] by index.
+fn grammar_string(picks: &[u8]) -> String {
+    let bytes: Vec<u8> = picks
+        .iter()
+        .map(|&i| GRAMMAR_BYTES[i as usize % GRAMMAR_BYTES.len()])
+        .collect();
+    String::from_utf8_lossy(&bytes).into_owned()
+}
 
 /// Builds a per-client op population from a compact spec: client `c`
 /// submits `counts[c]` ops with seqs `0..counts[c]`.
@@ -247,5 +372,63 @@ proptest! {
                 prop_assert_eq!(comps.len() as u64, u64::from(count));
             }
         }
+    }
+
+    // Config text over the real keys, with well-formed, edge and
+    // malformed values and raw bytes, parses or errors; whatever parses
+    // survives a trip through `Display`.
+    #[test]
+    fn service_config_text_parses_or_errs(
+        tokens in proptest::collection::vec(
+            (0usize..64, 0usize..64, any::<u8>(), proptest::collection::vec(any::<u8>(), 0..12)),
+            0..8,
+        ),
+    ) {
+        let text = config_text(&tokens);
+        if let Ok(cfg) = text.parse::<ServiceConfig>() {
+            let again = cfg.to_string().parse::<ServiceConfig>();
+            prop_assert!(again.as_ref() == Ok(&cfg), "{text:?} -> {cfg} -> {again:?}");
+        }
+    }
+
+    // Raw bytes, and bytes over the grammar's own alphabet, given to the
+    // `topology=` and `tenants=` parsers parse or error; whatever
+    // parses survives a trip through `Display`.
+    #[test]
+    fn topology_and_tenant_text_parses_or_errs(
+        raw in proptest::collection::vec(any::<u8>(), 0..40),
+        picks in proptest::collection::vec(any::<u8>(), 0..40),
+    ) {
+        for text in [String::from_utf8_lossy(&raw).into_owned(), grammar_string(&picks)] {
+            if let Ok(t) = text.parse::<TopologySpec>() {
+                let again = t.to_string().parse::<TopologySpec>();
+                prop_assert!(again == Ok(t), "{text:?} -> {t} -> {again:?}");
+            }
+            if let Ok(mix) = text.parse::<TenantMix>() {
+                let again = mix.to_string().parse::<TenantMix>();
+                prop_assert!(again.as_ref() == Ok(&mix), "{text:?} -> {mix} -> {again:?}");
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    // Up to 32 configs that parse (built from tokens every key
+    // accepts) boot the threadless epoch loop to `Ok` or an `Err`,
+    // never a panic. No thread or socket is started.
+    #[test]
+    fn parsed_configs_build_an_epoch_loop_or_err(
+        tokens in proptest::collection::vec(
+            (0usize..11, 0usize..64, 4u8..5, proptest::collection::vec(any::<u8>(), 0..1)),
+            1..8,
+        ),
+    ) {
+        let text = config_text(&tokens);
+        let Ok(cfg) = text.parse::<ServiceConfig>() else {
+            return Err(TestCaseError::Reject);
+        };
+        let _ = EpochLoop::from_config(&cfg);
     }
 }

@@ -122,11 +122,6 @@ impl<E> EventQueue<E> {
         self.heap.push(Entry { time, seq, event });
     }
 
-    /// Schedules `event` `delay` ticks after the current time.
-    pub fn push_after(&mut self, delay: Time, event: E) {
-        self.push(self.now.saturating_add(delay), event);
-    }
-
     /// Removes and returns the earliest event, advancing the clock to its
     /// timestamp. Returns `None` when the queue is empty.
     pub fn pop(&mut self) -> Option<(Time, E)> {
@@ -211,15 +206,6 @@ mod tests {
         q.push(10, ());
         q.pop();
         q.push(3, ());
-    }
-
-    #[test]
-    fn push_after_is_relative_to_now() {
-        let mut q = EventQueue::new();
-        q.push(100, "a");
-        q.pop();
-        q.push_after(5, "b");
-        assert_eq!(q.pop(), Some((105, "b")));
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //!   order, which makes every simulation in this workspace bit-for-bit
 //!   reproducible.
 //! * [`time`] — strongly-typed simulated time ([`time::Cycles`],
-//!   [`time::Nanos`]) and clock-domain conversion ([`time::Frequency`]).
+//!   [`time::Nanos`]), clock-domain conversion ([`time::Frequency`]) and
+//!   the Table II core clock every layer converts at
+//!   ([`time::CORE_CLOCK`]).
 //! * [`stats`] — the [`stats::LogHistogram`] latency histogram and the
 //!   geometric-mean aggregation the paper reports.
 //! * [`hash`] — [`hash::IntHasher`], the deterministic integer hasher
@@ -50,4 +52,4 @@ pub use latency::{Component, LatencyBreakdown, Stamp};
 pub use resource::{Grant, Resource, ResourceStats};
 pub use rng::SplitMix64;
 pub use stats::geomean;
-pub use time::{Cycles, Frequency, Nanos};
+pub use time::{Cycles, Frequency, Nanos, CORE_CLOCK};

@@ -90,13 +90,6 @@ impl SplitMix64 {
         assert!((0.0..=1.0).contains(&p), "probability must be in [0,1]");
         self.next_f64() < p
     }
-
-    /// Forks a statistically independent child generator, leaving `self`
-    /// advanced by one step. Useful for giving each simulated core its own
-    /// stream derived from one experiment seed.
-    pub fn fork(&mut self) -> SplitMix64 {
-        SplitMix64::new(self.next_u64())
-    }
 }
 
 /// Derives an independent child seed from a `master` seed and a
@@ -199,14 +192,6 @@ mod tests {
         let mut r = SplitMix64::new(1);
         let hits = (0..100_000).filter(|_| r.chance(0.25)).count();
         assert!((20_000..30_000).contains(&hits), "hits = {hits}");
-    }
-
-    #[test]
-    fn fork_diverges_from_parent() {
-        let mut a = SplitMix64::new(5);
-        let mut child = a.fork();
-        // Parent and child should produce different streams.
-        assert_ne!(a.next_u64(), child.next_u64());
     }
 
     #[test]

@@ -19,9 +19,6 @@ pub struct Cycles(pub u64);
 pub struct Nanos(pub u64);
 
 impl Cycles {
-    /// Zero-length duration.
-    pub const ZERO: Cycles = Cycles(0);
-
     /// The raw cycle count.
     pub fn raw(self) -> u64 {
         self.0
@@ -112,6 +109,11 @@ pub struct Frequency {
     hz: f64,
 }
 
+/// The core clock (Table II: 3.0 GHz): the simulation's one time base.
+/// DRAM timings and link latencies are converted into its cycles, and
+/// energy accounting converts cycles back to seconds through it.
+pub const CORE_CLOCK: Frequency = Frequency { hz: 3.0e9 };
+
 impl Frequency {
     /// Creates a frequency from a GHz value.
     ///
@@ -121,21 +123,6 @@ impl Frequency {
     pub fn ghz(ghz: f64) -> Frequency {
         assert!(ghz.is_finite() && ghz > 0.0, "frequency must be positive");
         Frequency { hz: ghz * 1e9 }
-    }
-
-    /// Creates a frequency from a MHz value.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mhz` is not strictly positive and finite.
-    pub fn mhz(mhz: f64) -> Frequency {
-        assert!(mhz.is_finite() && mhz > 0.0, "frequency must be positive");
-        Frequency { hz: mhz * 1e6 }
-    }
-
-    /// The frequency in Hz.
-    pub fn hz(self) -> f64 {
-        self.hz
     }
 
     /// Converts a nanosecond duration to cycles in this clock domain,
@@ -178,16 +165,16 @@ mod tests {
     }
 
     #[test]
+    fn table_ii_clock_is_3ghz() {
+        assert_eq!(CORE_CLOCK, Frequency::ghz(3.0));
+        assert_eq!(CORE_CLOCK.cycles_for(Nanos(50)), Cycles(150));
+    }
+
+    #[test]
     fn roundtrip_nanos() {
         let f = Frequency::ghz(2.0);
         let ns = f.nanos_for(Cycles(100));
         assert!((ns - 50.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn mhz_constructor() {
-        let f = Frequency::mhz(2400.0);
-        assert!((f.hz() - 2.4e9).abs() < 1.0);
     }
 
     #[test]

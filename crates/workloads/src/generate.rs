@@ -544,7 +544,7 @@ mod tests {
             let mut mems = 0;
             for t in 0..16 {
                 for _ in 0..200 {
-                    if g.next_op(t).is_mem() {
+                    if matches!(g.next_op(t), Op::Mem { .. }) {
                         mems += 1;
                     }
                 }

@@ -35,11 +35,6 @@ pub enum Op {
 impl Op {
     /// The paper's fixed cost for thread-API events.
     pub const SYNC_CYCLES: u32 = 100;
-
-    /// Whether this operation reaches the memory system.
-    pub fn is_mem(&self) -> bool {
-        matches!(self, Op::Mem { .. })
-    }
 }
 
 #[cfg(test)]
@@ -48,13 +43,6 @@ mod tests {
 
     #[test]
     fn op_kinds() {
-        assert!(Op::Mem {
-            line: 0,
-            req: MemReq::Read
-        }
-        .is_mem());
-        assert!(!Op::Compute(5).is_mem());
-        assert!(!Op::Sync.is_mem());
         assert_eq!(Op::SYNC_CYCLES, 100);
     }
 }
