@@ -542,6 +542,19 @@ impl SystemFabric {
         self.link.outage_until(Cycles(now)).map(|c| c.raw())
     }
 
+    /// The next time after `now` at which
+    /// [`SystemFabric::link_outage_until`] changes its answer (a global
+    /// outage window opens or closes), if any.
+    pub(crate) fn next_outage_edge(&self, now: u64) -> Option<u64> {
+        self.link.next_outage_edge(Cycles(now)).map(|c| c.raw())
+    }
+
+    /// Whether the hard-degradation edge flag is raised, without
+    /// consuming it ([`SystemFabric::take_pending_degrade`] does).
+    pub(crate) fn pending_degrade(&self) -> bool {
+        self.pending_degrade
+    }
+
     /// Consumes the hard-degradation edge flag (set by the detour when
     /// a post-repair re-read still fails). The runner turns it into the
     /// engine's §V-E degraded state.

@@ -186,8 +186,10 @@ pub struct System {
     /// runner's semantics, cycle-for-cycle); with more ways the core
     /// issues and runs ahead until the ways are exhausted.
     mshrs: Vec<Resource>,
-    /// Whether the chaos layer is armed ([`SystemConfig::chaos`]).
-    chaos_active: bool,
+    /// The chaos layer's quiet window `(polled_at, due)`: the last full
+    /// pass ran at `polled_at`, and nothing it tracks changes before
+    /// `due` (see [`System::advance_chaos`]).
+    chaos_quiet: (u64, u64),
     /// The fault schedule, time-sorted; `chaos_cursor` indexes the next
     /// event not yet applied.
     chaos_events: Vec<FaultEvent>,
@@ -211,6 +213,10 @@ pub struct System {
     /// Per-op latency distributions recorded since the last
     /// [`System::begin_region`] (warm-up samples are discarded there).
     lat_hists: LatencyHists,
+    /// The run of identical per-op breakdowns not yet folded into
+    /// `lat_hists`: the breakdown and how many ops in a row had it.
+    /// [`System::flush_latency`] empties it before a runner returns.
+    lat_run: (LatencyBreakdown, u64),
     /// The open measurement region, if any.
     region: Option<RegionStart>,
 }
@@ -226,7 +232,6 @@ impl System {
         let supply = TraceSupply::new(profile, cfg.engine.cores, seed, cfg.pdes_workers);
         let cores = cfg.engine.cores;
         let ways = cfg.mshrs;
-        let chaos_active = cfg.chaos.is_some();
         let mut chaos_events = Vec::new();
         let mut scrub_cfg = None;
         let mut scrub_queue = EventQueue::new();
@@ -254,7 +259,7 @@ impl System {
             workload: profile.name.to_string(),
             core_time: vec![0; cores],
             mshrs: (0..cores).map(|_| Resource::new(ways)).collect(),
-            chaos_active,
+            chaos_quiet: (0, 0),
             chaos_events,
             chaos_cursor: 0,
             sources,
@@ -263,6 +268,7 @@ impl System {
             outage_degraded: false,
             fault_degraded: false,
             lat_hists: LatencyHists::new(),
+            lat_run: (LatencyBreakdown::default(), 0),
             region: None,
         }
     }
@@ -329,13 +335,34 @@ impl System {
     /// Advances the chaos layer to simulated time `now`: applies due
     /// fault events, runs due patrol-scrub slices, and tracks the two
     /// degradation sources (link outage windows and hard-degraded
-    /// copies) into the engine's §V-E state. A no-op when the chaos
-    /// layer is disarmed — and cheap enough to sit on the scheduler's
-    /// hot path either way.
+    /// copies) into the engine's §V-E state.
+    ///
+    /// The scheduler calls this before every op, but a full pass has
+    /// work only when something fell due, so it returns at once inside
+    /// the quiet window `polled_at <= now < due` left by the last pass
+    /// (see [`System::poll_chaos`]) unless a read raised the
+    /// hard-degradation flag since. The skip is exact: inside the
+    /// window no event, source poll or scrub slice is due and the
+    /// outage state is the one the last pass saw, hard-degraded copies
+    /// are removed only by heals, which happen inside a full pass, and a
+    /// read adds a degraded copy only together with raising the flag.
+    /// The lower bound matters: across [`System::run_batch`] epochs a
+    /// core that sat idle keeps an older clock, so `now` can move back
+    /// into an outage the system already left. A disarmed layer has
+    /// nothing ever due, so its first pass leaves a window that never
+    /// closes.
+    #[inline]
     fn advance_chaos(&mut self, now: u64) {
-        if !self.chaos_active {
+        let (polled_at, due) = self.chaos_quiet;
+        if polled_at <= now && now < due && !self.fabric.pending_degrade() {
             return;
         }
+        self.poll_chaos(now);
+    }
+
+    /// The full chaos pass at `now` behind [`System::advance_chaos`];
+    /// it ends by storing the next quiet window.
+    fn poll_chaos(&mut self, now: u64) {
         // Due fault plants/heals.
         while self.chaos_cursor < self.chaos_events.len()
             && self.chaos_events[self.chaos_cursor].at <= now
@@ -387,6 +414,50 @@ impl System {
         if changed {
             self.apply_degraded(now);
         }
+        // The next quiet window: nothing is due before the earliest
+        // pending event, source poll, scrub slice or outage edge. A
+        // fault degradation whose copies were all healed in this pass
+        // is lifted by the next pass, so it leaves no window at all.
+        let mut due = self
+            .chaos_events
+            .get(self.chaos_cursor)
+            .map_or(u64::MAX, |ev| ev.at);
+        for src in &self.sources {
+            due = due.min(src.next_poll());
+        }
+        if let Some(t) = self.scrub_queue.peek_time() {
+            due = due.min(t);
+        }
+        if let Some(t) = self.fabric.next_outage_edge(now) {
+            due = due.min(t);
+        }
+        if self.fault_degraded && !self.fabric.has_degraded_lines() {
+            due = now;
+        }
+        self.chaos_quiet = (now, due);
+    }
+
+    /// Records one completed op's latency breakdown. Consecutive ops
+    /// with the same breakdown (most are L1 hits) accumulate into one
+    /// run that is folded into the histograms in a single update.
+    #[inline]
+    fn record_latency(&mut self, b: &LatencyBreakdown) {
+        if self.lat_run.0 == *b {
+            self.lat_run.1 += 1;
+        } else {
+            self.flush_latency();
+            self.lat_run = (*b, 1);
+        }
+    }
+
+    /// Folds the pending run of identical breakdowns into the
+    /// histograms. The histograms are order-free sums, so the result is
+    /// the same as recording each op as it completed. Every runner
+    /// flushes before it returns, so [`System::latency_hists`] and the
+    /// region calls never see a pending run.
+    fn flush_latency(&mut self) {
+        let (b, n) = std::mem::take(&mut self.lat_run);
+        self.lat_hists.record_n(&b, n);
     }
 
     /// Reconciles the engine's degraded state with the three sources
@@ -442,7 +513,7 @@ impl System {
                     // propagation of writebacks to the replica memory —
                     // is handled as background work inside the engine.)
                     let outcome = self.engine.access(core, line, r, now, &mut self.fabric);
-                    self.lat_hists.record(&outcome.breakdown);
+                    self.record_latency(&outcome.breakdown);
                     let done = outcome.complete_at;
                     // The miss occupies an MSHR way from issue to
                     // completion. The scheduler never advances a core
@@ -465,6 +536,7 @@ impl System {
                 top.0 = Reverse(next);
             }
         }
+        self.flush_latency();
         // Region barrier: the region only ends once every core's
         // outstanding misses have drained, so warm-up, profiling windows
         // and the measured region never leak in-flight work into each
@@ -571,7 +643,7 @@ impl System {
             let (detected0, mces0) = self.fabric.op_exposure();
             let outcome = self.engine.access(core, op.line, r, now, &mut self.fabric);
             let (detected1, mces1) = self.fabric.op_exposure();
-            self.lat_hists.record(&outcome.breakdown);
+            self.record_latency(&outcome.breakdown);
             let done = outcome.complete_at;
             completions[idx] = Some(OpCompletion {
                 issued_at: now,
@@ -593,6 +665,7 @@ impl System {
                 PeekMut::pop(top);
             }
         }
+        self.flush_latency();
         // Epoch barrier: drain outstanding misses so epochs never leak
         // in-flight work into each other.
         for (t, m) in self.core_time.iter_mut().zip(&self.mshrs) {

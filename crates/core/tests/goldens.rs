@@ -17,8 +17,9 @@ use dve::chaos::{
     ThermalParams,
 };
 use dve::config::{Scheme, SystemConfig, TopologySpec};
-use dve::system::{run_workload, ClientOp, System};
+use dve::system::{run_workload, ClientOp, RunResult, System};
 use dve_dram::controller::EccProfile;
+use dve_sim::latency::Component;
 use dve_sim::rng::SplitMix64;
 use dve_workloads::catalog;
 use dve_workloads::op::MemReq;
@@ -301,11 +302,16 @@ fn write_chaos_config(seed: u64) -> (SystemConfig, dve_workloads::WorkloadProfil
     (cfg, p)
 }
 
-/// (seed, cycles, `EngineStats`, `RecoveryLedger`) of the write-chaos
-/// run, whole run as `System::run` reports it. The ledgers show the
-/// chaos layer firing: detections, repairs, degradations, machine
-/// checks, scrub escalations and row-hammer plants.
-const WRITE_CHAOS_GOLDENS: &[(u64, u64, &str, &str)] = &[
+/// Measured-region per-op latency histograms: (op count, end-to-end
+/// `(p50, p99, p999)`, recovery-component `(p50, p99, p999)`).
+type HistGolden = (u64, (u64, u64, u64), (u64, u64, u64));
+
+/// (seed, cycles, `EngineStats`, `RecoveryLedger`, [`HistGolden`]) of
+/// the write-chaos run, whole run as `System::run` reports it. The
+/// ledgers show the chaos layer firing: detections, repairs,
+/// degradations, machine checks, scrub escalations and row-hammer
+/// plants.
+const WRITE_CHAOS_GOLDENS: &[(u64, u64, &str, &str, HistGolden)] = &[
     (
         301,
         7_267_777,
@@ -323,6 +329,7 @@ const WRITE_CHAOS_GOLDENS: &[(u64, u64, &str, &str)] = &[
          scrub_escalations: 1376, link_retries: 1, link_failed_sends: 0, \
          faults_planted: 83, faults_healed: 6, hammer_plants: 67, thermal_plants: 0, \
          aging_plants: 0 }",
+        (640_000, (1, 511, 1_279), (0, 0, 0)),
     ),
     (
         302,
@@ -341,19 +348,29 @@ const WRITE_CHAOS_GOLDENS: &[(u64, u64, &str, &str)] = &[
          scrub_escalations: 2960, link_retries: 0, link_failed_sends: 12, \
          faults_planted: 94, faults_healed: 4, hammer_plants: 78, thermal_plants: 0, \
          aging_plants: 0 }",
+        (640_000, (1, 511, 1_407), (0, 0, 0)),
     ),
 ];
 
 #[test]
 fn write_chaos_goldens() {
-    for &(seed, cycles, engine, ledger) in WRITE_CHAOS_GOLDENS {
+    for &(seed, cycles, engine, ledger, hist) in WRITE_CHAOS_GOLDENS {
         let (cfg, p) = write_chaos_config(seed);
         let r = System::new(cfg, &p, seed).run();
         assert_eq!(r.cycles, cycles, "seed={seed}");
         assert_eq!(format!("{:?}", r.engine), engine, "seed={seed}");
         assert_eq!(format!("{:?}", r.recovery), ledger, "seed={seed}");
         assert!(r.recovery.consistent(), "seed={seed}");
+        assert_eq!(hist_golden(&r), hist, "seed={seed}: latency histograms");
     }
+}
+
+fn hist_golden(r: &RunResult) -> HistGolden {
+    (
+        r.latency_hist.count(),
+        r.latency_tail(),
+        r.component_tail(Component::Recovery),
+    )
 }
 
 /// A fixed multi-epoch `run_batch` sequence against the live service's
@@ -430,5 +447,91 @@ fn run_batch_chaos_goldens() {
          scrub_corrected: 0, scrub_detected: 0, scrub_escalations: 0, link_retries: 0, \
          link_failed_sends: 0, faults_planted: 8, faults_healed: 8, hammer_plants: 0, \
          thermal_plants: 0, aging_plants: 0 }"
+    );
+    assert_eq!(
+        hist_golden(&r),
+        (40_960, (351, 4_607, 10_239), (0, 575, 575)),
+        "latency histograms"
+    );
+}
+
+/// A core that sat idle through one `run_batch` epoch keeps its older
+/// clock, so the next epoch issues at a simulated time *before* the
+/// one the chaos layer last polled at. Here core 1 runs through the
+/// whole `[2 000, 12 000)` link outage in epoch A (enter + leave), and
+/// core 0, whose clock stopped inside the outage (at 6 527), issues
+/// its first epoch-B read there, re-entering it, then leaves it again
+/// with its next read: four §V-E transitions. A chaos poll that only
+/// looked forward in time would miss the re-entry.
+#[test]
+fn lagging_core_reenters_an_outage_the_system_left() {
+    let p = catalog()
+        .into_iter()
+        .find(|p| p.name == "backprop")
+        .unwrap();
+    let mut cfg = SystemConfig::table_ii(Scheme::DveDeny);
+    cfg.mshrs = 1;
+    cfg.chaos = Some(ChaosConfig {
+        link_outages: vec![(2_000, 12_000)],
+        ..ChaosConfig::inert()
+    });
+    let mut sys = System::new(cfg, &p, 42);
+    let reads = |core: usize, base: u64, n: u64| {
+        (0..n).map(move |i| ClientOp {
+            core,
+            line: base + 977 * i,
+            req: MemReq::Read,
+        })
+    };
+    let epoch_a: Vec<ClientOp> = reads(0, 1_000, 30).chain(reads(1, 500_000, 200)).collect();
+    sys.run_batch(&epoch_a);
+    let epoch_b: Vec<ClientOp> = reads(0, 900_000, 4).collect();
+    let done: Vec<u64> = sys
+        .run_batch(&epoch_b)
+        .iter()
+        .map(|c| c.complete_at)
+        .collect();
+    assert_eq!(sys.engine_stats().degraded_transitions, 4);
+    assert_eq!(done, [36_927, 37_109, 37_291, 37_473]);
+}
+
+/// A heal can take away the last hard-degraded copy in the same chaos
+/// poll that first sees its degradation (the read that degraded it ran
+/// between polls). The engine then enters §V-E and must leave it at the
+/// very next poll; leaving it only when the next fault event, outage
+/// edge or scrub slice falls due moves this run (46 501 cycles, 60
+/// replica reads).
+#[test]
+fn degradation_healed_in_its_own_poll_lifts_at_the_next() {
+    let p = catalog()
+        .into_iter()
+        .find(|p| p.name == "backprop")
+        .unwrap();
+    let seed = 0xDEAD;
+    let mut cfg = SystemConfig::table_ii(Scheme::DveDeny);
+    cfg.set_topology(TopologySpec::Nway(4));
+    cfg.ops_per_thread = 200;
+    cfg.warmup_per_thread = 20;
+    cfg.ecc = EccProfile::tsd();
+    cfg.chaos = Some(ChaosConfig::random(
+        seed,
+        &ChaosParams {
+            faults: 6,
+            horizon: 60_000,
+            transient_fraction: 0.5,
+            heal_after: Some(30_000),
+            channels_per_socket: 2,
+            line_span: 1 << 14,
+            nodes: 4,
+        },
+    ));
+    let r = System::new(cfg, &p, seed).run();
+    assert_eq!(
+        (
+            r.cycles,
+            r.engine.replica_reads,
+            r.engine.degraded_transitions
+        ),
+        (45_945, 67, 2)
     );
 }

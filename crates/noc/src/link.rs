@@ -222,6 +222,19 @@ impl LinkTable {
             .map(|&(_, e)| Cycles(e))
     }
 
+    /// The first time after `now` at which [`LinkTable::outage_until`]
+    /// changes its answer: the next whole-fabric window start or end
+    /// strictly later than `now`, if any.
+    pub fn next_outage_edge(&self, now: Cycles) -> Option<Cycles> {
+        let t = now.raw();
+        // Sorted, non-overlapping windows: the edges ascend.
+        self.global_outages
+            .iter()
+            .flat_map(|&(s, e)| [s, e])
+            .find(|&edge| edge > t)
+            .map(Cycles)
+    }
+
     /// The end of the last whole-fabric outage window, if any.
     pub fn last_outage_end(&self) -> Option<Cycles> {
         self.global_outages.last().map(|&(_, e)| Cycles(e))
@@ -495,6 +508,12 @@ mod tests {
         assert_eq!(l.outage_until(Cycles(200)), None, "half-open window");
         assert_eq!(l.outage_until(Cycles(599)), Some(Cycles(600)));
         assert_eq!(l.last_outage_end(), Some(Cycles(600)));
+        // The answer above only changes at the next edge after `now`.
+        assert_eq!(l.next_outage_edge(Cycles(0)), Some(Cycles(100)));
+        assert_eq!(l.next_outage_edge(Cycles(100)), Some(Cycles(200)));
+        assert_eq!(l.next_outage_edge(Cycles(200)), Some(Cycles(500)));
+        assert_eq!(l.next_outage_edge(Cycles(599)), Some(Cycles(600)));
+        assert_eq!(l.next_outage_edge(Cycles(600)), None);
     }
 
     #[test]

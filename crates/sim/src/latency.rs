@@ -197,9 +197,16 @@ impl LatencyHists {
     /// Records one completed op's breakdown (every component, zeros
     /// included).
     pub fn record(&mut self, b: &LatencyBreakdown) {
-        self.total.record(b.total());
+        self.record_n(b, 1);
+    }
+
+    /// Records `n` completed ops that share the breakdown `b` — a run of
+    /// identical ops folded into one update per histogram, equal to `n`
+    /// calls to [`LatencyHists::record`].
+    pub fn record_n(&mut self, b: &LatencyBreakdown, n: u64) {
+        self.total.record_n(b.total(), n);
         for (h, c) in self.per.iter_mut().zip(Component::ALL) {
-            h.record(b.get(c));
+            h.record_n(b.get(c), n);
         }
     }
 
@@ -402,6 +409,16 @@ mod tests {
         b.record(&ops[2].breakdown());
         a.merge(&b);
         assert_eq!(a, hists);
+        // A folded run equals recording each op of it, and an empty run
+        // records nothing.
+        let mut one_by_one = hists.clone();
+        let mut folded = hists.clone();
+        for _ in 0..5 {
+            one_by_one.record(&ops[1].breakdown());
+        }
+        folded.record_n(&ops[1].breakdown(), 5);
+        folded.record_n(&ops[2].breakdown(), 0);
+        assert_eq!(folded, one_by_one);
     }
 
     #[test]

@@ -110,13 +110,30 @@ impl Resource {
         best
     }
 
+    /// The grant for a request arriving at `now` that starts service at
+    /// `start`.
+    fn grant(now: u64, start: u64, service: u64) -> Grant {
+        Grant {
+            start,
+            complete_at: start + service,
+            queued: start - now,
+            service,
+        }
+    }
+
     /// Admits a request arriving at `now` needing `service` cycles.
     pub fn acquire(&mut self, now: u64, service: u64) -> Grant {
-        let grant = self.probe(now, service);
-        if let Some(slots) = &mut self.slots {
-            let best = Self::best_slot(slots);
-            slots[best] = grant.complete_at;
-        }
+        // One scan finds the slot, reads its free time and books it.
+        let start = match &mut self.slots {
+            Some(slots) => {
+                let best = Self::best_slot(slots);
+                let start = now.max(slots[best]);
+                slots[best] = start + service;
+                start
+            }
+            None => now,
+        };
+        let grant = Self::grant(now, start, service);
         self.stats.grants += 1;
         self.stats.busy_cycles += service;
         self.stats.queue_cycles += grant.queued;
@@ -126,16 +143,7 @@ impl Resource {
     /// The grant a request *would* receive, without admitting it or
     /// touching statistics (speculative costing).
     pub fn probe(&self, now: u64, service: u64) -> Grant {
-        let start = match &self.slots {
-            Some(slots) => now.max(slots[Self::best_slot(slots)]),
-            None => now,
-        };
-        Grant {
-            start,
-            complete_at: start + service,
-            queued: start - now,
-            service,
-        }
+        Self::grant(now, now.max(self.earliest_available()), service)
     }
 
     /// Forces every slot busy until at least `until` (e.g. an all-bank

@@ -138,9 +138,19 @@ impl LogHistogram {
 
     /// Records one sample.
     pub fn record(&mut self, value: u64) {
-        self.buckets[Self::bucket_index(value)] += 1;
-        self.count += 1;
-        self.sum += value as u128;
+        self.record_n(value, 1);
+    }
+
+    /// Records `n` samples of the same `value` (a no-op when `n` is 0):
+    /// the histogram is an order-free sum, so this equals `n` calls to
+    /// [`LogHistogram::record`].
+    pub fn record_n(&mut self, value: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
+        self.buckets[Self::bucket_index(value)] += n;
+        self.count += n;
+        self.sum += value as u128 * n as u128;
         self.max = self.max.max(value);
     }
 
