@@ -167,6 +167,22 @@ fn core_heap(
     cores.map(|c| (Reverse(core_time[c]), c)).collect()
 }
 
+/// Entries in [`System`]'s latency fold table (a power of two).
+const LAT_FOLD_SLOTS: usize = 32;
+
+/// The fold-table slot of a breakdown: the components, each rotated to
+/// its own bit offset, mixed by one multiply, top bits taken.
+#[inline]
+fn lat_fold_slot(b: &LatencyBreakdown) -> usize {
+    let key = b.mesh
+        ^ b.link.rotate_left(11)
+        ^ b.bank_queue.rotate_left(22)
+        ^ b.bank_service.rotate_left(33)
+        ^ b.protocol.rotate_left(44)
+        ^ b.recovery.rotate_left(55);
+    (key.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (64 - LAT_FOLD_SLOTS.trailing_zeros())) as usize
+}
+
 /// The assembled system: engine + fabric + trace streams.
 #[derive(Debug)]
 pub struct System {
@@ -213,10 +229,11 @@ pub struct System {
     /// Per-op latency distributions recorded since the last
     /// [`System::begin_region`] (warm-up samples are discarded there).
     lat_hists: LatencyHists,
-    /// The run of identical per-op breakdowns not yet folded into
-    /// `lat_hists`: the breakdown and how many ops in a row had it.
-    /// [`System::flush_latency`] empties it before a runner returns.
-    lat_run: (LatencyBreakdown, u64),
+    /// Per-op breakdowns not yet folded into `lat_hists`: a
+    /// direct-mapped table of `(breakdown, count)` keyed by a hash of
+    /// the breakdown. [`System::flush_latency`] empties it before a
+    /// runner returns.
+    lat_fold: Box<[(LatencyBreakdown, u64); LAT_FOLD_SLOTS]>,
     /// The open measurement region, if any.
     region: Option<RegionStart>,
 }
@@ -268,7 +285,7 @@ impl System {
             outage_degraded: false,
             fault_degraded: false,
             lat_hists: LatencyHists::new(),
-            lat_run: (LatencyBreakdown::default(), 0),
+            lat_fold: Box::new([(LatencyBreakdown::default(), 0); LAT_FOLD_SLOTS]),
             region: None,
         }
     }
@@ -400,11 +417,13 @@ impl System {
         // §V-E edges. A link outage forces local-copy-only service for
         // the duration of the window; leaving it re-syncs the replicas
         // (deny-RM re-push inside `set_degraded`). A hard-degraded copy
-        // keeps the engine degraded until a heal lifts the last one.
+        // keeps the engine degraded until a heal lifts the last one,
+        // which may be in this very pass, after the read that raised the
+        // flag: the flag counts only while a degraded copy remains.
         let in_outage = self.fabric.link_outage_until(now).is_some();
         let mut changed = in_outage != self.outage_degraded;
         self.outage_degraded = in_outage;
-        if self.fabric.take_pending_degrade() {
+        if self.fabric.take_pending_degrade() && self.fabric.has_degraded_lines() {
             changed |= !self.fault_degraded;
             self.fault_degraded = true;
         } else if self.fault_degraded && !self.fabric.has_degraded_lines() {
@@ -415,9 +434,7 @@ impl System {
             self.apply_degraded(now);
         }
         // The next quiet window: nothing is due before the earliest
-        // pending event, source poll, scrub slice or outage edge. A
-        // fault degradation whose copies were all healed in this pass
-        // is lifted by the next pass, so it leaves no window at all.
+        // pending event, source poll, scrub slice or outage edge.
         let mut due = self
             .chaos_events
             .get(self.chaos_cursor)
@@ -431,33 +448,34 @@ impl System {
         if let Some(t) = self.fabric.next_outage_edge(now) {
             due = due.min(t);
         }
-        if self.fault_degraded && !self.fabric.has_degraded_lines() {
-            due = now;
-        }
         self.chaos_quiet = (now, due);
     }
 
-    /// Records one completed op's latency breakdown. Consecutive ops
-    /// with the same breakdown (most are L1 hits) accumulate into one
-    /// run that is folded into the histograms in a single update.
+    /// Records one completed op's latency breakdown. Ops that share a
+    /// breakdown (most are L1 hits, and misses repeat a handful of
+    /// shapes) count up in their fold-table slot; a slot holding a
+    /// different breakdown is folded into the histograms in one
+    /// [`LatencyHists::record_n`] before it is taken over.
     #[inline]
     fn record_latency(&mut self, b: &LatencyBreakdown) {
-        if self.lat_run.0 == *b {
-            self.lat_run.1 += 1;
+        let slot = &mut self.lat_fold[lat_fold_slot(b)];
+        if slot.0 == *b {
+            slot.1 += 1;
         } else {
-            self.flush_latency();
-            self.lat_run = (*b, 1);
+            self.lat_hists.record_n(&slot.0, slot.1);
+            *slot = (*b, 1);
         }
     }
 
-    /// Folds the pending run of identical breakdowns into the
-    /// histograms. The histograms are order-free sums, so the result is
-    /// the same as recording each op as it completed. Every runner
-    /// flushes before it returns, so [`System::latency_hists`] and the
-    /// region calls never see a pending run.
+    /// Folds every pending fold-table entry into the histograms. The
+    /// histograms are order-free sums, so the result is the same as
+    /// recording each op as it completed. Every runner flushes before
+    /// it returns, so [`System::latency_hists`] and the region calls
+    /// never see a pending entry.
     fn flush_latency(&mut self) {
-        let (b, n) = std::mem::take(&mut self.lat_run);
-        self.lat_hists.record_n(&b, n);
+        for (b, n) in self.lat_fold.iter_mut() {
+            self.lat_hists.record_n(b, std::mem::take(n));
+        }
     }
 
     /// Reconciles the engine's degraded state with the three sources
@@ -519,14 +537,14 @@ impl System {
                     // completion. The scheduler never advances a core
                     // past the next way's free time, so a way is always
                     // available here — acquisition must not queue.
-                    let grant = self.mshrs[core].acquire(now, done - now);
+                    let (grant, free_at) = self.mshrs[core].issue(now, done - now);
                     debug_assert_eq!(grant.queued, 0, "core issued without a free MSHR");
                     // The core occupies its issue slot for one cycle,
                     // then runs ahead — but no earlier than the next
                     // free MSHR way. With a single way this is exactly
                     // `done` (the transaction always outlives the issue
                     // cycle), i.e. the blocking-core semantics.
-                    (now + 1).max(self.mshrs[core].earliest_available())
+                    (now + 1).max(free_at)
                 }
             };
             self.core_time[core] = next;
@@ -655,9 +673,9 @@ impl System {
             // Same MSHR semantics as the trace runner: the miss holds a
             // way from issue to completion and the core never runs past
             // the next free way.
-            let grant = self.mshrs[core].acquire(now, done - now);
+            let (grant, free_at) = self.mshrs[core].issue(now, done - now);
             debug_assert_eq!(grant.queued, 0, "core issued without a free MSHR");
-            let next = (now + 1).max(self.mshrs[core].earliest_available());
+            let next = (now + 1).max(free_at);
             self.core_time[core] = next;
             if cursor[core] < queues[core].len() {
                 top.0 = Reverse(next);
@@ -857,6 +875,85 @@ mod tests {
     fn small_run(scheme: Scheme, workload: &str, ops: u64) -> RunResult {
         let p = catalog().into_iter().find(|p| p.name == workload).unwrap();
         run_workload(&p, scheme, ops, 42)
+    }
+
+    #[test]
+    fn latency_fold_table_equals_per_op_recording() {
+        // A chaos run with overlapped misses gives far more distinct
+        // breakdowns than the fold table has slots (evictions) and
+        // recovery detours; after every epoch the histograms must equal
+        // recording each returned breakdown as it completed.
+        use crate::chaos::{ChaosConfig, ChaosParams};
+        use dve_dram::controller::EccProfile;
+        use dve_sim::rng::SplitMix64;
+        let p = catalog()
+            .into_iter()
+            .find(|p| p.name == "backprop")
+            .unwrap();
+        let mut cfg = SystemConfig::table_ii(Scheme::DveDeny);
+        cfg.mshrs = 4;
+        cfg.ecc = EccProfile::tsd();
+        let span = dve_workloads::TraceGenerator::new(&p, cfg.engine.cores, 42).span_lines();
+        cfg.chaos = Some(ChaosConfig::random(
+            7,
+            &ChaosParams {
+                faults: 8,
+                horizon: 200_000,
+                transient_fraction: 0.5,
+                heal_after: Some(100_000),
+                channels_per_socket: cfg.channels_per_socket(),
+                line_span: span,
+                nodes: cfg.nodes(),
+            },
+        ));
+        let cores = cfg.engine.cores as u64;
+        let mut sys = System::new(cfg, &p, 42);
+        let mut rng = SplitMix64::new(0xF01D);
+        let mut want = LatencyHists::new();
+        let mut shapes = Vec::new();
+        for epoch in 0..40 {
+            let batch: Vec<ClientOp> = (0..1024 + 37 * (epoch % 5))
+                .map(|_| ClientOp {
+                    core: rng.next_below(cores) as usize,
+                    line: rng.next_below(span),
+                    req: if rng.next_below(10) < 7 {
+                        MemReq::Read
+                    } else {
+                        MemReq::Write
+                    },
+                })
+                .collect();
+            for c in sys.run_batch(&batch) {
+                want.record(&c.breakdown);
+                shapes.push(c.breakdown);
+            }
+            let got = sys.latency_hists();
+            assert_eq!(got, &want, "epoch {epoch}");
+            for c in Component::ALL {
+                for q in [0.5, 0.99, 0.999, 1.0] {
+                    assert_eq!(
+                        got.component(c).percentile(q),
+                        want.component(c).percentile(q),
+                        "epoch {epoch} {} p{q}",
+                        c.label()
+                    );
+                }
+            }
+            assert_eq!(got.total.percentile(0.99), want.total.percentile(0.99));
+        }
+        assert!(want.component(Component::Recovery).max() > 0, "no detour");
+        shapes.sort_unstable_by_key(|b| {
+            (
+                b.mesh,
+                b.link,
+                b.bank_queue,
+                b.bank_service,
+                b.protocol,
+                b.recovery,
+            )
+        });
+        shapes.dedup();
+        assert!(shapes.len() > 4 * LAT_FOLD_SLOTS, "{} shapes", shapes.len());
     }
 
     #[test]

@@ -497,12 +497,13 @@ fn lagging_core_reenters_an_outage_the_system_left() {
 
 /// A heal can take away the last hard-degraded copy in the same chaos
 /// poll that first sees its degradation (the read that degraded it ran
-/// between polls). The engine then enters §V-E and must leave it at the
-/// very next poll; leaving it only when the next fault event, outage
-/// edge or scrub slice falls due moves this run (46 501 cycles, 60
-/// replica reads).
+/// between polls). Here the engine is already in §V-E for an earlier
+/// copy, and that poll's heals remove both, so the poll must lift fault
+/// degradation rather than hold it for the new copy; held until the
+/// next fault event, outage edge or scrub slice falls due, this run
+/// takes 46 501 cycles with 60 replica reads.
 #[test]
-fn degradation_healed_in_its_own_poll_lifts_at_the_next() {
+fn degradation_healed_in_its_own_poll_lifts_in_that_poll() {
     let p = catalog()
         .into_iter()
         .find(|p| p.name == "backprop")

@@ -39,12 +39,40 @@ pub struct DramCoord {
 #[derive(Debug, Clone)]
 pub struct AddressMapper {
     cfg: DramConfig,
+    /// log2 of the line size: byte address → line index.
+    line_shift: u32,
+    /// Bit widths of the column, bank and rank fields of a line index.
+    col_bits: u32,
+    bank_bits: u32,
+    rank_bits: u32,
+}
+
+/// log2 of a geometry field that must be a power of two.
+fn log2_exact(field: &str, n: usize) -> u32 {
+    assert!(
+        n.is_power_of_two(),
+        "{field} must be a power of two for shift decoding, got {n}"
+    );
+    n.trailing_zeros()
 }
 
 impl AddressMapper {
     /// Creates a mapper for the given configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the line size, lines per row, banks per rank and
+    /// ranks per channel are all powers of two (true of every
+    /// [`DramConfig`] preset), since [`Self::decode`] splits the
+    /// address by shifts and masks.
     pub fn new(cfg: DramConfig) -> AddressMapper {
-        AddressMapper { cfg }
+        AddressMapper {
+            line_shift: log2_exact("line_bytes", cfg.line_bytes),
+            col_bits: log2_exact("lines per row", cfg.lines_per_row()),
+            bank_bits: log2_exact("banks_per_rank", cfg.banks_per_rank),
+            rank_bits: log2_exact("ranks_per_channel", cfg.ranks_per_channel),
+            cfg,
+        }
     }
 
     /// The configuration in use.
@@ -57,19 +85,17 @@ impl AddressMapper {
     /// Layout (low → high bits): line offset | column | bank | rank |
     /// row (row-major, open-page friendly).
     pub fn decode(&self, addr: u64) -> DramCoord {
-        let line = addr / self.cfg.line_bytes as u64;
-        let cols = self.cfg.lines_per_row() as u64;
-        let banks = self.cfg.banks_per_rank as u64;
-        let ranks = self.cfg.ranks_per_channel as u64;
-
-        let column = (line % cols) as usize;
-        let bank = ((line / cols) % banks) as usize;
-        let rank = ((line / (cols * banks)) % ranks) as usize;
-        let row = line / (cols * banks * ranks);
+        let field = |line: u64, bits: u32| (line & ((1 << bits) - 1)) as usize;
+        let line = addr >> self.line_shift;
+        let column = field(line, self.col_bits);
+        let line = line >> self.col_bits;
+        let bank = field(line, self.bank_bits);
+        let line = line >> self.bank_bits;
+        let rank = field(line, self.rank_bits);
         DramCoord {
             rank,
             bank,
-            row,
+            row: line >> self.rank_bits,
             column,
         }
     }
@@ -134,6 +160,15 @@ mod tests {
             banks_seen.insert(m.decode(i * row_span).bank);
         }
         assert_eq!(banks_seen.len(), 16, "16 consecutive rows hit 16 banks");
+    }
+
+    #[test]
+    #[should_panic(expected = "banks_per_rank must be a power of two")]
+    fn non_power_of_two_geometry_rejected() {
+        AddressMapper::new(DramConfig {
+            banks_per_rank: 12,
+            ..DramConfig::ddr4_2400()
+        });
     }
 
     #[test]

@@ -9,15 +9,29 @@
 //! thresholds are defined over. The `figures` bin's ablations use it to
 //! measure the exposure reduction Dvé's replication provides.
 //!
+//! Counts live in per-bank pages of 1024 row counters, indexed by
+//! `row / 1024` and allocated on a page's first activation, so
+//! recording one is two indexed loads and an increment (no hashing). A
+//! bank's page table holds one pointer per page up to the highest page
+//! touched: 64 for a Table II bank's 65 536 rows. The monitor also lists
+//! the rows the current window has activated; that list zeroes their
+//! counters at rollover, so the pages are reused window after window.
+//!
 //! The correlated row-hammer fault source asks [`RowHammerMonitor::rows_over`]
 //! for the rows past its trip point on every poll. Within a window a
 //! row's count only grows, one activation at a time, so it passes any
 //! threshold exactly once: the monitor keeps the rows that passed the
 //! lowest threshold queried so far in a list it appends to as they
-//! cross, and a query filters that list instead of scanning every row.
+//! cross, and a query filters that list instead of scanning every row
+//! the window touched.
 
-use dve_sim::hash::IntMap;
 use std::cell::RefCell;
+
+/// Row counters per page of a bank's count table.
+const PAGE_ROWS: usize = 1024;
+
+/// One page of row activation counts.
+type Page = Box<[u32; PAGE_ROWS]>;
 
 /// Tracks per-row activation counts within refresh windows.
 ///
@@ -36,7 +50,12 @@ use std::cell::RefCell;
 pub struct RowHammerMonitor {
     window_cycles: u64,
     window_start: u64,
-    counts: IntMap<(usize, u64), u64>,
+    /// Current-window counts: `pages[bank][row / PAGE_ROWS]`, slot
+    /// `row % PAGE_ROWS`; `None` until the page's first activation.
+    pages: Vec<Vec<Option<Page>>>,
+    /// Every `(bank, row)` with a non-zero count this window, in the
+    /// order of their first activation.
+    touched: Vec<(usize, u64)>,
     max_seen: u64,
     windows: u64,
     /// Index of the current window's rows over the lowest threshold
@@ -53,6 +72,12 @@ struct OverIndex {
     rows: Vec<(usize, u64)>,
 }
 
+/// The page index and in-page slot of `row`.
+fn page_of(row: u64) -> (usize, usize) {
+    let rows = PAGE_ROWS as u64;
+    ((row / rows) as usize, (row % rows) as usize)
+}
+
 impl RowHammerMonitor {
     /// Creates a monitor with the given refresh-window length in cycles
     /// (tREFW; activations reset each window because refresh restores
@@ -66,7 +91,8 @@ impl RowHammerMonitor {
         RowHammerMonitor {
             window_cycles,
             window_start: 0,
-            counts: IntMap::default(),
+            pages: Vec::new(),
+            touched: Vec::new(),
             max_seen: 0,
             windows: 0,
             over: RefCell::default(),
@@ -84,23 +110,53 @@ impl RowHammerMonitor {
     /// *new* window: refresh restored the victim rows at that instant,
     /// so its count starts the fresh window at 1.
     pub fn record_activation(&mut self, bank: usize, row: u64, now: u64) {
-        let over = self.over.get_mut();
         if now >= self.window_start + self.window_cycles {
-            self.counts.clear();
-            over.rows.clear();
+            for &(b, r) in &self.touched {
+                let (page, slot) = page_of(r);
+                self.pages[b][page]
+                    .as_mut()
+                    .expect("touched rows have pages")[slot] = 0;
+            }
+            self.touched.clear();
+            self.over.get_mut().rows.clear();
             // Snap the window origin forward, counting every elapsed
             // window (possibly several empty ones) as completed.
             let skipped = (now - self.window_start) / self.window_cycles;
             self.windows += skipped;
             self.window_start += skipped * self.window_cycles;
         }
-        let c = self.counts.entry((bank, row)).or_insert(0);
-        *c += 1;
-        self.max_seen = self.max_seen.max(*c);
+        let (page, slot) = page_of(row);
+        if bank >= self.pages.len() {
+            self.pages.resize_with(bank + 1, Vec::new);
+        }
+        let table = &mut self.pages[bank];
+        if page >= table.len() {
+            table.resize_with(page + 1, || None);
+        }
+        let c = &mut table[page].get_or_insert_with(|| Box::new([0; PAGE_ROWS]))[slot];
+        *c = c
+            .checked_add(1)
+            .expect("row activation count overflows u32");
+        let c = u64::from(*c);
+        if c == 1 {
+            self.touched.push((bank, row));
+        }
+        self.max_seen = self.max_seen.max(c);
         // Counts step by one, so reaching `floor + 1` is the crossing.
-        if over.floor == Some(*c - 1) {
+        let over = self.over.get_mut();
+        if over.floor == Some(c - 1) {
             over.rows.push((bank, row));
         }
+    }
+
+    /// The current-window count of `(bank, row)`, a row this window
+    /// touched.
+    fn count(&self, bank: usize, row: u64) -> u64 {
+        let (page, slot) = page_of(row);
+        let page = self.pages[bank][page]
+            .as_ref()
+            .expect("touched rows have pages");
+        u64::from(page[slot])
     }
 
     /// The largest activation count any row accumulated within a single
@@ -112,25 +168,26 @@ impl RowHammerMonitor {
     /// Rows whose current-window count exceeds `threshold` (candidates
     /// for targeted refresh / request throttling), sorted.
     ///
-    /// Scans every row of the window only on the first query and when
-    /// `threshold` is below every threshold queried before; otherwise
-    /// it filters the rows already known to be over the lowest one.
+    /// Scans every row the window touched only on the first query and
+    /// when `threshold` is below every threshold queried before;
+    /// otherwise it filters the rows already known to be over the
+    /// lowest one.
     pub fn rows_over(&self, threshold: u64) -> Vec<(usize, u64)> {
         let mut over = self.over.borrow_mut();
         if over.floor.is_none_or(|f| threshold < f) {
             over.floor = Some(threshold);
             over.rows = self
-                .counts
+                .touched
                 .iter()
-                .filter(|(_, &c)| c > threshold)
-                .map(|(&k, _)| k)
+                .copied()
+                .filter(|&(b, r)| self.count(b, r) > threshold)
                 .collect();
         }
         let mut v: Vec<(usize, u64)> = over
             .rows
             .iter()
             .copied()
-            .filter(|k| self.counts[k] > threshold)
+            .filter(|&(b, r)| self.count(b, r) > threshold)
             .collect();
         v.sort_unstable();
         v

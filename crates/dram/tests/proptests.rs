@@ -1,6 +1,6 @@
 //! Property-based tests for the DRAM substrate.
 
-use dve_dram::address::AddressMapper;
+use dve_dram::address::{AddressMapper, DramCoord};
 use dve_dram::config::DramConfig;
 use dve_dram::controller::{AccessKind, MemoryController};
 use dve_dram::fault::{FaultDomain, FaultState};
@@ -157,32 +157,49 @@ proptest! {
     }
 
     // The incremental `rows_over` index answers exactly like a scan of
-    // every row's in-window count: over random activations, thresholds
-    // queried in any order (a lower one after a higher one forces a
-    // rebuild) and window rollovers, including multi-window gaps.
+    // every row's in-window count, and `max_activations` is the largest
+    // count any row reached in one window: over random activations on
+    // all 16 banks, rows on both sides of the 1024-row page boundaries
+    // and sparse rows above 60 000, thresholds queried in any order (a
+    // lower one after a higher one forces a rebuild) and window
+    // rollovers, including multi-window gaps.
     #[test]
     fn rows_over_matches_brute_force_scan(
         ops in proptest::collection::vec(
-            (0u8..8, (0usize..3, 0u64..6), 0u64..12, 0u64..8),
-            1..400,
+            ((0u8..8, 0usize..16), (0u8..4, 0u64..4), 0u64..12, 0u64..8),
+            1..600,
         ),
     ) {
         const WINDOW: u64 = 500;
+        // Four row groups: the first rows of a bank, two straddling a
+        // page boundary, and sparse high rows a page or more apart.
+        let row_of = |group: u8, i: u64| match group {
+            0 => i,
+            1 => 1022 + i,
+            2 => 2046 + i,
+            _ => 60_000 + 5_000 * i,
+        };
         let mut m = RowHammerMonitor::new(WINDOW);
         let mut counts: HashMap<(usize, u64), u64> = HashMap::new();
+        let mut max_seen = 0u64;
         let mut window_start = 0u64;
         let mut now = 0u64;
-        for (kind, (bank, row), dt, threshold) in ops {
+        for ((kind, bank), (group, i), dt, threshold) in ops {
             if kind < 6 {
-                // Mostly short steps (several activations per row per
-                // window); now and then a gap of several windows.
+                // Mostly short steps on three hot banks (several
+                // activations per row per window); some on any bank;
+                // now and then a gap of several windows.
                 now += if kind == 5 { dt * 250 } else { dt };
+                let bank = if kind < 3 { bank % 3 } else { bank };
+                let row = row_of(group, i);
                 m.record_activation(bank, row, now);
                 if now >= window_start + WINDOW {
                     counts.clear();
                     window_start += (now - window_start) / WINDOW * WINDOW;
                 }
-                *counts.entry((bank, row)).or_insert(0) += 1;
+                let c = counts.entry((bank, row)).or_insert(0);
+                *c += 1;
+                max_seen = max_seen.max(*c);
             } else {
                 let mut want: Vec<(usize, u64)> = counts
                     .iter()
@@ -192,6 +209,7 @@ proptest! {
                 want.sort_unstable();
                 prop_assert_eq!(m.rows_over(threshold), want);
             }
+            prop_assert_eq!(m.max_activations(), max_seen);
         }
         // A final sweep over every threshold, high to low and back.
         for threshold in (0u64..12).rev().chain(0..12) {
@@ -204,5 +222,23 @@ proptest! {
             prop_assert_eq!(m.rows_over(threshold), want);
         }
         prop_assert!(m.rows_over(u64::MAX).is_empty());
+    }
+
+    // Shift-and-mask decoding equals the division formula for both
+    // geometries in the tree (Table II and the far tier).
+    #[test]
+    fn address_decode_matches_division_formula(addr in any::<u64>(), far in any::<bool>()) {
+        let cfg = if far { DramConfig::far_tier() } else { DramConfig::ddr4_2400() };
+        let line = addr / cfg.line_bytes as u64;
+        let cols = cfg.lines_per_row() as u64;
+        let banks = cfg.banks_per_rank as u64;
+        let ranks = cfg.ranks_per_channel as u64;
+        let want = DramCoord {
+            rank: ((line / (cols * banks)) % ranks) as usize,
+            bank: ((line / cols) % banks) as usize,
+            row: line / (cols * banks * ranks),
+            column: (line % cols) as usize,
+        };
+        prop_assert_eq!(AddressMapper::new(cfg).decode(addr), want);
     }
 }

@@ -9,8 +9,9 @@
 //!   pending or `epoch_wait_ms` has elapsed since the first pending
 //!   op, and routes completions back to sessions. All simulation state
 //!   is confined here; no locks on the simulation.
-//! * **Listener** (one thread) — non-blocking `accept` loop; spawns a
-//!   connection thread per client.
+//! * **Listener** (one thread) — blocking `accept` loop; spawns a
+//!   connection thread per client. Shutdown wakes it with a connection
+//!   of its own.
 //! * **Connection threads** — sniff HTTP (`GET /metrics`,
 //!   `GET /health`) vs the binary frame protocol; binary connections
 //!   register a session and relay ops/completions.
@@ -221,8 +222,12 @@ impl Service {
         self.telemetry.stop_accepting();
         self.shutdown.store(true, Ordering::Release);
         let _ = self.ctl.send(Msg::Shutdown);
+        // The listener blocks in `accept`: a connection wakes it to see
+        // the flag. If none can be made, it is left blocked rather than
+        // joined.
+        let woke = TcpStream::connect(self.addr).is_ok();
         let report = self.runner.take().and_then(|r| r.join().ok().flatten());
-        if let Some(l) = self.listener.take() {
+        if let Some(l) = self.listener.take().filter(|_| woke) {
             let _ = l.join();
         }
         report.unwrap_or_else(|| {
@@ -313,7 +318,9 @@ fn run_epochs(mut epochs: EpochLoop, wait: Duration, rx: Receiver<Msg>) -> Servi
     }
 }
 
-/// Accept loop. Non-blocking so shutdown can interrupt it.
+/// Accept loop. It blocks in `accept`, so a client is served as soon as
+/// it connects; [`Service::shutdown`] sets the flag and then connects
+/// to wake it.
 fn run_listener(
     tcp: TcpListener,
     cores: usize,
@@ -321,9 +328,12 @@ fn run_listener(
     telemetry: Arc<Telemetry>,
     shutdown: Arc<AtomicBool>,
 ) {
-    tcp.set_nonblocking(true).expect("set_nonblocking");
-    while !shutdown.load(Ordering::Acquire) {
-        match tcp.accept() {
+    loop {
+        let accepted = tcp.accept();
+        if shutdown.load(Ordering::Acquire) {
+            break;
+        }
+        match accepted {
             Ok((stream, _)) => {
                 let ctl = ctl.clone();
                 let telemetry = Arc::clone(&telemetry);
@@ -333,9 +343,6 @@ fn run_listener(
                     .spawn(move || {
                         let _ = serve_connection(stream, cores, ctl, telemetry, shutdown);
                     });
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
             }
             Err(_) => break,
         }

@@ -3,10 +3,9 @@
 //! The standard library's `HashMap` defaults to SipHash with a random
 //! per-process key: flood-resistant, but several times the cost of the
 //! lookups it guards, and a different iteration order on every run.
-//! The directory and row-hammer maps are keyed by line addresses,
-//! region bases and `(bank, row)` pairs, so [`IntHasher`] does one
-//! multiply per integer word and folds the high bits of the product
-//! into the low bits when finishing.
+//! The directory maps are keyed by line addresses and region bases, so
+//! [`IntHasher`] does one multiply per integer word and folds the high
+//! bits of the product into the low bits when finishing.
 //!
 //! The fold matters: hashbrown picks a bucket from the *low* bits of the
 //! hash, and the low bits of a product depend only on the low bits of

@@ -13,7 +13,7 @@
 //! * [`stats`] — the [`stats::LogHistogram`] latency histogram and the
 //!   geometric-mean aggregation the paper reports.
 //! * [`hash`] — [`hash::IntHasher`], the deterministic integer hasher
-//!   behind the directory and row-hammer maps ([`hash::IntMap`]).
+//!   behind the directory maps ([`hash::IntMap`]).
 //! * [`rng`] — a tiny, dependency-free, seedable [`rng::SplitMix64`]
 //!   generator for components that need cheap deterministic randomness
 //!   without pulling `rand` into the simulation core.

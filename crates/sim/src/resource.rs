@@ -123,21 +123,36 @@ impl Resource {
 
     /// Admits a request arriving at `now` needing `service` cycles.
     pub fn acquire(&mut self, now: u64, service: u64) -> Grant {
-        // One scan finds the slot, reads its free time and books it.
-        let start = match &mut self.slots {
+        self.issue(now, service).0
+    }
+
+    /// Admits a request like [`Resource::acquire`] and also returns
+    /// [`Resource::earliest_available`] after the booking, from the
+    /// same slot scan: it finds the earliest- and second-earliest-free
+    /// slots (ties: lowest index), books the first, and the port next
+    /// frees at the earlier of the booked slot's end and the second.
+    pub fn issue(&mut self, now: u64, service: u64) -> (Grant, u64) {
+        let (start, free_at) = match &mut self.slots {
             Some(slots) => {
-                let best = Self::best_slot(slots);
-                let start = now.max(slots[best]);
+                let (mut best, mut first, mut second) = (0, slots[0], u64::MAX);
+                for (i, &free) in slots.iter().enumerate().skip(1) {
+                    if free < first {
+                        (best, first, second) = (i, free, first);
+                    } else if free < second {
+                        second = free;
+                    }
+                }
+                let start = now.max(first);
                 slots[best] = start + service;
-                start
+                (start, second.min(start + service))
             }
-            None => now,
+            None => (now, 0),
         };
         let grant = Self::grant(now, start, service);
         self.stats.grants += 1;
         self.stats.busy_cycles += service;
         self.stats.queue_cycles += grant.queued;
-        grant
+        (grant, free_at)
     }
 
     /// The grant a request *would* receive, without admitting it or

@@ -1,6 +1,7 @@
 //! Property-based tests for the simulation engine primitives.
 
 use dve_sim::event::EventQueue;
+use dve_sim::resource::Resource;
 use dve_sim::rng::SplitMix64;
 use dve_sim::stats::{geomean, LogHistogram};
 use dve_sim::time::{Cycles, Frequency, Nanos};
@@ -89,6 +90,25 @@ proptest! {
         let expected = draws as f64 / bound as f64;
         for c in counts {
             prop_assert!((c as f64) < expected * 6.0 + 10.0);
+        }
+    }
+
+    // `Resource::issue` books the same grant as `acquire` and returns
+    // what `earliest_available` reads afterwards, from one slot scan:
+    // arrivals out of order, ties between equally free slots and
+    // zero-length services included.
+    #[test]
+    fn issue_matches_acquire_then_earliest_available(
+        ways in 1usize..9,
+        reqs in proptest::collection::vec((0u64..200, 0u64..60), 1..120),
+    ) {
+        let mut scanned = Resource::new(ways);
+        let mut issued = Resource::new(ways);
+        for (now, service) in reqs {
+            let grant = scanned.acquire(now, service);
+            let free_at = scanned.earliest_available();
+            prop_assert_eq!(issued.issue(now, service), (grant, free_at));
+            prop_assert_eq!(&issued, &scanned);
         }
     }
 }
