@@ -81,7 +81,7 @@ fn sweep(gate: &mut Gate, p: &WorkloadProfile, ops: u64) -> String {
             let nodes = sys.config().nodes();
             let used_edges = (0..nodes)
                 .flat_map(|a| (0..nodes).map(move |b| (a, b)))
-                .filter(|&(a, b)| a != b && link.edge_stats(a, b).grants > 0)
+                .filter(|&(a, b)| a != b && link.edge_counts(a, b).messages > 0)
                 .count();
             let _ = writeln!(
                 report,
@@ -91,8 +91,8 @@ fn sweep(gate: &mut Gate, p: &WorkloadProfile, ops: u64) -> String {
                 nodes,
                 r.cycles,
                 r.engine.replica_reads,
-                link.total_messages(),
-                link.total_bytes(),
+                sys.fabric().traffic().total_messages(),
+                sys.fabric().traffic().total_bytes(),
                 used_edges
             );
         }
@@ -102,7 +102,7 @@ fn sweep(gate: &mut Gate, p: &WorkloadProfile, ops: u64) -> String {
     let link3 = sys3.fabric().link_table();
     let active = (0..3)
         .flat_map(|a| (0..3).map(move |b| (a, b)))
-        .filter(|&(a, b)| a != b && link3.edge_stats(a, b).grants > 0)
+        .filter(|&(a, b)| a != b && link3.edge_counts(a, b).messages > 0)
         .count();
     gate.check(
         active == 6,

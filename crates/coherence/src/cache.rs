@@ -51,8 +51,6 @@ pub struct SetAssocCache {
     ways: usize,
     set_mask: u64,
     tick: u64,
-    hits: u64,
-    misses: u64,
 }
 
 impl SetAssocCache {
@@ -76,8 +74,6 @@ impl SetAssocCache {
             ways,
             set_mask: (num_sets - 1) as u64,
             tick: 0,
-            hits: 0,
-            misses: 0,
         }
     }
 
@@ -95,23 +91,20 @@ impl SetAssocCache {
         (addr & self.set_mask) as usize
     }
 
-    /// Looks up `addr`, updating LRU and hit/miss counters. Returns the
-    /// state if present.
+    /// Looks up `addr`, updating LRU. Returns the state if present.
+    /// The engine counts L1 and LLC hits ([`EngineStats`]).
+    ///
+    /// [`EngineStats`]: crate::engine::EngineStats
     pub fn lookup(&mut self, addr: LineAddr) -> Option<CacheState> {
         self.tick += 1;
         let tick = self.tick;
         let set = self.set_of(addr);
-        if let Some(line) = self.sets[set].iter_mut().find(|l| l.addr == addr) {
-            line.lru = tick;
-            self.hits += 1;
-            Some(line.state)
-        } else {
-            self.misses += 1;
-            None
-        }
+        let line = self.sets[set].iter_mut().find(|l| l.addr == addr)?;
+        line.lru = tick;
+        Some(line.state)
     }
 
-    /// Returns the state of `addr` without touching LRU or counters.
+    /// Returns the state of `addr` without touching LRU.
     pub fn state_of(&self, addr: LineAddr) -> Option<CacheState> {
         let set = self.set_of(addr);
         self.sets[set]
@@ -196,26 +189,6 @@ impl SetAssocCache {
             .position(|l| l.addr == addr)
             .map(|i| lines.swap_remove(i).state)
     }
-
-    /// Hit count since construction.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Miss count since construction.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Hit rate in [0, 1]; 0 when no accesses.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -242,9 +215,7 @@ mod tests {
         assert_eq!(c.lookup(4), None);
         c.insert(4, CacheState::S);
         assert_eq!(c.lookup(4), Some(CacheState::S));
-        assert_eq!(c.hits(), 1);
-        assert_eq!(c.misses(), 1);
-        assert!((c.hit_rate() - 0.5).abs() < 1e-12);
+        assert_eq!(c.lookup(6), None, "same set, not resident");
     }
 
     #[test]

@@ -35,8 +35,6 @@ pub struct DirCache {
     entries: IntMap<LineAddr, u64>,
     lru: BTreeMap<u64, LineAddr>,
     tick: u64,
-    hits: u64,
-    misses: u64,
 }
 
 impl DirCache {
@@ -52,8 +50,6 @@ impl DirCache {
             entries: IntMap::default(),
             lru: BTreeMap::new(),
             tick: 0,
-            hits: 0,
-            misses: 0,
         }
     }
 
@@ -66,10 +62,8 @@ impl DirCache {
         if let Some(old) = self.entries.insert(line, tick) {
             self.lru.remove(&old);
             self.lru.insert(tick, line);
-            self.hits += 1;
             return true;
         }
-        self.misses += 1;
         if self.entries.len() > self.capacity {
             let (&t, &victim) = self.lru.iter().next().expect("non-empty over capacity");
             self.lru.remove(&t);
@@ -77,26 +71,6 @@ impl DirCache {
         }
         self.lru.insert(tick, line);
         false
-    }
-
-    /// Hits observed.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Misses observed.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Hit rate in [0, 1].
-    pub fn hit_rate(&self) -> f64 {
-        let t = self.hits + self.misses;
-        if t == 0 {
-            0.0
-        } else {
-            self.hits as f64 / t as f64
-        }
     }
 
     /// Live entries.
@@ -120,9 +94,7 @@ mod tests {
         assert!(!dc.access(1));
         assert!(dc.access(1));
         assert!(dc.access(1));
-        assert_eq!(dc.hits(), 2);
-        assert_eq!(dc.misses(), 1);
-        assert!((dc.hit_rate() - 2.0 / 3.0).abs() < 1e-12);
+        assert_eq!(dc.len(), 1);
     }
 
     #[test]

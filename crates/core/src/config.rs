@@ -165,6 +165,11 @@ impl std::str::FromStr for TopologySpec {
     }
 }
 
+/// Dynamic protocol: operations per thread in each profiling window
+/// (per the paper: 100M instructions of each scheme per 1B-instruction
+/// epoch — scaled to our run lengths as a 1:10 ratio).
+pub const DYNAMIC_WINDOW: u64 = 5_000;
+
 /// Full system configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SystemConfig {
@@ -188,10 +193,6 @@ pub struct SystemConfig {
     pub ops_per_thread: u64,
     /// Warm-up operations per thread (caches/structures, not measured).
     pub warmup_per_thread: u64,
-    /// Dynamic protocol: operations per profiling window (per the paper:
-    /// 100M instructions of each scheme per 1B-instruction epoch —
-    /// scaled to our run lengths as a 1:10 ratio).
-    pub dynamic_window: u64,
     /// Outstanding misses a core may have in flight (MSHR ways). The
     /// default of 1 reproduces the blocking-core runner cycle-for-cycle
     /// (the pinned-golden regime); larger values let cores overlap
@@ -232,7 +233,6 @@ impl SystemConfig {
             speculative: true,
             ops_per_thread: 50_000,
             warmup_per_thread: 5_000,
-            dynamic_window: 5_000,
             mshrs: 1,
             pdes_workers: 1,
             degraded: false,

@@ -54,7 +54,8 @@ use dve_coherence::engine::Mode;
 use dve_coherence::fabric::Fabric;
 use dve_coherence::types::LineAddr;
 use dve_dram::config::DramConfig;
-use dve_dram::controller::{AccessKind, AccessResult, MemoryController};
+use dve_dram::controller::{AccessKind, AccessResult, ControllerStats, MemoryController};
+use dve_dram::energy::EnergyParams;
 use dve_dram::fault::FaultDomain;
 use dve_dram::scrub::Scrubber;
 use dve_noc::link::{LinkSendOutcome, LinkTable};
@@ -81,7 +82,7 @@ pub struct SystemFabric {
     mesh: Mesh,
     cores_per_socket: usize,
     /// Per-edge point-to-point links over the configured topology (one
-    /// pipelined port per ordered node pair; the paper's two sockets
+    /// pipelined edge per ordered node pair; the paper's two sockets
     /// are the two-node table).
     link: LinkTable,
     /// The placement map the engine shares: line → home node / replica
@@ -211,15 +212,19 @@ impl SystemFabric {
         self.place
     }
 
-    /// Sums DRAM energy across all controllers into one model.
-    pub fn total_energy(&self) -> dve_dram::energy::EnergyModel {
-        let mut total = dve_dram::energy::EnergyModel::default();
-        for socket in &self.ctrls {
-            for c in socket {
-                total.merge(c.energy());
-            }
+    /// Every controller's statistics, summed.
+    pub fn dram_stats(&self) -> ControllerStats {
+        let mut total = ControllerStats::default();
+        for c in self.ctrls.iter().flatten() {
+            total.merge(&c.stats());
         }
         total
+    }
+
+    /// Dynamic DRAM energy so far across all controllers, in joules,
+    /// priced from their summed command counts.
+    pub fn total_energy(&self) -> f64 {
+        EnergyParams::dynamic_joules(&self.dram_stats())
     }
 
     fn byte_addr(&self, line: LineAddr) -> u64 {
@@ -937,8 +942,15 @@ mod tests {
         let mut f = SystemFabric::new(&SystemConfig::table_ii(Scheme::DveDeny));
         f.mem_read(0, 1, Stamp::start(0));
         f.replica_write(1, 1, Stamp::start(0));
-        let e = f.total_energy();
-        assert_eq!(e.reads(), 1);
-        assert_eq!(e.writes(), 1);
+        let s = f.dram_stats();
+        assert_eq!((s.reads, s.writes), (1, 1));
+        let per_controller: f64 = f
+            .controllers()
+            .iter()
+            .flatten()
+            .map(|c| EnergyParams::dynamic_joules(&c.stats()))
+            .sum();
+        assert!(f.total_energy() > 0.0);
+        assert!((f.total_energy() - per_controller).abs() < 1e-18);
     }
 }

@@ -15,7 +15,7 @@
 //! for the rest of the epoch (§V-C5).
 
 use crate::chaos::{FaultEvent, FaultSourceKind, RecoveryLedger, ScrubConfig};
-use crate::config::{Scheme, SystemConfig};
+use crate::config::{Scheme, SystemConfig, DYNAMIC_WINDOW};
 use crate::fabric_impl::SystemFabric;
 use crate::fault_source::{build_sources, FaultSource};
 use crate::pdes::TraceSupply;
@@ -586,7 +586,7 @@ impl System {
         self.lat_hists = LatencyHists::new();
         self.region = Some(RegionStart {
             traffic: self.fabric.traffic().clone(),
-            dyn_joules: self.fabric.total_energy().dynamic_joules(),
+            dyn_joules: self.fabric.total_energy(),
             breakdown: self.engine.stats().latency_breakdown,
             class: (0..self.cfg.engine.sockets)
                 .map(|s| self.engine.home_dir(s).class_counts())
@@ -725,7 +725,7 @@ impl System {
             .stats()
             .latency_breakdown
             .delta_since(&region.breakdown);
-        let dyn_joules = self.fabric.total_energy().dynamic_joules() - region.dyn_joules;
+        let dyn_joules = self.fabric.total_energy() - region.dyn_joules;
         let seconds = CORE_CLOCK.nanos_for(Cycles(cycles)) * 1e-9;
         // Background power of the full DIMM population over the region.
         let background = EnergyParams::background_joules(self.cfg.total_ranks(), seconds);
@@ -754,20 +754,15 @@ impl System {
             }
         }
 
-        let mut rows = (0u64, 0u64, 0u64);
-        let mut queue = (0u64, 0u64);
-        let mut max_row_activations = 0u64;
-        for socket in self.fabric.controllers() {
-            for c in socket {
-                let st = c.stats();
-                rows.0 += st.row_hits;
-                rows.1 += st.row_misses;
-                rows.2 += st.row_conflicts;
-                queue.0 += st.reads + st.writes;
-                queue.1 += st.queue_delay_sum;
-                max_row_activations = max_row_activations.max(c.rowhammer().max_activations());
-            }
-        }
+        let dram = self.fabric.dram_stats();
+        let max_row_activations = self
+            .fabric
+            .controllers()
+            .iter()
+            .flatten()
+            .map(|c| c.rowhammer().max_activations())
+            .max()
+            .unwrap_or(0);
         RunResult {
             scheme: self.cfg.scheme,
             workload: self.workload.clone(),
@@ -781,8 +776,8 @@ impl System {
             mem_energy_joules: mem_energy,
             seconds,
             mem_edp: mem_energy * seconds,
-            dram_rows: rows,
-            dram_queue: queue,
+            dram_rows: (dram.row_hits, dram.row_misses, dram.row_conflicts),
+            dram_queue: (dram.reads + dram.writes, dram.queue_delay_sum),
             max_row_activations,
             recovery: self.fabric.ledger(),
             latency_hist: self.lat_hists.clone(),
@@ -811,7 +806,7 @@ impl System {
     /// [`System::step_ops`].
     fn run_dynamic(&mut self) {
         let total = self.cfg.ops_per_thread;
-        let window = self.cfg.dynamic_window.max(1);
+        let window = DYNAMIC_WINDOW;
         // One epoch = 2 profiling windows + 8 windows of the winner
         // (the paper's 100M-per-1B ratio, scaled).
         let epoch_body = window * 8;

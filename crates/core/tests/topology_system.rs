@@ -258,3 +258,65 @@ fn four_node_schedules_target_upper_nodes() {
     );
     assert!(sched.events().iter().all(|e| e.socket < 4));
 }
+
+/// Each link send is counted once in each of its two projections: the
+/// per-edge counts on the link table and the fabric's per-class
+/// `TrafficStats`. A chaos run with link outages and in-band recovery
+/// legs (Dvé's detour crosses the link, some sends retry or fail;
+/// Intel-mirroring++'s detour stays on its socket and is in neither)
+/// must leave the two totals equal, on the mirror pair and on four
+/// nodes with a per-edge outage.
+#[test]
+fn link_edges_and_traffic_count_each_send_once() {
+    let controller_fault = |socket| FaultEvent {
+        at: 0,
+        socket,
+        channel: 0,
+        action: FaultAction::Plant {
+            site: FaultSite::Controller,
+            transient: false,
+        },
+    };
+    let cases = [
+        (Scheme::DveDeny, TopologySpec::Mirror2, 0),
+        (Scheme::IntelMirrorPlus, TopologySpec::Mirror2, 0),
+        (Scheme::DveDeny, TopologySpec::Nway(4), 2),
+    ];
+    for (scheme, spec, socket) in cases {
+        let mut cfg = topo_config(scheme, spec, 300);
+        cfg.ecc = EccProfile::tsd();
+        cfg.chaos = Some(ChaosConfig {
+            schedule: FaultSchedule::new(vec![controller_fault(socket)]),
+            link_outages: vec![(2_000, 12_000), (40_000, 60_000)],
+            edge_outages: match spec {
+                TopologySpec::Nway(_) => vec![(2, 0, vec![(0, 30_000)])],
+                _ => Vec::new(),
+            },
+            ..ChaosConfig::inert()
+        });
+        let mut sys = System::new(cfg, &backprop(), 42);
+        sys.warm_up();
+        sys.begin_region();
+        sys.step_ops(300);
+        let r = sys.finish_region();
+        let l = r.recovery;
+        assert!(l.detected_reads > 0, "{scheme:?} {spec}: the fault bites");
+        // Dvé's detour legs meet the outages; mirroring's never cross.
+        let crosses = scheme.is_dve();
+        assert_eq!(l.link_retries > 0, crosses, "{scheme:?} {spec}: {l:?}");
+        assert_eq!(l.link_failed_sends > 0, crosses, "{scheme:?} {spec}: {l:?}");
+        let fabric = sys.fabric();
+        let nodes = sys.config().nodes();
+        let on_edges: u64 = (0..nodes)
+            .flat_map(|a| (0..nodes).map(move |b| (a, b)))
+            .filter(|&(a, b)| a != b)
+            .map(|(a, b)| fabric.link_table().edge_counts(a, b).messages)
+            .sum();
+        assert!(on_edges > 0, "{scheme:?} {spec}");
+        assert_eq!(
+            on_edges,
+            fabric.traffic().total_messages(),
+            "{scheme:?} {spec}: {l:?}"
+        );
+    }
+}

@@ -1,11 +1,9 @@
 //! Per-bank row-buffer state machine.
 //!
-//! Bank occupancy used to be a bare `busy_until` timestamp with the
-//! queueing arithmetic inlined at each use; it now sits on a
-//! single-way [`dve_sim::resource::Resource`] port, so a busy bank
-//! queues requests through the same audited primitive as every other
-//! timed substrate, and the queue/service split is read straight off
-//! the returned [`Grant`].
+//! Bank occupancy sits on a single-way [`dve_sim::resource::Resource`]
+//! port, so a busy bank queues requests through the same primitive as
+//! the per-core MSHR files, and the queue/service split is read
+//! straight off the returned [`Grant`].
 
 use dve_sim::resource::{Grant, Resource};
 use dve_sim::time::Cycles;
@@ -59,11 +57,6 @@ impl Bank {
     /// Earliest time the bank can start a new operation.
     pub fn busy_until(&self) -> Cycles {
         Cycles(self.port.drained_at())
-    }
-
-    /// The bank's occupancy port (grants, busy cycles, queue cycles).
-    pub fn port(&self) -> &Resource {
-        &self.port
     }
 
     /// Classifies an access to `row` without performing it.
@@ -183,7 +176,7 @@ mod tests {
             "second request waits for the bank"
         );
         assert_eq!(g2.queued, g1.complete_at - 1, "wait is charged as queueing");
-        assert_eq!(b.port().stats().queue_cycles, g2.queued);
+        assert_eq!(b.busy_until(), Cycles(g2.complete_at));
     }
 
     #[test]

@@ -11,11 +11,9 @@
 use crate::address::AddressMapper;
 use crate::bank::{Bank, RowOutcome};
 use crate::config::DramConfig;
-use crate::energy::EnergyModel;
 use crate::fault::FaultState;
 use crate::rowhammer::RowHammerMonitor;
 use dve_ecc::code::CheckOutcome;
-use dve_sim::event::EventQueue;
 use dve_sim::time::Cycles;
 
 /// Read or write.
@@ -81,17 +79,11 @@ impl EccProfile {
     }
 }
 
-/// Periodic maintenance operations the controller self-schedules on its
-/// internal [`EventQueue`]. Today this is only refresh; scrub and
-/// rowhammer mitigation sweeps slot in as further variants without
-/// touching the access path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum MaintEvent {
-    /// An all-bank auto-refresh (tREFI cadence, tRFC busy window).
-    Refresh,
-}
-
-/// Aggregated controller statistics.
+/// Aggregated controller statistics: the one count of every DRAM
+/// command the controller issues. Memory energy is priced from these
+/// counts ([`EnergyParams::dynamic_joules`]).
+///
+/// [`EnergyParams::dynamic_joules`]: crate::energy::EnergyParams::dynamic_joules
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ControllerStats {
     /// Total read accesses.
@@ -115,6 +107,21 @@ pub struct ControllerStats {
     pub queue_delay_sum: u64,
 }
 
+impl ControllerStats {
+    /// Adds another controller's counts into these.
+    pub fn merge(&mut self, other: &ControllerStats) {
+        self.reads += other.reads;
+        self.writes += other.writes;
+        self.row_hits += other.row_hits;
+        self.row_misses += other.row_misses;
+        self.row_conflicts += other.row_conflicts;
+        self.refreshes += other.refreshes;
+        self.corrected_errors += other.corrected_errors;
+        self.detected_errors += other.detected_errors;
+        self.queue_delay_sum += other.queue_delay_sum;
+    }
+}
+
 /// One channel's memory controller.
 ///
 /// # Example
@@ -133,13 +140,12 @@ pub struct MemoryController {
     channel: usize,
     mapper: AddressMapper,
     banks: Vec<Bank>,
-    energy: EnergyModel,
     faults: FaultState,
     stats: ControllerStats,
     ecc: EccProfile,
-    /// Self-scheduled maintenance (refresh today; scrub/mitigation later).
-    /// Pre-sized so steady-state rescheduling never reallocates.
-    maintenance: EventQueue<MaintEvent>,
+    /// When the next all-bank auto-refresh is due (every tREFI from
+    /// tREFI on); `None` when refresh is disabled.
+    next_refresh: Option<u64>,
     hammer: RowHammerMonitor,
 }
 
@@ -147,21 +153,15 @@ impl MemoryController {
     /// Creates a controller for channel `channel`.
     pub fn new(channel: usize, cfg: DramConfig) -> MemoryController {
         let banks = vec![Bank::new(); cfg.total_banks()];
-        let t_refi = cfg.t_refi;
-        let refresh_enabled = cfg.refresh_enabled;
-        let mut maintenance = EventQueue::with_capacity(4);
-        if refresh_enabled {
-            maintenance.push(t_refi.raw(), MaintEvent::Refresh);
-        }
+        let next_refresh = cfg.refresh_enabled.then_some(cfg.t_refi.raw());
         MemoryController {
             channel,
             mapper: AddressMapper::new(cfg),
             banks,
-            energy: EnergyModel::default(),
             faults: FaultState::new(),
             stats: ControllerStats::default(),
             ecc: EccProfile::chipkill(),
-            maintenance,
+            next_refresh,
             hammer: RowHammerMonitor::ddr4_default(),
         }
     }
@@ -192,11 +192,6 @@ impl MemoryController {
         self.stats
     }
 
-    /// The energy model (for EDP computation).
-    pub fn energy(&self) -> &EnergyModel {
-        &self.energy
-    }
-
     /// Mutable access to the fault state (for fault-injection campaigns).
     pub fn faults_mut(&mut self) -> &mut FaultState {
         &mut self.faults
@@ -207,27 +202,18 @@ impl MemoryController {
         &self.faults
     }
 
-    /// Drains maintenance events due at or before `now`, applying their
-    /// effects and rescheduling the periodic ones. Refresh semantics are
-    /// unchanged from the original counter-based implementation: each
-    /// elapsed tREFI boundary forces every bank busy through tRFC.
+    /// Issues every refresh due at or before `now`: each elapsed tREFI
+    /// boundary forces every bank busy through tRFC.
     fn catch_up_refresh(&mut self, now: Cycles) {
-        while self.maintenance.peek_time().is_some_and(|t| t <= now.raw()) {
-            let (at, event) = self.maintenance.pop().expect("peeked event vanished");
-            match event {
-                MaintEvent::Refresh => {
-                    let cfg = self.mapper.config();
-                    let (t_rfc, t_refi) = (cfg.t_rfc, cfg.t_refi);
-                    let until = Cycles(at) + t_rfc;
-                    for b in &mut self.banks {
-                        b.force_busy(until);
-                    }
-                    self.energy.count_refresh();
-                    self.stats.refreshes += 1;
-                    self.maintenance
-                        .push(at + t_refi.raw(), MaintEvent::Refresh);
-                }
+        while let Some(at) = self.next_refresh.filter(|&at| at <= now.raw()) {
+            let cfg = self.mapper.config();
+            let (t_rfc, t_refi) = (cfg.t_rfc, cfg.t_refi);
+            let until = Cycles(at) + t_rfc;
+            for b in &mut self.banks {
+                b.force_busy(until);
             }
+            self.stats.refreshes += 1;
+            self.next_refresh = Some(at + t_refi.raw());
         }
     }
 
@@ -252,24 +238,16 @@ impl MemoryController {
             RowOutcome::Hit => self.stats.row_hits += 1,
             RowOutcome::Miss => {
                 self.stats.row_misses += 1;
-                self.energy.count_activate();
                 self.hammer.record_activation(flat, coord.row, grant.start);
             }
             RowOutcome::Conflict => {
                 self.stats.row_conflicts += 1;
-                self.energy.count_activate();
                 self.hammer.record_activation(flat, coord.row, grant.start);
             }
         }
         match kind {
-            AccessKind::Read => {
-                self.stats.reads += 1;
-                self.energy.count_read();
-            }
-            AccessKind::Write => {
-                self.stats.writes += 1;
-                self.energy.count_write();
-            }
+            AccessKind::Read => self.stats.reads += 1,
+            AccessKind::Write => self.stats.writes += 1,
         }
         let finish = Cycles(grant.complete_at);
         AccessResult {
@@ -282,8 +260,8 @@ impl MemoryController {
 
     /// Whether a read of `addr` would report detected-uncorrectable
     /// under the current fault state and ECC capability — the pure
-    /// predicate behind [`read_with_check`], with no timing, stats or
-    /// energy side effects. The recovery layer uses it to re-validate
+    /// predicate behind [`read_with_check`], with no timing or stats
+    /// side effects. The recovery layer uses it to re-validate
     /// degraded-line records after heal events.
     ///
     /// [`read_with_check`]: MemoryController::read_with_check
@@ -390,7 +368,6 @@ mod tests {
         m.access(0, AccessKind::Write, Cycles(0));
         assert_eq!(m.stats().writes, 1);
         assert_eq!(m.stats().reads, 0);
-        assert_eq!(m.energy().writes(), 1);
     }
 
     #[test]

@@ -6,7 +6,10 @@
 //! [Barroso et al.]. We use representative per-operation energies derived
 //! from Micron 8 Gb DDR4-2400 IDD figures (VDD = 1.2 V); absolute joules
 //! are not the point — the *relative* EDP between baseline and replicated
-//! configurations is.
+//! configurations is. The operation counts are the memory controller's
+//! own [`ControllerStats`]; this module only prices them.
+
+use crate::controller::ControllerStats;
 
 /// The Micron 8 Gb DDR4-2400 energy figures (VDD = 1.2 V): per-operation
 /// dynamic energies and the per-rank background power.
@@ -26,86 +29,35 @@ impl EnergyParams {
     /// milliwatts (IDD2N/3N class plus peripheral overheads, ≈150 mW).
     pub const BACKGROUND_MW_PER_RANK: f64 = 150.0;
 
+    /// Dynamic energy of the commands a controller counted, in joules:
+    /// one activate+precharge per row miss or conflict, one burst per
+    /// read or write, and one per refresh. Summing [`ControllerStats`]
+    /// over controllers before pricing gives the system total.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use dve_dram::controller::ControllerStats;
+    /// use dve_dram::energy::EnergyParams;
+    ///
+    /// let stats = ControllerStats { reads: 1, row_misses: 1, ..Default::default() };
+    /// let expect = (EnergyParams::ACT_PRE_NJ + EnergyParams::READ_NJ) * 1e-9;
+    /// assert!((EnergyParams::dynamic_joules(&stats) - expect).abs() < 1e-18);
+    /// ```
+    pub fn dynamic_joules(stats: &ControllerStats) -> f64 {
+        let activates = stats.row_misses + stats.row_conflicts;
+        (activates as f64 * Self::ACT_PRE_NJ
+            + stats.reads as f64 * Self::READ_NJ
+            + stats.writes as f64 * Self::WRITE_NJ
+            + stats.refreshes as f64 * Self::REFRESH_NJ)
+            * 1e-9
+    }
+
     /// Background energy of `ranks` ranks held in standby for
     /// `seconds`, in joules. The system's memory energy is
-    /// [`EnergyModel::dynamic_joules`] plus this term.
+    /// [`EnergyParams::dynamic_joules`] plus this term.
     pub fn background_joules(ranks: usize, seconds: f64) -> f64 {
         Self::BACKGROUND_MW_PER_RANK * 1e-3 * ranks as f64 * seconds
-    }
-}
-
-/// Counts the DRAM operations that cost dynamic energy.
-///
-/// # Example
-///
-/// ```
-/// use dve_dram::energy::{EnergyModel, EnergyParams};
-///
-/// let mut e = EnergyModel::default();
-/// e.count_read();
-/// e.count_activate();
-/// let expect = (EnergyParams::ACT_PRE_NJ + EnergyParams::READ_NJ) * 1e-9;
-/// assert!((e.dynamic_joules() - expect).abs() < 1e-18);
-/// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct EnergyModel {
-    activates: u64,
-    reads: u64,
-    writes: u64,
-    refreshes: u64,
-}
-
-impl EnergyModel {
-    /// Records one activate+precharge.
-    pub fn count_activate(&mut self) {
-        self.activates += 1;
-    }
-
-    /// Records one read burst.
-    pub fn count_read(&mut self) {
-        self.reads += 1;
-    }
-
-    /// Records one write burst.
-    pub fn count_write(&mut self) {
-        self.writes += 1;
-    }
-
-    /// Records one refresh command.
-    pub fn count_refresh(&mut self) {
-        self.refreshes += 1;
-    }
-
-    /// Merges counts from another model (e.g. per-channel submodels).
-    pub fn merge(&mut self, other: &EnergyModel) {
-        self.activates += other.activates;
-        self.reads += other.reads;
-        self.writes += other.writes;
-        self.refreshes += other.refreshes;
-    }
-
-    /// Number of read bursts recorded.
-    pub fn reads(&self) -> u64 {
-        self.reads
-    }
-
-    /// Number of write bursts recorded.
-    pub fn writes(&self) -> u64 {
-        self.writes
-    }
-
-    /// Number of activates recorded.
-    pub fn activates(&self) -> u64 {
-        self.activates
-    }
-
-    /// Dynamic energy only (no background), in joules.
-    pub fn dynamic_joules(&self) -> f64 {
-        (self.activates as f64 * EnergyParams::ACT_PRE_NJ
-            + self.reads as f64 * EnergyParams::READ_NJ
-            + self.writes as f64 * EnergyParams::WRITE_NJ
-            + self.refreshes as f64 * EnergyParams::REFRESH_NJ)
-            * 1e-9
     }
 }
 
@@ -138,16 +90,34 @@ pub fn system_edp(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::DramConfig;
+    use crate::controller::{AccessKind, MemoryController};
+    use dve_sim::time::Cycles;
 
     #[test]
     fn dynamic_energy_adds_up() {
-        let mut e = EnergyModel::default();
-        e.count_activate();
-        e.count_read();
-        e.count_write();
-        e.count_refresh();
-        let expected = (2.0 + 3.5 + 3.8 + 28.0) * 1e-9;
-        assert!((e.dynamic_joules() - expected).abs() < 1e-18);
+        // Miss, conflict and hit reads to one bank, a write to the open
+        // row, then a read past tREFI: the refresh closes the row, so
+        // that read activates again.
+        let mut mc = MemoryController::new(0, DramConfig::ddr4_2400());
+        let same_bank_next_row = 8192u64 * 16;
+        let mut now = Cycles(0);
+        for (addr, kind) in [
+            (0, AccessKind::Read),
+            (same_bank_next_row, AccessKind::Read),
+            (same_bank_next_row + 64, AccessKind::Read),
+            (same_bank_next_row + 128, AccessKind::Write),
+        ] {
+            now = mc.access(addr, kind, now).complete_at;
+        }
+        let t_refi = mc.config().t_refi;
+        mc.access(0, AccessKind::Read, t_refi + Cycles(1));
+        let s = mc.stats();
+        assert_eq!((s.row_misses, s.row_conflicts, s.row_hits), (2, 1, 2));
+        assert_eq!((s.reads, s.writes, s.refreshes), (4, 1, 1));
+        // 3 activates × 2.0 + 4 reads × 3.5 + 1 write × 3.8 + 1 refresh × 28.0 nJ.
+        let expected = 51.8e-9;
+        assert!((EnergyParams::dynamic_joules(&s) - expected).abs() < 1e-18);
     }
 
     #[test]
@@ -174,14 +144,24 @@ mod tests {
 
     #[test]
     fn merge_accumulates() {
-        let mut a = EnergyModel::default();
-        a.count_read();
-        let mut b = EnergyModel::default();
-        b.count_read();
-        b.count_write();
-        a.merge(&b);
-        assert_eq!(a.reads(), 2);
-        assert_eq!(a.writes(), 1);
+        // Pricing summed controller counts is pricing their sum.
+        let a = ControllerStats {
+            reads: 1,
+            row_misses: 1,
+            ..ControllerStats::default()
+        };
+        let b = ControllerStats {
+            reads: 1,
+            writes: 1,
+            row_conflicts: 1,
+            refreshes: 1,
+            ..ControllerStats::default()
+        };
+        let mut total = a;
+        total.merge(&b);
+        assert_eq!((total.reads, total.writes), (2, 1));
+        let expected = (2.0 * 2.0 + 2.0 * 3.5 + 3.8 + 28.0) * 1e-9;
+        assert!((EnergyParams::dynamic_joules(&total) - expected).abs() < 1e-18);
     }
 
     #[test]

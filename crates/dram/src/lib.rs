@@ -14,8 +14,8 @@
 //!   access timing, per-request latency, row hit/miss/conflict and
 //!   refresh accounting, and the ECC check hook at the controller edge
 //!   (where Dvé performs detection).
-//! * [`energy`] — Micron-datasheet energy constants, the per-controller
-//!   dynamic-energy counters, and the system-EDP formula of §VII.
+//! * [`energy`] — Micron-datasheet energy constants that price the
+//!   controller's command counts, and the system-EDP formula of §VII.
 //! * [`fault`] — persistent fault state at controller/channel/chip/row
 //!   granularity; failed components make reads return detection failures,
 //!   which is what triggers Dvé's replica recovery.
@@ -54,7 +54,6 @@ pub mod thermal;
 
 pub use config::DramConfig;
 pub use controller::{AccessKind, AccessResult, MemoryController};
-pub use energy::EnergyModel;
 pub use fault::{FaultDomain, FaultState};
 pub use rowhammer::RowHammerMonitor;
 pub use scrub::Scrubber;

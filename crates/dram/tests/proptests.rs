@@ -142,18 +142,22 @@ proptest! {
         }
     }
 
-    // Energy accounting is additive under merge.
+    // Energy priced from controller counts is additive under merge.
     #[test]
-    fn energy_additive(reads in 0u64..1000, writes in 0u64..1000, acts in 0u64..1000) {
-        use dve_dram::energy::EnergyModel;
-        let mut a = EnergyModel::default();
-        let mut b = EnergyModel::default();
-        for _ in 0..reads { a.count_read(); }
-        for _ in 0..writes { b.count_write(); }
-        for _ in 0..acts { a.count_activate(); }
-        let (ja, jb) = (a.dynamic_joules(), b.dynamic_joules());
+    fn energy_additive(
+        reads in 0u64..1000,
+        writes in 0u64..1000,
+        acts in 0u64..1000,
+        refreshes in 0u64..100,
+    ) {
+        use dve_dram::controller::ControllerStats;
+        use dve_dram::energy::EnergyParams;
+        let zero = ControllerStats::default();
+        let mut a = ControllerStats { reads, row_misses: acts, ..zero };
+        let b = ControllerStats { writes, row_conflicts: acts, refreshes, ..zero };
+        let (ja, jb) = (EnergyParams::dynamic_joules(&a), EnergyParams::dynamic_joules(&b));
         a.merge(&b);
-        prop_assert!((a.dynamic_joules() - (ja + jb)).abs() < 1e-15);
+        prop_assert!((EnergyParams::dynamic_joules(&a) - (ja + jb)).abs() < 1e-15);
     }
 
     // The incremental `rows_over` index answers exactly like a scan of

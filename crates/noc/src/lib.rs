@@ -6,9 +6,10 @@
 //!   (SSSP) routing at 1 cycle per hop: a route costs its Manhattan
 //!   distance.
 //! * [`link`] — [`link::LinkTable`], the point-to-point QPI/UPI-like
-//!   links between nodes: one pipelined port per ordered edge with a
-//!   50 ns (Fig. 10 sweeps 30–60 ns) latency, serialization/occupancy
-//!   so bandwidth contention is visible, and per-edge outage windows.
+//!   links between nodes: one pipelined edge per ordered node pair with
+//!   a 50 ns (Fig. 10 sweeps 30–60 ns) latency plus serialization, a
+//!   per-edge message and busy-cycle count, and per-edge outage
+//!   windows.
 //! * [`traffic`] — message-class accounting; Fig. 8's headline metric is
 //!   the *inter-socket traffic* reduction Dvé achieves by serving reads
 //!   from the local replica.

@@ -8,15 +8,16 @@
 //!
 //! [`LinkTable`] is the one link model: every ordered pair of distinct
 //! nodes of a [`Topology`](crate::topology::Topology) gets its own
-//! [`dve_sim::resource::Resource`] port. The paper's two-socket machine
-//! is the two-node table. The ports are *pipelined*: at the traffic
-//! levels any of the paper's workloads generate (worst case ≈ 1.5 GB/s
-//! against a 48 GB/s-per-direction QPI-class link, <3% utilization) a
-//! queueing model would add nothing but noise, so messages never queue;
-//! the ports still record grants, occupancy and (trivially zero) queue
-//! cycles uniformly with every other timed substrate.
+//! edge. The paper's two-socket machine is the two-node table. The
+//! edges are *pipelined*: at the traffic levels any of the paper's
+//! workloads generate (worst case ≈ 1.5 GB/s against a 48 GB/s-per-
+//! direction QPI-class link, <3% utilization) a queueing model would
+//! add nothing but noise, so a message never queues and arrives at
+//! `now + service`. Each edge counts the messages it carried and the
+//! cycles of wire time they occupied it ([`EdgeCounts`]); message
+//! classes and bytes are the fabric's `TrafficStats`, and retries and
+//! failed sends are its recovery ledger's.
 
-use dve_sim::resource::{Resource, ResourceStats};
 use dve_sim::time::{Cycles, CORE_CLOCK};
 
 /// Outcome of a send attempted under outage windows
@@ -40,15 +41,24 @@ pub enum LinkSendOutcome {
     },
 }
 
+/// What one directed edge has carried.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EdgeCounts {
+    /// Messages sent over the edge.
+    pub messages: u64,
+    /// Cycles of wire time (serialization + propagation) those messages
+    /// occupied the edge.
+    pub busy_cycles: u64,
+}
+
 /// A full mesh of point-to-point links over an N-node
 /// [`Topology`](crate::topology::Topology).
 ///
-/// Every ordered pair of distinct nodes gets its own pipelined
-/// [`Resource`] port, byte counter, and outage-window list, so edges
-/// fail and congest independently. A message over edge `from → to`
-/// pays the edge's propagation latency (converted at
-/// [`CORE_CLOCK`]) plus `ceil(bytes / bytes_per_cycle)` cycles of
-/// serialization.
+/// Every ordered pair of distinct nodes gets its own [`EdgeCounts`]
+/// and outage-window list, so edges fail and load independently. A
+/// message over edge `from → to` pays the edge's propagation latency
+/// (converted at [`CORE_CLOCK`]) plus `ceil(bytes / bytes_per_cycle)`
+/// cycles of serialization.
 ///
 /// Outage windows come in two layers: *global* windows (the
 /// `dve::chaos::ChaosConfig` whole-fabric outage, consulted by the
@@ -76,16 +86,13 @@ pub struct LinkTable {
     /// `from * (nodes - 1) + (to - (to > from))`.
     latency: Vec<Cycles>,
     bytes_per_cycle: Vec<u64>,
-    ports: Vec<Resource>,
-    bytes: Vec<u64>,
+    counts: Vec<EdgeCounts>,
     /// Whole-fabric outage windows (sorted, non-overlapping).
     global_outages: Vec<(u64, u64)>,
     /// Additional per-edge outage windows.
     edge_outages: Vec<Vec<(u64, u64)>>,
     retry_base: u64,
     max_retries: u32,
-    retries: u64,
-    failed_sends: u64,
 }
 
 impl LinkTable {
@@ -110,14 +117,11 @@ impl LinkTable {
             nodes,
             latency,
             bytes_per_cycle: bpc,
-            ports: vec![Resource::pipelined(); edges],
-            bytes: vec![0; edges],
+            counts: vec![EdgeCounts::default(); edges],
             global_outages: Vec::new(),
             edge_outages: vec![Vec::new(); edges],
             retry_base: 64,
             max_retries: 6,
-            retries: 0,
-            failed_sends: 0,
         }
     }
 
@@ -144,24 +148,19 @@ impl LinkTable {
     }
 
     /// Sends `bytes` over the edge `from → to` at `now`; returns the
-    /// arrival time and records the message on the edge's port.
+    /// arrival time and counts the message on the edge.
     pub fn transfer(&mut self, from: usize, to: usize, now: Cycles, bytes: u64) -> Cycles {
         let e = self.idx(from, to);
         let service = self.service(e, bytes);
-        let grant = self.ports[e].acquire(now.raw(), service);
-        self.bytes[e] += bytes;
-        debug_assert_eq!(grant.queued, 0, "pipelined link must never queue");
-        Cycles(grant.complete_at)
+        let counts = &mut self.counts[e];
+        counts.messages += 1;
+        counts.busy_cycles += service;
+        Cycles(now.raw() + service)
     }
 
     /// Arrival a send *would* observe, without sending.
     pub fn probe(&self, from: usize, to: usize, now: Cycles, bytes: u64) -> Cycles {
-        let e = self.idx(from, to);
-        Cycles(
-            self.ports[e]
-                .probe(now.raw(), self.service(e, bytes))
-                .complete_at,
-        )
+        Cycles(now.raw() + self.service(self.idx(from, to), bytes))
     }
 
     fn check_windows(windows: &[(u64, u64)]) {
@@ -235,11 +234,6 @@ impl LinkTable {
             .map(Cycles)
     }
 
-    /// The end of the last whole-fabric outage window, if any.
-    pub fn last_outage_end(&self) -> Option<Cycles> {
-        self.global_outages.last().map(|&(_, e)| Cycles(e))
-    }
-
     fn in_outage(&self, edge: usize, t: u64) -> bool {
         let hit = |w: &[(u64, u64)]| w.iter().any(|&(s, e)| t >= s && t < e);
         hit(&self.global_outages) || hit(&self.edge_outages[edge])
@@ -272,7 +266,8 @@ impl LinkTable {
     /// backoff until an attempt falls outside every global and per-edge
     /// window, then pays the normal serialization + propagation cost
     /// from that attempt time. With no outage windows this is exactly
-    /// [`LinkTable::transfer`] (same arrival, same port accounting).
+    /// [`LinkTable::transfer`] (same arrival, same edge counts). A
+    /// failed send never reaches the wire and counts nothing.
     pub fn transfer_resilient(
         &mut self,
         from: usize,
@@ -283,72 +278,18 @@ impl LinkTable {
         let e = self.idx(from, to);
         match self.resilient_start(e, now.raw()) {
             Some((start, retries)) => {
-                self.retries += u64::from(retries);
                 let arrival = self.transfer(from, to, Cycles(start), bytes);
                 LinkSendOutcome::Delivered { arrival, retries }
             }
-            None => {
-                self.failed_sends += 1;
-                LinkSendOutcome::Failed {
-                    retries: self.max_retries,
-                }
-            }
-        }
-    }
-
-    /// The arrival a resilient send *would* observe, without sending.
-    pub fn probe_resilient(
-        &self,
-        from: usize,
-        to: usize,
-        now: Cycles,
-        bytes: u64,
-    ) -> LinkSendOutcome {
-        let e = self.idx(from, to);
-        match self.resilient_start(e, now.raw()) {
-            Some((start, retries)) => LinkSendOutcome::Delivered {
-                arrival: self.probe(from, to, Cycles(start), bytes),
-                retries,
-            },
             None => LinkSendOutcome::Failed {
                 retries: self.max_retries,
             },
         }
     }
 
-    /// Total retries across all resilient sends.
-    pub fn retry_count(&self) -> u64 {
-        self.retries
-    }
-
-    /// Resilient sends that exhausted the retry budget.
-    pub fn failed_sends(&self) -> u64 {
-        self.failed_sends
-    }
-
-    /// Port statistics for the ordered edge `from → to`.
-    pub fn edge_stats(&self, from: usize, to: usize) -> ResourceStats {
-        self.ports[self.idx(from, to)].stats()
-    }
-
-    /// Total messages across all edges.
-    pub fn total_messages(&self) -> u64 {
-        self.ports.iter().map(|p| p.stats().grants).sum()
-    }
-
-    /// Total bytes across all edges.
-    pub fn total_bytes(&self) -> u64 {
-        self.bytes.iter().sum()
-    }
-
-    /// Resets traffic counters (not occupancy or outage config).
-    pub fn reset_counters(&mut self) {
-        for p in &mut self.ports {
-            p.reset_stats();
-        }
-        self.bytes.iter_mut().for_each(|b| *b = 0);
-        self.retries = 0;
-        self.failed_sends = 0;
+    /// What the ordered edge `from → to` has carried.
+    pub fn edge_counts(&self, from: usize, to: usize) -> EdgeCounts {
+        self.counts[self.idx(from, to)]
     }
 }
 
@@ -382,7 +323,7 @@ mod tests {
         let a = l.transfer(0, 1, Cycles(0), 64);
         let b = l.transfer(0, 1, Cycles(0), 64);
         assert_eq!(a, b, "pipelined link: identical send times arrive together");
-        assert_eq!(l.edge_stats(0, 1).queue_cycles, 0);
+        assert_eq!(l.edge_counts(0, 1).messages, 2);
     }
 
     #[test]
@@ -391,8 +332,8 @@ mod tests {
         let a = l.transfer(0, 1, Cycles(0), 64);
         let b = l.transfer(1, 0, Cycles(0), 64);
         assert_eq!(a, b, "full duplex: no cross-direction interference");
-        assert_eq!(l.edge_stats(0, 1).grants, 1);
-        assert_eq!(l.edge_stats(1, 0).grants, 1);
+        assert_eq!(l.edge_counts(0, 1).messages, 1);
+        assert_eq!(l.edge_counts(1, 0).messages, 1);
     }
 
     #[test]
@@ -400,10 +341,13 @@ mod tests {
         let mut l = link();
         l.transfer(0, 1, Cycles(0), 64);
         l.transfer(1, 0, Cycles(0), 8);
-        assert_eq!(l.total_messages(), 2);
-        assert_eq!(l.total_bytes(), 72);
-        l.reset_counters();
-        assert_eq!(l.total_messages(), 0);
+        l.transfer(1, 0, Cycles(0), 8);
+        let counts = |messages, busy_cycles| EdgeCounts {
+            messages,
+            busy_cycles,
+        };
+        assert_eq!(l.edge_counts(0, 1), counts(1, 154));
+        assert_eq!(l.edge_counts(1, 0), counts(2, 2 * 151));
     }
 
     #[test]
@@ -412,16 +356,16 @@ mod tests {
         let predicted = l.probe(0, 1, Cycles(0), 64);
         let actual = l.transfer(0, 1, Cycles(0), 64);
         assert_eq!(predicted, actual);
-        assert_eq!(l.total_messages(), 1, "probe did not count");
+        assert_eq!(l.edge_counts(0, 1).messages, 1, "probe did not count");
     }
 
     #[test]
     fn port_occupancy_is_tracked() {
         let mut l = link();
         l.transfer(0, 1, Cycles(0), 64); // 4 + 150 cycles of wire time
-        let s = l.edge_stats(0, 1);
+        let s = l.edge_counts(0, 1);
         assert_eq!(s.busy_cycles, 154);
-        assert_eq!(s.grants, 1);
+        assert_eq!(s.messages, 1);
     }
 
     #[test]
@@ -455,7 +399,7 @@ mod tests {
             }
             LinkSendOutcome::Failed { .. } => panic!("no outage, must deliver"),
         }
-        assert_eq!(a.edge_stats(0, 1), b.edge_stats(0, 1));
+        assert_eq!(a.edge_counts(0, 1), b.edge_counts(0, 1));
     }
 
     #[test]
@@ -472,8 +416,7 @@ mod tests {
             }
             LinkSendOutcome::Failed { .. } => panic!("retry budget was sufficient"),
         }
-        assert_eq!(l.retry_count(), 2);
-        assert_eq!(l.failed_sends(), 0);
+        assert_eq!(l.edge_counts(0, 1).messages, 1, "one message on the wire");
     }
 
     #[test]
@@ -485,18 +428,11 @@ mod tests {
             l.transfer_resilient(0, 1, Cycles(0), 64),
             LinkSendOutcome::Failed { retries: 2 }
         );
-        assert_eq!(l.failed_sends(), 1);
-        assert_eq!(l.total_messages(), 0, "failed send never hits the wire");
-    }
-
-    #[test]
-    fn probe_resilient_matches_transfer_resilient() {
-        let mut l = link();
-        l.set_outages(vec![(0, 250)], 100, 6);
-        let predicted = l.probe_resilient(0, 1, Cycles(0), 64);
-        let actual = l.transfer_resilient(0, 1, Cycles(0), 64);
-        assert_eq!(predicted, actual);
-        assert_eq!(l.retry_count(), 2, "only the real send counts retries");
+        assert_eq!(
+            l.edge_counts(0, 1),
+            EdgeCounts::default(),
+            "failed send never hits the wire"
+        );
     }
 
     #[test]
@@ -507,7 +443,6 @@ mod tests {
         assert_eq!(l.outage_until(Cycles(150)), Some(Cycles(200)));
         assert_eq!(l.outage_until(Cycles(200)), None, "half-open window");
         assert_eq!(l.outage_until(Cycles(599)), Some(Cycles(600)));
-        assert_eq!(l.last_outage_end(), Some(Cycles(600)));
         // The answer above only changes at the next edge after `now`.
         assert_eq!(l.next_outage_edge(Cycles(0)), Some(Cycles(100)));
         assert_eq!(l.next_outage_edge(Cycles(100)), Some(Cycles(200)));
@@ -545,10 +480,11 @@ mod tests {
             );
             busy[f] += service;
         }
-        assert_eq!(tab.total_messages(), msgs.len() as u64);
-        assert_eq!(tab.total_bytes(), msgs.iter().map(|m| m.3).sum::<u64>());
-        assert_eq!(tab.edge_stats(0, 1).busy_cycles, busy[0]);
-        assert_eq!(tab.edge_stats(1, 0).busy_cycles, busy[1]);
+        let sent = |f: usize| msgs.iter().filter(|m| m.0 == f).count() as u64;
+        for (f, t) in [(0, 1), (1, 0)] {
+            let counts = tab.edge_counts(f, t);
+            assert_eq!((counts.messages, counts.busy_cycles), (sent(f), busy[f]));
+        }
         // A resilient send under a global outage starts at the first
         // backoff attempt outside the window, then pays the same cost.
         tab.set_outages(vec![(0, 250)], 100, 6);
@@ -559,7 +495,6 @@ mod tests {
                 retries: 2
             },
         );
-        assert_eq!(tab.retry_count(), 2);
     }
 
     #[test]
@@ -568,11 +503,10 @@ mod tests {
         let a = t.transfer(0, 1, Cycles(0), 64);
         let b = t.transfer(2, 3, Cycles(0), 64);
         assert_eq!(a, b, "disjoint edges do not interfere");
-        assert_eq!(t.edge_stats(0, 1).grants, 1);
-        assert_eq!(t.edge_stats(2, 3).grants, 1);
-        assert_eq!(t.edge_stats(1, 0).grants, 0, "directions are distinct");
-        assert_eq!(t.edge_stats(3, 2).grants, 0);
-        assert_eq!(t.total_bytes(), 128);
+        assert_eq!(t.edge_counts(0, 1).messages, 1);
+        assert_eq!(t.edge_counts(2, 3).messages, 1);
+        assert_eq!(t.edge_counts(1, 0).messages, 0, "directions are distinct");
+        assert_eq!(t.edge_counts(3, 2).messages, 0);
     }
 
     #[test]
@@ -608,10 +542,9 @@ mod tests {
                 LinkSendOutcome::Failed { retries: 2 },
                 "{f}->{to}"
             );
+            assert_eq!(t.edge_counts(f, to), EdgeCounts::default());
         }
-        assert_eq!(t.failed_sends(), 3);
         assert_eq!(t.outage_until(Cycles(500)), Some(Cycles(1_000)));
-        assert_eq!(t.last_outage_end(), Some(Cycles(1_000)));
     }
 
     #[test]
@@ -627,12 +560,15 @@ mod tests {
     #[test]
     fn table_probe_matches_transfer() {
         let mut t = table(3);
+        assert_eq!(t.edge_counts(1, 2), EdgeCounts::default());
         let predicted = t.probe(1, 2, Cycles(7), 100);
+        assert_eq!(
+            t.edge_counts(1, 2),
+            EdgeCounts::default(),
+            "probe did not count"
+        );
         assert_eq!(t.transfer(1, 2, Cycles(7), 100), predicted);
-        assert_eq!(t.total_messages(), 1, "probe did not count");
-        t.reset_counters();
-        assert_eq!(t.total_messages(), 0);
-        assert_eq!(t.total_bytes(), 0);
+        assert_eq!(t.edge_counts(1, 2).messages, 1);
     }
 
     #[test]

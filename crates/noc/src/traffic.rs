@@ -3,8 +3,8 @@
 //! Fig. 8 of the paper reports inter-socket traffic *normalized to
 //! baseline NUMA*; the correlation between traffic reduction and speedup
 //! is its key performance-analysis result. [`TrafficStats`] tallies
-//! messages and bytes by [`MessageClass`] so the harness can reproduce
-//! that figure.
+//! messages by [`MessageClass`] so the harness can reproduce that
+//! figure; bytes follow from each class's fixed wire size.
 
 use std::fmt;
 
@@ -71,7 +71,7 @@ impl fmt::Display for MessageClass {
     }
 }
 
-/// Per-class message/byte tallies.
+/// Per-class message tallies; bytes are messages × [`MessageClass::bytes`].
 ///
 /// # Example
 ///
@@ -87,7 +87,6 @@ impl fmt::Display for MessageClass {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TrafficStats {
     messages: [u64; 6],
-    bytes: [u64; 6],
 }
 
 impl TrafficStats {
@@ -98,9 +97,7 @@ impl TrafficStats {
 
     /// Records one message of `class`.
     pub fn record(&mut self, class: MessageClass) {
-        let i = class.index();
-        self.messages[i] += 1;
-        self.bytes[i] += class.bytes();
+        self.messages[class.index()] += 1;
     }
 
     /// Messages of a given class.
@@ -110,7 +107,7 @@ impl TrafficStats {
 
     /// Bytes of a given class.
     pub fn bytes(&self, class: MessageClass) -> u64 {
-        self.bytes[class.index()]
+        self.messages(class) * class.bytes()
     }
 
     /// All messages.
@@ -120,7 +117,7 @@ impl TrafficStats {
 
     /// All bytes.
     pub fn total_bytes(&self) -> u64 {
-        self.bytes.iter().sum()
+        MessageClass::ALL.iter().map(|&c| self.bytes(c)).sum()
     }
 
     /// Componentwise difference `self - other` (saturating), used to
@@ -129,7 +126,6 @@ impl TrafficStats {
         let mut out = TrafficStats::new();
         for i in 0..6 {
             out.messages[i] = self.messages[i].saturating_sub(other.messages[i]);
-            out.bytes[i] = self.bytes[i].saturating_sub(other.bytes[i]);
         }
         out
     }
@@ -138,7 +134,6 @@ impl TrafficStats {
     pub fn merge(&mut self, other: &TrafficStats) {
         for i in 0..6 {
             self.messages[i] += other.messages[i];
-            self.bytes[i] += other.bytes[i];
         }
     }
 

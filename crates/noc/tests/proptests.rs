@@ -38,16 +38,17 @@ proptest! {
         let edge = EdgeParams { latency: Nanos(ns), ..EdgeParams::qpi() };
         let mut link = LinkTable::new(&Topology::symmetric(2, edge));
         let floor = link.latency(0, 1).raw();
-        let mut total_bytes = 0;
+        let mut wire = [0u64; 2];
         for (dir, bytes) in &msgs {
             let (from, to) = if *dir { (0, 1) } else { (1, 0) };
             let arrive = link.transfer(from, to, Cycles(1000), *bytes);
             prop_assert!(arrive.raw() >= 1000 + floor);
             prop_assert!(arrive.raw() <= 1000 + floor + bytes.div_ceil(16));
-            total_bytes += bytes;
+            wire[from] += arrive.raw() - 1000;
         }
-        prop_assert_eq!(link.total_messages(), msgs.len() as u64);
-        prop_assert_eq!(link.total_bytes(), total_bytes);
+        let (fwd, back) = (link.edge_counts(0, 1), link.edge_counts(1, 0));
+        prop_assert_eq!(fwd.messages + back.messages, msgs.len() as u64);
+        prop_assert_eq!([fwd.busy_cycles, back.busy_cycles], wire);
     }
 
     // Traffic stats: merge and saturating_sub are inverse-ish and totals

@@ -309,12 +309,12 @@ impl EpochLoop {
             .flat_map(|from| (0..nodes).map(move |to| (from, to)))
             .filter(|&(from, to)| from != to)
             .map(|(from, to)| {
-                let s = link.edge_stats(from, to);
+                let c = link.edge_counts(from, to);
                 EdgeOccupancy {
                     from,
                     to,
-                    messages: s.grants,
-                    busy_cycles: s.busy_cycles,
+                    messages: c.messages,
+                    busy_cycles: c.busy_cycles,
                 }
             })
             .collect();

@@ -164,6 +164,25 @@ pub fn encode_hello(client: u64) -> Vec<u8> {
     b
 }
 
+/// Body size of a HELLO frame: the tag and the client id.
+const HELLO_BYTES: usize = 9;
+
+/// Reads the body of a HELLO frame whose length prefix the caller has
+/// already read, and returns the client id. A prefix other than the
+/// 9-byte HELLO body is refused before any body byte is read.
+pub fn read_hello(stream: &mut impl Read, prefix: [u8; 4]) -> io::Result<u64> {
+    let expected_hello = || io::Error::new(io::ErrorKind::InvalidData, "expected HELLO");
+    if u32::from_le_bytes(prefix) as usize != HELLO_BYTES {
+        return Err(expected_hello());
+    }
+    let mut body = [0u8; HELLO_BYTES];
+    stream.read_exact(&mut body)?;
+    if body[0] != TAG_HELLO {
+        return Err(expected_hello());
+    }
+    take_u64(&body, &mut 1)
+}
+
 /// Encodes a HELLO_OK response.
 pub fn encode_hello_ok(client: u64, cores: u32) -> Vec<u8> {
     let mut b = vec![TAG_HELLO_OK];

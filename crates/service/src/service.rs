@@ -365,19 +365,7 @@ fn serve_connection(
     }
 
     // Binary session. `head` is the length prefix of the HELLO frame.
-    let len = u32::from_le_bytes(head);
-    if len == 0 || len > proto::MAX_FRAME {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "bad first frame",
-        ));
-    }
-    let mut hello = vec![0u8; len as usize];
-    stream.read_exact(&mut hello)?;
-    if hello.first() != Some(&proto::TAG_HELLO) || hello.len() != 9 {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "expected HELLO"));
-    }
-    let client = u64::from_le_bytes(hello[1..9].try_into().unwrap());
+    let client = proto::read_hello(&mut stream, head)?;
 
     let (tx, rx) = channel();
     telemetry.sessions.fetch_add(1, Ordering::Relaxed);
@@ -585,6 +573,39 @@ mod tests {
         assert_eq!(client.submit(&gen_ops(0x51, 50)).unwrap().len(), 50);
         let report = service.shutdown();
         assert!(report.conserves(), "{report:?}");
+    }
+
+    #[test]
+    fn a_stalled_oversized_hello_is_dropped_at_once() {
+        // A 16 MiB HELLO length prefix and then nothing: the server
+        // must refuse the prefix and close, not allocate the claimed
+        // body and wait for it forever.
+        let service = Service::start(&small_cfg()).unwrap();
+        let addr = service.addr();
+        let mut stalled = TcpStream::connect(addr).unwrap();
+        stalled.write_all(&proto::MAX_FRAME.to_le_bytes()).unwrap();
+        stalled
+            .set_read_timeout(Some(Duration::from_secs(2)))
+            .unwrap();
+        match stalled.read(&mut [0u8; 1]) {
+            Ok(0) => {}
+            Err(e) if e.kind() == io::ErrorKind::ConnectionReset => {}
+            other => panic!("server must close the connection: {other:?}"),
+        }
+
+        // A well-behaved session and /health still work, and shutdown
+        // returns while the refused client still holds its socket.
+        let mut client = proto::TcpClient::connect(addr, 14).unwrap();
+        assert_eq!(client.submit(&gen_ops(0x52, 50)).unwrap().len(), 50);
+        drop(client);
+        let mut s = TcpStream::connect(addr).unwrap();
+        s.write_all(b"GET /health HTTP/1.0\r\n\r\n").unwrap();
+        let mut rsp = String::new();
+        s.read_to_string(&mut rsp).unwrap();
+        assert!(rsp.starts_with("HTTP/1.0 200 OK"), "{rsp}");
+        let report = service.shutdown();
+        assert!(report.conserves(), "{report:?}");
+        drop(stalled);
     }
 
     #[test]

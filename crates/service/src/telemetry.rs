@@ -156,7 +156,7 @@ pub struct EdgeOccupancy {
     pub from: usize,
     /// Destination node id.
     pub to: usize,
-    /// Messages granted onto the edge.
+    /// Messages sent over the edge.
     pub messages: u64,
     /// Cycles the edge spent busy serving transfers.
     pub busy_cycles: u64,

@@ -3,14 +3,15 @@
 //!
 //! 1. epoch contents are a function of the admitted *set* of ops, not
 //!    the arrival interleaving, and
-//! 2. every submitted op is either admitted or shed, exactly —
+//! 2. every submitted op comes back exactly once — shed, evicted, or
+//!    in a cut epoch — or is still pending —
 //!
 //! and for the wire decoders and config parsers in front of it, which
 //! must turn any byte sequence a client or a script sends into a value
 //! or an error, never a panic.
 
 use dve::config::TopologySpec;
-use dve_service::batcher::{EpochBatcher, SubmittedOp};
+use dve_service::batcher::{EpochBatcher, SubmitOutcome, SubmittedOp};
 use dve_service::proto::{decode_batch, decode_ops, TAG_BATCH, TAG_OPS};
 use dve_service::{EpochLoop, ServiceConfig};
 use dve_sim::rng::SplitMix64;
@@ -173,21 +174,32 @@ fn shuffled(ops: &[SubmittedOp], seed: u64) -> Vec<SubmittedOp> {
     v
 }
 
+/// The op `submit` handed back as shed, if any: the refused op itself
+/// or the evicted victim.
+fn shed_op(op: SubmittedOp, outcome: SubmitOutcome) -> Option<SubmittedOp> {
+    match outcome {
+        SubmitOutcome::Admitted => None,
+        SubmitOutcome::Shed => Some(op),
+        SubmitOutcome::AdmittedEvicting(victim) => Some(victim),
+    }
+}
+
 /// Feeds ops through a fresh batcher in arrival bursts of `burst`
 /// ops, cutting at most one epoch between bursts (as the runner does),
 /// then drains. Bursts larger than the spare capacity force sheds.
+/// Returns the epochs cut and the ops shed, in order.
 fn run_feed(
     ops: &[SubmittedOp],
     queue_cap: usize,
     epoch_ops: usize,
     burst: usize,
-) -> (Vec<Vec<SubmittedOp>>, u64, u64, u64) {
+) -> (Vec<Vec<SubmittedOp>>, Vec<SubmittedOp>) {
     let mut b = EpochBatcher::new(queue_cap, epoch_ops);
     let mut epochs = Vec::new();
+    let mut shed = Vec::new();
     for chunk in ops.chunks(burst.max(1)) {
         for &op in chunk {
-            b.submit(op);
-            assert!(b.accounted(), "accounting must hold after every submit");
+            shed.extend(shed_op(op, b.submit(op)));
         }
         if b.epoch_ready() {
             epochs.push(b.take_epoch());
@@ -196,7 +208,14 @@ fn run_feed(
     while b.pending_len() > 0 {
         epochs.push(b.take_epoch());
     }
-    (epochs, b.submitted(), b.admitted(), b.shed())
+    (epochs, shed)
+}
+
+/// `(client, seq)` keys, sorted.
+fn sorted_keys<'a>(ops: impl IntoIterator<Item = &'a SubmittedOp>) -> Vec<(u64, u64)> {
+    let mut keys: Vec<(u64, u64)> = ops.into_iter().map(|o| (o.client, o.seq)).collect();
+    keys.sort_unstable();
+    keys
 }
 
 proptest! {
@@ -217,10 +236,10 @@ proptest! {
         prop_assume!(!ops.is_empty());
         let cap = ops.len().max(epoch_ops);
         let burst = ops.len();
-        let (ea, sub_a, adm_a, shed_a) = run_feed(&shuffled(&ops, seed_a), cap, epoch_ops, burst);
-        let (eb, ..) = run_feed(&shuffled(&ops, seed_b), cap, epoch_ops, burst);
+        let (ea, shed_a) = run_feed(&shuffled(&ops, seed_a), cap, epoch_ops, burst);
+        let (eb, _) = run_feed(&shuffled(&ops, seed_b), cap, epoch_ops, burst);
         prop_assert_eq!(ea, eb);
-        prop_assert_eq!((sub_a, adm_a, shed_a), (ops.len() as u64, ops.len() as u64, 0));
+        prop_assert!(shed_a.is_empty(), "capacity for the whole population");
         // Incremental cuts: the partition may differ, the set may not.
         let (inc, ..) = run_feed(&shuffled(&ops, seed_a ^ seed_b), cap, epoch_ops, 1);
         let mut done: Vec<SubmittedOp> = inc.into_iter().flatten().collect();
@@ -230,8 +249,8 @@ proptest! {
         prop_assert_eq!(done, want);
     }
 
-    // Under any capacity, admitted + shed == submitted exactly, no op
-    // appears twice, and every admitted op appears in exactly one epoch.
+    // Under any capacity, every submitted op comes back exactly once,
+    // shed or in one epoch, and every epoch is bounded and canonical.
     #[test]
     fn shed_accounting_is_exact_under_pressure(
         counts in proptest::collection::vec(0u8..20, 1..8),
@@ -243,17 +262,11 @@ proptest! {
         let ops = population(&counts);
         prop_assume!(!ops.is_empty());
         let cap = epoch_ops + extra_cap;
-        let (epochs, submitted, admitted, shed) =
-            run_feed(&shuffled(&ops, seed), cap, epoch_ops, burst);
-        prop_assert_eq!(submitted, ops.len() as u64);
-        prop_assert_eq!(admitted + shed, submitted);
-        let emitted: Vec<SubmittedOp> = epochs.iter().flatten().copied().collect();
-        prop_assert_eq!(emitted.len() as u64, admitted);
-        let mut keys: Vec<(u64, u64)> = emitted.iter().map(|o| (o.client, o.seq)).collect();
-        keys.sort_unstable();
-        let before = keys.len();
-        keys.dedup();
-        prop_assert_eq!(keys.len(), before);
+        let (epochs, shed) = run_feed(&shuffled(&ops, seed), cap, epoch_ops, burst);
+        prop_assert_eq!(
+            sorted_keys(epochs.iter().flatten().chain(&shed)),
+            sorted_keys(&ops)
+        );
         for e in &epochs {
             prop_assert!(e.len() <= epoch_ops, "epoch size bound");
             prop_assert!(e.windows(2).all(|w| (w[0].client, w[0].seq) < (w[1].client, w[1].seq)),
@@ -293,14 +306,13 @@ proptest! {
         }
         // Same arrival order as `after` — any difference would be
         // leftover state, not interleaving.
-        let (fresh, ..) = run_feed(&shuffled(&b, seed ^ 1), cap, epoch_ops, 1);
+        let (fresh, _) = run_feed(&shuffled(&b, seed ^ 1), cap, epoch_ops, 1);
         prop_assert_eq!(after, fresh);
     }
 
-    // Priority-aware eviction keeps the accounting exact under random
-    // priorities, never sheds an op while a strictly weaker one is
-    // pending, and every submitted op is answered exactly once
-    // (epoch slot or shed).
+    // Priority-aware eviction under random priorities only ever evicts
+    // a strictly weaker op, and every submitted op is answered exactly
+    // once (epoch slot or shed).
     #[test]
     fn priority_eviction_keeps_accounting_and_ordering(
         priorities in proptest::collection::vec(0u8..4, 1..64),
@@ -321,22 +333,17 @@ proptest! {
             };
             submitted_keys.push((op.client, op.seq));
             match b.submit(op) {
-                dve_service::SubmitOutcome::Admitted => {}
-                dve_service::SubmitOutcome::Shed => shed_keys.push((op.client, op.seq)),
-                dve_service::SubmitOutcome::AdmittedEvicting(victim) => {
+                SubmitOutcome::Admitted => {}
+                SubmitOutcome::Shed => shed_keys.push((op.client, op.seq)),
+                SubmitOutcome::AdmittedEvicting(victim) => {
                     prop_assert!(victim.priority < op.priority,
                         "eviction must strictly upgrade priority");
                     shed_keys.push((victim.client, victim.seq));
                 }
             }
-            prop_assert!(b.accounted());
         }
-        prop_assert_eq!(b.submitted(), priorities.len() as u64);
-        prop_assert_eq!(b.shed(), shed_keys.len() as u64);
-        // The whole buffer drains in one epoch (cap == epoch size), and
-        // its population matches the admission counter exactly.
+        // The whole buffer drains in one epoch (cap == epoch size).
         let survivors = b.take_epoch();
-        prop_assert_eq!(survivors.len() as u64, b.admitted());
         prop_assert_eq!(b.pending_len(), 0);
         // Exactly-once answering: shed keys and admitted keys
         // partition the submitted population.
@@ -348,6 +355,49 @@ proptest! {
         answered.sort_unstable();
         submitted_keys.sort_unstable();
         prop_assert_eq!(answered, submitted_keys);
+    }
+
+    // Under any interleaving of submits (random clients and priorities)
+    // and epoch cuts, every submitted op comes back exactly once — as
+    // `Shed`, as an evicted victim, or in a cut epoch — or is still
+    // pending: after every step the returned ops are distinct submitted
+    // ops, and returned + pending == submitted. Draining returns the
+    // rest.
+    #[test]
+    fn every_submitted_op_comes_back_exactly_once(
+        steps in proptest::collection::vec((0u8..8, 0u64..4, 0u8..4), 1..200),
+        queue_cap in 1usize..16,
+        epoch_ops in 1usize..16,
+    ) {
+        let epoch_ops = epoch_ops.min(queue_cap);
+        let mut b = EpochBatcher::new(queue_cap, epoch_ops);
+        let mut submitted: Vec<SubmittedOp> = Vec::new();
+        let mut returned: Vec<SubmittedOp> = Vec::new();
+        for (i, &(action, client, priority)) in steps.iter().enumerate() {
+            if action == 0 {
+                returned.extend(b.take_epoch());
+            } else {
+                let op = SubmittedOp {
+                    client,
+                    seq: i as u64,
+                    line: i as u64,
+                    req: MemReq::Read,
+                    priority,
+                };
+                submitted.push(op);
+                returned.extend(shed_op(op, b.submit(op)));
+            }
+            let mut back = sorted_keys(&returned);
+            back.dedup();
+            prop_assert!(back.len() == returned.len(), "an op came back twice");
+            let sent = sorted_keys(&submitted);
+            prop_assert!(back.iter().all(|k| sent.binary_search(k).is_ok()));
+            prop_assert_eq!(returned.len() + b.pending_len(), submitted.len());
+        }
+        while b.pending_len() > 0 {
+            returned.extend(b.take_epoch());
+        }
+        prop_assert_eq!(sorted_keys(&returned), sorted_keys(&submitted));
     }
 
     // Arbitrary client bytes, raw and behind a well-formed tag + count

@@ -78,10 +78,8 @@ impl<E> EventQueue<E> {
 
     /// Creates an empty queue with room for `capacity` pending events.
     ///
-    /// Long-running simulation loops (the DRAM controller's maintenance
-    /// queue, the system simulator's request pipeline) know their
-    /// steady-state occupancy up front; pre-sizing the heap keeps the
-    /// push path allocation-free in the steady state.
+    /// A loop that knows its steady-state occupancy up front can
+    /// pre-size the heap and keep the push path allocation-free.
     pub fn with_capacity(capacity: usize) -> Self {
         EventQueue {
             heap: BinaryHeap::with_capacity(capacity),

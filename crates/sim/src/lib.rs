@@ -17,9 +17,9 @@
 //! * [`rng`] — a tiny, dependency-free, seedable [`rng::SplitMix64`]
 //!   generator for components that need cheap deterministic randomness
 //!   without pulling `rand` into the simulation core.
-//! * [`resource`] — the [`resource::Resource`] occupancy port, the one
-//!   contention model (serialization + queueing) every timed substrate
-//!   shares: DRAM banks, the inter-socket link, per-core MSHR files.
+//! * [`resource`] — the [`resource::Resource`] occupancy port, the
+//!   queueing model the finite timed substrates share: DRAM banks and
+//!   per-core MSHR files.
 //! * [`latency`] — structured latency attribution: the
 //!   [`latency::LatencyBreakdown`] component totals and the
 //!   [`latency::Stamp`] clock that conserves them by construction.
@@ -49,7 +49,7 @@ pub mod time;
 
 pub use event::EventQueue;
 pub use latency::{Component, LatencyBreakdown, Stamp};
-pub use resource::{Grant, Resource, ResourceStats};
+pub use resource::{Grant, Resource};
 pub use rng::SplitMix64;
 pub use stats::geomean;
 pub use time::{Cycles, Frequency, Nanos, CORE_CLOCK};

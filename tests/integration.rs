@@ -1,6 +1,6 @@
 //! Cross-crate integration tests: the full system assembled end-to-end.
 
-use dve::config::{Scheme, SystemConfig};
+use dve::config::{Scheme, SystemConfig, DYNAMIC_WINDOW};
 use dve::system::{run_workload, System};
 use dve_workloads::catalog;
 
@@ -113,13 +113,15 @@ fn intel_mirror_balances_reads_without_coherent_replication() {
 #[test]
 fn dynamic_scheme_switches_policies() {
     let p = workload("backprop");
+    // One allow window, one deny window, then the start of the
+    // winner's epoch body.
+    let ops = 2 * DYNAMIC_WINDOW + 100;
     let mut cfg = SystemConfig::table_ii(Scheme::DveDynamic);
-    cfg.ops_per_thread = OPS;
+    cfg.ops_per_thread = ops;
     cfg.warmup_per_thread = 100;
-    cfg.dynamic_window = 200;
     let r = System::new(cfg, &p, SEED).run();
     // The dynamic run completed all work with both machines exercised.
-    assert_eq!(r.mem_ops, OPS * 16, "all measured ops executed");
+    assert_eq!(r.mem_ops, ops * 16, "all measured ops executed");
     assert!(r.engine.replica_reads > 0);
 }
 
