@@ -4,11 +4,12 @@
 //! Produces three machine-readable artifacts, in the current directory
 //! for a full run and under `target/perf-smoke/` for `smoke`:
 //!
-//! * `BENCH_ecc.json` — median ns/op for the GF kernels (table-driven
-//!   vs the shift-and-add reference oracle), RS(18,16) encode and
-//!   decode (clean / 1-error / 2-error), the DSD detect path, and the
-//!   TSD (GF(2^16)) encode/detect path (encode on fixed and on random
-//!   lines: random data reaches the cold parts of the GF(2^16) tables);
+//! * `BENCH_ecc.json` — median ns/op for the scalar GF(2^8) and
+//!   GF(2^16) multiplies (table-driven vs the shift-and-add reference
+//!   oracle), RS(18,16) encode and decode (clean / 1-error / 2-error),
+//!   the DSD detect path, and the 3-check TSD (GF(2^16)) encode/detect
+//!   path (encode on fixed and on random lines: random data reaches the
+//!   cold parts of the GF(2^16) tables);
 //! * `BENCH_campaign.json` — end-to-end campaign throughput in
 //!   trials/second at 1, 2, 4 and 8 workers (plus N = available
 //!   parallelism if distinct), with the parallel efficiency
@@ -186,24 +187,6 @@ fn bench_ecc(c: &mut MicroBench) -> Vec<(String, f64)> {
         })
     });
     push(c, "gf16_mul_reference", GF_BATCH);
-
-    // --- GF slice kernels (per whole-slice call). ---
-    let mut acc64 = vec![0u8; 64];
-    let src64: Vec<u8> = (0..64).collect();
-    c.bench_function("gf256_fma_slice_64", |b| {
-        b.iter(|| {
-            Gf256::fma_slice(black_box(&mut acc64), black_box(&src64), black_box(0x1D));
-        })
-    });
-    push(c, "gf256_fma_slice_64", 1.0);
-
-    let mut buf32: Vec<u16> = (0..32).map(|i| i * 257 + 1).collect();
-    c.bench_function("gf16_mul_slice_assign_32", |b| {
-        b.iter(|| {
-            Gf16::mul_slice_assign(black_box(&mut buf32), black_box(0x1537));
-        })
-    });
-    push(c, "gf16_mul_slice_assign_32", 1.0);
 
     // --- RS(18,16) Chipkill: encode + decode hot paths. ---
     let mut cw_buf = vec![0u8; chipkill.codeword_len()];

@@ -14,8 +14,9 @@
 //!   plant transient or hard faults into specific controllers mid-run
 //!   (and optionally heal them later).
 //! * [`ChaosConfig`] — the full chaos envelope: the schedule,
-//!   inter-socket link outage windows with bounded-retry backoff
-//!   parameters, and paced patrol-scrub configuration.
+//!   inter-socket link outage windows (sends retry through them with
+//!   the link's fixed bounded backoff), and paced patrol-scrub
+//!   configuration.
 //! * [`RecoveryLedger`] — the run-wide accounting of every read that
 //!   took the recovery detour, with a [`consistent`] invariant the
 //!   chaos harness checks after every run:
@@ -597,11 +598,6 @@ pub struct ChaosConfig {
     /// the topology graph. Outages on one edge never gate sends on any
     /// other edge (the independence property the topology tests pin).
     pub edge_outages: EdgeOutages,
-    /// Backoff base for link retries (retry `k` waits
-    /// `retry_base * (2^k - 1)` cycles).
-    pub retry_base: u64,
-    /// Maximum link retries before a send fails over to local-only.
-    pub max_retries: u32,
     /// Paced patrol scrub, if enabled.
     pub scrub: Option<ScrubConfig>,
     /// Correlated fault sources (hammer / thermal / aging), if armed.
@@ -617,15 +613,13 @@ impl ChaosConfig {
             schedule: FaultSchedule::empty(),
             link_outages: Vec::new(),
             edge_outages: Vec::new(),
-            retry_base: 64,
-            max_retries: 6,
             scrub: None,
             correlated: None,
         }
     }
 
-    /// Randomized chaos: a seed-derived schedule plus defaults for the
-    /// retry policy.
+    /// Randomized chaos: a seed-derived fault schedule, nothing else
+    /// armed.
     pub fn random(seed: u64, params: &ChaosParams) -> ChaosConfig {
         ChaosConfig {
             schedule: FaultSchedule::random(seed, params),

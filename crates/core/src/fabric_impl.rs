@@ -152,11 +152,7 @@ impl SystemFabric {
         let mut scrubbers = Vec::new();
         if let Some(chaos) = &cfg.chaos {
             if !chaos.link_outages.is_empty() {
-                link.set_outages(
-                    chaos.link_outages.clone(),
-                    chaos.retry_base,
-                    chaos.max_retries,
-                );
+                link.set_outages(chaos.link_outages.clone());
             }
             for (from, to, windows) in &chaos.edge_outages {
                 link.set_edge_outages(*from, *to, windows.clone());

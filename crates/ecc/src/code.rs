@@ -2,11 +2,10 @@
 //!
 //! Dvé's central architectural move is that *detection* and *correction*
 //! are different operations with different providers: every code in this
-//! crate implements [`DetectionCode`]; only codes that can reconstruct
-//! data locally (Chipkill RS) also implement [`CorrectionCode`].
-//! The memory-controller model consumes these traits, and when a
-//! detect-only code flags a codeword, the Dvé recovery path reads the
-//! replica instead.
+//! crate implements [`DetectionCode`]; only Chipkill reconstructs data
+//! locally, through [`Rs::decode_in_place`](crate::rs::Rs::decode_in_place).
+//! When a detect-only code flags a codeword, the Dvé recovery path reads
+//! the replica instead.
 
 use std::fmt;
 
@@ -32,9 +31,11 @@ pub enum CheckOutcome {
 }
 
 impl CheckOutcome {
-    /// A detect-only verdict from the number of non-zero syndromes:
-    /// `NoError` at weight 0, `DetectedUncorrectable` otherwise.
-    pub(crate) fn from_syndrome_weight(weight: usize) -> CheckOutcome {
+    /// A detect-only verdict from a codeword's syndromes: `NoError` if
+    /// all are zero, otherwise `DetectedUncorrectable` weighted by the
+    /// non-zero ones.
+    pub(crate) fn from_syndromes<T: Copy + Default + PartialEq>(syn: &[T]) -> CheckOutcome {
+        let weight = syn.iter().filter(|&&s| s != T::default()).count();
         if weight == 0 {
             CheckOutcome::NoError
         } else {
@@ -84,32 +85,24 @@ pub trait DetectionCode {
     /// # Panics
     ///
     /// Panics if `data.len() != self.data_len()`.
-    fn encode(&self, data: &[u8]) -> Vec<u8>;
+    fn encode(&self, data: &[u8]) -> Vec<u8> {
+        let mut codeword = vec![0u8; self.codeword_len()];
+        self.encode_into(data, &mut codeword);
+        codeword
+    }
 
-    /// Encodes `data` into a caller-provided codeword buffer.
-    ///
-    /// The default implementation allocates via [`DetectionCode::encode`];
-    /// hot-path codecs (`Rs`, `Rs16Detect`) override it with a fully
-    /// in-place, allocation-free encoder so callers that own their
-    /// buffers (the campaign trial executor, the perf harness) never
-    /// touch the heap per codeword.
+    /// Encodes `data` into a caller-provided codeword buffer without
+    /// allocating, so callers that own their buffers (the campaign trial
+    /// executor, the perf harness) never touch the heap per codeword.
     ///
     /// # Panics
     ///
     /// Panics if `data.len() != self.data_len()` or
     /// `codeword.len() != self.codeword_len()`.
-    fn encode_into(&self, data: &[u8], codeword: &mut [u8]) {
-        assert_eq!(
-            codeword.len(),
-            self.codeword_len(),
-            "codeword length mismatch"
-        );
-        codeword.copy_from_slice(&self.encode(data));
-    }
+    fn encode_into(&self, data: &[u8], codeword: &mut [u8]);
 
-    /// Checks `codeword`, returning what was observed. Implementations of
-    /// [`CorrectionCode`] may *not* modify the codeword here; use
-    /// [`CorrectionCode::check_and_repair`] for in-place repair.
+    /// Checks `codeword`, returning what was observed, without modifying
+    /// it: a detected error is reported, never repaired.
     ///
     /// # Panics
     ///
@@ -134,16 +127,6 @@ pub trait DetectionCode {
     fn overhead(&self) -> f64 {
         (self.codeword_len() - self.data_len()) as f64 / self.data_len() as f64
     }
-}
-
-/// A code that can additionally repair (some) errors in place.
-pub trait CorrectionCode: DetectionCode {
-    /// Checks `codeword` and repairs it in place when the error is within
-    /// the correction capability.
-    fn check_and_repair(&self, codeword: &mut [u8]) -> CheckOutcome;
-
-    /// Maximum number of symbol errors this code guarantees to correct.
-    fn correctable_symbols(&self) -> usize;
 }
 
 #[cfg(test)]

@@ -201,48 +201,6 @@ impl Gf256 {
         assert!(a != 0, "log of zero in GF(2^8)");
         tables().log[a as usize]
     }
-
-    /// Multiplies every symbol of `dst` by the constant `c` in place.
-    ///
-    /// The log of `c` is hoisted out of the loop, so each element costs
-    /// one load-add-load instead of a full `mul` call.
-    #[inline]
-    pub fn mul_slice_assign(dst: &mut [u8], c: u8) {
-        if c == 0 {
-            dst.fill(0);
-            return;
-        }
-        if c == 1 {
-            return;
-        }
-        let t = tables();
-        let lc = t.log[c as usize] as usize;
-        for d in dst {
-            if *d != 0 {
-                *d = t.exp[t.log[*d as usize] as usize + lc];
-            }
-        }
-    }
-
-    /// Fused multiply-add over slices: `acc[i] ^= src[i] * c`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices differ in length.
-    #[inline]
-    pub fn fma_slice(acc: &mut [u8], src: &[u8], c: u8) {
-        assert_eq!(acc.len(), src.len(), "fma_slice length mismatch");
-        if c == 0 {
-            return;
-        }
-        let t = tables();
-        let lc = t.log[c as usize] as usize;
-        for (a, &s) in acc.iter_mut().zip(src) {
-            if s != 0 {
-                *a ^= t.exp[t.log[s as usize] as usize + lc];
-            }
-        }
-    }
 }
 
 /// Arithmetic in GF(2^16) (16-bit symbols, used by the TSD code).
@@ -345,46 +303,6 @@ impl Gf16 {
     pub fn log(a: u16) -> u16 {
         assert!(a != 0, "log of zero in GF(2^16)");
         tables16().log[a as usize]
-    }
-
-    /// Multiplies every symbol of `dst` by the constant `c` in place,
-    /// with the log of `c` hoisted out of the loop.
-    #[inline]
-    pub fn mul_slice_assign(dst: &mut [u16], c: u16) {
-        if c == 0 {
-            dst.fill(0);
-            return;
-        }
-        if c == 1 {
-            return;
-        }
-        let t = tables16();
-        let lc = t.log[c as usize] as usize;
-        for d in dst {
-            if *d != 0 {
-                *d = t.exp[t.log[*d as usize] as usize + lc];
-            }
-        }
-    }
-
-    /// Fused multiply-add over slices: `acc[i] ^= src[i] * c`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices differ in length.
-    #[inline]
-    pub fn fma_slice(acc: &mut [u16], src: &[u16], c: u16) {
-        assert_eq!(acc.len(), src.len(), "fma_slice length mismatch");
-        if c == 0 {
-            return;
-        }
-        let t = tables16();
-        let lc = t.log[c as usize] as usize;
-        for (a, &s) in acc.iter_mut().zip(src) {
-            if s != 0 {
-                *a ^= t.exp[t.log[s as usize] as usize + lc];
-            }
-        }
     }
 }
 
@@ -612,44 +530,6 @@ mod tests {
         // ...and every element of GF(2^16).
         for a in 0..=65535u16 {
             assert_eq!(Gf16::pow(a, 0), 1, "GF(2^16) {a}^0");
-        }
-    }
-
-    #[test]
-    fn gf256_slice_kernels_match_scalar() {
-        let src: Vec<u8> = (0..=255).collect();
-        for c in [0u8, 1, 2, 0x1D, 0x80, 0xFF] {
-            let mut dst = src.clone();
-            Gf256::mul_slice_assign(&mut dst, c);
-            for (i, (&d, &s)) in dst.iter().zip(&src).enumerate() {
-                assert_eq!(d, Gf256::mul(s, c), "mul_slice i={i} c={c}");
-            }
-            let mut acc = src.clone();
-            acc.reverse();
-            let acc0 = acc.clone();
-            Gf256::fma_slice(&mut acc, &src, c);
-            for i in 0..src.len() {
-                assert_eq!(acc[i], acc0[i] ^ Gf256::mul(src[i], c), "fma i={i} c={c}");
-            }
-        }
-    }
-
-    #[test]
-    fn gf16_slice_kernels_match_scalar() {
-        let src: Vec<u16> = (0..512u32).map(|i| (i * 257 % 65536) as u16).collect();
-        for c in [0u16, 1, 2, 0x100B, 0x8000, 0xFFFF] {
-            let mut dst = src.clone();
-            Gf16::mul_slice_assign(&mut dst, c);
-            for (i, (&d, &s)) in dst.iter().zip(&src).enumerate() {
-                assert_eq!(d, Gf16::mul(s, c), "mul_slice i={i} c={c:#x}");
-            }
-            let mut acc = src.clone();
-            acc.reverse();
-            let acc0 = acc.clone();
-            Gf16::fma_slice(&mut acc, &src, c);
-            for i in 0..src.len() {
-                assert_eq!(acc[i], acc0[i] ^ Gf16::mul(src[i], c), "fma i={i} c={c:#x}");
-            }
         }
     }
 

@@ -2,24 +2,24 @@
 //!
 //! Dvé (ISCA 2021) decouples error *detection* (kept local, via ECC
 //! codewords at the memory controller) from error *correction* (performed
-//! by reading the replica on the other socket). This crate implements the
-//! codes the fault-injection campaign, the DRAM model and the perf
-//! harness run:
+//! by reading the replica on the other socket). This crate implements
+//! exactly the three codes §IV of the paper evaluates, which the
+//! fault-injection campaign and the perf harness run:
 //!
 //! * [`gf`] — GF(2^8) and GF(2^16) arithmetic, table-driven, with a
 //!   shift-and-add reference oracle.
-//! * [`rs`] — Reed–Solomon codes over GF(2^8), the substrate of Chipkill.
-//!   `Rs::new(18, 16, ..)` is the paper's RS(18,16,8) configuration
-//!   (§IV-A); two-check codes correct a single symbol in closed form and
-//!   longer codes run Berlekamp–Massey + Chien + Forney, so the same type
-//!   serves as a *correcting* Chipkill code or a *detect-only* DSD code
-//!   depending on the [`rs::DecodePolicy`].
-//! * [`rs16`] — detection-only Reed–Solomon over GF(2^16): the TSD
-//!   (triple-symbol-detect) code the paper borrows from Multi-ECC.
-//! * [`code`] — the [`code::DetectionCode`] / [`code::CorrectionCode`]
-//!   traits and the [`code::CheckOutcome`] vocabulary (`NoError`,
-//!   `Corrected`, `DetectedUncorrectable`) shared with the memory
-//!   controller model in `dve-dram`.
+//! * [`rs`] — the paper's RS(18,16,8) over GF(2^8) (§IV-A), the
+//!   substrate of Chipkill: [`Rs::chipkill`] corrects a single symbol in
+//!   closed form, [`Rs::dsd`] is the same code used *detect-only* (DSD),
+//!   per its [`rs::DecodePolicy`]. Berlekamp–Massey + Chien + Forney
+//!   survive only as the test oracle for the closed form.
+//! * [`rs16`] — detection-only Reed–Solomon over GF(2^16) with three
+//!   check symbols: the TSD (triple-symbol-detect) code the paper
+//!   borrows from Multi-ECC, [`Rs16Detect::tsd`].
+//! * [`code`] — the [`code::DetectionCode`] trait and the
+//!   [`code::CheckOutcome`] vocabulary (`NoError`, `Corrected`,
+//!   `DetectedUncorrectable`) shared with the memory controller model in
+//!   `dve-dram`.
 //! * [`inject`] — fault injection on codewords at bit, symbol, chip and
 //!   burst granularity, used by the recovery tests and the empirical
 //!   detection-coverage experiments.
@@ -28,10 +28,10 @@
 //!
 //! ```
 //! use dve_ecc::code::{CheckOutcome, DetectionCode};
-//! use dve_ecc::rs::{DecodePolicy, Rs};
+//! use dve_ecc::rs::Rs;
 //!
 //! // The paper's RS(18,16) over 8-bit symbols, used detect-only (DSD).
-//! let code = Rs::new(18, 16, DecodePolicy::DetectOnly);
+//! let code = Rs::dsd();
 //! let data: Vec<u8> = (0..16).collect();
 //! let mut cw = code.encode(&data);
 //! cw[3] ^= 0xA5; // a chip goes bad
@@ -45,6 +45,6 @@ pub mod inject;
 pub mod rs;
 pub mod rs16;
 
-pub use code::{CheckOutcome, CorrectionCode, DetectionCode};
+pub use code::{CheckOutcome, DetectionCode};
 pub use rs::{DecodePolicy, Rs};
 pub use rs16::Rs16Detect;

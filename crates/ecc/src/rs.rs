@@ -1,21 +1,20 @@
-//! Reed–Solomon codes over GF(2^8) — the substrate of Chipkill ECC.
+//! Reed–Solomon RS(18,16) over GF(2^8) — the substrate of Chipkill ECC.
 //!
 //! The paper's baseline (§IV-A) is an "8-bit symbol based RS(18,16,8) code
 //! with SSC-DSD", i.e. 16 data symbols + 2 check symbols per codeword with
 //! each symbol sourced from a different DRAM chip, so a whole-chip failure
-//! manifests as a single-symbol error. [`Rs`] implements a general
-//! systematic RS(n, k) codec:
+//! manifests as a single-symbol error. [`Rs`] is that systematic code:
 //!
-//! * encoding by polynomial long division (parity = remainder), or for
-//!   two check symbols by solving for the parity from the data syndromes,
+//! * encoding by solving for the two parity symbols from the data
+//!   syndromes,
 //! * syndrome computation,
-//! * decoding in closed form for two check symbols, and via
-//!   Berlekamp–Massey, Chien search and Forney's algorithm otherwise.
+//! * single-symbol correction in closed form.
 //!
 //! The [`DecodePolicy`] selects how the code is *used*: `Correct` behaves
-//! like Chipkill (repair up to ⌊(n−k)/2⌋ symbols), `DetectOnly` behaves
-//! like the paper's DSD configuration (Dvé relinquishes local correction
-//! and any non-zero syndrome routes the request to the replica).
+//! like Chipkill (repair one symbol, [`Rs::chipkill`]), `DetectOnly`
+//! behaves like the paper's DSD configuration ([`Rs::dsd`]: Dvé
+//! relinquishes local correction and any non-zero syndrome routes the
+//! request to the replica).
 //!
 //! # Hot-path design
 //!
@@ -23,42 +22,48 @@
 //! so the decode pipeline is organised around four invariants:
 //!
 //! * **Everything position-dependent is precomputed once** in the
-//!   constructor: syndrome roots `α^i`, per-position location values
-//!   `X_j = α^{n-1-j}` and their inverses, the `α^i` step factors the
-//!   Chien search advances by, and the parity-solve matrix. No `pow` is
-//!   ever called per decode; Chien/Forney use incremental running
-//!   products and Horner evaluation.
+//!   constructor: per-position location values `X_j = α^{17-j}` and
+//!   their inverses, the `α^i` step factors the Chien search advances
+//!   by, and the parity-solve matrix. No `pow` is ever called per
+//!   decode.
 //! * **Fault-free words exit early**: [`Rs::decode_in_place`] computes the
-//!   syndromes in a single fused pass (the `i = 0` syndrome is a plain
-//!   XOR fold; `i = 1` is a Horner loop of table-free α-multiplies) and
-//!   returns before any correction runs when they are all zero — the
-//!   overwhelming majority of scrub and campaign reads.
-//! * **Two check symbols never run the general decoder.** A single error
-//!   of magnitude `e` at location `X` gives `S_0 = e` and `S_1 = e·X`, so
-//!   RS(18,16) correction is two log lookups: `X = S_1/S_0`.
-//!   This is exactly what Berlekamp–Massey/Chien/Forney return for
-//!   `n − k = 2` (property-tested against [`Rs::decode_general_in_place`]),
-//!   at a fraction of the cost.
-//! * **The caller owns the scratch**: [`RsScratch`] carries every buffer
-//!   the decoder needs, so [`Rs::encode_into`] and [`Rs::decode_in_place`]
-//!   are allocation-free after construction. The legacy allocating
-//!   `encode`/`check`/`check_and_repair` APIs remain as thin wrappers.
+//!   syndromes in a single fused pass (`S_0` is a plain XOR fold; `S_1`
+//!   is a Horner loop of table-free α-multiplies) and returns before any
+//!   correction runs when both are zero — the overwhelming majority of
+//!   scrub and campaign reads.
+//! * **Correction is closed-form.** A single error of magnitude `e` at
+//!   location `X` gives `S_0 = e` and `S_1 = e·X`, so correction is two
+//!   log lookups: `X = S_1/S_0`. This is exactly what
+//!   Berlekamp–Massey/Chien/Forney return for two check symbols; those
+//!   run only in [`Rs::decode_general_in_place`], the oracle the closed
+//!   form is property-tested against.
+//! * **The caller owns the buffers**: [`Rs::encode_into`] writes into
+//!   the caller's codeword and [`RsScratch`] carries every buffer the
+//!   general decoder needs, so encoding and both decodes are
+//!   allocation-free after construction.
 
-use crate::code::{CheckOutcome, CorrectionCode, DetectionCode};
+use crate::code::{CheckOutcome, DetectionCode};
 use crate::gf::Gf256;
+
+/// Codeword length in symbols (bytes).
+const N: usize = 18;
+/// Dataword length in symbols (bytes).
+const K: usize = 16;
+/// Check symbols, `N - K`.
+const NSYM: usize = N - K;
 
 /// How a Reed–Solomon code reacts to a non-zero syndrome.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DecodePolicy {
-    /// Attempt in-place correction up to the code's capability
-    /// (Chipkill-style SSC with `n - k = 2`).
+    /// Attempt in-place correction of a single symbol (Chipkill SSC).
     Correct,
     /// Never correct locally: report any detected error as uncorrectable
     /// so the caller recovers from the replica (Dvé+DSD).
     DetectOnly,
 }
 
-/// Caller-owned scratch buffers for [`Rs::decode_in_place`].
+/// Caller-owned scratch buffers for [`Rs::decode_in_place`] and
+/// [`Rs::decode_general_in_place`].
 ///
 /// Create one per worker with [`Rs::make_scratch`] and reuse it across
 /// decodes; all buffers are `clear()`ed/overwritten per call, never
@@ -75,181 +80,98 @@ pub struct RsScratch {
     magnitudes: Vec<u8>,
 }
 
-/// A systematic Reed–Solomon code over GF(2^8).
+/// The systematic RS(18,16) code over GF(2^8).
 ///
 /// # Example
 ///
 /// ```
-/// use dve_ecc::rs::{DecodePolicy, Rs};
-/// use dve_ecc::code::{CheckOutcome, CorrectionCode, DetectionCode};
+/// use dve_ecc::rs::Rs;
+/// use dve_ecc::code::{CheckOutcome, DetectionCode};
 ///
 /// // Chipkill-style RS(18,16): corrects any single-symbol (chip) error.
-/// let chipkill = Rs::new(18, 16, DecodePolicy::Correct);
+/// let chipkill = Rs::chipkill();
 /// let data: Vec<u8> = (100..116).collect();
 /// let mut cw = chipkill.encode(&data);
 /// cw[7] ^= 0xFF; // whole-chip failure on symbol 7
-/// let outcome = chipkill.check_and_repair(&mut cw);
+/// let outcome = chipkill.decode_in_place(&mut cw, &mut chipkill.make_scratch());
 /// assert_eq!(outcome, CheckOutcome::Corrected { symbols_fixed: 1 });
 /// assert_eq!(chipkill.extract_data(&cw), data);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Rs {
-    n: usize,
-    k: usize,
     policy: DecodePolicy,
-    generator: Vec<u8>,
-    /// Syndrome roots: `roots[i] = α^i` for `i < n - k`.
-    roots: Vec<u8>,
-    /// Location values: `x[j] = α^{n-1-j}` for codeword position `j`.
-    x: Vec<u8>,
-    /// Inverse location values: `x_inv[j] = α^{-(n-1-j)}`.
-    x_inv: Vec<u8>,
-    /// Chien step factors: `alpha_pows[i] = α^i` for `i <= n - k`.
-    alpha_pows: Vec<u8>,
-    /// For `n - k == 2`: parity `p_t = solve2[t][0]·S_0 + solve2[t][1]·S_1`
-    /// from the data-only syndromes (see [`Rs::encode_into`]).
-    solve2: Option<[[u8; 2]; 2]>,
+    /// Location values: `x[j] = α^{N-1-j}` for codeword position `j`.
+    x: [u8; N],
+    /// Inverse location values: `x_inv[j] = α^{-(N-1-j)}`.
+    x_inv: [u8; N],
+    /// Chien step factors: `alpha_pows[i] = α^i` for `i <= NSYM`.
+    alpha_pows: [u8; NSYM + 1],
+    /// Parity `p_t = solve2[t][0]·S_0 + solve2[t][1]·S_1` from the
+    /// data-only syndromes (see [`Rs::encode_into`]).
+    solve2: [[u8; 2]; 2],
 }
 
 impl Rs {
-    /// Creates an RS(n, k) code.
-    ///
-    /// All position-dependent constants (syndrome roots, Chien/Forney
-    /// location tables) are precomputed here so the per-decode paths are
-    /// free of `pow` calls and allocations.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < k < n <= 255`.
-    pub fn new(n: usize, k: usize, policy: DecodePolicy) -> Rs {
-        assert!(
-            k > 0 && k < n && n <= 255,
-            "invalid RS parameters n={n} k={k}"
-        );
-        let nsym = n - k;
-        let roots: Vec<u8> = (0..nsym).map(|i| Gf256::alpha_pow(i as u32)).collect();
-        let x: Vec<u8> = (0..n)
-            .map(|j| Gf256::alpha_pow((n - 1 - j) as u32))
-            .collect();
-        let x_inv: Vec<u8> = x.iter().map(|&v| Gf256::inv(v)).collect();
-        let alpha_pows: Vec<u8> = (0..=nsym).map(|i| Gf256::alpha_pow(i as u32)).collect();
-        let generator = Self::generator_poly(nsym);
+    /// RS(18,16) under `policy`. All position-dependent constants are
+    /// precomputed here so the per-decode paths are free of `pow` calls
+    /// and allocations.
+    fn new(policy: DecodePolicy) -> Rs {
+        let x: [u8; N] = std::array::from_fn(|j| Gf256::alpha_pow((N - 1 - j) as u32));
         // Parity symbols p_0, p_1 sit at locations X_0 = α, X_1 = 1 and
         // must satisfy p_0·X_0^i + p_1·X_1^i = α^{2i}·S_i (S_i over the
         // data alone, shifted past the parity). Row t of the inverse
         // Vandermonde matrix is the Lagrange basis (x + X_other)/(X_t +
         // X_other); the α^{2i} shift is folded into column i.
-        let solve2 = (nsym == 2).then(|| {
-            let (a, a2) = (Gf256::alpha_pow(1), Gf256::alpha_pow(2));
-            let d = Gf256::inv(a ^ 1);
-            [
+        let (a, a2) = (Gf256::alpha_pow(1), Gf256::alpha_pow(2));
+        let d = Gf256::inv(a ^ 1);
+        Rs {
+            policy,
+            x,
+            x_inv: x.map(Gf256::inv),
+            alpha_pows: std::array::from_fn(|i| Gf256::alpha_pow(i as u32)),
+            solve2: [
                 [d, Gf256::mul(d, a2)],
                 [Gf256::mul(d, a), Gf256::mul(d, a2)],
-            ]
-        });
-        Rs {
-            n,
-            k,
-            policy,
-            generator,
-            roots,
-            x,
-            x_inv,
-            alpha_pows,
-            solve2,
+            ],
         }
     }
 
     /// The paper's Chipkill configuration: RS(18,16) with correction.
     pub fn chipkill() -> Rs {
-        Rs::new(18, 16, DecodePolicy::Correct)
+        Rs::new(DecodePolicy::Correct)
     }
 
     /// The paper's DSD configuration: RS(18,16) detect-only (Dvé+DSD).
     pub fn dsd() -> Rs {
-        Rs::new(18, 16, DecodePolicy::DetectOnly)
+        Rs::new(DecodePolicy::DetectOnly)
     }
 
-    /// Number of parity symbols `n - k`.
-    pub fn parity_len(&self) -> usize {
-        self.n - self.k
-    }
-
-    /// The decode policy in effect.
-    pub fn policy(&self) -> DecodePolicy {
-        self.policy
-    }
-
-    /// Builds a scratch sized for this code's worst-case decode.
+    /// Builds a scratch sized for the worst-case decode.
     pub fn make_scratch(&self) -> RsScratch {
-        let nsym = self.parity_len();
         RsScratch {
-            syn: Vec::with_capacity(nsym),
-            sigma: Vec::with_capacity(2 * nsym + 2),
-            prev: Vec::with_capacity(2 * nsym + 2),
-            temp: Vec::with_capacity(2 * nsym + 2),
-            omega: Vec::with_capacity(nsym),
-            coefs: Vec::with_capacity(nsym + 1),
-            positions: Vec::with_capacity(nsym),
-            magnitudes: Vec::with_capacity(nsym),
+            syn: Vec::with_capacity(NSYM),
+            sigma: Vec::with_capacity(2 * NSYM + 2),
+            prev: Vec::with_capacity(2 * NSYM + 2),
+            temp: Vec::with_capacity(2 * NSYM + 2),
+            omega: Vec::with_capacity(NSYM),
+            coefs: Vec::with_capacity(NSYM + 1),
+            positions: Vec::with_capacity(NSYM),
+            magnitudes: Vec::with_capacity(NSYM),
         }
     }
 
-    /// g(x) = Π_{i=0}^{nsym-1} (x − α^i), coefficients highest-degree
-    /// first.
-    fn generator_poly(nsym: usize) -> Vec<u8> {
-        let mut g = vec![1u8];
-        for i in 0..nsym {
-            // Multiply g by (x - alpha^i) == (x + alpha^i) in GF(2^m).
-            let root = Gf256::alpha_pow(i as u32);
-            let mut next = vec![0u8; g.len() + 1];
-            for (j, &c) in g.iter().enumerate() {
-                next[j] ^= c; // times x
-                next[j + 1] ^= Gf256::mul(c, root);
-            }
-            g = next;
-        }
-        g
-    }
-
-    /// `(S_0, S_1)` of `symbols` read as a polynomial, highest degree
+    /// `[S_0, S_1]` of `symbols` read as a polynomial, highest degree
     /// first, in one fused pass: `S_0` is a plain XOR fold (root
     /// α^0 = 1), `S_1` a Horner walk with the generator α itself —
     /// shift/reduce, no tables.
-    fn syndromes01(symbols: &[u8]) -> (u8, u8) {
+    fn syndromes(symbols: &[u8]) -> [u8; NSYM] {
         let mut s0 = 0u8;
         let mut s1 = 0u8;
         for &c in symbols {
             s0 ^= c;
             s1 = Gf256::mul_alpha(s1) ^ c;
         }
-        (s0, s1)
-    }
-
-    /// Syndromes S_i = C(α^i) for i in 0..nsym, written into `syn`
-    /// (cleared first). Returns `true` if any syndrome is non-zero.
-    ///
-    /// RS(18,16) has no syndromes beyond [`Rs::syndromes01`], so its
-    /// clean path is a single traversal; higher ones are table Horner
-    /// walks with root α^i.
-    fn syndromes_into(&self, codeword: &[u8], syn: &mut Vec<u8>) -> bool {
-        let nsym = self.parity_len();
-        syn.clear();
-        syn.resize(nsym, 0);
-        let (s0, s1) = Self::syndromes01(codeword);
-        syn[0] = s0;
-        if nsym >= 2 {
-            syn[1] = s1;
-        }
-        for (i, s) in syn.iter_mut().enumerate().skip(2) {
-            let root = self.roots[i];
-            let mut acc = 0u8;
-            for &c in codeword {
-                acc = Gf256::mul(acc, root) ^ c;
-            }
-            *s = acc;
-        }
-        syn.iter().any(|&s| s != 0)
+        [s0, s1]
     }
 
     /// Berlekamp–Massey over `s.syn`, leaving the error locator in
@@ -310,7 +232,7 @@ impl Rs {
     /// Chien search by incremental evaluation: positions (codeword
     /// indices from the left) where the locator evaluates to zero.
     ///
-    /// Position `j` corresponds to evaluating σ at `X_j^{-1} = α^{j-(n-1)}`;
+    /// Position `j` corresponds to evaluating σ at `X_j^{-1} = α^{j-(N-1)}`;
     /// stepping `j → j+1` multiplies the evaluation point by α, so the
     /// `i`-th term of σ just picks up a constant factor `α^i` per step —
     /// no `pow` anywhere.
@@ -326,7 +248,7 @@ impl Rs {
             s.coefs.push(Gf256::mul(s.sigma[i], xp));
             xp = Gf256::mul(xp, x_inv0);
         }
-        for j in 0..self.n {
+        for j in 0..N {
             let mut acc = 0u8;
             for &c in s.coefs.iter() {
                 acc ^= c;
@@ -334,7 +256,7 @@ impl Rs {
             if acc == 0 {
                 s.positions.push(j);
             }
-            if j + 1 < self.n {
+            if j + 1 < N {
                 for (i, c) in s.coefs.iter_mut().enumerate().skip(1) {
                     *c = Gf256::mul(*c, self.alpha_pows[i]);
                 }
@@ -346,11 +268,10 @@ impl Rs {
     /// `s.magnitudes`. Polynomial evaluations use Horner on the
     /// precomputed per-position location values — no `pow` calls.
     fn forney_into(&self, s: &mut RsScratch) {
-        // Error evaluator omega(x) = [S(x) * sigma(x)] mod x^nsym,
+        // Error evaluator omega(x) = [S(x) * sigma(x)] mod x^NSYM,
         // with S(x) = sum S_i x^i (lowest-degree first).
-        let nsym = self.parity_len();
         s.omega.clear();
-        for i in 0..nsym {
+        for i in 0..NSYM {
             let mut acc = 0u8;
             for j in 0..=i {
                 if j < s.sigma.len() && (i - j) < s.syn.len() {
@@ -393,66 +314,25 @@ impl Rs {
         }
     }
 
-    /// Encodes `data` systematically into the caller-provided `codeword`
-    /// buffer (`data` copied to the front, parity written behind it).
-    /// Allocation-free.
-    ///
-    /// With two check symbols (RS(18,16)) the parity is solved from the
-    /// data's two syndromes — one table-free pass plus four multiplies by
-    /// constructor constants — instead of a per-symbol LFSR; other codes
-    /// run the generic LFSR.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len() != k` or `codeword.len() != n`.
-    pub fn encode_into(&self, data: &[u8], codeword: &mut [u8]) {
-        assert_eq!(data.len(), self.k, "dataword length mismatch");
-        assert_eq!(codeword.len(), self.n, "codeword length mismatch");
-        let (out_data, remainder) = codeword.split_at_mut(self.k);
-        out_data.copy_from_slice(data);
-        if let Some(m) = &self.solve2 {
-            let (s0, s1) = Self::syndromes01(data);
-            for (p, row) in remainder.iter_mut().zip(m) {
-                *p = Gf256::mul(row[0], s0) ^ Gf256::mul(row[1], s1);
-            }
-            return;
-        }
-        remainder.fill(0);
-        let nsym = self.parity_len();
-        for &d in data {
-            let coef = d ^ remainder[0];
-            remainder.rotate_left(1);
-            remainder[nsym - 1] = 0;
-            if coef != 0 {
-                // generator[0] == 1 (monic); skip it.
-                Gf256::fma_slice(remainder, &self.generator[1..], coef);
-            }
-        }
-    }
-
     /// Checks and (under [`DecodePolicy::Correct`]) repairs `codeword` in
     /// place using caller-owned scratch. Allocation-free; the fast path
-    /// for fault-free codewords never runs a corrector, and two-check
-    /// codes correct in closed form.
-    ///
-    /// Behaviourally identical to [`CorrectionCode::check_and_repair`]
-    /// (which wraps this with a thread-local scratch).
+    /// for fault-free codewords never runs a corrector, and a single
+    /// symbol error is corrected in closed form.
     ///
     /// # Panics
     ///
-    /// Panics if `codeword.len() != n`.
+    /// Panics if `codeword.len() != 18`.
     pub fn decode_in_place(&self, codeword: &mut [u8], s: &mut RsScratch) -> CheckOutcome {
-        self.decode_with(codeword, s, self.parity_len() == 2)
+        self.decode_with(codeword, s, true)
     }
 
     /// [`Rs::decode_in_place`] through Berlekamp–Massey, Chien and Forney
-    /// for every code, including the two-check codes `decode_in_place`
-    /// corrects in closed form — the oracle that closed form is tested
+    /// instead of the closed form — the oracle that closed form is tested
     /// against. Allocation-free.
     ///
     /// # Panics
     ///
-    /// Panics if `codeword.len() != n`.
+    /// Panics if `codeword.len() != 18`.
     pub fn decode_general_in_place(&self, codeword: &mut [u8], s: &mut RsScratch) -> CheckOutcome {
         self.decode_with(codeword, s, false)
     }
@@ -460,27 +340,22 @@ impl Rs {
     /// [`DetectionCode::check`] of the word that is zero but for
     /// `errors`, given as `(position, value)` pairs; values at a repeated
     /// position add. Each pair adds `e·X^i` to syndrome `S_i`, with the
-    /// location value `X = α^{n−1−p}` from the constructor's table, so a
+    /// location value `X = α^{17−p}` from the constructor's table, so a
     /// word with a few non-zero symbols costs a few multiplies instead of
-    /// a pass over all `n`. The code is linear, so this is also the check
+    /// a pass over all 18. The code is linear, so this is also the check
     /// of any codeword carrying that error pattern (DESIGN.md §7).
     /// Allocation-free.
     ///
     /// # Panics
     ///
-    /// Panics if a position is `>= n`.
+    /// Panics if a position is `>= 18`.
     pub fn check_sparse(&self, errors: impl IntoIterator<Item = (usize, u8)>) -> CheckOutcome {
-        let mut syn = [0u8; 255];
-        let syn = &mut syn[..self.parity_len()];
+        let mut syn = [0u8; NSYM];
         for (p, e) in errors {
-            let x = self.x[p];
-            let mut term = e;
-            for s in syn.iter_mut() {
-                *s ^= term;
-                term = Gf256::mul(term, x);
-            }
+            syn[0] ^= e;
+            syn[1] ^= Gf256::mul(e, self.x[p]);
         }
-        CheckOutcome::from_syndrome_weight(syn.iter().filter(|&&v| v != 0).count())
+        CheckOutcome::from_syndromes(&syn)
     }
 
     fn decode_with(
@@ -489,41 +364,39 @@ impl Rs {
         s: &mut RsScratch,
         closed_form: bool,
     ) -> CheckOutcome {
-        assert_eq!(codeword.len(), self.n, "codeword length mismatch");
+        assert_eq!(codeword.len(), N, "codeword length mismatch");
+        let syn = Self::syndromes(codeword);
+        let outcome = CheckOutcome::from_syndromes(&syn);
         // Syndrome-zero early exit: fault-free words never reach a
         // corrector.
-        if !self.syndromes_into(codeword, &mut s.syn) {
-            return CheckOutcome::NoError;
-        }
-        let due = CheckOutcome::DetectedUncorrectable {
-            syndrome_weight: s.syn.iter().filter(|&&v| v != 0).count(),
-        };
-        if self.policy == DecodePolicy::DetectOnly {
-            return due;
+        if outcome == CheckOutcome::NoError || self.policy == DecodePolicy::DetectOnly {
+            return outcome;
         }
         let fixed = if closed_form {
-            self.correct_single(codeword, s.syn[0], s.syn[1])
+            self.correct_single(codeword, syn)
         } else {
+            s.syn.clear();
+            s.syn.extend_from_slice(&syn);
             self.correct_general(codeword, s)
         };
-        fixed.map_or(due, |symbols_fixed| CheckOutcome::Corrected {
+        fixed.map_or(outcome, |symbols_fixed| CheckOutcome::Corrected {
             symbols_fixed,
         })
     }
 
-    /// Closed-form correction for two check symbols: the error sits at
-    /// location `X = S_1/S_0` with magnitude `S_0`. A zero syndrome (the
-    /// other being non-zero) or a location outside the codeword means
-    /// more than one symbol is wrong.
-    fn correct_single(&self, codeword: &mut [u8], s0: u8, s1: u8) -> Option<usize> {
+    /// Closed-form single-symbol correction: the error sits at location
+    /// `X = S_1/S_0` with magnitude `S_0`. A zero syndrome (the other
+    /// being non-zero) or a location outside the codeword means more
+    /// than one symbol is wrong.
+    fn correct_single(&self, codeword: &mut [u8], [s0, s1]: [u8; NSYM]) -> Option<usize> {
         if s0 == 0 || s1 == 0 {
             return None;
         }
         let l = (Gf256::log(s1) + 255 - Gf256::log(s0)) as usize % 255;
-        if l >= self.n {
+        if l >= N {
             return None;
         }
-        codeword[self.n - 1 - l] ^= s0;
+        codeword[N - 1 - l] ^= s0;
         Some(1)
     }
 
@@ -532,7 +405,7 @@ impl Rs {
     fn correct_general(&self, codeword: &mut [u8], s: &mut RsScratch) -> Option<usize> {
         Self::berlekamp_massey_into(s);
         let num_errors = s.sigma.len() - 1;
-        if num_errors == 0 || num_errors > self.parity_len() / 2 {
+        if num_errors == 0 || num_errors > NSYM / 2 {
             return None;
         }
         self.chien_search_into(s);
@@ -548,7 +421,7 @@ impl Rs {
             codeword[pos] ^= mag;
         }
         // Verify the repair really zeroed the syndromes.
-        if self.syndromes_into(codeword, &mut s.syn) {
+        if Self::syndromes(codeword) != [0; NSYM] {
             return None;
         }
         Some(s.positions.len())
@@ -557,65 +430,37 @@ impl Rs {
 
 impl DetectionCode for Rs {
     fn data_len(&self) -> usize {
-        self.k
+        K
     }
 
     fn codeword_len(&self) -> usize {
-        self.n
+        N
     }
 
-    fn encode(&self, data: &[u8]) -> Vec<u8> {
-        let mut cw = vec![0u8; self.n];
-        self.encode_into(data, &mut cw);
-        cw
-    }
-
+    /// Encodes `data` systematically into the caller-provided `codeword`
+    /// buffer (`data` copied to the front, parity written behind it).
+    /// Allocation-free.
+    ///
+    /// The parity is solved from the data's two syndromes — one
+    /// table-free pass plus four multiplies by constructor constants.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data.len() != 16` or `codeword.len() != 18`.
     fn encode_into(&self, data: &[u8], codeword: &mut [u8]) {
-        Rs::encode_into(self, data, codeword);
+        assert_eq!(data.len(), K, "dataword length mismatch");
+        assert_eq!(codeword.len(), N, "codeword length mismatch");
+        let (out_data, parity) = codeword.split_at_mut(K);
+        out_data.copy_from_slice(data);
+        let [s0, s1] = Self::syndromes(data);
+        for (p, row) in parity.iter_mut().zip(&self.solve2) {
+            *p = Gf256::mul(row[0], s0) ^ Gf256::mul(row[1], s1);
+        }
     }
 
     fn check(&self, codeword: &[u8]) -> CheckOutcome {
-        assert_eq!(codeword.len(), self.n, "codeword length mismatch");
-        // Stack-buffered syndrome pass: `check` stays allocation-free
-        // even without caller scratch (nsym <= 255 always fits).
-        let mut syn = [0u8; 255];
-        let nsym = self.parity_len();
-        let syn = &mut syn[..nsym];
-        let (s0, s1) = Self::syndromes01(codeword);
-        syn[0] = s0;
-        if nsym >= 2 {
-            syn[1] = s1;
-        }
-        for (i, s) in syn.iter_mut().enumerate().skip(2) {
-            let root = self.roots[i];
-            let mut acc = 0u8;
-            for &c in codeword {
-                acc = Gf256::mul(acc, root) ^ c;
-            }
-            *s = acc;
-        }
-        CheckOutcome::from_syndrome_weight(syn.iter().filter(|&&v| v != 0).count())
-    }
-}
-
-impl CorrectionCode for Rs {
-    fn check_and_repair(&self, codeword: &mut [u8]) -> CheckOutcome {
-        // Compat wrapper over [`Rs::decode_in_place`]: callers that
-        // cannot own scratch borrow a thread-local one, so this path
-        // allocates only on each thread's first decode (the buffers
-        // grow to the largest code ever decoded on the thread).
-        thread_local! {
-            static SCRATCH: std::cell::RefCell<RsScratch> =
-                std::cell::RefCell::new(RsScratch::default());
-        }
-        SCRATCH.with(|s| self.decode_in_place(codeword, &mut s.borrow_mut()))
-    }
-
-    fn correctable_symbols(&self) -> usize {
-        match self.policy {
-            DecodePolicy::Correct => self.parity_len() / 2,
-            DecodePolicy::DetectOnly => 0,
-        }
+        assert_eq!(codeword.len(), N, "codeword length mismatch");
+        CheckOutcome::from_syndromes(&Self::syndromes(codeword))
     }
 }
 
@@ -640,12 +485,11 @@ mod tests {
 
     #[test]
     fn encode_into_matches_encode() {
-        for (n, k) in [(18usize, 16usize), (20, 16), (24, 16), (10, 4)] {
-            let rs = Rs::new(n, k, DecodePolicy::Correct);
-            let d = data(k);
-            let mut cw = vec![0xAAu8; n]; // dirty buffer must be overwritten
+        for rs in [Rs::chipkill(), Rs::dsd()] {
+            let d = data(16);
+            let mut cw = vec![0xAAu8; 18]; // dirty buffer must be overwritten
             rs.encode_into(&d, &mut cw);
-            assert_eq!(cw, rs.encode(&d), "n={n} k={k}");
+            assert_eq!(cw, rs.encode(&d), "{:?}", rs.policy);
         }
     }
 
@@ -683,7 +527,7 @@ mod tests {
         let mut cw = rs.encode(&d);
         cw[2] ^= 0x55;
         cw[9] ^= 0x7C;
-        let outcome = rs.check_and_repair(&mut cw);
+        let outcome = rs.decode_in_place(&mut cw, &mut rs.make_scratch());
         assert!(
             matches!(outcome, CheckOutcome::DetectedUncorrectable { .. }),
             "got {outcome:?}"
@@ -697,79 +541,47 @@ mod tests {
         let mut cw = rs.encode(&d);
         cw[0] ^= 0x01;
         let before = cw.clone();
-        let outcome = rs.check_and_repair(&mut cw);
+        let outcome = rs.decode_in_place(&mut cw, &mut rs.make_scratch());
         assert!(matches!(
             outcome,
             CheckOutcome::DetectedUncorrectable { .. }
         ));
         assert_eq!(cw, before, "detect-only must not mutate the codeword");
-        assert_eq!(rs.correctable_symbols(), 0);
-    }
-
-    #[test]
-    fn stronger_code_corrects_two_errors() {
-        // RS(20,16): 4 parity symbols -> corrects 2.
-        let rs = Rs::new(20, 16, DecodePolicy::Correct);
-        let d = data(16);
-        let mut cw = rs.encode(&d);
-        cw[3] ^= 0xDE;
-        cw[17] ^= 0xAD;
-        let outcome = rs.check_and_repair(&mut cw);
-        assert_eq!(outcome, CheckOutcome::Corrected { symbols_fixed: 2 });
-        assert_eq!(rs.extract_data(&cw), d);
-        assert_eq!(rs.correctable_symbols(), 2);
-    }
-
-    #[test]
-    fn three_errors_beyond_capability_of_rs20_16() {
-        let rs = Rs::new(20, 16, DecodePolicy::Correct);
-        let d = data(16);
-        let mut cw = rs.encode(&d);
-        cw[0] ^= 0x11;
-        cw[7] ^= 0x22;
-        cw[15] ^= 0x33;
-        // Beyond capability: must *not* report Corrected with wrong data.
-        let mut copy = cw.clone();
-        let outcome = rs.check_and_repair(&mut copy);
-        if let CheckOutcome::Corrected { .. } = outcome {
-            // Miscorrection is theoretically possible for >t errors; but
-            // then the result must at least be a valid codeword.
-            assert_eq!(rs.check(&copy), CheckOutcome::NoError);
-        }
     }
 
     #[test]
     fn scratch_reuse_across_mixed_decodes_is_clean() {
-        // One scratch must serve interleaved clean/1-err/2-err decodes
-        // without state leaking between calls.
-        let rs = Rs::new(20, 16, DecodePolicy::Correct);
-        let d = data(16);
-        let clean = rs.encode(&d);
+        // One scratch must serve interleaved clean/1-err/2-err decodes,
+        // closed-form and general, without state leaking between calls.
+        let rs = Rs::chipkill();
+        let clean = rs.encode(&data(16));
         let mut scratch = rs.make_scratch();
+        let decoders = [Rs::decode_in_place, Rs::decode_general_in_place];
         for round in 0..50 {
-            let mut cw = clean.clone();
-            assert_eq!(
-                rs.decode_in_place(&mut cw, &mut scratch),
-                CheckOutcome::NoError,
-                "round {round} clean"
-            );
-            let mut cw = clean.clone();
-            cw[(round * 7) % 20] ^= 0x3C;
-            assert_eq!(
-                rs.decode_in_place(&mut cw, &mut scratch),
-                CheckOutcome::Corrected { symbols_fixed: 1 },
-                "round {round} 1-err"
-            );
-            assert_eq!(&cw, &clean);
-            let mut cw = clean.clone();
-            cw[round % 20] ^= 0x11;
-            cw[(round + 5) % 20] ^= 0x2F;
-            assert_eq!(
-                rs.decode_in_place(&mut cw, &mut scratch),
-                CheckOutcome::Corrected { symbols_fixed: 2 },
-                "round {round} 2-err"
-            );
-            assert_eq!(&cw, &clean);
+            for decode in decoders {
+                let mut cw = clean.clone();
+                assert_eq!(
+                    decode(&rs, &mut cw, &mut scratch),
+                    CheckOutcome::NoError,
+                    "round {round} clean"
+                );
+                cw[(round * 7) % 18] ^= 0x3C;
+                assert_eq!(
+                    decode(&rs, &mut cw, &mut scratch),
+                    CheckOutcome::Corrected { symbols_fixed: 1 },
+                    "round {round} 1-err"
+                );
+                assert_eq!(&cw, &clean);
+                cw[round % 18] ^= 0x11;
+                cw[(round + 5) % 18] ^= 0x2F;
+                let mut fresh = cw.clone();
+                assert_eq!(
+                    decode(&rs, &mut cw, &mut scratch),
+                    decode(&rs, &mut fresh, &mut rs.make_scratch()),
+                    "round {round} 2-err"
+                );
+                assert_eq!(&cw, &fresh);
+            }
         }
     }
 
@@ -778,18 +590,6 @@ mod tests {
         // RS(18,16): 2/16 = 12.5% ECC overhead.
         let rs = Rs::chipkill();
         assert!((rs.overhead() - 0.125).abs() < 1e-12);
-    }
-
-    #[test]
-    fn parity_len_accessor() {
-        assert_eq!(Rs::chipkill().parity_len(), 2);
-        assert_eq!(Rs::new(24, 16, DecodePolicy::Correct).parity_len(), 8);
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid RS parameters")]
-    fn rejects_bad_parameters() {
-        Rs::new(16, 16, DecodePolicy::Correct);
     }
 
     #[test]
@@ -806,7 +606,7 @@ mod tests {
         let mut cw = rs.encode(&d);
         cw[5] = !cw[5]; // all 8 bits of the symbol flip
         assert_eq!(
-            rs.check_and_repair(&mut cw),
+            rs.decode_in_place(&mut cw, &mut rs.make_scratch()),
             CheckOutcome::Corrected { symbols_fixed: 1 }
         );
         assert_eq!(rs.extract_data(&cw), d);

@@ -1,10 +1,10 @@
 //! Property-based tests for the error-control codes.
 
-use dve_ecc::code::{CheckOutcome, CorrectionCode, DetectionCode};
+use dve_ecc::code::{CheckOutcome, DetectionCode};
 use dve_ecc::gf::{reference, Gf16, Gf256};
 use dve_ecc::inject::{FaultInjector, FaultKind};
-use dve_ecc::rs::{DecodePolicy, Rs};
-use dve_ecc::rs16::{Rs16Detect, MAX_INLINE_CHECK_SYMBOLS};
+use dve_ecc::rs::Rs;
+use dve_ecc::rs16::Rs16Detect;
 use dve_sim::rng::SplitMix64;
 use proptest::prelude::*;
 
@@ -68,81 +68,16 @@ proptest! {
         prop_assert_eq!(Gf16::inv(a), reference::gf16_inv(a));
     }
 
-    #[test]
-    fn gf256_slice_kernels_match_scalar(
-        acc in proptest::collection::vec(any::<u8>(), 1..80),
-        src_seed in any::<u64>(),
-        c in 0u8..,
-    ) {
-        let src: Vec<u8> = acc
-            .iter()
-            .enumerate()
-            .map(|(i, _)| (src_seed.rotate_left(i as u32) & 0xFF) as u8)
-            .collect();
-        let mut fast = acc.clone();
-        Gf256::fma_slice(&mut fast, &src, c);
-        let slow: Vec<u8> = acc
-            .iter()
-            .zip(&src)
-            .map(|(&a, &s)| a ^ reference::gf256_mul(s, c))
-            .collect();
-        prop_assert_eq!(&fast, &slow);
-
-        let mut fast2 = acc.clone();
-        Gf256::mul_slice_assign(&mut fast2, c);
-        let slow2: Vec<u8> = acc.iter().map(|&a| reference::gf256_mul(a, c)).collect();
-        prop_assert_eq!(&fast2, &slow2);
-    }
-
-    #[test]
-    fn gf16_slice_kernels_match_scalar(
-        buf in proptest::collection::vec(any::<u16>(), 1..48),
-        c in 0u16..,
-    ) {
-        let mut fast = buf.clone();
-        Gf16::mul_slice_assign(&mut fast, c);
-        let slow: Vec<u16> = buf.iter().map(|&a| reference::gf16_mul(a, c)).collect();
-        prop_assert_eq!(&fast, &slow);
-    }
-
-    // ---- Allocation-free hot paths vs the allocating compat API -------
+    // ---- Allocation-free hot paths vs the allocating API ---------------
 
     #[test]
     fn rs_encode_into_matches_encode(
         data in proptest::collection::vec(any::<u8>(), 16),
     ) {
-        // chipkill (nsym = 2) takes the syndrome-solve fast path; the
-        // 4-check-symbol code exercises the generic LFSR.
-        for rs in [Rs::chipkill(), Rs::dsd(), Rs::new(20, 16, DecodePolicy::Correct)] {
+        for rs in [Rs::chipkill(), Rs::dsd()] {
             let mut fast = vec![0u8; rs.codeword_len()];
             rs.encode_into(&data, &mut fast);
             prop_assert_eq!(&fast, &rs.encode(&data));
-        }
-    }
-
-    #[test]
-    fn rs_decode_in_place_matches_check_and_repair(
-        data in proptest::collection::vec(any::<u8>(), 16),
-        p1 in 0usize..18,
-        p2 in 0usize..18,
-        e1 in 0u8..,
-        e2 in 0u8..,
-    ) {
-        // Clean, single- and double-symbol corruptions, against both the
-        // correcting (Chipkill) and detect-only (DSD) policies: the
-        // scratch-reusing decode must agree with the compat API on the
-        // outcome *and* on the final buffer contents.
-        for rs in [Rs::chipkill(), Rs::dsd()] {
-            let cw = rs.encode(&data);
-            let mut a = cw.clone();
-            a[p1] ^= e1;
-            a[p2] ^= e2;
-            let mut b = a.clone();
-            let mut scratch = rs.make_scratch();
-            let fast = rs.decode_in_place(&mut a, &mut scratch);
-            let slow = rs.check_and_repair(&mut b);
-            prop_assert_eq!(fast, slow);
-            prop_assert_eq!(&a, &b);
         }
     }
 
@@ -176,22 +111,17 @@ proptest! {
         pos in 0usize..35,
         err in 0u16..,
     ) {
-        // tsd() (3 check symbols) takes the syndrome-solve parity path
-        // and the fully fused table-free syndrome pass; the
-        // 2-check-symbol variant exercises the generic loops.
-        for code in [Rs16Detect::tsd(64), Rs16Detect::new(64, 2)] {
-            let mut fast = vec![0u8; code.codeword_len()];
-            code.encode_into(&data, &mut fast);
-            let cw = code.encode(&data);
-            prop_assert_eq!(&fast, &cw);
-            let mut bad = cw.clone();
-            let pos = pos % (code.codeword_len() / 2);
-            let sym = u16::from_be_bytes([bad[2 * pos], bad[2 * pos + 1]]) ^ err;
-            bad[2 * pos..2 * pos + 2].copy_from_slice(&sym.to_be_bytes());
-            // err == 0 keeps the word clean; the check must agree with
-            // whether anything actually changed.
-            prop_assert_eq!(code.check(&bad).is_good(), err == 0);
-        }
+        let code = Rs16Detect::tsd(64);
+        let mut fast = vec![0u8; code.codeword_len()];
+        code.encode_into(&data, &mut fast);
+        let cw = code.encode(&data);
+        prop_assert_eq!(&fast, &cw);
+        let mut bad = cw.clone();
+        let sym = u16::from_be_bytes([bad[2 * pos], bad[2 * pos + 1]]) ^ err;
+        bad[2 * pos..2 * pos + 2].copy_from_slice(&sym.to_be_bytes());
+        // err == 0 keeps the word clean; the check must agree with
+        // whether anything actually changed.
+        prop_assert_eq!(code.check(&bad).is_good(), err == 0);
     }
 
     // ---- Fast paths vs the general algorithms -------------------------
@@ -199,19 +129,18 @@ proptest! {
     #[test]
     fn syndrome_solve_encoders_match_the_lfsr(
         seed in any::<u64>(),
-        k in 1usize..254,
         words in 1usize..40,
     ) {
-        // Any nsym = 2 code over GF(2^8) and any 3-check code over
-        // GF(2^16) solve their parity from the data syndromes; the
-        // textbook LFSR division must give the same bytes.
+        // RS(18,16) and the 3-check TSD code (at any payload) solve
+        // their parity from the data syndromes; the textbook LFSR
+        // division must give the same bytes.
         let mut rng = SplitMix64::new(seed);
         let mut bytes = |len: usize| -> Vec<u8> { (0..len).map(|_| rng.next_u64() as u8).collect() };
-        for rs in [Rs::new(k + 2, k, DecodePolicy::Correct), Rs::chipkill()] {
+        for rs in [Rs::chipkill(), Rs::dsd()] {
             let data = bytes(rs.data_len());
             prop_assert_eq!(&rs.encode(&data)[data.len()..], &lfsr_parity8(&data, 2)[..]);
         }
-        for tsd in [Rs16Detect::new(2 * words, 3), Rs16Detect::tsd(64)] {
+        for tsd in [Rs16Detect::tsd(2 * words), Rs16Detect::tsd(64)] {
             let data = bytes(tsd.data_len());
             let parity: Vec<u8> = lfsr_parity16(&data, 3)
                 .iter()
@@ -224,18 +153,17 @@ proptest! {
     #[test]
     fn rs_closed_form_matches_general_decode_on_heavy_errors(
         seed in any::<u64>(),
-        n in 3usize..=255,
         errors in 3usize..=18,
     ) {
         // Three or more wrong symbols: DUE or a miscorrection, and the
         // closed form must pick the same one (same outcome, same
         // syndrome weight, same repaired bytes) as BM/Chien/Forney.
         let mut rng = SplitMix64::new(seed);
-        let rs = Rs::new(n, n - 2, DecodePolicy::Correct);
-        let data: Vec<u8> = (0..n - 2).map(|_| rng.next_u64() as u8).collect();
+        let rs = Rs::chipkill();
+        let data: Vec<u8> = (0..16).map(|_| rng.next_u64() as u8).collect();
         let mut cw = rs.encode(&data);
-        for _ in 0..errors.min(n) {
-            let pos = rng.next_below(n as u64) as usize;
+        for _ in 0..errors {
+            let pos = rng.next_below(18) as usize;
             cw[pos] ^= 1 + rng.next_below(255) as u8;
         }
         assert_closed_form_matches_general(&rs, &cw);
@@ -260,7 +188,7 @@ proptest! {
         let rs = Rs::chipkill();
         let mut cw = rs.encode(&data);
         cw[pos] ^= err;
-        let outcome = rs.check_and_repair(&mut cw);
+        let outcome = rs.decode_in_place(&mut cw, &mut rs.make_scratch());
         prop_assert_eq!(outcome, CheckOutcome::Corrected { symbols_fixed: 1 });
         prop_assert_eq!(rs.extract_data(&cw), data);
     }
@@ -275,28 +203,10 @@ proptest! {
         let mut cw = rs.encode(&data);
         cw[pos] ^= err;
         let before = cw.clone();
-        let outcome = rs.check_and_repair(&mut cw);
+        let outcome = rs.decode_in_place(&mut cw, &mut rs.make_scratch());
         let detected = matches!(outcome, CheckOutcome::DetectedUncorrectable { .. });
         prop_assert!(detected);
         prop_assert_eq!(cw, before);
-    }
-
-    #[test]
-    fn rs_t2_corrects_any_double_symbol(
-        data in proptest::collection::vec(any::<u8>(), 16),
-        p1 in 0usize..20,
-        p2 in 0usize..20,
-        e1 in 1u8..,
-        e2 in 1u8..,
-    ) {
-        prop_assume!(p1 != p2);
-        let rs = Rs::new(20, 16, DecodePolicy::Correct);
-        let mut cw = rs.encode(&data);
-        cw[p1] ^= e1;
-        cw[p2] ^= e2;
-        let outcome = rs.check_and_repair(&mut cw);
-        prop_assert_eq!(outcome, CheckOutcome::Corrected { symbols_fixed: 2 });
-        prop_assert_eq!(rs.extract_data(&cw), data);
     }
 
     #[test]
@@ -330,7 +240,7 @@ proptest! {
         let mut inj = FaultInjector::new(seed);
         let touched = inj.inject_symbols_at(&mut cw, &[pos]);
         prop_assert_eq!(touched, vec![pos]);
-        let outcome = rs.check_and_repair(&mut cw);
+        let outcome = rs.decode_in_place(&mut cw, &mut rs.make_scratch());
         prop_assert_eq!(outcome, CheckOutcome::Corrected { symbols_fixed: 1 });
         prop_assert_eq!(rs.extract_data(&cw), data);
     }
@@ -370,7 +280,7 @@ proptest! {
         let mut inj = FaultInjector::new(seed);
         inj.inject(&mut cw, FaultKind::MultiChip { count: chips });
         let before = cw.clone();
-        let outcome = dsd.check_and_repair(&mut cw);
+        let outcome = dsd.decode_in_place(&mut cw, &mut dsd.make_scratch());
         prop_assert!(!matches!(outcome, CheckOutcome::Corrected { .. }));
         prop_assert_eq!(cw, before);
     }
@@ -567,12 +477,6 @@ proptest! {
         let (dsd, tsd) = (Rs::dsd(), Rs16Detect::tsd(64));
         prop_assert_eq!(dsd.check_sparse(dsd_errors.iter().copied()), dsd.check(&dsd_word));
         prop_assert_eq!(tsd.check_sparse(errors.iter().copied()), tsd.check(&tsd_word));
-        // More check symbols than the inline registers hold: the same
-        // symbols at the head of a 43-symbol word.
-        let wide = Rs16Detect::new(64, MAX_INLINE_CHECK_SYMBOLS + 3);
-        let mut wide_word = tsd_word.clone();
-        wide_word.resize(wide.codeword_len(), 0);
-        prop_assert_eq!(wide.check_sparse(errors.iter().copied()), wide.check(&wide_word));
     }
 
     #[test]

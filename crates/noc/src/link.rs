@@ -20,6 +20,13 @@
 
 use dve_sim::time::{Cycles, CORE_CLOCK};
 
+/// Backoff base of a send under an outage: retry `k` is attempted
+/// `RETRY_BASE * (2^k - 1)` cycles after the first try.
+const RETRY_BASE: u64 = 64;
+
+/// Retries before a send under an outage fails over to local-only.
+const MAX_RETRIES: u32 = 6;
+
 /// Outcome of a send attempted under outage windows
 /// ([`LinkTable::transfer_resilient`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,7 +43,7 @@ pub enum LinkSendOutcome {
     /// inside an outage window; the caller must fall back to
     /// local-copy-only service.
     Failed {
-        /// Number of retries burned (always `max_retries`).
+        /// Number of retries burned (always the whole budget of 6).
         retries: u32,
     },
 }
@@ -91,8 +98,6 @@ pub struct LinkTable {
     global_outages: Vec<(u64, u64)>,
     /// Additional per-edge outage windows.
     edge_outages: Vec<Vec<(u64, u64)>>,
-    retry_base: u64,
-    max_retries: u32,
 }
 
 impl LinkTable {
@@ -120,8 +125,6 @@ impl LinkTable {
             counts: vec![EdgeCounts::default(); edges],
             global_outages: Vec::new(),
             edge_outages: vec![Vec::new(); edges],
-            retry_base: 64,
-            max_retries: 6,
         }
     }
 
@@ -176,26 +179,20 @@ impl LinkTable {
     }
 
     /// Installs whole-fabric outage windows (sorted, non-overlapping,
-    /// half-open `[start, end)` in cycles; they apply to every edge) and
-    /// the bounded exponential-backoff retry policy used by
-    /// [`LinkTable::transfer_resilient`].
+    /// half-open `[start, end)` in cycles; they apply to every edge).
     ///
-    /// Retry `k` (k = 1..=`max_retries`) is attempted at
-    /// `now + retry_base * (2^k - 1)`; the first attempt time that
-    /// falls outside every window wins. If all attempts land inside
-    /// windows the send fails and the caller must serve from the local
-    /// copy only.
+    /// A send under an outage ([`LinkTable::transfer_resilient`]) makes
+    /// retry `k` (k = 1..=6) at `now + 64 * (2^k - 1)` cycles; the first
+    /// attempt time that falls outside every window wins. If all
+    /// attempts land inside windows the send fails and the caller must
+    /// serve from the local copy only.
     ///
     /// # Panics
     ///
-    /// Panics if the windows are empty-width, unsorted or overlapping,
-    /// or if `retry_base` is zero.
-    pub fn set_outages(&mut self, windows: Vec<(u64, u64)>, retry_base: u64, max_retries: u32) {
-        assert!(retry_base > 0, "retry backoff base must be non-zero");
+    /// Panics if the windows are empty-width, unsorted or overlapping.
+    pub fn set_outages(&mut self, windows: Vec<(u64, u64)>) {
         Self::check_windows(&windows);
         self.global_outages = windows;
-        self.retry_base = retry_base;
-        self.max_retries = max_retries;
     }
 
     /// Installs outage windows on one ordered edge only — other edges
@@ -239,26 +236,14 @@ impl LinkTable {
         hit(&self.global_outages) || hit(&self.edge_outages[edge])
     }
 
-    /// The backoff schedule: attempt `k`'s start time, or `None` once
-    /// the retry budget is exhausted. The first attempt (`k == 0`) is
-    /// at `now` itself.
-    fn attempt_time(&self, now: u64, k: u32) -> Option<u64> {
-        if k > self.max_retries {
-            return None;
-        }
-        // base * (2^k - 1): 0, base, 3*base, 7*base, ...
-        let factor = (1u64 << k.min(63)) - 1;
-        Some(now + self.retry_base.saturating_mul(factor))
-    }
-
+    /// The first attempt of the backoff schedule that falls outside
+    /// every window, as `(start time, retries)`, or `None` once the
+    /// retry budget is exhausted. Attempt `k` starts at
+    /// `now + RETRY_BASE * (2^k - 1)`: now, +64, +192, +448, ...
     fn resilient_start(&self, edge: usize, now: u64) -> Option<(u64, u32)> {
-        for k in 0..=self.max_retries {
-            let t = self.attempt_time(now, k)?;
-            if !self.in_outage(edge, t) {
-                return Some((t, k));
-            }
-        }
-        None
+        (0..=MAX_RETRIES)
+            .map(|k| (now + RETRY_BASE * ((1 << k) - 1), k))
+            .find(|&(t, _)| !self.in_outage(edge, t))
     }
 
     /// Sends `bytes` over `from → to` at `now` under the configured
@@ -282,7 +267,7 @@ impl LinkTable {
                 LinkSendOutcome::Delivered { arrival, retries }
             }
             None => LinkSendOutcome::Failed {
-                retries: self.max_retries,
+                retries: MAX_RETRIES,
             },
         }
     }
@@ -405,14 +390,14 @@ mod tests {
     #[test]
     fn outage_forces_exponential_backoff() {
         let mut l = link();
-        // Window [0, 250): attempts at 0, 100, 300 — third attempt
-        // (retry 2, at 100*(2^2-1) = 300) clears the window.
-        l.set_outages(vec![(0, 250)], 100, 6);
+        // Window [0, 250): attempts at 0, 64, 192, 448 — the fourth
+        // attempt (retry 3, at 64*(2^3-1) = 448) clears the window.
+        l.set_outages(vec![(0, 250)]);
         match l.transfer_resilient(0, 1, Cycles(0), 64) {
             LinkSendOutcome::Delivered { arrival, retries } => {
-                assert_eq!(retries, 2);
-                // start 300 + 4 serialization + 150 propagation.
-                assert_eq!(arrival, Cycles(300 + 4 + 150));
+                assert_eq!(retries, 3);
+                // start 448 + 4 serialization + 150 propagation.
+                assert_eq!(arrival, Cycles(448 + 4 + 150));
             }
             LinkSendOutcome::Failed { .. } => panic!("retry budget was sufficient"),
         }
@@ -422,11 +407,12 @@ mod tests {
     #[test]
     fn outage_exhausts_bounded_retry_budget() {
         let mut l = link();
-        // Budget of 2 retries: attempts at 0, 10, 30 — all inside.
-        l.set_outages(vec![(0, 1_000)], 10, 2);
+        // Budget of 6 retries: the last attempt is at 64*(2^6-1) =
+        // 4032, still inside.
+        l.set_outages(vec![(0, 4_033)]);
         assert_eq!(
             l.transfer_resilient(0, 1, Cycles(0), 64),
-            LinkSendOutcome::Failed { retries: 2 }
+            LinkSendOutcome::Failed { retries: 6 }
         );
         assert_eq!(
             l.edge_counts(0, 1),
@@ -438,7 +424,7 @@ mod tests {
     #[test]
     fn outage_until_reports_window_end() {
         let mut l = link();
-        l.set_outages(vec![(100, 200), (500, 600)], 32, 4);
+        l.set_outages(vec![(100, 200), (500, 600)]);
         assert_eq!(l.outage_until(Cycles(50)), None);
         assert_eq!(l.outage_until(Cycles(150)), Some(Cycles(200)));
         assert_eq!(l.outage_until(Cycles(200)), None, "half-open window");
@@ -454,7 +440,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "sorted and non-overlapping")]
     fn overlapping_outages_rejected() {
-        link().set_outages(vec![(0, 100), (50, 200)], 32, 4);
+        link().set_outages(vec![(0, 100), (50, 200)]);
     }
 
     #[test]
@@ -487,12 +473,12 @@ mod tests {
         }
         // A resilient send under a global outage starts at the first
         // backoff attempt outside the window, then pays the same cost.
-        tab.set_outages(vec![(0, 250)], 100, 6);
+        tab.set_outages(vec![(0, 250)]);
         assert_eq!(
             tab.transfer_resilient(0, 1, Cycles(0), 64),
             LinkSendOutcome::Delivered {
-                arrival: Cycles(300 + 4 + 150),
-                retries: 2
+                arrival: Cycles(448 + 4 + 150),
+                retries: 3
             },
         );
     }
@@ -512,11 +498,10 @@ mod tests {
     #[test]
     fn per_edge_outage_only_stalls_that_edge() {
         let mut t = table(3);
-        t.set_outages(Vec::new(), 100, 6);
         t.set_edge_outages(0, 1, vec![(0, 250)]);
         // The edge under outage retries...
         match t.transfer_resilient(0, 1, Cycles(0), 64) {
-            LinkSendOutcome::Delivered { retries, .. } => assert_eq!(retries, 2),
+            LinkSendOutcome::Delivered { retries, .. } => assert_eq!(retries, 3),
             LinkSendOutcome::Failed { .. } => panic!("budget was sufficient"),
         }
         // ...while the reverse direction and other edges deliver
@@ -535,16 +520,16 @@ mod tests {
     #[test]
     fn global_outage_stalls_every_edge() {
         let mut t = table(3);
-        t.set_outages(vec![(0, 1_000)], 10, 2);
+        t.set_outages(vec![(0, 5_000)]);
         for (f, to) in [(0usize, 1usize), (1, 2), (2, 0)] {
             assert_eq!(
                 t.transfer_resilient(f, to, Cycles(0), 64),
-                LinkSendOutcome::Failed { retries: 2 },
+                LinkSendOutcome::Failed { retries: 6 },
                 "{f}->{to}"
             );
             assert_eq!(t.edge_counts(f, to), EdgeCounts::default());
         }
-        assert_eq!(t.outage_until(Cycles(500)), Some(Cycles(1_000)));
+        assert_eq!(t.outage_until(Cycles(500)), Some(Cycles(5_000)));
     }
 
     #[test]

@@ -241,6 +241,11 @@ impl Service {
 /// below this (the loadgen uses small integers).
 const IN_PROC_CLIENT_BASE: u64 = 1 << 32;
 
+/// How long a new connection may stall before it has sent its request
+/// head and, for a binary session, its whole HELLO: past this the
+/// connection is closed instead of parking its thread.
+const HELLO_TIMEOUT: Duration = Duration::from_millis(500);
+
 /// The runner thread: feeds the control channel into the loop, runs an
 /// epoch when one is full or `wait` has passed since its first pending
 /// op, and routes completions to sessions. On shutdown (or once every
@@ -358,6 +363,7 @@ fn serve_connection(
     shutdown: Arc<AtomicBool>,
 ) -> io::Result<()> {
     stream.set_nodelay(true)?;
+    stream.set_read_timeout(Some(HELLO_TIMEOUT))?;
     let mut head = [0u8; 4];
     stream.read_exact(&mut head)?;
     if &head == b"GET " {
@@ -577,24 +583,36 @@ mod tests {
 
     #[test]
     fn a_stalled_oversized_hello_is_dropped_at_once() {
-        // A 16 MiB HELLO length prefix and then nothing: the server
-        // must refuse the prefix and close, not allocate the claimed
-        // body and wait for it forever.
+        // Three clients that stall before a complete HELLO: a 16 MiB
+        // length prefix and then nothing (refused at once, without
+        // allocating the claimed body), a connection that sends
+        // nothing, and a valid 9-byte prefix with no body (both closed
+        // by the pre-HELLO read timeout). None may park its thread.
         let service = Service::start(&small_cfg()).unwrap();
         let addr = service.addr();
-        let mut stalled = TcpStream::connect(addr).unwrap();
-        stalled.write_all(&proto::MAX_FRAME.to_le_bytes()).unwrap();
-        stalled
-            .set_read_timeout(Some(Duration::from_secs(2)))
-            .unwrap();
-        match stalled.read(&mut [0u8; 1]) {
-            Ok(0) => {}
-            Err(e) if e.kind() == io::ErrorKind::ConnectionReset => {}
-            other => panic!("server must close the connection: {other:?}"),
+        let stalled: Vec<TcpStream> = [
+            &proto::MAX_FRAME.to_le_bytes()[..],
+            &[],
+            &9u32.to_le_bytes(),
+        ]
+        .into_iter()
+        .map(|sent| {
+            let mut s = TcpStream::connect(addr).unwrap();
+            s.write_all(sent).unwrap();
+            s.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+            s
+        })
+        .collect();
+        for (i, mut s) in stalled.iter().enumerate() {
+            match s.read(&mut [0u8; 1]) {
+                Ok(0) => {}
+                Err(e) if e.kind() == io::ErrorKind::ConnectionReset => {}
+                other => panic!("server must close connection {i}: {other:?}"),
+            }
         }
 
         // A well-behaved session and /health still work, and shutdown
-        // returns while the refused client still holds its socket.
+        // returns while the refused clients still hold their sockets.
         let mut client = proto::TcpClient::connect(addr, 14).unwrap();
         assert_eq!(client.submit(&gen_ops(0x52, 50)).unwrap().len(), 50);
         drop(client);

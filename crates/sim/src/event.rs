@@ -76,28 +76,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Creates an empty queue with room for `capacity` pending events.
-    ///
-    /// A loop that knows its steady-state occupancy up front can
-    /// pre-size the heap and keep the push path allocation-free.
-    pub fn with_capacity(capacity: usize) -> Self {
-        EventQueue {
-            heap: BinaryHeap::with_capacity(capacity),
-            next_seq: 0,
-            now: 0,
-        }
-    }
-
-    /// Reserves capacity for at least `additional` more pending events.
-    pub fn reserve(&mut self, additional: usize) {
-        self.heap.reserve(additional);
-    }
-
-    /// Number of pending events the queue can hold without reallocating.
-    pub fn capacity(&self) -> usize {
-        self.heap.capacity()
-    }
-
     /// Schedules `event` at absolute time `time`.
     ///
     /// # Panics
@@ -214,21 +192,6 @@ mod tests {
         assert_eq!(q.now(), 0);
         assert_eq!(q.len(), 1);
         assert!(!q.is_empty());
-    }
-
-    #[test]
-    fn with_capacity_presizes_and_reserve_grows() {
-        let mut q: EventQueue<u32> = EventQueue::with_capacity(16);
-        assert!(q.capacity() >= 16);
-        for i in 0..16 {
-            q.push(i as Time, i);
-        }
-        q.reserve(32);
-        assert!(q.capacity() >= q.len() + 32);
-        // Pre-sizing must not change delivery order.
-        for i in 0..16 {
-            assert_eq!(q.pop(), Some((i as Time, i)));
-        }
     }
 
     #[test]

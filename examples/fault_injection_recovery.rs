@@ -19,7 +19,7 @@ use dve_coherence::fabric::Fabric;
 use dve_dram::address::AddressMapper;
 use dve_dram::config::DramConfig;
 use dve_dram::controller::EccProfile;
-use dve_ecc::code::{CorrectionCode, DetectionCode};
+use dve_ecc::code::DetectionCode;
 use dve_ecc::inject::{FaultInjector, FaultKind};
 use dve_ecc::rs::Rs;
 use dve_ecc::rs16::Rs16Detect;
@@ -41,11 +41,14 @@ fn codec_campaign() {
     let line: Vec<u8> = (0..64).collect();
 
     // Chipkill corrects every whole-chip (single-symbol) error.
+    let mut scratch = chipkill.make_scratch();
     let mut corrected = 0;
     for _ in 0..1000 {
         let mut cw = chipkill.encode(&data16);
         inj.inject(&mut cw, FaultKind::ChipSymbol);
-        if chipkill.check_and_repair(&mut cw).is_good() && chipkill.extract_data(&cw) == data16 {
+        if chipkill.decode_in_place(&mut cw, &mut scratch).is_good()
+            && chipkill.extract_data(&cw) == data16
+        {
             corrected += 1;
         }
     }
