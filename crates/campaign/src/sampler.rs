@@ -13,10 +13,10 @@
 //!
 //! Two sampling regimes share one law:
 //!
-//! * **Plain** ([`FaultSampler::sample_pair`] / `sample_single`): the
-//!   per-window fault count is drawn from the exact `Binomial(slots, p)`
-//!   via a precomputed inverse CDF, then a uniform `k`-subset of slots
-//!   is chosen by partial Fisher–Yates. This is distributionally
+//! * **Plain** ([`FaultSampler::sample_into`], over a replicated pair or
+//!   a single DIMM): the per-window fault count is drawn from the exact
+//!   `Binomial(slots, p)` via a precomputed inverse CDF, then a uniform
+//!   `k`-subset of slots is chosen by partial Fisher–Yates. This is distributionally
 //!   identical to the per-chip Bernoulli loop it replaced but costs one
 //!   `f64` draw instead of `slots` draws in the overwhelmingly common
 //!   fault-free window.
@@ -134,13 +134,14 @@ const MAX_SLOTS: usize = 64;
 /// # Example
 ///
 /// ```
-/// use dve_campaign::sampler::{FaultSampler, Side};
+/// use dve_campaign::sampler::{FaultSample, FaultSampler};
 /// use dve_reliability::accel::AccelParams;
 /// use dve_sim::rng::SplitMix64;
 ///
 /// let s = FaultSampler::new(AccelParams::paper_accelerated());
 /// let mut rng = SplitMix64::new(7);
-/// let sample = s.sample_pair(&mut rng);
+/// let mut sample = FaultSample::default();
+/// s.sample_into(true, &mut rng, &mut sample);
 /// for f in &sample.faults {
 ///     assert!(f.chip < 9);
 /// }
@@ -173,23 +174,9 @@ impl FaultSampler {
         self.params
     }
 
-    /// Samples one window over a replicated DIMM pair.
-    pub fn sample_pair(&self, rng: &mut SplitMix64) -> FaultSample {
-        let mut out = FaultSample::default();
-        self.sample_into(true, rng, &mut out);
-        out
-    }
-
-    /// Samples one window over a single (non-replicated) DIMM.
-    pub fn sample_single(&self, rng: &mut SplitMix64) -> FaultSample {
-        let mut out = FaultSample::default();
-        self.sample_into(false, rng, &mut out);
-        out
-    }
-
-    /// [`sample_pair`](Self::sample_pair) (`replicated`) or
-    /// [`sample_single`](Self::sample_single) into a reused `out`:
-    /// allocation-free once `out` has held a full window.
+    /// Samples one window over a replicated DIMM pair (`replicated`) or
+    /// a single DIMM into a reused `out`: allocation-free once `out` has
+    /// held a full window.
     pub fn sample_into(&self, replicated: bool, rng: &mut SplitMix64, out: &mut FaultSample) {
         out.faults.clear();
         self.sample_side(Side::Primary, rng, &mut out.faults);
@@ -675,8 +662,9 @@ mod tests {
     #[test]
     fn deterministic_given_rng_state() {
         let s = sampler();
-        let a = s.sample_pair(&mut SplitMix64::new(42));
-        let b = s.sample_pair(&mut SplitMix64::new(42));
+        let (mut a, mut b) = (FaultSample::default(), FaultSample::default());
+        s.sample_into(true, &mut SplitMix64::new(42), &mut a);
+        s.sample_into(true, &mut SplitMix64::new(42), &mut b);
         assert_eq!(a, b);
     }
 
@@ -686,8 +674,10 @@ mod tests {
         let mut rng = SplitMix64::new(1);
         let trials = 20_000;
         let mut failures = 0usize;
+        let mut sample = FaultSample::default();
         for _ in 0..trials {
-            failures += s.sample_pair(&mut rng).faults.len();
+            s.sample_into(true, &mut rng, &mut sample);
+            failures += sample.faults.len();
         }
         let per_chip = failures as f64 / (trials * 18) as f64;
         let p = s.params().chip_fail_prob;
@@ -701,8 +691,9 @@ mod tests {
     fn sample_ordering_invariant_holds() {
         let s = sampler();
         let mut rng = SplitMix64::new(11);
+        let mut sample = FaultSample::default();
         for _ in 0..2_000 {
-            let sample = s.sample_pair(&mut rng);
+            s.sample_into(true, &mut rng, &mut sample);
             let mut last: Option<(usize, usize)> = None;
             for f in &sample.faults {
                 let key = (
@@ -744,8 +735,9 @@ mod tests {
     fn single_side_sampling_never_hits_replica() {
         let s = sampler();
         let mut rng = SplitMix64::new(3);
+        let mut sample = FaultSample::default();
         for _ in 0..200 {
-            let sample = s.sample_single(&mut rng);
+            s.sample_into(false, &mut rng, &mut sample);
             assert!(sample.chips(Side::Replica).is_empty());
         }
     }
@@ -757,8 +749,10 @@ mod tests {
         let mut bits = 0;
         let mut pins = 0;
         let mut chips = 0;
+        let mut sample = FaultSample::default();
         for _ in 0..20_000 {
-            for f in s.sample_pair(&mut rng).faults {
+            s.sample_into(true, &mut rng, &mut sample);
+            for f in &sample.faults {
                 match f.granularity {
                     Granularity::Bit => bits += 1,
                     Granularity::Pin => pins += 1,
@@ -870,8 +864,9 @@ mod tests {
         let mut rng = SplitMix64::new(5);
         let trials = 60_000u64;
         let mut counts = vec![0u64; p.strata.len()];
+        let mut sample = FaultSample::default();
         for _ in 0..trials {
-            let sample = s.sample_pair(&mut rng);
+            s.sample_into(true, &mut rng, &mut sample);
             let k = sample.faults.len();
             let all_chip = k > 0
                 && sample

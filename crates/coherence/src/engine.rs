@@ -30,15 +30,17 @@ use dve_noc::traffic::MessageClass;
 use dve_sim::latency::{Component, LatencyBreakdown, Stamp};
 use std::collections::BTreeSet;
 
-/// Which pages are replicated (§V-D's flexible, RMT-driven mapping).
+/// Which pages are replicated (§V-D's on-demand, per-page replication;
+/// the paper's OS-managed Replica Map Table is not modelled).
 /// Lines on non-replicated pages "seamlessly fall back to using a single
 /// copy" — they take the baseline NUMA path even in Dvé modes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ReplicationScope {
     /// Every page is replicated (the fixed-function mapping of §III).
     All,
-    /// Only the listed page numbers are replicated (the OS populated the
-    /// RMT for these — e.g. a process's failure-resilient data segments).
+    /// Only the listed page numbers are replicated (the pages the OS
+    /// chose to replicate — e.g. a process's failure-resilient data
+    /// segments).
     Pages(std::collections::HashSet<u64>),
 }
 

@@ -75,6 +75,17 @@ const DIR_NODE: usize = 2;
 /// Table II's intra-socket mesh: 4 routers wide, 2 high.
 const MESH: (usize, usize) = (4, 2);
 
+/// Where [`SystemFabric::read_survivor`] left a recovery, with the
+/// [`Stamp`] at that point. Anything but `Delivered` is a machine check.
+enum SurvivorRead {
+    /// No survivor, or a link leg failed.
+    Lost(Stamp),
+    /// The survivor's read failed its check too (at the given node).
+    Bad(Stamp, usize),
+    /// The survivor's data is back at the failed copy's node.
+    Delivered(Stamp),
+}
+
 /// The timed platform fabric.
 #[derive(Debug)]
 pub struct SystemFabric {
@@ -337,48 +348,69 @@ impl SystemFabric {
         self.detour(socket, channel, line, t)
     }
 
-    /// The full §V-B2 detour after a detected-uncorrectable read at
-    /// `(socket, channel)`: request to the survivor, remote bank read,
-    /// data return, repair write + verify re-read at the failed
-    /// controller. A good re-read means the fault was transient
-    /// (`repaired`); a still-bad re-read hard-degrades the copy
-    /// (`degraded` + [`pending_degrade`]); no survivor or a dead link
-    /// means a machine check. Every cycle is charged to
-    /// [`Component::Recovery`].
+    /// The survivor leg shared by [`detour`] and [`redirect`]: request
+    /// to the surviving copy, its checked bank read, and the data return
+    /// to `socket`, every cycle charged to [`Component::Recovery`].
     ///
+    /// [`detour`]: SystemFabric::detour
+    /// [`redirect`]: SystemFabric::redirect
+    fn read_survivor(
+        &mut self,
+        socket: usize,
+        channel: usize,
+        line: LineAddr,
+        t: Stamp,
+    ) -> SurvivorRead {
+        let Some((rs, rc)) = self.survivor_of(socket, channel, line) else {
+            return SurvivorRead::Lost(t);
+        };
+        let Some(t1) = self.send_recovery(socket, rs, t.at(), MessageClass::Request) else {
+            return SurvivorRead::Lost(t);
+        };
+        let t = t.advance(Component::Recovery, t1 - t.at());
+        // Checked: the other copy may be bad too.
+        let addr = self.byte_addr(line);
+        let (r, outcome) = self.ctrls[rs][rc].read_with_check(addr, Cycles(t.at()));
+        let t = Self::charge_dram_recovery(t, &r);
+        if !outcome.is_good() {
+            return SurvivorRead::Bad(t, rs);
+        }
+        let Some(t2) = self.send_recovery(rs, socket, t.at(), MessageClass::DataResponse) else {
+            return SurvivorRead::Lost(t);
+        };
+        SurvivorRead::Delivered(t.advance(Component::Recovery, t2 - t.at()))
+    }
+
+    /// The full §V-B2 detour after a detected-uncorrectable read at
+    /// `(socket, channel)`: the survivor leg ([`read_survivor`]), then a
+    /// repair write + verify re-read at the failed controller. A good
+    /// re-read means the fault was transient (`repaired`); a still-bad
+    /// re-read hard-degrades the copy (`degraded` +
+    /// [`pending_degrade`]); no survivor or a dead link means a machine
+    /// check. Every cycle is charged to [`Component::Recovery`].
+    ///
+    /// [`read_survivor`]: SystemFabric::read_survivor
     /// [`pending_degrade`]: SystemFabric::take_pending_degrade
     fn detour(&mut self, socket: usize, channel: usize, line: LineAddr, t: Stamp) -> Stamp {
-        let Some((rs, rc)) = self.survivor_of(socket, channel, line) else {
-            self.ledger.machine_checks += 1;
-            return t;
-        };
-        let addr = self.byte_addr(line);
-        // Request leg to the surviving copy.
-        let Some(t1) = self.send_recovery(socket, rs, t.at(), MessageClass::Request) else {
-            self.ledger.machine_checks += 1;
-            return t;
-        };
-        let mut t = t.advance(Component::Recovery, t1 - t.at());
-        // Survivor bank read (checked — the other copy may be bad too).
-        let (r, outcome) = self.ctrls[rs][rc].read_with_check(addr, Cycles(t.at()));
-        t = Self::charge_dram_recovery(t, &r);
-        if !outcome.is_good() {
-            // Both copies failed: notify the requester, raise an MCE.
-            if let Some(t2) = self.send_recovery(rs, socket, t.at(), MessageClass::Request) {
-                t = t.advance(Component::Recovery, t2 - t.at());
+        let mut t = match self.read_survivor(socket, channel, line, t) {
+            SurvivorRead::Delivered(t) => t,
+            SurvivorRead::Lost(t) => {
+                self.ledger.machine_checks += 1;
+                return t;
             }
-            self.ledger.machine_checks += 1;
-            return t;
-        }
-        // Data return leg.
-        let Some(t2) = self.send_recovery(rs, socket, t.at(), MessageClass::DataResponse) else {
-            self.ledger.machine_checks += 1;
-            return t;
+            // Both copies failed: notify the requester, raise an MCE.
+            SurvivorRead::Bad(t, rs) => {
+                self.ledger.machine_checks += 1;
+                return match self.send_recovery(rs, socket, t.at(), MessageClass::Request) {
+                    Some(t2) => t.advance(Component::Recovery, t2 - t.at()),
+                    None => t,
+                };
+            }
         };
-        t = t.advance(Component::Recovery, t2 - t.at());
         self.ledger.corrected += 1;
         // Repair write at the failed controller, which clears transient
         // damage covering the line...
+        let addr = self.byte_addr(line);
         let w = self.ctrls[socket][channel].access(addr, AccessKind::Write, Cycles(t.at()));
         t = Self::charge_dram_recovery(t, &w);
         self.clear_transients_at(socket, channel, addr);
@@ -400,29 +432,16 @@ impl SystemFabric {
     /// (no pointless read of the dead copy, no repair attempt). The
     /// caller has already counted `detected_reads`.
     fn redirect(&mut self, socket: usize, channel: usize, line: LineAddr, t: Stamp) -> Stamp {
-        let Some((rs, rc)) = self.survivor_of(socket, channel, line) else {
-            self.ledger.machine_checks += 1;
-            return t;
-        };
-        let addr = self.byte_addr(line);
-        let Some(t1) = self.send_recovery(socket, rs, t.at(), MessageClass::Request) else {
-            self.ledger.machine_checks += 1;
-            return t;
-        };
-        let mut t = t.advance(Component::Recovery, t1 - t.at());
-        let (r, outcome) = self.ctrls[rs][rc].read_with_check(addr, Cycles(t.at()));
-        t = Self::charge_dram_recovery(t, &r);
-        if !outcome.is_good() {
-            self.ledger.machine_checks += 1;
-            return t;
+        match self.read_survivor(socket, channel, line, t) {
+            SurvivorRead::Delivered(t) => {
+                self.ledger.clean_redirects += 1;
+                t
+            }
+            SurvivorRead::Lost(t) | SurvivorRead::Bad(t, _) => {
+                self.ledger.machine_checks += 1;
+                t
+            }
         }
-        let Some(t2) = self.send_recovery(rs, socket, t.at(), MessageClass::DataResponse) else {
-            self.ledger.machine_checks += 1;
-            return t;
-        };
-        t = t.advance(Component::Recovery, t2 - t.at());
-        self.ledger.clean_redirects += 1;
-        t
     }
 
     /// Removes every *transient* fault domain covering `addr` from the

@@ -59,9 +59,6 @@ use crate::fabric_impl::SystemFabric;
 /// their [`FaultSourceKind`] so the recovery ledger attributes the
 /// plants per source.
 pub trait FaultSource: std::fmt::Debug + Send {
-    /// Short stable name (reports, telemetry).
-    fn name(&self) -> &'static str;
-
     /// Which ledger bucket this source's plants land in.
     fn kind(&self) -> FaultSourceKind;
 
@@ -118,10 +115,6 @@ impl HammerSource {
 }
 
 impl FaultSource for HammerSource {
-    fn name(&self) -> &'static str {
-        "hammer"
-    }
-
     fn kind(&self) -> FaultSourceKind {
         FaultSourceKind::Hammer
     }
@@ -246,10 +239,6 @@ impl ThermalSource {
 }
 
 impl FaultSource for ThermalSource {
-    fn name(&self) -> &'static str {
-        "thermal"
-    }
-
     fn kind(&self) -> FaultSourceKind {
         FaultSourceKind::Thermal
     }
@@ -332,10 +321,6 @@ impl AgingSource {
 }
 
 impl FaultSource for AgingSource {
-    fn name(&self) -> &'static str {
-        "aging"
-    }
-
     fn kind(&self) -> FaultSourceKind {
         FaultSourceKind::Aging
     }
@@ -393,7 +378,7 @@ mod tests {
         assert_eq!(sources.len(), 3);
         for src in &mut sources {
             for now in [5_000u64, 10_000, 123_456, 1_000_000] {
-                assert!(src.poll(now, &f).is_empty(), "{} emitted", src.name());
+                assert!(src.poll(now, &f).is_empty(), "{:?} emitted", src.kind());
                 assert!(src.next_poll() > now);
             }
         }

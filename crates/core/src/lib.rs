@@ -11,8 +11,9 @@
 //!
 //! This crate is the top of the workspace: it assembles the substrates
 //! (`dve-dram`, `dve-noc`, `dve-coherence`, `dve-workloads`) into a
-//! runnable system. Replicas are placed by `dve_noc::topology`; the OS
-//! layer in `dve-osmem` is not part of the timed system.
+//! runnable system. Replicas are placed by `dve_noc::topology`, and §V-D's
+//! on-demand replication is
+//! [`ReplicationScope::Pages`](dve_coherence::engine::ReplicationScope::Pages).
 //!
 //! * [`config`] — Table II system configuration and the scheme catalog
 //!   (baseline NUMA, Intel-mirroring++, Dvé allow / deny / dynamic).

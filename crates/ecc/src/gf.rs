@@ -9,28 +9,20 @@
 //!   `x^16 + x^12 + x^3 + x + 1` (0x1100B), the field of the paper's TSD
 //!   code (16-bit symbols as in Multi-ECC).
 //!
-//! Both fields are **table-driven**: multiplication, division, inversion
-//! and exponentiation go through one-time-initialised log/antilog tables
-//! (512 B + 512 B for GF(2^8); 256 KiB + 128 KiB for GF(2^16)). The 384
-//! KiB GF(2^16) cost is paid once per process and is irrelevant on a
-//! simulation host, while turning every `Gf16::mul` from a 16-iteration
-//! carry-less shift-and-add into two loads and an add — the single
-//! biggest win for the TSD hot path that every campaign trial and scrub
-//! read funnels through.
+//! Both fields are **table-driven**: every operation but `mul_alpha` (a
+//! shift and a conditional reduction) goes through one-time-initialised
+//! log/antilog tables (512 B + 512 B for GF(2^8); 256 KiB + 128 KiB for
+//! GF(2^16)). The 384 KiB GF(2^16) cost is paid once per process and is
+//! irrelevant on a simulation host, while turning every `Gf16::mul` from
+//! a 16-iteration carry-less shift-and-add into two loads and an add —
+//! the single biggest win for the TSD hot path that every campaign
+//! trial and scrub read funnels through.
 //!
 //! The original bit-serial implementations are retained in [`reference`](mod@reference)
 //! as oracles: they are never called on any hot path, but the property
 //! tests (`crates/ecc/tests/proptests.rs`) check the tables against them
 //! on random operand pairs, and the perf harness (`dve-bench --bin
 //! perf`) reports the table-vs-reference speedup.
-//!
-//! # The `0^0 = 1` convention
-//!
-//! Both fields define `pow(0, 0) == 1`. This matches the empty-product
-//! convention used everywhere polynomials are evaluated in this crate
-//! (`x^0` contributes the constant coefficient even at `x = 0`) and is
-//! asserted to agree across the two fields by an exhaustive edge-case
-//! test. For any `n > 0`, `pow(0, n) == 0`.
 
 use std::sync::OnceLock;
 
@@ -120,12 +112,6 @@ fn tables16() -> &'static Tables16 {
 pub struct Gf256;
 
 impl Gf256 {
-    /// Addition in GF(2^8) is XOR.
-    #[inline]
-    pub fn add(a: u8, b: u8) -> u8 {
-        a ^ b
-    }
-
     /// Multiplication via log/antilog tables.
     #[inline]
     pub fn mul(a: u8, b: u8) -> u8 {
@@ -170,21 +156,6 @@ impl Gf256 {
         Self::div(1, a)
     }
 
-    /// `a` raised to the power `n`.
-    ///
-    /// Follows the crate-wide empty-product convention `0^0 = 1` (see the
-    /// module docs); `0^n = 0` for `n > 0`. [`Gf16::pow`] uses the same
-    /// convention, and an exhaustive cross-field test pins them together.
-    #[inline]
-    pub fn pow(a: u8, n: u32) -> u8 {
-        if a == 0 {
-            return if n == 0 { 1 } else { 0 };
-        }
-        let t = tables();
-        let l = t.log[a as usize] as u64 * n as u64 % 255;
-        t.exp[l as usize]
-    }
-
     /// The generator element α = 0x02 raised to power `n`.
     #[inline]
     pub fn alpha_pow(n: u32) -> u8 {
@@ -222,12 +193,6 @@ impl Gf256 {
 pub struct Gf16;
 
 impl Gf16 {
-    /// Addition is XOR.
-    #[inline]
-    pub fn add(a: u16, b: u16) -> u16 {
-        a ^ b
-    }
-
     /// Multiplication via log/antilog tables (two loads and an add).
     #[inline]
     pub fn mul(a: u16, b: u16) -> u16 {
@@ -246,36 +211,6 @@ impl Gf16 {
         (wide ^ (GF16_POLY * ((wide >> 16) & 1))) as u16
     }
 
-    /// Division.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b == 0`.
-    #[inline]
-    pub fn div(a: u16, b: u16) -> u16 {
-        assert!(b != 0, "division by zero in GF(2^16)");
-        if a == 0 {
-            return 0;
-        }
-        let t = tables16();
-        t.exp[t.log[a as usize] as usize + 65535 - t.log[b as usize] as usize]
-    }
-
-    /// `a^n` via the log table.
-    ///
-    /// Follows the crate-wide empty-product convention `0^0 = 1` (see the
-    /// module docs); `0^n = 0` for `n > 0`. [`Gf256::pow`] uses the same
-    /// convention, and an exhaustive cross-field test pins them together.
-    #[inline]
-    pub fn pow(a: u16, n: u32) -> u16 {
-        if a == 0 {
-            return if n == 0 { 1 } else { 0 };
-        }
-        let t = tables16();
-        let l = t.log[a as usize] as u64 * n as u64 % 65535;
-        t.exp[l as usize]
-    }
-
     /// Multiplicative inverse via the log table.
     ///
     /// # Panics
@@ -292,17 +227,6 @@ impl Gf16 {
     #[inline]
     pub fn alpha_pow(n: u32) -> u16 {
         tables16().exp[(n % 65535) as usize]
-    }
-
-    /// Discrete log base α of a non-zero element.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a == 0` (zero has no logarithm).
-    #[inline]
-    pub fn log(a: u16) -> u16 {
-        assert!(a != 0, "log of zero in GF(2^16)");
-        tables16().log[a as usize]
     }
 }
 
@@ -353,8 +277,7 @@ pub mod reference {
         acc as u16
     }
 
-    /// `a^n` by square-and-multiply over [`gf16_mul`], with the same
-    /// `0^0 = 1` convention as the table path.
+    /// `a^n` by square-and-multiply over [`gf16_mul`] (`0^0 = 1`).
     pub fn gf16_pow(mut a: u16, mut n: u32) -> u16 {
         if a == 0 {
             return if n == 0 { 1 } else { 0 };
@@ -428,9 +351,6 @@ mod tests {
             let v = Gf256::alpha_pow(n);
             assert_eq!(Gf256::log(v) as u32, n);
         }
-        assert_eq!(Gf256::pow(3, 0), 1);
-        assert_eq!(Gf256::pow(0, 5), 0);
-        assert_eq!(Gf256::pow(0, 0), 1);
     }
 
     #[test]
@@ -453,7 +373,6 @@ mod tests {
     fn gf16_mul_identities() {
         assert_eq!(Gf16::mul(0, 0x1234), 0);
         assert_eq!(Gf16::mul(1, 0x1234), 0x1234);
-        assert_eq!(Gf16::add(0xAAAA, 0xAAAA), 0);
     }
 
     #[test]
@@ -470,19 +389,20 @@ mod tests {
         assert_eq!(Gf16::mul(a, b), Gf16::mul(b, a));
         assert_eq!(Gf16::mul(Gf16::mul(a, b), c), Gf16::mul(a, Gf16::mul(b, c)));
         // Distributivity over addition.
-        assert_eq!(
-            Gf16::mul(a, Gf16::add(b, c)),
-            Gf16::add(Gf16::mul(a, b), Gf16::mul(a, c))
-        );
+        assert_eq!(Gf16::mul(a, b ^ c), Gf16::mul(a, b) ^ Gf16::mul(a, c));
     }
 
     #[test]
     fn gf16_alpha_has_full_order_spotcheck() {
         // alpha^65535 == 1 and no small order divisors hit 1 early.
-        assert_eq!(Gf16::pow(2, 65535), 1);
+        assert_eq!(reference::gf16_mul(reference::gf16_pow(2, 65534), 2), 1);
         for d in [3u32, 5, 17, 257, 641, 6700417 % 65535] {
             if 65535 % d == 0 {
-                assert_ne!(Gf16::pow(2, 65535 / d), 1, "order divides 65535/{d}");
+                assert_ne!(
+                    reference::gf16_pow(2, 65535 / d),
+                    1,
+                    "order divides 65535/{d}"
+                );
             }
         }
     }
@@ -495,65 +415,14 @@ mod tests {
     }
 
     #[test]
-    fn gf16_div_log_pow_consistency_sample() {
-        for a in [1u16, 2, 0x13, 0x800, 0x4321, 0xFFFE, 0xFFFF] {
-            for b in [1u16, 3, 0x100, 0x9999, 0xFFFF] {
-                let q = Gf16::div(a, b);
-                assert_eq!(Gf16::mul(q, b), a, "a={a:#x} b={b:#x}");
-            }
-            assert_eq!(Gf16::alpha_pow(Gf16::log(a) as u32), a);
-            assert_eq!(Gf16::pow(a, 1), a);
-            assert_eq!(Gf16::pow(a, 65535), 1);
-        }
-    }
-
-    /// The satellite edge-case contract: `pow(0, 0) == 1` in *both*
-    /// fields, `pow(0, n) == 0` for all n > 0, `pow(a, 0) == 1` for all
-    /// non-zero `a` — exhaustively over each field's elements.
-    #[test]
-    fn pow_zero_convention_agrees_across_fields() {
-        // 0^0 = 1 (empty product) in both fields.
-        assert_eq!(Gf256::pow(0, 0), 1);
-        assert_eq!(Gf16::pow(0, 0), 1);
-        assert_eq!(Gf16::pow(0, 0) as u8, Gf256::pow(0, 0));
-        assert_eq!(reference::gf16_pow(0, 0), 1);
-        // 0^n = 0 for n > 0, including group-order multiples.
-        for n in [1u32, 2, 254, 255, 256, 65534, 65535, 65536, u32::MAX] {
-            assert_eq!(Gf256::pow(0, n), 0, "GF(2^8) 0^{n}");
-            assert_eq!(Gf16::pow(0, n), 0, "GF(2^16) 0^{n}");
-            assert_eq!(reference::gf16_pow(0, n), 0, "reference 0^{n}");
-        }
-        // a^0 = 1 for every element of GF(2^8)...
-        for a in 0..=255u8 {
-            assert_eq!(Gf256::pow(a, 0), 1, "GF(2^8) {a}^0");
-        }
-        // ...and every element of GF(2^16).
-        for a in 0..=65535u16 {
-            assert_eq!(Gf16::pow(a, 0), 1, "GF(2^16) {a}^0");
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "division by zero")]
     fn gf256_div_by_zero_panics() {
         Gf256::div(1, 0);
     }
 
     #[test]
-    #[should_panic(expected = "division by zero")]
-    fn gf16_div_by_zero_panics() {
-        Gf16::div(1, 0);
-    }
-
-    #[test]
     #[should_panic(expected = "inverse of zero")]
     fn gf16_inv_zero_panics() {
         Gf16::inv(0);
-    }
-
-    #[test]
-    #[should_panic(expected = "log of zero")]
-    fn gf16_log_zero_panics() {
-        Gf16::log(0);
     }
 }
