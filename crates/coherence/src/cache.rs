@@ -4,6 +4,13 @@
 //! per-socket shared LLC (8 MB, 16-way). Each line carries a coherence
 //! state and, for the LLC, a bitmask of on-socket L1 sharers (the "local
 //! directory embedded in L2" of Table II).
+//!
+//! Lines carry no timestamp: each set is kept in recency order, least
+//! recent first. A hit in [`SetAssocCache::lookup`] or
+//! [`SetAssocCache::insert`] rotates the line to the back, a full set
+//! evicts its front, and [`SetAssocCache::invalidate`] removes a line
+//! without reordering the rest. That is still true LRU: the front is
+//! exactly the line whose last touch is oldest.
 
 use crate::types::{CacheState, LineAddr};
 
@@ -15,8 +22,6 @@ pub struct Line {
     pub addr: LineAddr,
     /// Coherence state.
     pub state: CacheState,
-    /// LRU timestamp (higher = more recent).
-    lru: u64,
     /// On-socket L1 sharer bitmask (meaningful for LLC lines only).
     pub sharers: u16,
 }
@@ -47,10 +52,10 @@ pub struct Eviction {
 /// ```
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
+    /// Each set's resident lines, least recently used first.
     sets: Vec<Vec<Line>>,
     ways: usize,
     set_mask: u64,
-    tick: u64,
 }
 
 impl SetAssocCache {
@@ -70,10 +75,9 @@ impl SetAssocCache {
             "set count must be a power of two"
         );
         SetAssocCache {
-            sets: vec![Vec::with_capacity(ways); num_sets],
+            sets: (0..num_sets).map(|_| Vec::new()).collect(),
             ways,
             set_mask: (num_sets - 1) as u64,
-            tick: 0,
         }
     }
 
@@ -96,12 +100,11 @@ impl SetAssocCache {
     ///
     /// [`EngineStats`]: crate::engine::EngineStats
     pub fn lookup(&mut self, addr: LineAddr) -> Option<CacheState> {
-        self.tick += 1;
-        let tick = self.tick;
         let set = self.set_of(addr);
-        let line = self.sets[set].iter_mut().find(|l| l.addr == addr)?;
-        line.lru = tick;
-        Some(line.state)
+        let lines = &mut self.sets[set];
+        let i = lines.iter().position(|l| l.addr == addr)?;
+        lines[i..].rotate_left(1);
+        lines.last().map(|l| l.state)
     }
 
     /// Returns the state of `addr` without touching LRU.
@@ -125,34 +128,24 @@ impl SetAssocCache {
     /// Inserts (or updates) `addr` with `state`, evicting the LRU line of
     /// a full set. Returns the eviction, if any.
     pub fn insert(&mut self, addr: LineAddr, state: CacheState) -> Option<Eviction> {
-        self.tick += 1;
-        let tick = self.tick;
         let set = self.set_of(addr);
         let lines = &mut self.sets[set];
-        if let Some(line) = lines.iter_mut().find(|l| l.addr == addr) {
-            line.state = state;
-            line.lru = tick;
+        if let Some(i) = lines.iter().position(|l| l.addr == addr) {
+            lines[i..].rotate_left(1);
+            lines.last_mut().expect("hit line").state = state;
             return None;
         }
-        let mut evicted = None;
-        if lines.len() == self.ways {
-            let victim_idx = lines
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, l)| l.lru)
-                .map(|(i, _)| i)
-                .expect("full set has a victim");
-            let v = lines.swap_remove(victim_idx);
-            evicted = Some(Eviction {
+        let evicted = (lines.len() == self.ways).then(|| {
+            let v = lines.remove(0);
+            Eviction {
                 addr: v.addr,
                 state: v.state,
                 sharers: v.sharers,
-            });
-        }
+            }
+        });
         lines.push(Line {
             addr,
             state,
-            lru: tick,
             sharers: 0,
         });
         evicted
@@ -187,7 +180,7 @@ impl SetAssocCache {
         lines
             .iter()
             .position(|l| l.addr == addr)
-            .map(|i| lines.swap_remove(i).state)
+            .map(|i| lines.remove(i).state)
     }
 }
 
@@ -282,6 +275,13 @@ mod tests {
         for a in 0..4 {
             assert!(c.state_of(a).is_some(), "addr {a}");
         }
+    }
+
+    #[test]
+    fn line_fits_in_sixteen_bytes() {
+        // An LLC holds 131 072 of these per socket; a wider field would
+        // grow every set by half.
+        assert!(std::mem::size_of::<Line>() <= 16);
     }
 
     #[test]

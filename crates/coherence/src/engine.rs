@@ -599,7 +599,8 @@ impl ProtocolEngine {
                     // two sockets this reduces to `owner == home`; with
                     // more nodes a third-party owner counts too).
                     e.state.dirty()
-                        && e.owner.is_some_and(|o| o != self.place.replica_node(**l))
+                        && e.owner
+                            .is_some_and(|o| usize::from(o) != self.place.replica_node(**l))
                         && self.cfg.replication_scope.covers(**l, self.cfg.page_lines)
                 })
                 .map(|(l, _)| *l)
@@ -749,7 +750,7 @@ impl ProtocolEngine {
         }
         // Update the home directory: the writer gave up ownership.
         let entry = self.home_dirs[home].entry_mut(line);
-        if entry.owner == Some(from_socket) {
+        if entry.owner.map(usize::from) == Some(from_socket) {
             entry.owner = None;
             entry.sharers &= !(1 << from_socket);
             entry.state = if entry.sharers == 0 && !entry.replica_shared {
@@ -830,7 +831,7 @@ impl ProtocolEngine {
                 let mut last_done = t;
                 for l in region..region + lines {
                     let home = self.home_of(l);
-                    let owner = self.home_dirs[home].entry(l).owner;
+                    let owner = self.home_dirs[home].entry(l).owner.map(usize::from);
                     if let Some(o) = owner {
                         if o != replica_socket
                             && self.llcs[o].state_of(l).is_some_and(|s| s.dirty())
@@ -1038,7 +1039,7 @@ impl ProtocolEngine {
                         e.sharers |= 1 << socket;
                     }
                     CacheState::M | CacheState::O => {
-                        let owner = prior.owner.expect("dirty line has an owner");
+                        let owner = usize::from(prior.owner.expect("dirty line has an owner"));
                         if owner == socket || self.llcs[owner].state_of(line).is_none() {
                             // Stale ownership (owner silently lost it) —
                             // fall back to memory.
@@ -1086,7 +1087,7 @@ impl ProtocolEngine {
                 // GETX: invalidate all other sharers, acquire data, take M.
                 let mut t_data = t;
                 let mut max_ack = t;
-                let had_remote_owner = prior.owner.filter(|&o| o != socket);
+                let had_remote_owner = prior.owner.map(usize::from).filter(|&o| o != socket);
                 // Invalidate every other sharer socket.
                 for q in 0..self.place.sockets() {
                     if q == socket || prior.sharers & (1 << q) == 0 {
@@ -1098,7 +1099,7 @@ impl ProtocolEngine {
                         fabric.link_send(home, q, t, MessageClass::Invalidation)
                     };
                     let dirty = self.llcs[q].state_of(line).is_some_and(|s| s.dirty());
-                    let was_owner = prior.owner == Some(q);
+                    let was_owner = prior.owner.map(usize::from) == Some(q);
                     self.invalidate_socket(q, line);
                     if dirty && was_owner {
                         // Dirty data travels with the ack to the
@@ -1213,7 +1214,7 @@ impl ProtocolEngine {
                 };
                 let e = self.home_dirs[home].entry_mut(line);
                 e.state = CacheState::M;
-                e.owner = Some(socket);
+                e.owner = Some(u8::try_from(socket).expect("`new` caps the placement at 8 nodes"));
                 e.sharers = 1 << socket;
                 e.replica_shared = false;
                 self.invalidate_local_l1s(socket, line, Some(core));
@@ -1356,7 +1357,7 @@ impl ProtocolEngine {
                 if spec_done.is_some() {
                     self.stats.spec_squashed += 1;
                 }
-                let owner = prior.owner.expect("dirty line has an owner");
+                let owner = usize::from(prior.owner.expect("dirty line has an owner"));
                 if self.llcs[owner].state_of(line).is_none() || owner == socket {
                     let t_mem = fabric.mem_read(home, line, t_req);
                     t_done = fabric.link_send(home, socket, t_mem, MessageClass::DataResponse);

@@ -5,6 +5,12 @@
 //! socket's directory controller owns the lines whose home memory sits on
 //! that socket. The directory also performs the request classification
 //! the paper uses in Fig. 7 to explain which protocol wins per workload.
+//!
+//! An entry is five bytes: the socket-level state, the owner socket as a
+//! `u8`, the one-bit-per-socket sharer vector and the replica-sharer
+//! flag. [`ProtocolEngine::new`](crate::engine::ProtocolEngine::new)
+//! caps the placement at 8 nodes, so both socket fields fit a byte, and
+//! a map bucket (8-byte key plus entry) is 16 bytes.
 
 use crate::types::{CacheState, LineAddr, ReqType, RequestClass};
 use dve_sim::hash::IntMap;
@@ -15,7 +21,7 @@ pub struct HomeEntry {
     /// Socket-level stable state of the line.
     pub state: CacheState,
     /// Owning socket when state is M/O.
-    pub owner: Option<usize>,
+    pub owner: Option<u8>,
     /// Bitmask of sockets holding the line.
     pub sharers: u8,
     /// Whether the replica directory is registered as a sharer (the
@@ -84,11 +90,6 @@ impl HomeDirectory {
         self.entries.entry(line).or_default()
     }
 
-    /// Removes an entry (line fully evicted everywhere).
-    pub fn remove(&mut self, line: LineAddr) {
-        self.entries.remove(&line);
-    }
-
     /// Classifies a request against the pre-transition state (Fig. 7) and
     /// counts it.
     pub fn classify(&mut self, req: ReqType, prior: CacheState) -> RequestClass {
@@ -112,34 +113,10 @@ impl HomeDirectory {
         self.class_counts
     }
 
-    /// Fraction of requests in each class (Fig. 7's distribution).
-    /// Returns zeros when no requests were classified.
-    pub fn class_fractions(&self) -> [f64; 4] {
-        let total: u64 = self.class_counts.iter().sum();
-        if total == 0 {
-            return [0.0; 4];
-        }
-        let mut out = [0.0; 4];
-        for (o, &c) in out.iter_mut().zip(&self.class_counts) {
-            *o = c as f64 / total as f64;
-        }
-        out
-    }
-
     /// Iterates all live entries (used by the dynamic-protocol
     /// switch-over to re-push RM entries for modified lines).
     pub fn iter_entries(&self) -> impl Iterator<Item = (&LineAddr, &HomeEntry)> {
         self.entries.iter()
-    }
-
-    /// Number of live entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the directory has no live entries.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 }
 
@@ -180,15 +157,13 @@ mod tests {
         );
         let counts = d.class_counts();
         assert_eq!(counts, [1, 1, 4, 1]);
-        let f = d.class_fractions();
-        assert!((f.iter().sum::<f64>() - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn entries_default_invalid() {
         let d = HomeDirectory::new(1);
         assert_eq!(d.entry(42), HomeEntry::INVALID);
-        assert!(d.is_empty());
+        assert_eq!(d.iter_entries().count(), 0);
         assert_eq!(d.socket(), 1);
     }
 
@@ -203,14 +178,14 @@ mod tests {
         }
         assert_eq!(d.entry(7).state, CacheState::M);
         assert_eq!(d.entry(7).owner, Some(1));
-        assert_eq!(d.len(), 1);
-        d.remove(7);
-        assert_eq!(d.entry(7), HomeEntry::INVALID);
+        assert_eq!(d.iter_entries().count(), 1);
+        assert_eq!(d.entry(8), HomeEntry::INVALID);
     }
 
     #[test]
-    fn fractions_zero_when_empty() {
-        let d = HomeDirectory::new(0);
-        assert_eq!(d.class_fractions(), [0.0; 4]);
+    fn entry_fits_in_eight_bytes() {
+        // A map bucket is the 8-byte key plus this entry; a wider field
+        // would double the directory's footprint.
+        assert!(std::mem::size_of::<HomeEntry>() <= 8);
     }
 }

@@ -120,7 +120,7 @@ fn dynamic_switch_preserves_correct_service_under_load() {
                 continue;
             }
             let entry = e.home_dir(home).entry(line);
-            if entry.state.writable() && entry.owner == Some(home) {
+            if entry.state.writable() && entry.owner.map(usize::from) == Some(home) {
                 assert!(
                     !e.replica_dir(replica).replica_readable(line),
                     "line {line}: dirty at home but replica readable after switch"

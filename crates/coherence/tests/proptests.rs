@@ -1,7 +1,7 @@
 //! Property-based tests for the coherence structures and the protocol
 //! engine's safety invariants under random operation streams.
 
-use dve_coherence::cache::SetAssocCache;
+use dve_coherence::cache::{Eviction, SetAssocCache};
 use dve_coherence::engine::{EngineConfig, Mode, ProtocolEngine};
 use dve_coherence::fabric::TestFabric;
 use dve_coherence::replica_dir::{ReplicaDirectory, ReplicaEviction, ReplicaPolicy, ReplicaState};
@@ -36,6 +36,68 @@ proptest! {
         for addr in 0u64..64 {
             if let Some(st) = cache.state_of(addr) {
                 prop_assert_eq!(reference.get(&addr), Some(&st));
+            }
+        }
+    }
+
+    // Every eviction is the victim a timestamp-LRU reference picks:
+    // each lookup hit or insert stamps the line with a rising tick, and
+    // a full set evicts its smallest stamp.
+    #[test]
+    fn cache_evicts_the_timestamp_lru_victim(
+        ops in proptest::collection::vec((0u8..5, 0u64..32, any::<bool>()), 1..400)
+    ) {
+        let mut cache = SetAssocCache::new(1024, 4, 64); // 4 sets × 4 ways
+        // Per set: (addr, state, sharers, stamp).
+        let mut reference: Vec<Vec<(u64, CacheState, u16, u64)>> = vec![Vec::new(); 4];
+        let mut tick = 0u64;
+        for (op, addr, write) in ops {
+            let state = if write { CacheState::M } else { CacheState::S };
+            let set = &mut reference[(addr % 4) as usize];
+            let pos = set.iter().position(|l| l.0 == addr);
+            match op {
+                0 => {
+                    tick += 1;
+                    let want = pos.map(|i| {
+                        set[i].3 = tick;
+                        set[i].1
+                    });
+                    prop_assert_eq!(cache.lookup(addr), want);
+                }
+                1 => {
+                    tick += 1;
+                    let want = if let Some(i) = pos {
+                        set[i].1 = state;
+                        set[i].3 = tick;
+                        None
+                    } else {
+                        let victim = (set.len() == 4).then(|| {
+                            let i = (0..4).min_by_key(|&i| set[i].3).expect("full set");
+                            let (addr, state, sharers, _) = set.remove(i);
+                            Eviction { addr, state, sharers }
+                        });
+                        set.push((addr, state, 0, tick));
+                        victim
+                    };
+                    prop_assert_eq!(cache.insert(addr, state), want);
+                }
+                2 => {
+                    let want = pos.map(|i| set.remove(i).1);
+                    prop_assert_eq!(cache.invalidate(addr), want);
+                }
+                3 => {
+                    if let Some(i) = pos {
+                        set[i].1 = state;
+                    }
+                    prop_assert_eq!(cache.set_state(addr, state), pos.is_some());
+                }
+                _ => {
+                    let sharers = (addr as u16) | 0x100;
+                    if let Some(i) = pos {
+                        set[i].2 = sharers;
+                    }
+                    prop_assert_eq!(cache.set_sharers(addr, sharers), pos.is_some());
+                }
             }
         }
     }
@@ -156,11 +218,26 @@ proptest! {
             let o = engine.access(core, line, req, t, &mut fabric);
             prop_assert!(o.complete_at >= t);
             t = o.complete_at;
-            // Structural SWMR: an owned line's owner socket is unique
-            // and consistent with the directory.
-            for s in 0..2 {
-                let home = engine.home_dir(s);
-                let _ = home;
+            // Structural SWMR for the accessed line: at most one LLC
+            // holds it dirty, an M copy is the only LLC copy, and a
+            // dirty copy's socket is the home directory's owner.
+            let llc: Vec<Option<CacheState>> = (0..engine.config().sockets)
+                .map(|s| engine.llc_state(s, line))
+                .collect();
+            let copies = llc.iter().flatten().count();
+            let dirty: Vec<usize> = (0..llc.len())
+                .filter(|&s| llc[s].is_some_and(|st| st.dirty()))
+                .collect();
+            prop_assert!(dirty.len() <= 1, "line {line} dirty in LLCs {dirty:?}");
+            if llc.contains(&Some(CacheState::M)) {
+                prop_assert!(copies == 1, "line {line} in M beside another copy: {llc:?}");
+            }
+            let owner = engine.home_dir(engine.home_of(line)).entry(line).owner;
+            for &s in &dirty {
+                prop_assert!(
+                    owner.map(usize::from) == Some(s),
+                    "line {line} dirty on socket {s}, directory owner {owner:?}"
+                );
             }
         }
         let stats = engine.stats();

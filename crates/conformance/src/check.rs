@@ -369,7 +369,7 @@ impl ConformanceChecker {
             ServiceLevel::RemoteDram => Ok(Location::HomeMem),
             ServiceLevel::LocalOwner | ServiceLevel::RemoteOwner => {
                 match self.engine.home_dir(home).entry(line).owner {
-                    Some(owner) => Ok(Location::Llc(owner)),
+                    Some(owner) => Ok(Location::Llc(usize::from(owner))),
                     None => Err(Self::violation(
                         idx,
                         format!(
@@ -549,7 +549,7 @@ impl ConformanceChecker {
                         ),
                     ));
                 }
-                if st.dirty() && entry.owner != Some(s) {
+                if st.dirty() && entry.owner.map(usize::from) != Some(s) {
                     return Err(Self::violation(
                         idx,
                         format!(
