@@ -7,10 +7,16 @@
 //!
 //! Lines carry no timestamp: each set is kept in recency order, least
 //! recent first. A hit in [`SetAssocCache::lookup`] or
-//! [`SetAssocCache::insert`] rotates the line to the back, a full set
-//! evicts its front, and [`SetAssocCache::invalidate`] removes a line
-//! without reordering the rest. That is still true LRU: the front is
-//! exactly the line whose last touch is oldest.
+//! [`SetAssocCache::insert`] rotates the line to the back (unless it is
+//! already there), a full set evicts its front, and
+//! [`SetAssocCache::invalidate`] removes a line without reordering the
+//! rest. That is still true LRU: the front is exactly the line whose
+//! last touch is oldest.
+//!
+//! Every search scans a set from the back, newest first. Most hits land
+//! on a recently touched line, and the state and sharer updates that
+//! follow a lookup find the line it just moved to the back. Addresses
+//! are unique within a set, so the scan direction changes no result.
 
 use crate::types::{CacheState, LineAddr};
 
@@ -102,8 +108,10 @@ impl SetAssocCache {
     pub fn lookup(&mut self, addr: LineAddr) -> Option<CacheState> {
         let set = self.set_of(addr);
         let lines = &mut self.sets[set];
-        let i = lines.iter().position(|l| l.addr == addr)?;
-        lines[i..].rotate_left(1);
+        let i = lines.iter().rposition(|l| l.addr == addr)?;
+        if i + 1 < lines.len() {
+            lines[i..].rotate_left(1);
+        }
         lines.last().map(|l| l.state)
     }
 
@@ -112,7 +120,7 @@ impl SetAssocCache {
         let set = self.set_of(addr);
         self.sets[set]
             .iter()
-            .find(|l| l.addr == addr)
+            .rfind(|l| l.addr == addr)
             .map(|l| l.state)
     }
 
@@ -121,7 +129,7 @@ impl SetAssocCache {
         let set = self.set_of(addr);
         self.sets[set]
             .iter()
-            .find(|l| l.addr == addr)
+            .rfind(|l| l.addr == addr)
             .map(|l| l.sharers)
     }
 
@@ -130,8 +138,10 @@ impl SetAssocCache {
     pub fn insert(&mut self, addr: LineAddr, state: CacheState) -> Option<Eviction> {
         let set = self.set_of(addr);
         let lines = &mut self.sets[set];
-        if let Some(i) = lines.iter().position(|l| l.addr == addr) {
-            lines[i..].rotate_left(1);
+        if let Some(i) = lines.iter().rposition(|l| l.addr == addr) {
+            if i + 1 < lines.len() {
+                lines[i..].rotate_left(1);
+            }
             lines.last_mut().expect("hit line").state = state;
             return None;
         }
@@ -154,7 +164,7 @@ impl SetAssocCache {
     /// Changes the state of a resident line. Returns `false` if absent.
     pub fn set_state(&mut self, addr: LineAddr, state: CacheState) -> bool {
         let set = self.set_of(addr);
-        if let Some(line) = self.sets[set].iter_mut().find(|l| l.addr == addr) {
+        if let Some(line) = self.sets[set].iter_mut().rfind(|l| l.addr == addr) {
             line.state = state;
             true
         } else {
@@ -165,7 +175,7 @@ impl SetAssocCache {
     /// Updates the L1-sharer mask of a resident line (LLC use).
     pub fn set_sharers(&mut self, addr: LineAddr, sharers: u16) -> bool {
         let set = self.set_of(addr);
-        if let Some(line) = self.sets[set].iter_mut().find(|l| l.addr == addr) {
+        if let Some(line) = self.sets[set].iter_mut().rfind(|l| l.addr == addr) {
             line.sharers = sharers;
             true
         } else {
@@ -179,7 +189,7 @@ impl SetAssocCache {
         let lines = &mut self.sets[set];
         lines
             .iter()
-            .position(|l| l.addr == addr)
+            .rposition(|l| l.addr == addr)
             .map(|i| lines.remove(i).state)
     }
 }

@@ -7,13 +7,14 @@
 //! to fetch the entry before the transaction can be ordered.
 //!
 //! [`DirCache`] models exactly that residency set (LRU over line
-//! addresses). The engine consults it at every home-directory access
-//! when configured; `None` capacity models an ideal all-SRAM directory
-//! (the default, matching the calibrated Table II latencies).
+//! addresses, kept in the same linked recency list as the replica
+//! directory's, so an access is one hash probe and a few link updates).
+//! The engine consults it at every home-directory access when
+//! configured; `None` capacity models an ideal all-SRAM directory (the
+//! default, matching the calibrated Table II latencies).
 
+use crate::lru::LruList;
 use crate::types::LineAddr;
-use dve_sim::hash::IntMap;
-use std::collections::BTreeMap;
 
 /// LRU residency tracker for on-chip directory entries.
 ///
@@ -32,9 +33,8 @@ use std::collections::BTreeMap;
 #[derive(Debug, Clone)]
 pub struct DirCache {
     capacity: usize,
-    entries: IntMap<LineAddr, u64>,
-    lru: BTreeMap<u64, LineAddr>,
-    tick: u64,
+    /// Resident lines, least recently used first.
+    entries: LruList<()>,
 }
 
 impl DirCache {
@@ -47,9 +47,7 @@ impl DirCache {
         assert!(capacity > 0, "capacity must be non-zero");
         DirCache {
             capacity,
-            entries: IntMap::default(),
-            lru: BTreeMap::new(),
-            tick: 0,
+            entries: LruList::default(),
         }
     }
 
@@ -57,19 +55,14 @@ impl DirCache {
     /// `false` when the entry must be fetched from the in-memory
     /// directory (and installs it, evicting LRU).
     pub fn access(&mut self, line: LineAddr) -> bool {
-        self.tick += 1;
-        let tick = self.tick;
-        if let Some(old) = self.entries.insert(line, tick) {
-            self.lru.remove(&old);
-            self.lru.insert(tick, line);
+        if self.entries.touch(line).is_some() {
             return true;
         }
-        if self.entries.len() > self.capacity {
-            let (&t, &victim) = self.lru.iter().next().expect("non-empty over capacity");
-            self.lru.remove(&t);
-            self.entries.remove(&victim);
+        if self.entries.len() == self.capacity {
+            let victim = self.entries.lru().expect("non-empty at capacity");
+            self.entries.remove(victim);
         }
-        self.lru.insert(tick, line);
+        self.entries.push(line, ());
         false
     }
 
@@ -80,7 +73,7 @@ impl DirCache {
 
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.entries.len() == 0
     }
 }
 

@@ -296,15 +296,21 @@ impl ProtocolEngine {
     ///
     /// # Panics
     ///
-    /// Panics if `cores` does not split evenly over `sockets`, or if the
-    /// placement names more than 8 nodes (the home directory's sharer
-    /// vector is one bit per node in a `u8`).
+    /// Panics if `cores` does not split evenly over `sockets`, if a
+    /// socket has more than 16 cores (an LLC line's L1-sharer mask is
+    /// one bit per core in a `u16`), or if the placement names more
+    /// than 8 nodes (the home directory's sharer vector is one bit per
+    /// node in a `u8`).
     pub fn new(mode: Mode, cfg: EngineConfig) -> ProtocolEngine {
         assert!(
             cfg.sockets > 0 && cfg.cores.is_multiple_of(cfg.sockets),
             "{} cores do not split evenly over {} sockets",
             cfg.cores,
             cfg.sockets
+        );
+        assert!(
+            cfg.cores_per_socket() <= u16::BITS as usize,
+            "L1-sharer mask is one bit per core in a u16"
         );
         let place = PlacementMap::new(cfg.sockets, cfg.page_lines, cfg.placement);
         let nodes = place.nodes();
@@ -1460,6 +1466,16 @@ mod tests {
         let second = e.access(0, HOME0, ReqType::Read, first.complete_at, &mut f);
         assert_eq!(second.service, ServiceLevel::L1);
         assert_eq!(second.complete_at - first.complete_at, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "L1-sharer mask")]
+    fn more_cores_per_socket_than_sharer_bits_rejected() {
+        let cfg = EngineConfig {
+            cores: 34,
+            ..EngineConfig::default()
+        };
+        ProtocolEngine::new(Mode::Baseline, cfg);
     }
 
     #[test]

@@ -38,6 +38,7 @@ pub mod dir_cache;
 pub mod engine;
 pub mod fabric;
 pub mod home_dir;
+mod lru;
 pub mod replica_dir;
 pub mod types;
 

@@ -17,11 +17,15 @@
 //! paper's default, 4K in the Fig. 9 optimization, unbounded for the
 //! oracle) with true-LRU replacement, and optionally tracks coarse
 //! regions instead of single lines (§V-C5, "coarse-grained replica
-//! directory").
+//! directory"). The entries sit in a linked recency list, so a lookup,
+//! install or removal costs one hash probe and a few link updates, and
+//! the capacity victim scan walks the list from its least recent end.
+//! The directory keeps no tallies: what the engine counts about it
+//! (replica reads, `Rm` installs, forced downgrades) lives in
+//! [`EngineStats`](crate::engine::EngineStats).
 
+use crate::lru::LruList;
 use crate::types::LineAddr;
-use dve_sim::hash::IntMap;
-use std::collections::BTreeMap;
 
 /// Which protocol family this replica directory implements.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -57,19 +61,6 @@ pub struct ReplicaEviction {
     pub state: ReplicaState,
 }
 
-/// Accumulated replica-directory statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ReplicaDirStats {
-    /// Lookups that found a usable entry.
-    pub hits: u64,
-    /// Lookups that found nothing.
-    pub misses: u64,
-    /// Entries installed.
-    pub installs: u64,
-    /// Entries evicted by capacity pressure.
-    pub evictions: u64,
-}
-
 /// The replica directory for one socket.
 ///
 /// # Example
@@ -89,14 +80,12 @@ pub struct ReplicaDirectory {
     capacity: Option<usize>,
     /// Lines per tracked region (1 = cache-line granularity).
     region_lines: u64,
-    entries: IntMap<LineAddr, (ReplicaState, u64)>,
-    lru_index: BTreeMap<u64, LineAddr>,
+    /// Entries by region key, least recently used first.
+    entries: LruList<ReplicaState>,
     /// Live entries in [`ReplicaState::Rm`]. The capacity victim scan
     /// can only pick something other than the LRU entry when `Rm`
     /// entries share the table with `S`/`M` ones.
     rm_entries: usize,
-    tick: u64,
-    stats: ReplicaDirStats,
 }
 
 impl ReplicaDirectory {
@@ -116,11 +105,8 @@ impl ReplicaDirectory {
             policy,
             capacity,
             region_lines,
-            entries: IntMap::default(),
-            lru_index: BTreeMap::new(),
+            entries: LruList::default(),
             rm_entries: 0,
-            tick: 0,
-            stats: ReplicaDirStats::default(),
         }
     }
 
@@ -145,32 +131,14 @@ impl ReplicaDirectory {
         self.region_lines
     }
 
-    /// Moves `region`'s entry to the MRU position and returns its
-    /// state, or `None` when no entry covers it.
-    fn touch(&mut self, region: LineAddr) -> Option<&mut ReplicaState> {
-        let (state, tick) = self.entries.get_mut(&region)?;
-        self.lru_index.remove(tick);
-        self.tick += 1;
-        *tick = self.tick;
-        self.lru_index.insert(self.tick, region);
-        Some(state)
-    }
-
-    /// Looks up the entry covering `line`, updating LRU and hit/miss
-    /// statistics.
+    /// Looks up the entry covering `line`, updating LRU.
     pub fn lookup(&mut self, line: LineAddr) -> Option<ReplicaState> {
-        let state = self.touch(self.region_of(line)).copied();
-        if state.is_some() {
-            self.stats.hits += 1;
-        } else {
-            self.stats.misses += 1;
-        }
-        state
+        self.entries.touch(self.region_of(line)).copied()
     }
 
-    /// Peeks without touching LRU or statistics.
+    /// Peeks without touching LRU.
     pub fn peek(&self, line: LineAddr) -> Option<ReplicaState> {
-        self.entries.get(&self.region_of(line)).map(|(s, _)| *s)
+        self.entries.get(self.region_of(line)).copied()
     }
 
     /// Whether a read of `line` may be served from the local replica
@@ -189,14 +157,18 @@ impl ReplicaDirectory {
     /// evicted by capacity pressure, which the caller must resolve.
     pub fn install(&mut self, line: LineAddr, state: ReplicaState) -> Option<ReplicaEviction> {
         let region = self.region_of(line);
-        if let Some(old) = self.touch(region).map(|s| std::mem::replace(s, state)) {
+        if let Some(old) = self
+            .entries
+            .touch(region)
+            .map(|s| std::mem::replace(s, state))
+        {
             self.rm_entries -= usize::from(old == ReplicaState::Rm);
             self.rm_entries += usize::from(state == ReplicaState::Rm);
             return None;
         }
         let mut evicted = None;
         if self.capacity.is_some_and(|cap| self.entries.len() >= cap) {
-            let lru_tick = *self.lru_index.keys().next().expect("non-empty at capacity");
+            let lru = self.entries.lru().expect("non-empty at capacity");
             // Evict LRU, but prefer a victim whose eviction is free: S
             // entries (allow: absence is conservative) and M entries
             // (the home directory independently tracks the owner) can
@@ -207,39 +179,31 @@ impl ReplicaDirectory {
             // mode installs only RM entries, allow mode only S/M), the
             // scan can only return the LRU entry, so skip it.
             const VICTIM_SCAN: usize = 32;
-            let victim_tick = if self.rm_entries == 0 || self.rm_entries == self.entries.len() {
-                lru_tick
+            let victim = if self.rm_entries == 0 || self.rm_entries == self.entries.len() {
+                lru
             } else {
-                self.lru_index
+                self.entries
                     .iter()
                     .take(VICTIM_SCAN)
-                    .find(|(_, region)| {
-                        !matches!(self.entries.get(region), Some((ReplicaState::Rm, _)))
-                    })
-                    .map_or(lru_tick, |(&t, _)| t)
+                    .find(|&(_, &s)| s != ReplicaState::Rm)
+                    .map_or(lru, |(region, _)| region)
             };
-            let victim = self.lru_index.remove(&victim_tick).expect("indexed tick");
-            let (vstate, _) = self.entries.remove(&victim).expect("indexed entry");
+            let vstate = self.entries.remove(victim).expect("listed entry");
             self.rm_entries -= usize::from(vstate == ReplicaState::Rm);
-            self.stats.evictions += 1;
             evicted = Some(ReplicaEviction {
                 region: victim,
                 state: vstate,
             });
         }
-        self.tick += 1;
-        self.entries.insert(region, (state, self.tick));
-        self.lru_index.insert(self.tick, region);
+        self.entries.push(region, state);
         self.rm_entries += usize::from(state == ReplicaState::Rm);
-        self.stats.installs += 1;
         evicted
     }
 
     /// Removes the entry covering `line`, returning its state.
     pub fn remove(&mut self, line: LineAddr) -> Option<ReplicaState> {
         let region = self.region_of(line);
-        let (state, tick) = self.entries.remove(&region)?;
-        self.lru_index.remove(&tick);
+        let state = self.entries.remove(region)?;
         self.rm_entries -= usize::from(state == ReplicaState::Rm);
         Some(state)
     }
@@ -249,7 +213,6 @@ impl ReplicaDirectory {
     pub fn drain(&mut self) -> usize {
         let n = self.entries.len();
         self.entries.clear();
-        self.lru_index.clear();
         self.rm_entries = 0;
         n
     }
@@ -261,22 +224,7 @@ impl ReplicaDirectory {
 
     /// Whether the directory is empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Statistics snapshot.
-    pub fn stats(&self) -> ReplicaDirStats {
-        self.stats
-    }
-
-    /// Hit rate of lookups in [0, 1].
-    pub fn hit_rate(&self) -> f64 {
-        let t = self.stats.hits + self.stats.misses;
-        if t == 0 {
-            0.0
-        } else {
-            self.stats.hits as f64 / t as f64
-        }
+        self.entries.len() == 0
     }
 }
 
@@ -322,9 +270,14 @@ mod tests {
         let ev = rd
             .install(3, ReplicaState::S)
             .expect("eviction at capacity");
-        assert_eq!(ev.region, 2);
+        assert_eq!(
+            ev,
+            ReplicaEviction {
+                region: 2,
+                state: ReplicaState::S
+            }
+        );
         assert_eq!(rd.len(), 2);
-        assert_eq!(rd.stats().evictions, 1);
         assert!(rd.replica_readable(1));
         assert!(!rd.replica_readable(2));
     }
@@ -373,32 +326,25 @@ mod tests {
         assert_eq!(ev.state, ReplicaState::M);
     }
 
-    /// Asserts the internal indices agree: every entry's LRU tick maps
-    /// back to it, the index holds nothing else, and the `Rm` count
-    /// matches the table.
-    fn assert_index_consistent(rd: &ReplicaDirectory) {
-        assert_eq!(rd.entries.len(), rd.lru_index.len(), "index size drift");
+    /// Asserts the recency list is well formed (see
+    /// `LruList::assert_consistent`) and the `Rm` count matches it.
+    fn assert_list_consistent(rd: &ReplicaDirectory) {
+        rd.entries.assert_consistent();
         let rm = rd
             .entries
-            .values()
-            .filter(|(s, _)| *s == ReplicaState::Rm)
+            .iter()
+            .filter(|&(_, &s)| s == ReplicaState::Rm)
             .count();
         assert_eq!(rd.rm_entries, rm, "Rm count drift");
-        for (&region, &(_, tick)) in &rd.entries {
-            assert_eq!(
-                rd.lru_index.get(&tick),
-                Some(&region),
-                "entry {region} tick {tick} not indexed"
-            );
-        }
     }
 
     #[test]
-    fn lru_index_stays_consistent_under_churn() {
+    fn lru_list_stays_consistent_under_churn() {
         // install/lookup/remove/evict churn across a small capacity,
-        // checking after every operation that `entries` and `lru_index`
-        // never drift (a dangling tick would make a later eviction
-        // panic or pick a phantom victim).
+        // checking after every operation that the recency list's links,
+        // slot map and free list never drift (a dangling link would
+        // make a later eviction panic or pick a phantom victim).
+        let mut evictions = 0;
         let mut rd = ReplicaDirectory::new(ReplicaPolicy::Deny, Some(8), 1);
         let mut rng = dve_sim::rng::SplitMix64::new(0xD0E5_2021);
         for _ in 0..4_000 {
@@ -410,7 +356,7 @@ mod tests {
                         1 => ReplicaState::M,
                         _ => ReplicaState::Rm,
                     };
-                    rd.install(line, state);
+                    evictions += usize::from(rd.install(line, state).is_some());
                 }
                 1 => {
                     rd.lookup(line);
@@ -423,11 +369,11 @@ mod tests {
                 }
             }
             assert!(rd.len() <= 8, "capacity respected");
-            assert_index_consistent(&rd);
+            assert_list_consistent(&rd);
         }
-        assert!(rd.stats().evictions > 0, "churn exercised evictions");
+        assert!(evictions > 0, "churn exercised evictions");
         rd.drain();
-        assert_index_consistent(&rd);
+        assert_list_consistent(&rd);
     }
 
     #[test]
@@ -437,7 +383,6 @@ mod tests {
             assert!(rd.install(i, ReplicaState::S).is_none());
         }
         assert_eq!(rd.len(), 10_000);
-        assert_eq!(rd.stats().evictions, 0);
     }
 
     #[test]
@@ -452,19 +397,6 @@ mod tests {
         // Removing by any covered line removes the region.
         assert_eq!(rd.remove(7), Some(ReplicaState::S));
         assert!(!rd.replica_readable(0));
-    }
-
-    #[test]
-    fn lookup_updates_stats() {
-        let mut rd = ReplicaDirectory::default_config(ReplicaPolicy::Allow);
-        rd.install(0, ReplicaState::S);
-        rd.lookup(0);
-        rd.lookup(64);
-        let s = rd.stats();
-        assert_eq!(s.hits, 1);
-        assert_eq!(s.misses, 1);
-        assert_eq!(s.installs, 1);
-        assert!((rd.hit_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -2,6 +2,7 @@
 //! engine's safety invariants under random operation streams.
 
 use dve_coherence::cache::{Eviction, SetAssocCache};
+use dve_coherence::dir_cache::DirCache;
 use dve_coherence::engine::{EngineConfig, Mode, ProtocolEngine};
 use dve_coherence::fabric::TestFabric;
 use dve_coherence::replica_dir::{ReplicaDirectory, ReplicaEviction, ReplicaPolicy, ReplicaState};
@@ -42,10 +43,11 @@ proptest! {
 
     // Every eviction is the victim a timestamp-LRU reference picks:
     // each lookup hit or insert stamps the line with a rising tick, and
-    // a full set evicts its smallest stamp.
+    // a full set evicts its smallest stamp. The readers (`state_of`,
+    // `sharers_of`) and writers agree with the reference on every line.
     #[test]
     fn cache_evicts_the_timestamp_lru_victim(
-        ops in proptest::collection::vec((0u8..5, 0u64..32, any::<bool>()), 1..400)
+        ops in proptest::collection::vec((0u8..7, 0u64..32, any::<bool>()), 1..400)
     ) {
         let mut cache = SetAssocCache::new(1024, 4, 64); // 4 sets × 4 ways
         // Per set: (addr, state, sharers, stamp).
@@ -91,13 +93,15 @@ proptest! {
                     }
                     prop_assert_eq!(cache.set_state(addr, state), pos.is_some());
                 }
-                _ => {
+                4 => {
                     let sharers = (addr as u16) | 0x100;
                     if let Some(i) = pos {
                         set[i].2 = sharers;
                     }
                     prop_assert_eq!(cache.set_sharers(addr, sharers), pos.is_some());
                 }
+                5 => prop_assert_eq!(cache.state_of(addr), pos.map(|i| set[i].1)),
+                _ => prop_assert_eq!(cache.sharers_of(addr), pos.map(|i| set[i].2)),
             }
         }
     }
@@ -133,17 +137,21 @@ proptest! {
     // Eviction sequences match a reference directory that always runs
     // the 32-deep cheap-victim scan, whatever the mix of S/M/Rm
     // entries: all S/M (allow-style), all Rm (deny-style) or mixed,
-    // with installs, state updates, removes and LRU-touching lookups,
-    // at capacities on both sides of the scan window.
+    // with installs, state updates, removes, LRU-touching lookups and
+    // the odd drain, at capacities on both sides of the scan window and
+    // unbounded. Removals, evictions and drains free list slots that
+    // later installs reuse, so slot reuse is checked too.
     #[test]
     fn replica_dir_evictions_match_full_scan_reference(
-        ops in proptest::collection::vec((0u8..6, 0u64..96, 0u8..6), 1..500),
+        ops in proptest::collection::vec((0u8..100, 0u64..96, 0u8..6), 1..500),
         mix in 0u8..3,
         capacity in 1usize..48,
+        bounded in any::<bool>(),
         coarse in any::<bool>(),
     ) {
+        let capacity = bounded.then_some(capacity);
         let region_lines = if coarse { 4 } else { 1 };
-        let mut rd = ReplicaDirectory::new(ReplicaPolicy::Deny, Some(capacity), region_lines);
+        let mut rd = ReplicaDirectory::new(ReplicaPolicy::Deny, capacity, region_lines);
         // LRU order, least recent first.
         let mut reference: Vec<(u64, ReplicaState)> = Vec::new();
         let state_of = |pick: u8| match (mix, pick % 3) {
@@ -154,12 +162,12 @@ proptest! {
             let region = line - line % region_lines;
             let pos = reference.iter().position(|&(r, _)| r == region);
             match op {
-                0..=2 => {
+                0..=49 => {
                     let state = state_of(pick);
                     let want = if let Some(i) = pos {
                         reference.remove(i);
                         None
-                    } else if reference.len() >= capacity {
+                    } else if capacity.is_some_and(|cap| reference.len() >= cap) {
                         let i = reference
                             .iter()
                             .take(32)
@@ -173,11 +181,11 @@ proptest! {
                     reference.push((region, state));
                     prop_assert_eq!(rd.install(line, state), want);
                 }
-                3 => {
+                50..=65 => {
                     let want = pos.map(|i| reference.remove(i).1);
                     prop_assert_eq!(rd.remove(line), want);
                 }
-                _ => {
+                66..=98 => {
                     let want = pos.map(|i| {
                         let e = reference.remove(i);
                         reference.push(e);
@@ -185,8 +193,39 @@ proptest! {
                     });
                     prop_assert_eq!(rd.lookup(line), want);
                 }
+                _ => {
+                    prop_assert_eq!(rd.drain(), reference.len());
+                    reference.clear();
+                }
             }
             prop_assert_eq!(rd.len(), reference.len());
+        }
+    }
+
+    // The directory cache hits exactly when a `Vec` LRU reference of
+    // the same capacity holds the line, and evicts the reference's
+    // least recent line.
+    #[test]
+    fn dir_cache_matches_lru_reference(
+        ops in proptest::collection::vec(0u64..32, 1..400),
+        capacity in 1usize..16,
+    ) {
+        let mut dc = DirCache::new(capacity);
+        // Least recent first.
+        let mut reference: Vec<u64> = Vec::new();
+        for line in ops {
+            let hit = if let Some(i) = reference.iter().position(|&l| l == line) {
+                reference.remove(i);
+                true
+            } else {
+                if reference.len() == capacity {
+                    reference.remove(0);
+                }
+                false
+            };
+            reference.push(line);
+            prop_assert_eq!(dc.access(line), hit);
+            prop_assert_eq!(dc.len(), reference.len());
         }
     }
 

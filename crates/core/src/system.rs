@@ -30,7 +30,6 @@ use dve_sim::resource::Resource;
 use dve_sim::time::{Cycles, CORE_CLOCK};
 use dve_workloads::op::{MemReq, Op};
 use dve_workloads::WorkloadProfile;
-use std::cmp::Reverse;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 /// Results of one run.
@@ -156,15 +155,44 @@ struct RegionStart {
     mem_ops: u64,
 }
 
-/// The scheduler's ready set: `(Reverse(local clock), core)` for each
-/// of `cores`, so the top is the earliest clock and ties go to the
-/// highest core index. The runners update the top in place
-/// ([`PeekMut`]) after each op, and pop it when the core retires.
-fn core_heap(
-    core_time: &[u64],
-    cores: impl Iterator<Item = usize>,
-) -> BinaryHeap<(Reverse<u64>, usize)> {
-    cores.map(|c| (Reverse(core_time[c]), c)).collect()
+/// Low bits of a scheduler key that hold the core index.
+/// [`ProtocolEngine::new`] accepts at most 8 sockets (its sharer vector
+/// is a `u8`) of at most 16 cores each (an LLC line's L1-sharer mask is
+/// a `u16`): core indices below 128, 7 bits.
+const CORE_BITS: u32 = u32::BITS - (8 * u16::BITS - 1).leading_zeros();
+
+/// The latest local clock a scheduler key can hold.
+const MAX_KEY_CLOCK: u64 = u64::MAX >> CORE_BITS;
+
+/// Packs `(clock, core)` into one scheduler key, `!clock` above the
+/// core index: a larger key is an earlier clock, or the same clock on
+/// a higher core, exactly the order of `(Reverse(clock), core)`.
+///
+/// # Panics
+///
+/// Panics if `clock` exceeds [`MAX_KEY_CLOCK`] or `core` needs more
+/// than [`CORE_BITS`] bits.
+#[inline]
+fn core_key(clock: u64, core: usize) -> u64 {
+    assert!(
+        clock <= MAX_KEY_CLOCK && core >> CORE_BITS == 0,
+        "scheduler key overflow: clock {clock}, core {core}"
+    );
+    (!clock << CORE_BITS) | core as u64
+}
+
+/// Unpacks a [`core_key`] into `(clock, core)`.
+#[inline]
+fn key_parts(key: u64) -> (u64, usize) {
+    (!key >> CORE_BITS, (key & ((1 << CORE_BITS) - 1)) as usize)
+}
+
+/// The scheduler's ready set: a [`core_key`] for each of `cores`, so
+/// the top is the earliest clock and ties go to the highest core index.
+/// The runners update the top in place ([`PeekMut`]) after each op, and
+/// pop it when the core retires.
+fn core_heap(core_time: &[u64], cores: impl Iterator<Item = usize>) -> BinaryHeap<u64> {
+    cores.map(|c| core_key(core_time[c], c)).collect()
 }
 
 /// Entries in [`System`]'s latency fold table (a power of two).
@@ -508,7 +536,7 @@ impl System {
         let mut total_ops = 0u64;
         let mut total_mem = 0u64;
         while let Some(mut top) = heap.peek_mut() {
-            let (Reverse(now), core) = *top;
+            let (now, core) = key_parts(*top);
             self.advance_chaos(now);
             let op = self.supply.next_op(core);
             total_ops += 1;
@@ -551,7 +579,7 @@ impl System {
             if remaining[core] == 0 {
                 PeekMut::pop(top);
             } else {
-                top.0 = Reverse(next);
+                *top = core_key(next, core);
             }
         }
         self.flush_latency();
@@ -645,7 +673,7 @@ impl System {
         );
         let mut completions: Vec<Option<OpCompletion>> = vec![None; ops.len()];
         while let Some(mut top) = heap.peek_mut() {
-            let (Reverse(now), core) = *top;
+            let (now, core) = key_parts(*top);
             self.advance_chaos(now);
             let idx = queues[core][cursor[core]];
             cursor[core] += 1;
@@ -678,7 +706,7 @@ impl System {
             let next = (now + 1).max(free_at);
             self.core_time[core] = next;
             if cursor[core] < queues[core].len() {
-                top.0 = Reverse(next);
+                *top = core_key(next, core);
             } else {
                 PeekMut::pop(top);
             }
@@ -949,6 +977,47 @@ mod tests {
         });
         shapes.dedup();
         assert!(shapes.len() > 4 * LAT_FOLD_SLOTS, "{} shapes", shapes.len());
+    }
+
+    #[test]
+    fn core_key_orders_like_reverse_clock_then_core() {
+        use dve_sim::rng::SplitMix64;
+        use std::cmp::Reverse;
+        let max_core = (1 << CORE_BITS) - 1;
+        let mut rng = SplitMix64::new(0xC0DE_4EA9);
+        let mut pairs = vec![
+            (0, 0),
+            (0, max_core),
+            (MAX_KEY_CLOCK, 0),
+            (MAX_KEY_CLOCK, max_core),
+        ];
+        for _ in 0..600 {
+            // Clocks drawn from a few narrow bands, so many pairs tie.
+            let clock = match rng.next_below(3) {
+                0 => rng.next_below(4),
+                1 => MAX_KEY_CLOCK - rng.next_below(4),
+                _ => rng.next_below(MAX_KEY_CLOCK + 1),
+            };
+            pairs.push((clock, rng.next_below(max_core as u64 + 1) as usize));
+        }
+        for &(clock, core) in &pairs {
+            assert_eq!(key_parts(core_key(clock, core)), (clock, core));
+        }
+        for &a in &pairs {
+            for &b in &pairs {
+                assert_eq!(
+                    core_key(a.0, a.1).cmp(&core_key(b.0, b.1)),
+                    (Reverse(a.0), a.1).cmp(&(Reverse(b.0), b.1)),
+                    "{a:?} vs {b:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "scheduler key overflow")]
+    fn core_key_rejects_a_clock_past_the_key() {
+        core_key(MAX_KEY_CLOCK + 1, 0);
     }
 
     #[test]
