@@ -5,6 +5,14 @@
 //! state and, for the LLC, a bitmask of on-socket L1 sharers (the "local
 //! directory embedded in L2" of Table II).
 //!
+//! A resident line is one `u64`: `addr << 18 | sharers << 2 | state`.
+//! The line address takes the top 46 bits, so
+//! [`SetAssocCache::insert`] panics on an address at or above `1 << 46`
+//! (a 4 PiB span of 64 B lines); the 16-bit sharer mask and the 2-bit
+//! state fill the rest. A set is a `Vec` of these words, allocated on
+//! its first insert, so an LLC line costs 8 bytes and a set never
+//! touched costs nothing but its empty `Vec`.
+//!
 //! Lines carry no timestamp: each set is kept in recency order, least
 //! recent first. A hit in [`SetAssocCache::lookup`] or
 //! [`SetAssocCache::insert`] rotates the line to the back (unless it is
@@ -20,16 +28,36 @@
 
 use crate::types::{CacheState, LineAddr};
 
-/// One resident cache line.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Line {
-    /// The line address (full address, not just the tag — simpler and
-    /// exact at simulation scale).
-    pub addr: LineAddr,
-    /// Coherence state.
-    pub state: CacheState,
-    /// On-socket L1 sharer bitmask (meaningful for LLC lines only).
-    pub sharers: u16,
+/// Bits below the address in a line word: 16 sharer bits over 2 state
+/// bits.
+const ADDR_SHIFT: u32 = 18;
+/// Position of the sharer mask in a line word.
+const SHARERS_SHIFT: u32 = 2;
+/// The state field of a line word.
+const STATE_MASK: u64 = 0b11;
+/// The sharer field of a line word.
+const SHARERS_MASK: u64 = 0xFFFF << SHARERS_SHIFT;
+/// Decodes the state field; `state as u64` encodes it.
+const STATES: [CacheState; 4] = [CacheState::M, CacheState::O, CacheState::S, CacheState::I];
+
+fn pack(addr: LineAddr, sharers: u16, state: CacheState) -> u64 {
+    addr << ADDR_SHIFT | u64::from(sharers) << SHARERS_SHIFT | state as u64
+}
+
+fn with_state(word: u64, state: CacheState) -> u64 {
+    word & !STATE_MASK | state as u64
+}
+
+fn word_addr(word: u64) -> LineAddr {
+    word >> ADDR_SHIFT
+}
+
+fn word_state(word: u64) -> CacheState {
+    STATES[(word & STATE_MASK) as usize]
+}
+
+fn word_sharers(word: u64) -> u16 {
+    ((word & SHARERS_MASK) >> SHARERS_SHIFT) as u16
 }
 
 /// What fell out of the cache on an insertion.
@@ -58,8 +86,8 @@ pub struct Eviction {
 /// ```
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
-    /// Each set's resident lines, least recently used first.
-    sets: Vec<Vec<Line>>,
+    /// Each set's resident line words, least recently used first.
+    sets: Vec<Vec<u64>>,
     ways: usize,
     set_mask: u64,
 }
@@ -101,6 +129,20 @@ impl SetAssocCache {
         (addr & self.set_mask) as usize
     }
 
+    /// The resident word of `addr`, newest first.
+    fn find(&self, addr: LineAddr) -> Option<u64> {
+        self.sets[self.set_of(addr)]
+            .iter()
+            .rfind(|&&w| word_addr(w) == addr)
+            .copied()
+    }
+
+    /// The resident word of `addr`, for an in-place update.
+    fn find_mut(&mut self, addr: LineAddr) -> Option<&mut u64> {
+        let set = self.set_of(addr);
+        self.sets[set].iter_mut().rfind(|w| word_addr(**w) == addr)
+    }
+
     /// Looks up `addr`, updating LRU. Returns the state if present.
     /// The engine counts L1 and LLC hits ([`EngineStats`]).
     ///
@@ -108,79 +150,68 @@ impl SetAssocCache {
     pub fn lookup(&mut self, addr: LineAddr) -> Option<CacheState> {
         let set = self.set_of(addr);
         let lines = &mut self.sets[set];
-        let i = lines.iter().rposition(|l| l.addr == addr)?;
+        let i = lines.iter().rposition(|&w| word_addr(w) == addr)?;
         if i + 1 < lines.len() {
             lines[i..].rotate_left(1);
         }
-        lines.last().map(|l| l.state)
+        lines.last().map(|&w| word_state(w))
     }
 
     /// Returns the state of `addr` without touching LRU.
     pub fn state_of(&self, addr: LineAddr) -> Option<CacheState> {
-        let set = self.set_of(addr);
-        self.sets[set]
-            .iter()
-            .rfind(|l| l.addr == addr)
-            .map(|l| l.state)
+        self.find(addr).map(word_state)
     }
 
     /// Returns the L1-sharer mask of `addr` (LLC use), if resident.
     pub fn sharers_of(&self, addr: LineAddr) -> Option<u16> {
-        let set = self.set_of(addr);
-        self.sets[set]
-            .iter()
-            .rfind(|l| l.addr == addr)
-            .map(|l| l.sharers)
+        self.find(addr).map(word_sharers)
     }
 
     /// Inserts (or updates) `addr` with `state`, evicting the LRU line of
     /// a full set. Returns the eviction, if any.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr` does not fit the 46-bit address field.
     pub fn insert(&mut self, addr: LineAddr, state: CacheState) -> Option<Eviction> {
+        assert!(
+            addr < 1 << (64 - ADDR_SHIFT),
+            "line address {addr:#x} is wider than the cache's 46-bit field"
+        );
         let set = self.set_of(addr);
         let lines = &mut self.sets[set];
-        if let Some(i) = lines.iter().rposition(|l| l.addr == addr) {
+        if let Some(i) = lines.iter().rposition(|&w| word_addr(w) == addr) {
             if i + 1 < lines.len() {
                 lines[i..].rotate_left(1);
             }
-            lines.last_mut().expect("hit line").state = state;
+            let last = lines.last_mut().expect("hit line");
+            *last = with_state(*last, state);
             return None;
         }
         let evicted = (lines.len() == self.ways).then(|| {
             let v = lines.remove(0);
             Eviction {
-                addr: v.addr,
-                state: v.state,
-                sharers: v.sharers,
+                addr: word_addr(v),
+                state: word_state(v),
+                sharers: word_sharers(v),
             }
         });
-        lines.push(Line {
-            addr,
-            state,
-            sharers: 0,
-        });
+        lines.push(pack(addr, 0, state));
         evicted
     }
 
     /// Changes the state of a resident line. Returns `false` if absent.
     pub fn set_state(&mut self, addr: LineAddr, state: CacheState) -> bool {
-        let set = self.set_of(addr);
-        if let Some(line) = self.sets[set].iter_mut().rfind(|l| l.addr == addr) {
-            line.state = state;
-            true
-        } else {
-            false
-        }
+        self.find_mut(addr)
+            .map(|w| *w = with_state(*w, state))
+            .is_some()
     }
 
     /// Updates the L1-sharer mask of a resident line (LLC use).
     pub fn set_sharers(&mut self, addr: LineAddr, sharers: u16) -> bool {
-        let set = self.set_of(addr);
-        if let Some(line) = self.sets[set].iter_mut().rfind(|l| l.addr == addr) {
-            line.sharers = sharers;
-            true
-        } else {
-            false
-        }
+        self.find_mut(addr)
+            .map(|w| *w = *w & !SHARERS_MASK | u64::from(sharers) << SHARERS_SHIFT)
+            .is_some()
     }
 
     /// Removes `addr`, returning its final state.
@@ -189,8 +220,8 @@ impl SetAssocCache {
         let lines = &mut self.sets[set];
         lines
             .iter()
-            .rposition(|l| l.addr == addr)
-            .map(|i| lines.remove(i).state)
+            .rposition(|&w| word_addr(w) == addr)
+            .map(|i| word_state(lines.remove(i)))
     }
 }
 
@@ -288,10 +319,31 @@ mod tests {
     }
 
     #[test]
-    fn line_fits_in_sixteen_bytes() {
-        // An LLC holds 131 072 of these per socket; a wider field would
-        // grow every set by half.
-        assert!(std::mem::size_of::<Line>() <= 16);
+    fn line_word_round_trips_at_the_field_limits() {
+        // The three fields fill the word exactly: the widest address,
+        // every sharer bit and each state come back unchanged.
+        assert_eq!(ADDR_SHIFT + 46, u64::BITS);
+        for state in STATES {
+            for (addr, sharers) in [(0, 0), ((1 << 46) - 1, u16::MAX), (0x2A, 0x8001)] {
+                let w = pack(addr, sharers, state);
+                assert_eq!(
+                    (word_addr(w), word_sharers(w), word_state(w)),
+                    (addr, sharers, state)
+                );
+            }
+        }
+        let mut c = tiny();
+        let top = (1 << 46) - 2;
+        c.insert(top, CacheState::O);
+        c.set_sharers(top, u16::MAX);
+        assert_eq!(c.state_of(top), Some(CacheState::O));
+        assert_eq!(c.sharers_of(top), Some(u16::MAX));
+    }
+
+    #[test]
+    #[should_panic(expected = "46-bit field")]
+    fn too_wide_address_rejected() {
+        tiny().insert(1 << 46, CacheState::S);
     }
 
     #[test]

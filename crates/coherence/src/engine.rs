@@ -599,19 +599,19 @@ impl ProtocolEngine {
         for home in 0..self.place.sockets() {
             let mut lines: Vec<LineAddr> = self.home_dirs[home]
                 .iter_entries()
-                .filter(|(l, e)| {
+                .filter(|&(l, e)| {
                     // Any dirty owner other than the replica node
                     // itself leaves the replica memory copy behind (at
                     // two sockets this reduces to `owner == home`; with
                     // more nodes a third-party owner counts too).
                     e.state.dirty()
                         && e.owner
-                            .is_some_and(|o| usize::from(o) != self.place.replica_node(**l))
-                        && self.cfg.replication_scope.covers(**l, self.cfg.page_lines)
+                            .is_some_and(|o| usize::from(o) != self.place.replica_node(l))
+                        && self.cfg.replication_scope.covers(l, self.cfg.page_lines)
                 })
-                .map(|(l, _)| *l)
+                .map(|(l, _)| l)
                 .collect();
-            // The directory map iterates in hash order; sort so the
+            // The directory table iterates in slot order; sort so the
             // RM install sequence (and with it the replica
             // directory's LRU state) is deterministic run-to-run.
             lines.sort_unstable();
@@ -755,21 +755,22 @@ impl ProtocolEngine {
             }
         }
         // Update the home directory: the writer gave up ownership.
-        let entry = self.home_dirs[home].entry_mut(line);
-        if entry.owner.map(usize::from) == Some(from_socket) {
-            entry.owner = None;
-            entry.sharers &= !(1 << from_socket);
-            entry.state = if entry.sharers == 0 && !entry.replica_shared {
-                CacheState::I
+        self.home_dirs[home].update(line, |entry| {
+            if entry.owner.map(usize::from) == Some(from_socket) {
+                entry.owner = None;
+                entry.sharers &= !(1 << from_socket);
+                entry.state = if entry.sharers == 0 && !entry.replica_shared {
+                    CacheState::I
+                } else {
+                    CacheState::S
+                };
             } else {
-                CacheState::S
-            };
-        } else {
-            entry.sharers &= !(1 << from_socket);
-            if entry.sharers == 0 && entry.owner.is_none() && !entry.replica_shared {
-                entry.state = CacheState::I;
+                entry.sharers &= !(1 << from_socket);
+                if entry.sharers == 0 && entry.owner.is_none() && !entry.replica_shared {
+                    entry.state = CacheState::I;
+                }
             }
-        }
+        });
         done
     }
 
@@ -853,10 +854,11 @@ impl ProtocolEngine {
                                 }
                             }
                             last_done = last_done.max(self.writeback(o, l, t, fabric));
-                            let e = self.home_dirs[home].entry_mut(l);
-                            e.owner = None;
-                            e.state = CacheState::S;
-                            e.sharers |= 1 << o;
+                            self.home_dirs[home].update(l, |e| {
+                                e.owner = None;
+                                e.state = CacheState::S;
+                                e.sharers |= 1 << o;
+                            });
                         }
                     }
                 }
@@ -1040,9 +1042,10 @@ impl ProtocolEngine {
                         if socket != home {
                             t = fabric.link_send(home, socket, t, MessageClass::DataResponse);
                         }
-                        let e = self.home_dirs[home].entry_mut(line);
-                        e.state = CacheState::S;
-                        e.sharers |= 1 << socket;
+                        self.home_dirs[home].update(line, |e| {
+                            e.state = CacheState::S;
+                            e.sharers |= 1 << socket;
+                        });
                     }
                     CacheState::M | CacheState::O => {
                         let owner = usize::from(prior.owner.expect("dirty line has an owner"));
@@ -1058,10 +1061,11 @@ impl ProtocolEngine {
                             if socket != home {
                                 t = fabric.link_send(home, socket, t, MessageClass::DataResponse);
                             }
-                            let e = self.home_dirs[home].entry_mut(line);
-                            e.state = CacheState::S;
-                            e.owner = None;
-                            e.sharers |= 1 << socket;
+                            self.home_dirs[home].update(line, |e| {
+                                e.state = CacheState::S;
+                                e.owner = None;
+                                e.sharers |= 1 << socket;
+                            });
                         } else {
                             // Forward to the owner; owner downgrades to O
                             // and responds with data (MOSI: no memory
@@ -1079,9 +1083,10 @@ impl ProtocolEngine {
                             } else {
                                 ServiceLevel::RemoteOwner
                             };
-                            let e = self.home_dirs[home].entry_mut(line);
-                            e.state = CacheState::O;
-                            e.sharers |= 1 << socket;
+                            self.home_dirs[home].update(line, |e| {
+                                e.state = CacheState::O;
+                                e.sharers |= 1 << socket;
+                            });
                         }
                     }
                 }
@@ -1218,11 +1223,13 @@ impl ProtocolEngine {
                     None if socket == home => ServiceLevel::LocalDram,
                     None => ServiceLevel::RemoteDram,
                 };
-                let e = self.home_dirs[home].entry_mut(line);
-                e.state = CacheState::M;
-                e.owner = Some(u8::try_from(socket).expect("`new` caps the placement at 8 nodes"));
-                e.sharers = 1 << socket;
-                e.replica_shared = false;
+                let owner = u8::try_from(socket).expect("`new` caps the placement at 8 nodes");
+                self.home_dirs[home].update(line, |e| {
+                    e.state = CacheState::M;
+                    e.owner = Some(owner);
+                    e.sharers = 1 << socket;
+                    e.replica_shared = false;
+                });
                 self.invalidate_local_l1s(socket, line, Some(core));
                 self.llc_insert(socket, line, CacheState::M, t, fabric);
                 self.fill_l1(core, line, CacheState::M);
@@ -1307,12 +1314,13 @@ impl ProtocolEngine {
             // socket's caches, so later invalidations reach us.
             t = fabric.replica_read(socket, line, t);
             self.stats.replica_reads += 1;
-            let e = self.home_dirs[home].entry_mut(line);
-            if !e.state.dirty() {
-                e.state = CacheState::S;
-            }
-            e.sharers |= 1 << socket;
-            e.replica_shared = true;
+            self.home_dirs[home].update(line, |e| {
+                if !e.state.dirty() {
+                    e.state = CacheState::S;
+                }
+                e.sharers |= 1 << socket;
+                e.replica_shared = true;
+            });
             self.llc_insert(socket, line, CacheState::S, t, fabric);
             self.fill_l1(core, line, CacheState::S);
             self.add_l1_sharer(socket, line, core);
@@ -1354,10 +1362,11 @@ impl ProtocolEngine {
                     t_done = fabric.link_send(home, socket, t_mem, MessageClass::DataResponse);
                     service = ServiceLevel::RemoteDram;
                 }
-                let e = self.home_dirs[home].entry_mut(line);
-                e.state = CacheState::S;
-                e.sharers |= 1 << socket;
-                e.replica_shared = true;
+                self.home_dirs[home].update(line, |e| {
+                    e.state = CacheState::S;
+                    e.sharers |= 1 << socket;
+                    e.replica_shared = true;
+                });
             }
             CacheState::M | CacheState::O => {
                 if spec_done.is_some() {
@@ -1368,10 +1377,11 @@ impl ProtocolEngine {
                     let t_mem = fabric.mem_read(home, line, t_req);
                     t_done = fabric.link_send(home, socket, t_mem, MessageClass::DataResponse);
                     service = ServiceLevel::RemoteDram;
-                    let e = self.home_dirs[home].entry_mut(line);
-                    e.state = CacheState::S;
-                    e.owner = None;
-                    e.sharers |= 1 << socket;
+                    self.home_dirs[home].update(line, |e| {
+                        e.state = CacheState::S;
+                        e.owner = None;
+                        e.sharers |= 1 << socket;
+                    });
                 } else {
                     let mut tt = t_req;
                     if owner != home {
@@ -1384,9 +1394,10 @@ impl ProtocolEngine {
                     }
                     t_done = tt;
                     service = ServiceLevel::RemoteOwner;
-                    let e = self.home_dirs[home].entry_mut(line);
-                    e.state = CacheState::O;
-                    e.sharers |= 1 << socket;
+                    self.home_dirs[home].update(line, |e| {
+                        e.state = CacheState::O;
+                        e.sharers |= 1 << socket;
+                    });
                 }
             }
         }

@@ -126,6 +126,64 @@ fn topology_goldens_pin_every_placement() {
     }
 }
 
+/// The simulated fields of `BENCH_system.json`: `perf` runs backprop at
+/// 300 ops/thread (its `smoke` size) through [`dve_bench::config`], seed
+/// 42, at `mshrs = 1` unless the name says otherwise.
+const PERF_OPS: u64 = 300;
+const PERF_CYCLES: &[(&str, Scheme, usize, u64)] = &[
+    ("cycles_baseline_mshrs_1", Scheme::BaselineNuma, 1, 56_563),
+    ("cycles_deny_mshrs_1", Scheme::DveDeny, 1, 33_057),
+    ("cycles_deny_mshrs_4", Scheme::DveDeny, 4, 19_351),
+];
+/// `perf`'s topology section: (placement, cycles, replica reads) of the
+/// deny scheme at `mshrs = 1`.
+const PERF_TOPOLOGY: &[(TopologySpec, u64, u64)] = &[
+    (TopologySpec::Mirror2, 33_057, 826),
+    (TopologySpec::Nway(4), 53_164, 386),
+    (TopologySpec::TwoTier, 57_899, 0),
+];
+
+/// Pins what `perf` simulates, so a change that moves `BENCH_system.json`
+/// fails here rather than only in a rewritten report; and pins the
+/// relation `perf`'s MSHR gate checks (deny at `mshrs = 4` takes no more
+/// cycles than at `mshrs = 1`).
+#[test]
+fn perf_system_fields_are_pinned() {
+    let p = dve_bench::profile("backprop");
+    let run = |scheme, mshrs, spec| {
+        let mut cfg = dve_bench::config(scheme, PERF_OPS);
+        cfg.mshrs = mshrs;
+        cfg.set_topology(spec);
+        System::new(cfg, &p, 42).run()
+    };
+    let mut deny = [0u64; 2];
+    for &(name, scheme, mshrs, cycles) in PERF_CYCLES {
+        let r = run(scheme, mshrs, TopologySpec::Mirror2);
+        assert_eq!(
+            r.cycles, cycles,
+            "{name}: got {}, golden {cycles}",
+            r.cycles
+        );
+        if scheme == Scheme::DveDeny {
+            deny[usize::from(mshrs == 4)] = r.cycles;
+        }
+    }
+    assert!(
+        deny[1] <= deny[0],
+        "deny mshrs=4 {} > mshrs=1 {}",
+        deny[1],
+        deny[0]
+    );
+    for &(spec, cycles, replica_reads) in PERF_TOPOLOGY {
+        let r = run(Scheme::DveDeny, 1, spec);
+        assert_eq!(
+            (r.cycles, r.engine.replica_reads),
+            (cycles, replica_reads),
+            "topology_{{cycles,replica_reads}}_deny_{spec}"
+        );
+    }
+}
+
 /// Builds the armed-but-inert chaos envelope: every correlated source
 /// present and polling on its grid, none able to emit a fault.
 fn inert_armed(source_seed: u64, hammer: bool, thermal: bool, aging: bool) -> ChaosConfig {

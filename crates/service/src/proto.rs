@@ -8,6 +8,11 @@
 //!        → BATCH    (0x82) := count:u32 { seq:u64 shed:u8 issued:u64 complete:u64 comp[6]:u64 }*
 //! ```
 //!
+//! A client id names one live session. The server closes the
+//! connection without a HELLO_OK if the id is already held by a live
+//! session (until its connection ends) or is at or above `1 << 32`,
+//! the range of in-process session ids.
+//!
 //! One request, one response; a client pipelines by sending larger
 //! OPS batches, not by overlapping frames. An OPS frame may carry at
 //! most [`MAX_OPS`] ops, the most whose BATCH reply fits in
@@ -293,6 +298,10 @@ pub fn decode_batch(body: &[u8], client: u64) -> io::Result<Vec<Completion>> {
 
 /// Client side of the binary protocol — used by the TCP load
 /// generator and tests.
+///
+/// The `client` id must be below `1 << 32` and not held by another
+/// live session: the server refuses such a HELLO by closing the
+/// connection, and [`TcpClient::connect`] returns the read error.
 pub struct TcpClient {
     stream: TcpStream,
     client: u64,

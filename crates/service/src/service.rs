@@ -24,13 +24,13 @@
 //! (sessions get `None`, connections drop), `/health` reports
 //! `failed`, and the report does not conserve.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -238,7 +238,8 @@ impl Service {
 }
 
 /// In-process client ids start here; TCP clients pick their own ids
-/// below this (the loadgen uses small integers).
+/// below this (the loadgen uses small integers), and a HELLO at or
+/// above it is refused.
 const IN_PROC_CLIENT_BASE: u64 = 1 << 32;
 
 /// How long a new connection may stall before it has sent its request
@@ -333,6 +334,10 @@ fn run_listener(
     telemetry: Arc<Telemetry>,
     shutdown: Arc<AtomicBool>,
 ) {
+    // Client ids of the live TCP sessions. In-process ids sit above
+    // `IN_PROC_CLIENT_BASE`, so these alone decide whether a HELLO's id
+    // is taken.
+    let tcp_clients: Arc<Mutex<HashSet<u64>>> = Arc::default();
     loop {
         let accepted = tcp.accept();
         if shutdown.load(Ordering::Acquire) {
@@ -343,10 +348,12 @@ fn run_listener(
                 let ctl = ctl.clone();
                 let telemetry = Arc::clone(&telemetry);
                 let shutdown = Arc::clone(&shutdown);
+                let tcp_clients = Arc::clone(&tcp_clients);
                 let _ = std::thread::Builder::new()
                     .name("dve-conn".to_string())
                     .spawn(move || {
-                        let _ = serve_connection(stream, cores, ctl, telemetry, shutdown);
+                        let _ =
+                            serve_connection(stream, cores, ctl, telemetry, shutdown, &tcp_clients);
                     });
             }
             Err(_) => break,
@@ -361,6 +368,7 @@ fn serve_connection(
     ctl: Sender<Msg>,
     telemetry: Arc<Telemetry>,
     shutdown: Arc<AtomicBool>,
+    tcp_clients: &Mutex<HashSet<u64>>,
 ) -> io::Result<()> {
     stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(HELLO_TIMEOUT))?;
@@ -372,19 +380,31 @@ fn serve_connection(
 
     // Binary session. `head` is the length prefix of the HELLO frame.
     let client = proto::read_hello(&mut stream, head)?;
-
+    // An id in the in-process range, or one a live TCP session holds,
+    // would share (and on deregistration remove) another session's
+    // route: the connection is closed without a HELLO_OK.
+    if client >= IN_PROC_CLIENT_BASE || !tcp_clients.lock().unwrap().insert(client) {
+        return Ok(());
+    }
     let (tx, rx) = channel();
     telemetry.sessions.fetch_add(1, Ordering::Relaxed);
-    if ctl.send(Msg::Register { client, tx }).is_err() {
-        return Ok(()); // runner already gone
-    }
-    proto::write_frame(&mut stream, &proto::encode_hello_ok(client, cores as u32))?;
-
-    // A bounded read timeout lets the thread notice shutdown while
-    // parked on an idle connection.
-    stream.set_read_timeout(Some(Duration::from_millis(200)))?;
-    let result = serve_session(&mut stream, client, &ctl, &rx, &shutdown);
-    let _ = ctl.send(Msg::Deregister { client });
+    let result = if ctl.send(Msg::Register { client, tx }).is_ok() {
+        let session =
+            proto::write_frame(&mut stream, &proto::encode_hello_ok(client, cores as u32))
+                .and_then(|()| {
+                    // A bounded read timeout lets the thread notice
+                    // shutdown while parked on an idle connection.
+                    stream.set_read_timeout(Some(Duration::from_millis(200)))?;
+                    serve_session(&mut stream, client, &ctl, &rx, &shutdown)
+                });
+        let _ = ctl.send(Msg::Deregister { client });
+        session
+    } else {
+        Ok(()) // runner already gone
+    };
+    // Freed only after the Deregister is queued, so a reconnect's
+    // Register reaches the runner after it.
+    tcp_clients.lock().unwrap().remove(&client);
     result
 }
 
@@ -578,6 +598,46 @@ mod tests {
         let mut client = proto::TcpClient::connect(addr, 13).unwrap();
         assert_eq!(client.submit(&gen_ops(0x51, 50)).unwrap().len(), 50);
         let report = service.shutdown();
+        assert!(report.conserves(), "{report:?}");
+    }
+
+    #[test]
+    fn a_hello_for_a_taken_or_in_process_id_is_refused() {
+        // Four connections: the first session on id 5, a second HELLO
+        // on id 5, one on the first in-process id, and one /health
+        // scrape. Both refused HELLOs are closed before HELLO_OK; the
+        // first session keeps its route through each of them.
+        let service = Service::start(&small_cfg()).unwrap();
+        let addr = service.addr();
+        let telemetry = service.telemetry();
+        let mut first = proto::TcpClient::connect(addr, 5).unwrap();
+        assert_eq!(first.submit(&gen_ops(0x5A, 50)).unwrap().len(), 50);
+        for (i, taken) in [5, IN_PROC_CLIENT_BASE].into_iter().enumerate() {
+            let refused = proto::TcpClient::connect(addr, taken);
+            assert!(
+                refused.is_err(),
+                "HELLO for client {taken:#x} must be refused"
+            );
+            let comps = first.submit(&gen_ops(0x5B + i as u64, 50)).unwrap();
+            assert_eq!(comps.len(), 50, "after refusing {taken:#x}");
+            assert!(comps.iter().all(|c| c.client == 5 && !c.shed));
+            assert_eq!(
+                telemetry.render_health(),
+                format!("ok sessions=1 completed={}\n", 100 + 50 * i),
+                "after refusing {taken:#x}"
+            );
+        }
+        let mut s = TcpStream::connect(addr).unwrap();
+        s.write_all(b"GET /health HTTP/1.0\r\n\r\n").unwrap();
+        let mut rsp = String::new();
+        s.read_to_string(&mut rsp).unwrap();
+        assert!(
+            rsp.ends_with("\r\n\r\nok sessions=1 completed=150\n"),
+            "{rsp}"
+        );
+        drop(first);
+        let report = service.shutdown();
+        assert_eq!(report.submitted, 150);
         assert!(report.conserves(), "{report:?}");
     }
 

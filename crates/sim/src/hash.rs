@@ -33,8 +33,10 @@ use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Multiplier of the word mix (the 64-bit golden-ratio constant used by
-/// FxHash); odd, so the multiply is a bijection on `u64`.
-const K: u64 = 0x517c_c1b7_2722_0a95;
+/// FxHash); odd, so the multiply is a bijection on `u64`. The home
+/// directory's open-addressed table takes its probe start from the top
+/// bits of `line.wrapping_mul(K)`.
+pub const K: u64 = 0x517c_c1b7_2722_0a95;
 
 /// Multiply-rotate hasher over integer words with a high-to-low fold
 /// in [`Hasher::finish`]. Deterministic across runs and platforms.
